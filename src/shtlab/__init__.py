@@ -45,7 +45,6 @@ from .operators import (
     local_grand_maximal,
     maximal_commutator,
     maximal_function,
-    maximal_function_batch,
     operator_norm_estimate,
     region_grand_maximal,
     sparse_commutator,
@@ -55,6 +54,7 @@ from .operators import (
     weighted_lp_norm,
 )
 from .sparse import (
+    CertificateError,
     DominationCertificate,
     SparseFamily,
     build_domination,

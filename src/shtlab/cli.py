@@ -47,7 +47,7 @@ from .dyadic import (
 from .operators import (
     CommutatorKernel,
     commutator_bM,
-    maximal_function_batch,
+    maximal_function,
     operator_norm_estimate,
     sparse_commutator,
     sparse_commutator_adjoint,
@@ -485,7 +485,7 @@ def _check_eval(ctx: _ScenarioContext) -> List[ReportRow]:
     cubes = ctx.full_tree()
 
     ops: Dict[str, Callable[[np.ndarray], np.ndarray]] = {
-        "maximal": lambda f: maximal_function_batch(space, f[:, None])[:, 0],
+        "maximal": lambda f: maximal_function(space, f).values,
         "commutator_kernel": lambda f: kernel.apply(f).values,
         "commutator_bM": lambda f: commutator_bM(space, ctx.b, f),
         "sparse": lambda f: sparse_operator(space, cubes, f).values,
@@ -553,23 +553,13 @@ def _effective_jobs(requested: Optional[int]) -> int:
 
 def _run_scenarios(
     scenarios: Sequence[ScenarioConfig],
-    suites: Sequence[str],
     jobs: Optional[int],
-    runner_names: Optional[Sequence[str]] = None,
+    step: Callable[[_ScenarioContext], List[ReportRow]],
 ) -> List[ReportRow]:
-    wanted = set(suites)
+    """Run step on each scenario's context; rows merge in scenario order."""
 
     def one(sc: ScenarioConfig) -> List[ReportRow]:
-        ctx = _ScenarioContext(sc)
-        rows: List[ReportRow] = []
-        names = runner_names if runner_names is not None else CHECK_ORDER
-        for name in names:
-            if name == "eval":
-                rows.extend(_check_eval(ctx))
-                continue
-            if name in sc.checks and name in wanted:
-                rows.extend(_RUNNERS[name](ctx))
-        return rows
+        return step(_ScenarioContext(sc))
 
     nworkers = _effective_jobs(jobs)
     if nworkers > 1 and len(scenarios) > 1:
@@ -624,7 +614,7 @@ def _cmd_build_dyadic(args) -> int:
 def _cmd_eval(args) -> int:
     started = time.perf_counter()
     scenarios = _resolve_scenarios(args)
-    rows = _run_scenarios(scenarios, CHECK_ORDER, args.jobs, runner_names=("eval",))
+    rows = _run_scenarios(scenarios, args.jobs, _check_eval)
     return _emit(rows, args, "eval", started)
 
 
@@ -634,29 +624,28 @@ def _cmd_dominate(args) -> int:
     out_dir = args.out if args.out else "reports"
     os.makedirs(out_dir, exist_ok=True)
 
-    def one(sc: ScenarioConfig) -> List[ReportRow]:
-        ctx = _ScenarioContext(sc)
+    def step(ctx: _ScenarioContext) -> List[ReportRow]:
         rows = _check_domination(ctx)
-        cert = getattr(ctx, "certificate", None)
-        if cert is not None:
-            save_certificate(cert, os.path.join(out_dir, f"{sc.scenario}-certificate.json"))
+        path = os.path.join(out_dir, f"{ctx.sc.scenario}-certificate.json")
+        save_certificate(ctx.certificate, path)
         return rows
 
-    nworkers = _effective_jobs(args.jobs)
-    if nworkers > 1 and len(scenarios) > 1:
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            groups = list(pool.map(one, scenarios))
-    else:
-        groups = [one(sc) for sc in scenarios]
-    return _emit(merge_rows(groups), args, "dominate", started)
+    return _emit(_run_scenarios(scenarios, args.jobs, step), args, "dominate", started)
 
 
 def _cmd_verify(args) -> int:
     started = time.perf_counter()
     scenarios = _resolve_scenarios(args)
-    suites = CHECK_ORDER if args.suite == "all" else (args.suite,)
-    rows = _run_scenarios(scenarios, suites, args.jobs)
-    return _emit(rows, args, "verify", started)
+    wanted = set(CHECK_ORDER if args.suite == "all" else (args.suite,))
+
+    def step(ctx: _ScenarioContext) -> List[ReportRow]:
+        rows: List[ReportRow] = []
+        for name in CHECK_ORDER:
+            if name in ctx.sc.checks and name in wanted:
+                rows.extend(_RUNNERS[name](ctx))
+        return rows
+
+    return _emit(_run_scenarios(scenarios, args.jobs, step), args, "verify", started)
 
 
 def _cmd_report_merge(args) -> int:

@@ -11,12 +11,13 @@ generator never shifts another role's stream.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .space import QuasiMetricSpace, build_space
+from .space import MAX_POINTS, QuasiMetricSpace, build_space
 
 SPACE_KINDS = ("line", "sqline", "grid2d", "tree", "pair")
 WEIGHT_KINDS = ("ones", "lognormal", "power")
@@ -33,6 +34,9 @@ CHECK_NAMES = (
     "identities",
 )
 _ROLE_STREAMS = {"lambda1": 1, "lambda2": 2, "symbol": 3, "function": 4}
+# scenario ids name report rows and certificate files, so they stay
+# free of CSV delimiters, line breaks and path separators
+_SCENARIO_ID = re.compile(r"[A-Za-z0-9._-]+")
 
 
 class ConfigError(ValueError):
@@ -124,6 +128,8 @@ def _parse_scenario(doc: object, path: str) -> ScenarioConfig:
     for key, types in _FIELD_TYPES.items():
         if not isinstance(merged[key], types) or isinstance(merged[key], bool):
             raise ConfigError(f"{path}.{key}", "wrong type")
+    if not _SCENARIO_ID.fullmatch(merged["scenario"]):
+        raise ConfigError(f"{path}.scenario", "must match [A-Za-z0-9._-]+")
     if float(merged["p"]) <= 1.0:
         raise ConfigError(f"{path}.p", "must exceed 1")
     if not 0.0 < float(merged["delta"]) < 1.0:
@@ -139,6 +145,9 @@ def _parse_scenario(doc: object, path: str) -> ScenarioConfig:
         n = space.get("n")
         if not isinstance(n, int) or isinstance(n, bool) or n < 2:
             raise ConfigError(f"{path}.space.n", "must be an integer >= 2")
+        points = n * n if space["kind"] == "grid2d" else n
+        if points > MAX_POINTS:
+            raise ConfigError(f"{path}.space.n", f"{points} points exceed the cap {MAX_POINTS}")
     for role, kinds in (
         ("lambda1", WEIGHT_KINDS),
         ("lambda2", WEIGHT_KINDS),

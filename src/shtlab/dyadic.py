@@ -449,16 +449,29 @@ def _ball_level(r: float, delta: float, k_lo: int, k_hi: int) -> int:
     return min(max(k, k_lo), k_hi)
 
 
+def _ball_levels(space: QuasiMetricSpace, delta: float) -> np.ndarray:
+    """The unclamped ``_ball_level`` of every canonical ball, one log per
+    distinct radius."""
+    radii, inv = np.unique(space.ball_table().radius, return_inverse=True)
+    raw = [_ball_level(r, delta, -math.inf, math.inf) for r in radii.tolist()]
+    return np.asarray(raw, dtype=np.int64)[inv]
+
+
 def _capture_mask(
-    space: QuasiMetricSpace, delta: float, system: DyadicSystem
+    space: QuasiMetricSpace, system: DyadicSystem, levels: np.ndarray
 ) -> np.ndarray:
-    balls = space.canonical_balls()
-    ok = np.zeros(len(balls), dtype=bool)
-    for i, ball in enumerate(balls):
-        k = _ball_level(ball.radius, delta, system.levels[0], system.levels[-1])
-        lab = system.labels[k]  # type: ignore[index]
-        ok[i] = bool(np.all(lab[ball.members] == lab[ball.center]))
-    return ok
+    """Per canonical ball: does the cube holding its center at the
+    ball's clamped level hold the whole ball?  The ball is a prefix of
+    its center's distance order, so it is captured exactly when the
+    first label change along that order comes at or after its count."""
+    t = space.ball_table()
+    lo, hi = system.levels[0], system.levels[-1]
+    first_change = np.zeros((hi - lo + 1, space.n), dtype=np.int64)
+    for k in system.levels:
+        lab = system.labels[k][t.order]  # type: ignore[index]
+        # leading run of the center's own label (order[c, 0] is c itself)
+        first_change[k - lo] = np.cumprod(lab == lab[:, :1], axis=1).sum(axis=1)
+    return first_change[np.clip(levels, lo, hi) - lo, t.center] >= t.count
 
 
 def _candidate_pool(
@@ -490,7 +503,8 @@ def build_adjacent_systems(
     if t_count < 1:
         raise ValueError("t_count must be >= 1")
     pool = _candidate_pool(space, delta, t_count, seed)
-    masks = np.stack([_capture_mask(space, delta, s) for s in pool])
+    levels = _ball_levels(space, delta)
+    masks = np.stack([_capture_mask(space, s, levels) for s in pool])
     chosen: List[int] = []
     covered = np.zeros(masks.shape[1], dtype=bool)
     for _ in range(min(t_count, len(pool))):
@@ -503,28 +517,26 @@ def build_adjacent_systems(
         covered |= masks[best]
     systems = [pool[i] for i in chosen]
 
-    balls = space.canonical_balls()
-    failures: List[Dict[str, object]] = []
-    constant = 0.0
-    for idx, ball in enumerate(balls):
-        best_ratio: Optional[float] = None
-        for sysm in systems:
-            k = _ball_level(ball.radius, delta, sysm.levels[0], sysm.levels[-1])
+    # capture constant: per ball, the least reach / radius over the
+    # chosen systems capturing it, where reach is the farthest member of
+    # the cube holding the center at the ball's level
+    t = space.ball_table()
+    best_ratio = np.full(len(t.center), np.inf)
+    for i in chosen:
+        sysm = pool[i]
+        lo, hi = sysm.levels[0], sysm.levels[-1]
+        reach = np.zeros((hi - lo + 1, space.n))
+        for k in sysm.levels:
             lab = sysm.labels[k]  # type: ignore[index]
-            if np.all(lab[ball.members] == lab[ball.center]):
-                cube = sysm.cubes[k][int(lab[ball.center])]
-                reach = float(space.dist[ball.center, cube.members].max())
-                ratio = reach / ball.radius
-                best_ratio = ratio if best_ratio is None else min(best_ratio, ratio)
-        if best_ratio is None:
-            k = _ball_level(
-                ball.radius, delta, systems[0].levels[0], systems[0].levels[-1]
-            )
-            failures.append(
-                {"ball": idx, "x": ball.center, "r": float(ball.radius), "k": k}
-            )
-        else:
-            constant = max(constant, best_ratio)
+            reach[k - lo] = np.where(lab[:, None] == lab[None, :], space.dist, 0.0).max(axis=1)
+        ratio = reach[np.clip(levels, lo, hi) - lo, t.center] / t.radius
+        best_ratio = np.where(masks[i], np.minimum(best_ratio, ratio), best_ratio)
+    constant = float(best_ratio[covered].max()) if covered.any() else 0.0
+    lo0, hi0 = systems[0].levels[0], systems[0].levels[-1]
+    failures: List[Dict[str, object]] = []
+    for idx in np.flatnonzero(~covered).tolist():
+        k = int(np.clip(levels[idx], lo0, hi0))
+        failures.append({"ball": idx, "x": int(t.center[idx]), "r": float(t.radius[idx]), "k": k})
 
     a0 = space.a0
     a1 = geometric_doubling(space, delta)
@@ -539,7 +551,7 @@ def build_adjacent_systems(
         "pool_size": len(pool),
         "chosen": chosen,
     }
-    frac = 1.0 - len(failures) / len(balls)
+    frac = 1.0 - len(failures) / len(t.center)
     return AdjacentSystems(systems, constant, failures, frac, report)
 
 

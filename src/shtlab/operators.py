@@ -5,13 +5,16 @@ space, plus probe-based operator norm estimation.
 
 Evaluation strategy
 -------------------
-Every supremum ranges over the canonical ball family.  Two exact
-reorganizations keep desk-scale evaluation fast:
+Every supremum ranges over the canonical ball family, read from the
+space's ball table (each ball is a prefix of its center's distance
+order).  Two exact reorganizations keep desk-scale evaluation fast:
 
 * Balls at a fixed center are nested, so the balls containing a point
   form a suffix of the center's radius-sorted list.  The maximal
-  function is a per-center suffix maximum of ball averages followed by
-  a max over centers (``maximal_function``).
+  function places the ball averages in a (centers x slots) table, takes
+  a suffix maximum along each row with ``np.maximum.accumulate``, reads
+  it at each point's pointer and maxes over centers
+  (``maximal_function``).
 * For the maximal commutator the integrand splits around the rank of
   b(x) in the sorted symbol values, so per-ball sums over
   |b(x) - b(y)| |f(y)| are two cumulative sums over the sorted order
@@ -55,54 +58,55 @@ def _members_of(obj) -> np.ndarray:
 # -- maximal function --------------------------------------------------------
 
 
-def _ball_averages(space: QuasiMetricSpace, g: np.ndarray) -> np.ndarray:
-    return (space.ball_fmask() @ (g * space.mass)) / space.ball_measures()
+def _sup_over_balls(space: QuasiMetricSpace, per_ball: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Per point x and column, the max of per_ball over the canonical
+    balls containing x and the lowest ball id attaining it.
 
-
-def _suffix_max(space: QuasiMetricSpace, avg: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Per center, running max (and earliest argmax) over the radius-sorted
-    suffix of that center's canonical balls."""
-    suf = avg.copy()
-    arg = np.arange(len(avg), dtype=np.int64)
-    for s, e in space.ball_slices():
-        for i in range(e - 2, s - 1, -1):
-            # strict: ties keep the lower ball id, which is i itself
-            if suf[i + 1] > suf[i]:
-                suf[i] = suf[i + 1]
-                arg[i] = arg[i + 1]
-    return suf, arg
+    per_ball is (balls, k).  The balls containing x at center c are the
+    suffix of c's list from ptr[x, c] on, so a suffix max along each
+    row of the (centers x slots x k) table, read at the pointers and
+    maxed over centers, gives the sup.  Columns go in blocks so the
+    (n x n x columns) scratch stays within the size of per_ball.
+    """
+    t = space.ball_table()
+    n = space.n
+    nb, k = per_ball.shape
+    slot = np.arange(nb) - t.start[t.center]
+    width = int(slot.max()) + 1
+    centers = np.arange(n)[None, :]
+    pslot = t.ptr - t.start[None, :-1]  # (x, c): slot of the smallest ball at c holding x
+    positions = np.arange(width)[None, :, None]
+    values = np.empty((n, k))
+    witnesses = np.empty((n, k), dtype=np.int64)
+    step = max(1, min(k, per_ball.size // (n * n)))
+    for j0 in range(0, k, step):
+        j1 = min(k, j0 + step)
+        table = np.full((n, width, j1 - j0), -np.inf)
+        table[t.center, slot] = per_ball[:, j0:j1]
+        suf = np.maximum.accumulate(table[:, ::-1], axis=1)[:, ::-1]
+        # the first slot at or after j holding its suffix max is the
+        # earliest, hence lowest-id, argmax of that suffix
+        first = np.where(table == suf, positions, width)
+        arg = np.minimum.accumulate(first[:, ::-1], axis=1)[:, ::-1]
+        cand = suf[centers, pslot]  # (x, c, columns)
+        best = cand.max(axis=1)
+        ids = t.start[:-1][None, :, None] + arg[centers, pslot]
+        ids[cand != best[:, None, :]] = np.iinfo(np.int64).max
+        values[:, j0:j1] = best
+        witnesses[:, j0:j1] = ids.min(axis=1)
+    return values, witnesses
 
 
 def maximal_function(space: QuasiMetricSpace, f: np.ndarray) -> OperatorResult:
-    """M f(x) = max over balls containing x of avg_B |f|."""
+    """M f(x) = max over balls containing x of avg_B |f|.
+
+    f is (n,) or (n, k) with one function per column; values and
+    witnesses take the same shape.
+    """
     f = np.asarray(f, dtype=np.float64)
-    avg = _ball_averages(space, np.abs(f))
-    suf, arg = _suffix_max(space, avg)
-    ptr = space.ball_pointers()
-    cand = suf[ptr]  # (n points, n centers)
-    values = cand.max(axis=1)
-    wit = arg[ptr]
-    masked = np.where(cand == values[:, None], wit, np.iinfo(np.int64).max)
-    witnesses = masked.min(axis=1)
-    return OperatorResult(values, witnesses)
-
-
-def maximal_function_batch(space: QuasiMetricSpace, fs: np.ndarray) -> np.ndarray:
-    """M applied to each column of fs; returns values only."""
-    fs = np.asarray(fs, dtype=np.float64)
-    fmask = space.ball_fmask()
-    mu = space.ball_measures()
-    ptr = space.ball_pointers()
-    out = np.empty_like(fs)
-    avgs = (fmask @ (np.abs(fs) * space.mass[:, None])) / mu[:, None]
-    slices = space.ball_slices()
-    for j in range(fs.shape[1]):
-        suf = avgs[:, j]
-        # in-place reversed running max per center slice
-        for s, e in slices:
-            np.maximum.accumulate(suf[s:e][::-1], out=suf[s:e][::-1])
-        out[:, j] = suf[ptr].max(axis=1)
-    return out
+    avg = space.ball_averages(np.abs(f))
+    values, witnesses = _sup_over_balls(space, avg.reshape(len(avg), -1))
+    return OperatorResult(values.reshape(f.shape), witnesses.reshape(f.shape))
 
 
 # -- maximal commutator ------------------------------------------------------
@@ -181,24 +185,12 @@ def maximal_commutator(space: QuasiMetricSpace, b: np.ndarray, f: np.ndarray) ->
     return CommutatorKernel(space, b).apply(f, want_witness=True)
 
 
-def maximal_commutator_batch(
-    space: QuasiMetricSpace, b: np.ndarray, fs: np.ndarray
-) -> np.ndarray:
-    kernel = CommutatorKernel(space, b)
-    fs = np.asarray(fs, dtype=np.float64)
-    out = np.empty_like(fs)
-    for j in range(fs.shape[1]):
-        out[:, j] = kernel.apply(fs[:, j]).values
-    return out
-
-
 def commutator_bM(space: QuasiMetricSpace, b: np.ndarray, f: np.ndarray) -> np.ndarray:
     """[b, M]f = b * Mf - M(bf) (signed values)."""
     b = np.asarray(b, dtype=np.float64)
     f = np.asarray(f, dtype=np.float64)
-    mf = maximal_function(space, f).values
-    mbf = maximal_function(space, b * f).values
-    return b * mf - mbf
+    both = maximal_function(space, np.stack([f, b * f], axis=1)).values
+    return b * both[:, 0] - both[:, 1]
 
 
 # -- local grand maximal -----------------------------------------------------
@@ -206,10 +198,12 @@ def commutator_bM(space: QuasiMetricSpace, b: np.ndarray, f: np.ndarray) -> np.n
 
 def _sub_balls(space: QuasiMetricSpace, region: np.ndarray) -> np.ndarray:
     """Ids of canonical balls whose member set lies inside the region."""
+    t = space.ball_table()
     outside = np.ones(space.n, dtype=bool)
     outside[region] = False
-    overflow = space.ball_mask() @ outside  # counts of members outside
-    return np.flatnonzero(overflow == 0)
+    # per center, the first position of its order that leaves the region
+    exit_at = np.where(outside[None, :], t.rank, space.n).min(axis=1)
+    return np.flatnonzero(t.count <= exit_at[t.center])
 
 
 def region_grand_maximal(
@@ -229,44 +223,51 @@ def region_grand_maximal(
     """
     region = np.asarray(region, dtype=np.int64)
     a0 = space.a0
-    balls = space.canonical_balls()
-    fmask = space.ball_fmask()
-    mu = space.ball_measures()
+    t = space.ball_table()
+    mu = t.measure
     sub_ids = _sub_balls(space, region)
     trunc_ind = np.zeros(space.n, dtype=np.float64)
     trunc_ind[np.asarray(trunc, dtype=np.int64)] = 1.0
 
     # enlarged member indicators for each sub-ball (4 A0 scaling)
-    centers = np.array([balls[i].center for i in sub_ids], dtype=np.int64)
-    radii = np.array([balls[i].radius for i in sub_ids])
+    centers = t.center[sub_ids]
+    radii = t.radius[sub_ids]
     enlarged = (space.dist[centers] < (4.0 * a0 * radii)[:, None]).astype(np.float64)
-    sub_member = space.ball_mask()[sub_ids]  # bool (L, n)
 
-    # which space balls meet which sub-balls (shared across functions)
-    meets = (fmask @ sub_member.T.astype(np.float64)) > 0.0  # (nballs, L)
+    # B' meets B exactly when B's first position in the order of B''s
+    # center comes before count(B'); first[c, j] is that position for
+    # sub-ball j, a running min of ranks along the sub-ball's own order
+    first = np.empty((space.n, len(sub_ids)), dtype=np.int64)
+    for c in np.unique(centers):
+        cols = np.flatnonzero(centers == c)
+        reach = np.minimum.accumulate(t.rank[:, t.order[c]], axis=1)
+        first[:, cols] = reach[:, t.count[sub_ids[cols]] - 1]
+    misses = np.empty((len(mu), len(sub_ids)), dtype=bool)  # (nballs, L)
+    for c in range(space.n):
+        s, e = t.start[c], t.start[c + 1]
+        misses[s:e] = first[c][None, :] >= t.count[s:e, None]
 
     values_out: List[np.ndarray] = []
     witness_out: List[np.ndarray] = []
     for f in fs:
         w = space.mass * np.abs(np.asarray(f, dtype=np.float64))
         w_t = w * trunc_ind
-        s_full = fmask @ w_t  # per space-ball mass of |f| inside trunc
+        s_full = space.ball_sums(w_t)  # per space-ball mass of |f| inside trunc
         # per (space ball, sub-ball): mass of |f| inside trunc AND enlargement
-        s_cut = fmask @ (enlarged.T * w_t[:, None])
-        v = (s_full[:, None] - s_cut) / mu[:, None]
-        v[~meets] = -np.inf
-        m_b = v.max(axis=0)  # best over B' per sub-ball
-        m_b = np.maximum(m_b, 0.0)
+        v = space.ball_sums(enlarged.T * w_t[:, None])
+        np.subtract(s_full[:, None], v, out=v)
+        v /= mu[:, None]
+        v[misses] = -np.inf
+        m_b = np.maximum(v.max(axis=0), 0.0)  # best over B' per sub-ball
         # outer sup over sub-balls containing x, ties to the lowest ball id
+        per_ball = np.full((len(mu), 1), -np.inf)
+        per_ball[sub_ids, 0] = m_b
+        best, arg = _sup_over_balls(space, per_ball)
+        on = best[:, 0] > -np.inf
         vals = np.zeros(space.n)
         wits = np.full(space.n, -1, dtype=np.int64)
-        col = np.where(sub_member, m_b[:, None], -np.inf)
-        if len(sub_ids):
-            best = col.max(axis=0)
-            arg = col.argmax(axis=0)
-            on = best > -np.inf
-            vals[on] = np.maximum(best[on], 0.0)
-            wits[on] = sub_ids[arg[on]]
+        vals[on] = np.maximum(best[on, 0], 0.0)
+        wits[on] = arg[on, 0]
         values_out.append(vals)
         witness_out.append(wits)
     return values_out, witness_out, sub_ids
@@ -326,7 +327,7 @@ def weak_type_11_constant(space: QuasiMetricSpace, probes: int = 100, seed: int 
     F = np.concatenate(
         [np.eye(space.n), rng.lognormal(0.0, 1.0, size=(space.n, probes))], axis=1
     )
-    MF = maximal_function_batch(space, F)
+    MF = maximal_function(space, F).values
     best = 0.0
     l1 = np.abs(F).T @ space.mass
     for j in range(F.shape[1]):
@@ -401,29 +402,23 @@ def build_probes(
     ball indicators (an even-stride subsample when capped), then seeded
     signed lognormal draws.  Adding probes never lowers the estimate.
     """
-    cols: List[np.ndarray] = []
-    labels: List[str] = []
-    eye = np.eye(space.n)
-    for i in range(space.n):
-        cols.append(eye[:, i])
-        labels.append(f"point:{i}")
-    mask = space.ball_mask()
-    nb = mask.shape[0]
+    t = space.ball_table()
+    nb = len(t.center)
     if ball_cap is None or nb <= ball_cap:
         ball_ids = np.arange(nb)
     else:
         stride = int(math.ceil(nb / ball_cap))
         ball_ids = np.arange(0, nb, stride)
-    for i in ball_ids:
-        cols.append(mask[i].astype(np.float64))
-        labels.append(f"ball:{i}")
+    labels = [f"point:{i}" for i in range(space.n)]
+    labels += [f"ball:{i}" for i in ball_ids]
+    cols = [np.eye(space.n), (t.rank[t.center[ball_ids]] < t.count[ball_ids, None]).T]
     rng = np.random.default_rng(seed)
     for j in range(random_count):
         vals = rng.lognormal(0.0, 1.0, size=space.n)
         signs = rng.integers(0, 2, size=space.n) * 2 - 1
-        cols.append(vals * signs)
+        cols.append((vals * signs)[:, None])
         labels.append(f"random:{j}")
-    return np.stack(cols, axis=1), labels
+    return np.concatenate(cols, axis=1), labels
 
 
 def estimate_from_values(

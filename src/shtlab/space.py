@@ -7,20 +7,28 @@ supremum-over-balls quantity in this package ranges over.
 Provides:
 
 * ``QuasiMetricSpace`` -- validated (dist, mass) container with cached
-  geometry (canonical balls, ball membership matrices, measured
-  constants).
+  geometry (the ball table and measured constants).
 * ``Ball`` -- a (center, radius, member set) triple.  Balls are open:
   ``B(x, r) = {y : d(x, y) < r}``.
+* ``BallTable`` -- the canonical balls, one per (center, member set)
+  pair.  Each is a prefix of its center's distance order; the stored
+  radius is the midpoint between the realizing distance threshold and
+  the next distinct distance, so strict comparisons are exact in
+  floating point.
 * ``build_space`` -- the five reference generators (line, sqline,
   grid2d, tree, pair).
-* ``canonical_balls`` -- per center, one ball per distinct member set;
-  the stored radius is the midpoint between the realizing distance
-  threshold and the next distinct distance, so strict comparisons are
-  exact in floating point.
-* ``measured_constants`` -- quasi-triangle constant, measured doubling
-  constant and upper dimension.  These are *measured* suprema over the
-  finite ball family, reported rather than assumed.
+* ``QuasiMetricSpace.measured_constants`` -- quasi-triangle constant,
+  measured doubling constant and upper dimension.  These are *measured*
+  suprema over the finite ball family, reported rather than assumed.
 * JSON (de)serialization that round-trips bit-exactly.
+
+Evaluation strategy
+-------------------
+The ball table holds O(n^2) data: per-ball (center, count, radius),
+each center's stable distance order and the cumulative mass along it.
+A sum over every canonical ball (``ball_sums``) is a cumulative sum
+along each center's order read at each ball's count, so no operator
+stores a (balls x n) membership matrix.
 
 Notes
 -----
@@ -35,15 +43,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 MAX_POINTS = 4096
-
-WEIGHT_ROLES = ("w", "lambda1", "lambda2", "nu")
-FUNCTION_ROLES = ("f", "b") + WEIGHT_ROLES
 
 
 @dataclass
@@ -65,26 +70,24 @@ class Ball:
         return tuple(int(i) for i in self.members)
 
 
-@dataclass
-class PointFunction:
-    """A function on the points of a space, tagged with its role.
+@dataclass(frozen=True)
+class BallTable:
+    """The canonical balls as prefixes of each center's distance order.
 
-    Weight-tagged roles (w, lambda1, lambda2, nu) must be strictly
-    positive everywhere; plain functions (f, b) may take any real
-    values.
+    Ball ``i`` has the first ``count[i]`` entries of ``order[center[i]]``
+    as members.  Ids run center-major and radius-ascending, so center
+    c owns the ids ``start[c]:start[c + 1]``.
     """
 
-    values: np.ndarray
-    role: str = "f"
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.role not in FUNCTION_ROLES:
-            raise ValueError(f"unknown role {self.role!r}")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("point function values must be finite")
-        if self.role in WEIGHT_ROLES and not np.all(self.values > 0):
-            raise ValueError(f"role {self.role!r} requires strictly positive values")
+    center: np.ndarray  # (balls,)
+    count: np.ndarray  # (balls,)
+    radius: np.ndarray  # (balls,)
+    measure: np.ndarray  # (balls,)
+    start: np.ndarray  # (n + 1,)
+    order: np.ndarray  # (n, n): order[c] = argsort(dist[c], stable)
+    rank: np.ndarray  # (n, n): rank[c, order[c, j]] = j
+    cum_mass: np.ndarray  # (n, n): cumulative mass along order[c]
+    ptr: np.ndarray  # (n, n): ptr[x, c] = smallest ball at c holding x
 
 
 class QuasiMetricSpace:
@@ -167,100 +170,136 @@ class QuasiMetricSpace:
 
     # -- canonical balls ---------------------------------------------------
 
-    def canonical_balls(self) -> List[Ball]:
-        """One ball per (center, member set) pair, center then radius order.
+    def ball_table(self) -> BallTable:
+        """The canonical balls, one per (center, member set) pair.
 
         Per center the distinct distance thresholds 0 = t_0 < t_1 < ...
-        give strictly growing member sets {y : d(c, y) <= t_j}; the
-        stored radius is t_j + (t_{j+1} - t_j)/2, and 1.5 * t_max for
-        the full ball.
+        give strictly growing member sets {y : d(c, y) <= t_j}, each a
+        prefix of the center's stable distance order; the stored radius
+        is t_j + (t_{j+1} - t_j)/2, and 1.5 * t_max for the full ball.
         """
+        if "table" not in self._cache:
+            n = self.n
+            order = np.argsort(self.dist, axis=1, kind="stable")
+            sorted_dist = np.take_along_axis(self.dist, order, axis=1)
+            # a ball ends at every position whose next distance is larger
+            ends = np.ones((n, n), dtype=bool)
+            ends[:, :-1] = sorted_dist[:, 1:] != sorted_dist[:, :-1]
+            center, last = np.nonzero(ends)
+            t = sorted_dist[center, last]
+            nxt = sorted_dist[center, np.minimum(last + 1, n - 1)]
+            radius = np.where(last + 1 < n, t + (nxt - t) / 2.0, np.where(t > 0, 1.5 * t, 1.0))
+            start = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(ends.sum(axis=1), out=start[1:])
+            rank = np.empty_like(order)
+            np.put_along_axis(rank, order, np.broadcast_to(np.arange(n), (n, n)), axis=1)
+            cum_mass = np.cumsum(self.mass[order], axis=1)
+            # position j of c's order lies in c's ball number (ends before j)
+            slot = np.cumsum(ends, axis=1) - ends
+            ptr = start[:-1, None] + np.take_along_axis(slot, rank, axis=1)
+            self._cache["table"] = BallTable(
+                center=center,
+                count=last + 1,
+                radius=radius,
+                measure=cum_mass[center, last],
+                start=start,
+                order=order,
+                rank=rank,
+                cum_mass=cum_mass,
+                ptr=np.ascontiguousarray(ptr.T),
+            )
+        return self._cache["table"]  # type: ignore[return-value]
+
+    def canonical_balls(self) -> List[Ball]:
+        """The ball table as Ball objects, in id order."""
         if "balls" not in self._cache:
-            balls: List[Ball] = []
-            for c in range(self.n):
-                row = self.dist[c]
-                order = np.argsort(row, kind="stable")
-                sorted_d = row[order]
-                # distinct thresholds and the cumulative member prefix sizes
-                distinct = np.unique(sorted_d)
-                counts = np.searchsorted(sorted_d, distinct, side="right")
-                for j, t in enumerate(distinct):
-                    if j + 1 < len(distinct):
-                        radius = float(t + (distinct[j + 1] - t) / 2.0)
-                    else:
-                        radius = float(1.5 * t) if t > 0 else 1.0
-                    members = np.sort(order[: counts[j]])
-                    balls.append(Ball(c, radius, members, index=len(balls)))
-            self._cache["balls"] = balls
+            t = self.ball_table()
+            rows = zip(t.center.tolist(), t.count.tolist(), t.radius.tolist())
+            self._cache["balls"] = [
+                Ball(c, r, np.sort(t.order[c, :k]), index=i) for i, (c, k, r) in enumerate(rows)
+            ]
         return self._cache["balls"]  # type: ignore[return-value]
 
     def ball_mask(self) -> np.ndarray:
-        """Boolean membership matrix, one row per canonical ball."""
-        if "ball_mask" not in self._cache:
-            balls = self.canonical_balls()
-            mask = np.zeros((len(balls), self.n), dtype=bool)
-            for i, ball in enumerate(balls):
-                mask[i, ball.members] = True
-            self._cache["ball_mask"] = mask
-        return self._cache["ball_mask"]  # type: ignore[return-value]
+        """Boolean (balls x n) membership matrix, built on each call."""
+        t = self.ball_table()
+        mask = np.empty((len(t.center), self.n), dtype=bool)
+        for c in range(self.n):
+            s, e = t.start[c], t.start[c + 1]
+            mask[s:e] = t.rank[c][None, :] < t.count[s:e, None]
+        return mask
 
     def ball_fmask(self) -> np.ndarray:
-        """Float64 copy of the membership matrix for matrix products."""
-        if "ball_fmask" not in self._cache:
-            self._cache["ball_fmask"] = self.ball_mask().astype(np.float64)
-        return self._cache["ball_fmask"]  # type: ignore[return-value]
+        """Float64 copy of ``ball_mask``; the library no longer calls it,
+        but ``bench/tracing.py`` wraps it by name."""
+        return self.ball_mask().astype(np.float64)
 
     def ball_measures(self) -> np.ndarray:
-        if "ball_mu" not in self._cache:
-            self._cache["ball_mu"] = self.ball_fmask() @ self.mass
-        return self._cache["ball_mu"]  # type: ignore[return-value]
+        return self.ball_table().measure
 
     def ball_slices(self) -> List[Tuple[int, int]]:
         """Per center, the [start, end) range of its canonical balls."""
-        if "ball_slices" not in self._cache:
-            balls = self.canonical_balls()
-            slices: List[Tuple[int, int]] = []
-            start = 0
-            for c in range(self.n):
-                end = start
-                while end < len(balls) and balls[end].center == c:
-                    end += 1
-                slices.append((start, end))
-                start = end
-            self._cache["ball_slices"] = slices
-        return self._cache["ball_slices"]  # type: ignore[return-value]
+        start = self.ball_table().start.tolist()
+        return list(zip(start[:-1], start[1:]))
 
     def ball_pointers(self) -> np.ndarray:
         """ptr[x, c] = index of the smallest canonical ball at c containing x.
 
-        Used by the suffix-max evaluation of the maximal function: the
-        balls at a fixed center are nested, so the balls containing x
-        form a suffix of the center's radius-sorted list.
+        The balls at a fixed center are nested, so the balls containing
+        x form a suffix of the center's radius-sorted list.
         """
-        if "ball_ptr" not in self._cache:
-            slices = self.ball_slices()
-            ptr = np.zeros((self.n, self.n), dtype=np.int64)
-            for c in range(self.n):
-                s, e = slices[c]
-                distinct = np.unique(self.dist[c])
-                # ball j at center c has member set {y : d(c,y) <= distinct[j]}
-                ranks = np.searchsorted(distinct, self.dist[c], side="left")
-                ptr[:, c] = s + ranks
-            self._cache["ball_ptr"] = ptr
-        return self._cache["ball_ptr"]  # type: ignore[return-value]
+        return self.ball_table().ptr
+
+    def ball_sums(self, values: np.ndarray) -> np.ndarray:
+        """Sum of values over the members of every canonical ball.
+
+        values is (n,) or (n, k); the result is (balls,) or (balls, k).
+        Each center's cumulative sum along its distance order is read
+        at its balls' counts.  Centers and columns go in blocks so the
+        (centers x n x columns) scratch never exceeds the output.
+        """
+        t = self.ball_table()
+        v = np.asarray(values, dtype=np.float64)
+        cols = v[:, None] if v.ndim == 1 else v
+        n, k = cols.shape
+        out = np.empty((len(t.center), k))
+        width = max(1, min(k, out.size // (n * n)))
+        rows = max(1, min(n, out.size // (n * width)))
+        for c0 in range(0, n, rows):
+            c1 = min(n, c0 + rows)
+            ids = slice(t.start[c0], t.start[c1])
+            for j0 in range(0, k, width):
+                j1 = min(k, j0 + width)
+                cum = cols[t.order[c0:c1], j0:j1]
+                np.cumsum(cum, axis=1, out=cum)
+                out[ids, j0:j1] = cum[t.center[ids] - c0, t.count[ids] - 1]
+        return out[:, 0] if v.ndim == 1 else out
+
+    def ball_averages(self, values: np.ndarray) -> np.ndarray:
+        """avg_B(values) = sum(values * mass) / mu(B) for every canonical
+        ball; values is (n,) or (n, k)."""
+        v = np.asarray(values, dtype=np.float64)
+        shape = (-1,) + (1,) * (v.ndim - 1)
+        return self.ball_sums(v * self.mass.reshape(shape)) / self.ball_measures().reshape(shape)
+
+    def ball_prefixes(self) -> Iterator[Tuple[slice, np.ndarray, np.ndarray]]:
+        """Per center c: (ids, order, inside).  ids is the slice of c's
+        ball ids, order is c's distance order, and inside[i, j] tells
+        whether order[j] belongs to ball ids.start + i."""
+        t = self.ball_table()
+        positions = np.arange(self.n)
+        for c in range(self.n):
+            ids = slice(int(t.start[c]), int(t.start[c + 1]))
+            yield ids, t.order[c], positions[None, :] < t.count[ids, None]
 
     def smallest_covering_ball(self, support: np.ndarray) -> Ball:
         """The minimum-measure canonical ball containing the given ids."""
         support = np.asarray(support, dtype=np.int64)
         if support.size == 0:
             support = np.arange(self.n)
-        mask = self.ball_mask()
-        mu = self.ball_measures()
-        contains = np.all(mask[:, support], axis=1)
-        if not np.any(contains):  # cannot happen: full balls exist per center
-            raise ValueError("no canonical ball covers the support")
-        ids = np.flatnonzero(contains)
-        best = ids[np.argmin(mu[ids])]
+        # per center, the smallest ball there holding the whole support
+        ids = self.ball_pointers()[support].max(axis=0)
+        best = ids[np.argmin(self.ball_measures()[ids])]
         return self.canonical_balls()[int(best)]
 
     # -- measured geometric constants --------------------------------------
@@ -311,24 +350,21 @@ class QuasiMetricSpace:
         top = np.array([1.5 * distinct[-1]]) if distinct[-1] > 0 else np.array([1.0])
         return np.unique(np.concatenate([pos, mids[mids > 0], top]))
 
+    def _mu_ball(self, center: int, radii: np.ndarray) -> np.ndarray:
+        """mu(B(center, r)) for each r."""
+        t = self.ball_table()
+        idx = np.searchsorted(self.dist[center, t.order[center]], radii, side="left")
+        return np.where(idx > 0, t.cum_mass[center, np.maximum(idx - 1, 0)], 0.0)
+
     def _measure_doubling(self) -> Tuple[float, float]:
         lams = (2.0, 4.0, 8.0)
         c_mu = 1.0
         worst: List[Tuple[float, float]] = []  # (lambda, ratio) pairs
         for c in range(self.n):
-            row = self.dist[c]
-            order = np.argsort(row, kind="stable")
-            sorted_d = row[order]
-            cum = np.cumsum(self.mass[order])
             radii = self._doubling_probe_radii(c)
-
-            def mu_ball(rs: np.ndarray) -> np.ndarray:
-                idx = np.searchsorted(sorted_d, rs, side="left")
-                return np.where(idx > 0, cum[np.maximum(idx - 1, 0)], 0.0)
-
-            base = mu_ball(radii)
+            base = self._mu_ball(c, radii)
             for lam in lams:
-                ratio = mu_ball(lam * radii) / base
+                ratio = self._mu_ball(c, lam * radii) / base
                 peak = float(ratio.max())
                 worst.append((lam, peak))
                 if lam == 2.0:
@@ -344,21 +380,13 @@ class QuasiMetricSpace:
         balls and the sampled scale factors (no c_mu prefactor)."""
         key = ("strong_n", tuple(lams))
         if key not in self._cache:
+            t = self.ball_table()
             n_req = 0.0
             for c in range(self.n):
-                row = self.dist[c]
-                order = np.argsort(row, kind="stable")
-                sorted_d = row[order]
-                cum = np.cumsum(self.mass[order])
-                radii = np.array([b.radius for b in self.canonical_balls()[slice(*self.ball_slices()[c])]])
-
-                def mu_ball(rs: np.ndarray) -> np.ndarray:
-                    idx = np.searchsorted(sorted_d, rs, side="left")
-                    return np.where(idx > 0, cum[np.maximum(idx - 1, 0)], 0.0)
-
-                base = mu_ball(radii)
+                radii = t.radius[t.start[c] : t.start[c + 1]]
+                base = self._mu_ball(c, radii)
                 for lam in lams:
-                    ratio = mu_ball(lam * radii) / base
+                    ratio = self._mu_ball(c, lam * radii) / base
                     peak = float(ratio.max())
                     if peak > 1.0:
                         n_req = max(n_req, math.log(peak) / math.log(lam))
@@ -371,24 +399,6 @@ def scale_ball(space: QuasiMetricSpace, ball: Ball, factor: float) -> Ball:
     radius = float(factor) * ball.radius
     members = np.flatnonzero(space.dist[ball.center] < radius)
     return Ball(ball.center, radius, members)
-
-
-def canonical_balls(space: QuasiMetricSpace) -> List[Ball]:
-    return space.canonical_balls()
-
-
-def measured_constants(space: QuasiMetricSpace) -> Tuple[float, float, float]:
-    return space.measured_constants()
-
-
-def ball_measure(space: QuasiMetricSpace, ball_or_members) -> float:
-    members = ball_or_members.members if isinstance(ball_or_members, Ball) else ball_or_members
-    return space.measure(members)
-
-
-def ball_average(space: QuasiMetricSpace, f: np.ndarray, ball_or_members) -> float:
-    members = ball_or_members.members if isinstance(ball_or_members, Ball) else ball_or_members
-    return space.average(f, members)
 
 
 # -- generators -------------------------------------------------------------

@@ -9,9 +9,10 @@ space by a root ball and annulus balls, capture each cover's enlarged
 truncation ball in a dyadic cube, carve out the exceptional set where
 f, its local grand maximal, or their symbol-weighted versions are
 large, select the Calderon-Zygmund cubes of that set, and recurse.
-Every measure identity the argument rests on is asserted exactly on
-atoms (the recursion raises rather than emit a certificate built on a
-failed inequality).  The final bound sum_t (T_{S_t,b}|f| +
+Every measure identity the argument rests on is checked exactly on
+atoms, also under ``python -O`` (the recursion raises
+``CertificateError`` rather than emit a certificate built on a failed
+inequality).  The final bound sum_t (T_{S_t,b}|f| +
 T*_{S_t,b}|f|) is evaluated pointwise and compared against C_b f; the
 certificate stores the measured constant c_emp instead of the
 continuum's unnamed C.
@@ -27,7 +28,6 @@ denominator forces a vanishing numerator atom by atom.
 from __future__ import annotations
 
 import json
-import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -37,7 +37,7 @@ import numpy as np
 from .dyadic import AdjacentSystems, DyadicCube, DyadicSystem, _ball_level
 from .operators import (
     CommutatorKernel,
-    maximal_function_batch,
+    maximal_function,
     region_grand_maximal,
     sparse_commutator,
     sparse_commutator_adjoint,
@@ -139,17 +139,13 @@ class DominationCertificate:
     cover_overlap: int = 1
 
 
-def _containing_ball(space: QuasiMetricSpace, cube: DyadicCube) -> Ball:
-    """Smallest canonical ball centered at the cube's center holding it."""
-    ptr = space.ball_pointers()
-    bid = int(ptr[cube.members, cube.center].max())
-    return space.canonical_balls()[bid]
+class CertificateError(RuntimeError):
+    """A domination recursion invariant failed; no certificate is built."""
 
 
-def _widened_ball(space: QuasiMetricSpace, center: int, needed: np.ndarray) -> Ball:
-    """Smallest canonical ball at the center containing the needed ids."""
-    ptr = space.ball_pointers()
-    bid = int(ptr[needed, center].max())
+def _smallest_ball_at(space: QuasiMetricSpace, center: int, members: np.ndarray) -> Ball:
+    """Smallest canonical ball at the center containing the given ids."""
+    bid = int(space.ball_pointers()[members, center].max())
     return space.canonical_balls()[bid]
 
 
@@ -178,7 +174,8 @@ def _capture_cube(
                 if best is None or mu < best[0]:
                     best = (mu, t, cube)
                 break
-    assert best is not None  # the root cube always contains the ball
+    if best is None:  # the root cube always contains the ball
+        raise CertificateError("no cube of any system contains the ball")
     return best[1], best[2], False
 
 
@@ -215,6 +212,11 @@ class _TreeContext:
         self.used = None  # E_Q disjointness accumulator, set per space
         self.nodes: List[Dict[str, object]] = []
         self.emitted: List[Tuple[int, DyadicCube]] = []
+
+
+def _require(ok: bool, what: str) -> None:
+    if not ok:
+        raise CertificateError(what)
 
 
 def _dominate_node(
@@ -298,20 +300,23 @@ def _dominate_node(
     # on the complement
     covered = np.zeros(space.n, dtype=bool)
     for cube in selection:
-        assert not covered[cube.members].any(), "selected cubes overlap"
+        _require(not covered[cube.members].any(), "selected cubes overlap")
         covered[cube.members] = True
-    assert not (e_mask & ~covered).any(), "exceptional atom escaped selection"
+    _require(not (e_mask & ~covered).any(), "exceptional atom escaped selection")
     comp = region_mask & ~covered
-    assert np.all(absf[comp] <= alpha * avg_f)
-    assert np.all(mf[comp] <= alpha * cprime * avg_f)
-    assert np.all(g2[comp] <= alpha * avg_g)
-    assert np.all(mg[comp] <= alpha * cprime * avg_g)
+    _require(np.all(absf[comp] <= alpha * avg_f), "|f| above its threshold")
+    _require(np.all(mf[comp] <= alpha * cprime * avg_f), "grand maximal above its threshold")
+    _require(np.all(g2[comp] <= alpha * avg_g), "|b - b_Q| |f| above its threshold")
+    _require(np.all(mg[comp] <= alpha * cprime * avg_g), "grand maximal of g above its threshold")
 
     mu_sel = sum(space.measure(c.members) for c in selection)
-    assert mu_sel <= 0.5 * mu_region * (1.0 + 1e-12), "selection measure too large"
+    _require(mu_sel <= 0.5 * mu_region * (1.0 + 1e-12), "selection measure too large")
     e_node = np.flatnonzero(comp)
-    assert float(space.mass[comp].sum()) >= 0.5 * mu_region * (1.0 - 1e-12)
-    assert not ctx.used[e_node].any(), "stopped regions overlap inside a tree"
+    _require(
+        float(space.mass[comp].sum()) >= 0.5 * mu_region * (1.0 - 1e-12),
+        "stopped region below half the region",
+    )
+    _require(not ctx.used[e_node].any(), "stopped regions overlap inside a tree")
     ctx.used[e_node] = True
 
     ctx.emitted.append((t_ref, q_ref))
@@ -333,7 +338,9 @@ def _dominate_node(
     )
 
     for cube in selection:
-        child_trunc = scale_ball(space, _containing_ball(space, cube), 4.0 * space.a0)
+        child_trunc = scale_ball(
+            space, _smallest_ball_at(space, cube.center, cube.members), 4.0 * space.a0
+        )
         _dominate_node(
             space, systems, b, absf, cube.members, child_trunc,
             cz_system, cube, "cube", depth + 1, updim, cprime, ctx, misses,
@@ -370,13 +377,13 @@ def _node_checks_pass(
         cols = []
         for cube in selection:
             enlarged = scale_ball(
-                space, _containing_ball(space, cube), 4.0 * space.a0
+                space, _smallest_ball_at(space, cube.center, cube.members), 4.0 * space.a0
             )
             keep = trunc_ind.copy()
             keep[enlarged.members] = 0.0
             cols.append(absf * keep)
             cols.append(g2 * keep)
-        mvals = maximal_function_batch(space, np.stack(cols, axis=1))
+        mvals = maximal_function(space, np.stack(cols, axis=1)).values
         for j, cube in enumerate(selection):
             if mvals[cube.members, 2 * j].max() > alpha * cprime * avg_f:
                 return False
@@ -423,7 +430,7 @@ def build_domination(
         needed = np.union1d(
             scale_ball(space, ball, 4.0 * space.a0).members, root_ball.members
         )
-        wide = _widened_ball(space, ball.center, needed)
+        wide = _smallest_ball_at(space, ball.center, needed)
         ctx = _TreeContext()
         ctx.used = np.zeros(space.n, dtype=bool)
         _dominate_node(

@@ -23,7 +23,6 @@ from .operators import (
     build_probes,
     commutator_bM,
     estimate_from_values,
-    maximal_function,
     operator_norm_estimate,
     sparse_commutator,
     sparse_commutator_adjoint,
@@ -36,6 +35,7 @@ from .weights import (
     ap_characteristic,
     bloom_weight,
     bmo_norm,
+    deviation_sums,
     mean_oscillation,
     reverse_holder_constant,
 )
@@ -485,19 +485,15 @@ def _weighted_median_residuals(
 ) -> np.ndarray:
     """Per canonical ball, min over constants c of int_B |b - c| dmu
     (attained at a weighted median)."""
-    mask = space.ball_mask()
     m = space.mass
-    out = np.empty(mask.shape[0])
-    for i in range(mask.shape[0]):
-        mem = np.flatnonzero(mask[i])
-        vals = b[mem]
-        wts = m[mem]
-        order = np.argsort(vals, kind="stable")
-        vals = vals[order]
-        wts = wts[order]
-        cum = np.cumsum(wts)
-        med = vals[int(np.searchsorted(cum, 0.5 * cum[-1]))]
-        out[i] = float((np.abs(vals - med) * wts).sum())
+    out = np.empty(len(space.ball_measures()))
+    for ids, order, inside in space.ball_prefixes():
+        by_value = np.argsort(b[order], kind="stable")
+        vals = b[order][by_value]
+        wts = np.where(inside[:, by_value], m[order][by_value], 0.0)
+        cum = np.cumsum(wts, axis=1)
+        med = vals[(cum < 0.5 * cum[:, -1:]).sum(axis=1)]
+        out[ids] = (np.abs(vals[None, :] - med[:, None]) * wts).sum(axis=1)
     return out
 
 
@@ -544,31 +540,25 @@ def verify_lower_bound(
         _eq_entry("lower.bloom_identity", nu**p * lam2, lam1, tol_exact)
     )
 
-    mask = space.ball_mask()
-    fmask = space.ball_fmask()
-    mu = space.ball_measures()
-    nb = mask.shape[0]
+    t = space.ball_table()
+    mu = t.measure
+    nb = len(mu)
 
-    lam1B = fmask @ (lam1 * m)
-    lam2B = fmask @ (lam2 * m)
-    nuB = fmask @ (nu * m)
-    avg_b = (fmask @ (b * m)) / mu
+    lam1B = space.ball_sums(lam1 * m)
+    lam2B = space.ball_sums(lam2 * m)
+    nuB = space.ball_sums(nu * m)
+    osc_int = deviation_sums(space, b, m)
 
-    # per-ball data, chunked to bound memory on large spaces
+    # per-ball data, one center's balls at a time
     Km = np.abs(b[:, None] - b[None, :]) * m[:, None]
-    osc_int = np.empty(nb)
     min_tb = np.empty(nb)
     l2avg_tb = np.empty(nb)
     lam2m = lam2 * m
-    for s in range(0, nb, 2048):
-        e = min(nb, s + 2048)
-        block = fmask[s:e]
-        tb = block @ Km  # tb[i, y] = int_{B_i} |b(x) - b(y)| dmu(x)
-        osc_int[s:e] = (np.abs(b[None, :] - avg_b[s:e, None]) * block * m[None, :]).sum(
-            axis=1
-        )
-        min_tb[s:e] = np.where(mask[s:e], tb, np.inf).min(axis=1)
-        l2avg_tb[s:e] = ((tb * block) @ lam2m) / lam2B[s:e]
+    for ids, order, inside in space.ball_prefixes():
+        # tb[i, j] = int_{B_i} |b(x) - b(order[j])| dmu(x)
+        tb = np.cumsum(Km[order][:, order], axis=0)[t.count[ids] - 1]
+        min_tb[ids] = np.where(inside, tb, np.inf).min(axis=1)
+        l2avg_tb[ids] = ((tb * inside) @ lam2m[order]) / lam2B[ids]
     med_int = _weighted_median_residuals(space, b)
 
     entries.append(_leq_entry("lower.mean_le_2median", osc_int, 2.0 * med_int, tol_exact))
@@ -601,8 +591,9 @@ def verify_lower_bound(
     l5 = _leq_entry("lower.restriction", 0.0, 0.0, tol_exact)
     l6 = _leq_entry("lower.testing_probe", 0.0, 0.0, tol_exact)
     c_test = 0.0
+    balls = space.canonical_balls()
     for i, j in ball_cols.items():
-        mem = np.flatnonzero(mask[i])
+        mem = balls[i].members
         col = op_vals[:, j]
         tb_i = (np.abs(b[mem][:, None] - b[None, :]) * m[mem][:, None]).sum(axis=0)
         _merge_leq(l3, _leq_entry("l3", tb_i[mem], mu[i] * col[mem], tol_exact))
@@ -692,18 +683,8 @@ def verify_bloom_jn(
     bmo = bmo_norm(space, b, nu).value
     ap2 = ap_characteristic(space, lam2, p).value
     m = space.mass
-    mask = space.ball_mask()
-    fmask = space.ball_fmask()
-    mu = space.ball_measures()
-    avg_b = (fmask @ (b * m)) / mu
-    w_lhs = lam1 ** (-r / p) * m
-    lhs = np.empty(mask.shape[0])
-    for s in range(0, mask.shape[0], 2048):
-        e = min(mask.shape[0], s + 2048)
-        lhs[s:e] = (
-            np.abs(b[None, :] - avg_b[s:e, None]) ** r * fmask[s:e] * w_lhs[None, :]
-        ).sum(axis=1) / mu[s:e]
-    rhs_factor = (fmask @ (lam2 ** (-1.0 / p) * m)) / mu
+    lhs = deviation_sums(space, b, lam1 ** (-r / p) * m, r) / space.ball_measures()
+    rhs_factor = space.ball_averages(lam2 ** (-1.0 / p))
     rhs = bmo**r * ap2 ** (r / p) * rhs_factor**r
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(lhs > 0, lhs / rhs, 0.0)

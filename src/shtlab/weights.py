@@ -29,12 +29,11 @@ check doubles as a self-test of the characteristic computation.
 
 from __future__ import annotations
 
-import math
-from typing import Dict, NamedTuple, Sequence, Tuple
+from typing import Dict, NamedTuple, Sequence
 
 import numpy as np
 
-from .space import Ball, QuasiMetricSpace, scale_ball
+from .space import QuasiMetricSpace
 
 
 class BallValue(NamedTuple):
@@ -42,20 +41,13 @@ class BallValue(NamedTuple):
     ball: int  # canonical ball index achieving the value
 
 
-def _ball_averages(space: QuasiMetricSpace, values: np.ndarray) -> np.ndarray:
-    """avg_B(values) for every canonical ball, exact weighted sums."""
-    fmask = space.ball_fmask()
-    mu = space.ball_measures()
-    return (fmask @ (values * space.mass)) / mu
-
-
 def ap_characteristic(space: QuasiMetricSpace, w: np.ndarray, p: float) -> BallValue:
     """[w]_{A_p} over canonical balls, with the achieving ball id."""
     w = np.asarray(w, dtype=np.float64)
     if p <= 1:
         raise ValueError("ap_characteristic requires p > 1")
-    avg_w = _ball_averages(space, w)
-    avg_sigma = _ball_averages(space, w ** (-1.0 / (p - 1.0)))
+    avg_w = space.ball_averages(w)
+    avg_sigma = space.ball_averages(w ** (-1.0 / (p - 1.0)))
     vals = avg_w * avg_sigma ** (p - 1.0)
     best = int(np.argmax(vals))
     return BallValue(float(vals[best]), best)
@@ -81,8 +73,8 @@ def a1_check(space: QuasiMetricSpace, w: np.ndarray) -> Dict[str, object]:
 def ainf_characteristic(space: QuasiMetricSpace, w: np.ndarray) -> BallValue:
     """sup_B (avg_B w) exp(avg_B log(1/w)) over canonical balls."""
     w = np.asarray(w, dtype=np.float64)
-    avg_w = _ball_averages(space, w)
-    avg_log_inv = _ball_averages(space, -np.log(w))
+    avg_w = space.ball_averages(w)
+    avg_log_inv = space.ball_averages(-np.log(w))
     vals = avg_w * np.exp(avg_log_inv)
     best = int(np.argmax(vals))
     return BallValue(float(vals[best]), best)
@@ -93,8 +85,8 @@ def reverse_holder_constant(space: QuasiMetricSpace, w: np.ndarray, d: float) ->
     if not 0 < d < 1:
         raise ValueError("reverse Holder exponent must lie in (0, 1)")
     w = np.asarray(w, dtype=np.float64)
-    avg_w = _ball_averages(space, w)
-    avg_pow = _ball_averages(space, w**d) ** (1.0 / d)
+    avg_w = space.ball_averages(w)
+    avg_pow = space.ball_averages(w**d) ** (1.0 / d)
     return float(np.max(avg_w / avg_pow))
 
 
@@ -112,27 +104,27 @@ def weight_doubling_check(
     w = np.asarray(w, dtype=np.float64)
     ap = ap_characteristic(space, w, p).value
     n = space.strong_doubling_exponent(tuple(lams))
-    balls = space.canonical_balls()
-    worst = 0.0
-    witness: Tuple[int, float] = (-1, 0.0)
-    w_ball = space.ball_fmask() @ (w * space.mass)
-    dist = space.dist
-    for i, ball in enumerate(balls):
-        base = w_ball[i]
-        for lam in lams:
-            members = np.flatnonzero(dist[ball.center] < lam * ball.radius)
-            enlarged = float((w[members] * space.mass[members]).sum())
-            allowed = lam ** (n * p) * ap * base
-            ratio = enlarged / allowed
-            if ratio > worst:
-                worst = ratio
-                witness = (i, lam)
+    t = space.ball_table()
+    wm = w * space.mass
+    base = space.ball_sums(wm)
+    cum_w = np.cumsum(wm[t.order], axis=1)
+    lam_arr = np.asarray(lams, dtype=np.float64)
+    enlarged = np.empty((len(base), len(lam_arr)))
+    for c in range(space.n):
+        ids = slice(t.start[c], t.start[c + 1])
+        # B(c, l r) is the prefix of c's order strictly closer than l r
+        idx = np.searchsorted(space.dist[c, t.order[c]], t.radius[ids, None] * lam_arr[None, :])
+        enlarged[ids] = cum_w[c, idx - 1]
+    allowed = np.stack([lam ** (n * p) * ap * base for lam in lams], axis=1)
+    ratios = enlarged / allowed
+    best = int(np.argmax(ratios))  # row-major: the first (ball, lambda) pair at the max
+    worst = float(ratios.flat[best])
     return {
-        "max_ratio": float(worst),
+        "max_ratio": worst,
         "exponent": float(n),
         "ap": float(ap),
-        "ball": witness[0],
-        "lambda": witness[1],
+        "ball": best // len(lams),
+        "lambda": float(lams[best % len(lams)]),
         "pass": bool(worst <= 1.0 + 1e-9),
     }
 
@@ -154,22 +146,25 @@ def bmo_norm(space: QuasiMetricSpace, b: np.ndarray, w: np.ndarray) -> BallValue
     """
     b = np.asarray(b, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
-    fmask = space.ball_fmask()
-    mu = space.ball_measures()
-    wb = fmask @ (w * space.mass)
-    avg_b = (fmask @ (b * space.mass)) / mu
-    # int_B |b - b_B| dmu = sum_y in B |b(y) - avg| m(y); avg varies per ball
-    bm = b * space.mass
-    mvec = space.mass
-    osc = np.empty(len(mu))
-    mask = space.ball_mask()
-    # row-wise exact sums; ball count x n is fine at desk scale
-    for i in range(len(mu)):
-        mem = mask[i]
-        osc[i] = float(np.abs(b[mem] - avg_b[i]) @ mvec[mem])
+    wb = space.ball_sums(w * space.mass)
+    osc = deviation_sums(space, b, space.mass)
     vals = osc / wb
     best = int(np.argmax(vals))
     return BallValue(float(vals[best]), best)
+
+
+def deviation_sums(
+    space: QuasiMetricSpace, b: np.ndarray, weight: np.ndarray, r: float = 1.0
+) -> np.ndarray:
+    """Per canonical ball B: sum over y in B of |b(y) - b_B|^r weight(y),
+    with b_B the plain mu-average of b over B."""
+    b = np.asarray(b, dtype=np.float64)
+    avg = space.ball_averages(b)
+    out = np.empty(len(avg))
+    for ids, order, inside in space.ball_prefixes():
+        dev = np.abs(b[order][None, :] - avg[ids, None]) ** r
+        out[ids] = (dev * weight[order] * inside).sum(axis=1)
+    return out
 
 
 def bloom_weight(lambda1: np.ndarray, lambda2: np.ndarray, p: float) -> np.ndarray:

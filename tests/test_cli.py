@@ -120,6 +120,15 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert err.strip() == "error: scenario.p: must exceed 1"
 
+    def test_space_above_point_cap_exits_two(self, tmp_path, capsys):
+        big = tmp_path / "big.json"
+        doc = {"scenario": "big", "space": {"kind": "grid2d", "n": 65}, "seed": 1}
+        big.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "reports"
+        assert main(["verify", "--config", str(big), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: scenario.space.n: ")
+        assert not out.exists()
+
     def test_seed_override_is_recorded(self, tmp_path):
         cfg = _small_config(tmp_path)
         out = str(tmp_path / "reports")

@@ -18,6 +18,7 @@ from shtlab.config import (
     parse_config,
     save_config,
 )
+from shtlab.space import MAX_POINTS
 
 
 def _minimal(**over):
@@ -68,6 +69,18 @@ class TestParsing:
         assert _err(_minimal(space={"kind": "line", "n": 1})).field == "scenario.space.n"
         # the two-point space needs no size
         assert parse_config(_minimal(space={"kind": "pair"}))[0].space["kind"] == "pair"
+
+    def test_space_size_within_point_cap(self):
+        assert _err(_minimal(space={"kind": "grid2d", "n": 65})).field == "scenario.space.n"
+        too_long = {"kind": "line", "n": MAX_POINTS + 1}
+        assert _err(_minimal(space=too_long)).field == "scenario.space.n"
+        assert parse_config(_minimal(space={"kind": "grid2d", "n": 64}))[0].space["n"] == 64
+
+    def test_scenario_id_characters(self):
+        # ids name CSV rows and certificate files
+        for bad in ("a,b\nc", "two words", "dir/name", ""):
+            assert _err(_minimal(scenario=bad)).field == "scenario.scenario"
+        assert parse_config(_minimal(scenario="line-16_v1.2"))[0].scenario == "line-16_v1.2"
 
     def test_role_kind_validation(self):
         assert _err(_minimal(lambda1={"kind": "cauchy"})).field == "scenario.lambda1.kind"

@@ -16,6 +16,7 @@ from shtlab import (
     system_to_dict,
     verify_system,
 )
+from shtlab.dyadic import _ball_level, _ball_levels, _candidate_pool, _capture_mask
 
 ALL_KINDS = [("line", 16), ("sqline", 12), ("grid2d", 4), ("tree", 15), ("pair", 2)]
 
@@ -214,6 +215,19 @@ class TestAdjacentSystems:
         assert adj.capture_constant == pytest.approx(40.0)
         for rec in adj.capture_failures:
             assert {"x", "r", "k"} <= set(rec)
+
+    @pytest.mark.parametrize("kind,n", [("line", 64), ("grid2d", 8), ("tree", 63)])
+    def test_table_capture_masks_match_per_ball_definition(self, kind, n):
+        sp = build_space(kind, n)
+        levels = _ball_levels(sp, 0.5)
+        balls = sp.canonical_balls()
+        for system in _candidate_pool(sp, 0.5, 3, 42):
+            lo, hi = system.levels[0], system.levels[-1]
+            want = []
+            for ball in balls:
+                lab = system.labels[_ball_level(ball.radius, 0.5, lo, hi)]
+                want.append(bool(np.all(lab[ball.members] == lab[ball.center])))
+            assert np.array_equal(_capture_mask(sp, system, levels), np.array(want))
 
     def test_every_pooled_system_certifies(self):
         sp = build_space("line", 32)

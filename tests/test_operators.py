@@ -16,7 +16,6 @@ from shtlab import (
     local_grand_maximal,
     maximal_commutator,
     maximal_function,
-    maximal_function_batch,
     operator_norm_estimate,
     region_grand_maximal,
     sparse_commutator,
@@ -70,9 +69,34 @@ class TestMaximalFunction:
         sp = build_space("tree", 13)
         rng = np.random.default_rng(4)
         F = rng.standard_normal((13, 5))
-        batch = maximal_function_batch(sp, F)
+        batch = maximal_function(sp, F).values
         for j in range(5):
             assert np.allclose(batch[:, j], maximal_function(sp, F[:, j]).values)
+
+    def test_columns_match_single_calls_bit_for_bit(self):
+        rng = np.random.default_rng(23)
+        for kind, n in SPACES:
+            sp = build_space(kind, n)
+            F = rng.standard_normal((sp.n, 7))
+            res = maximal_function(sp, F)
+            for j in range(F.shape[1]):
+                one = maximal_function(sp, F[:, j])
+                assert np.array_equal(res.values[:, j], one.values)
+                assert np.array_equal(res.witnesses[:, j], one.witnesses)
+
+    def test_witness_is_lowest_id_at_the_max(self):
+        rng = np.random.default_rng(24)
+        for kind, n in SPACES:
+            sp = build_space(kind, n)
+            # rounded values make exact ties between balls common
+            f = np.round(rng.standard_normal(sp.n))
+            avg = sp.ball_averages(np.abs(f))
+            res = maximal_function(sp, f)
+            for x in range(sp.n):
+                ids = [i for i, b in enumerate(sp.canonical_balls()) if x in b.members]
+                best = max(avg[ids])
+                assert res.values[x] == best
+                assert res.witnesses[x] == min(i for i in ids if avg[i] == best)
 
     def test_dominates_pointwise_value(self):
         sp = build_space("line", 12)
@@ -383,7 +407,7 @@ class TestNormsAndProbes:
         w1 = np.exp(rng.standard_normal(16))
         w2 = np.exp(rng.standard_normal(16))
         F, labels = build_probes(sp, random_count=4, seed=1, ball_cap=8)
-        vals = maximal_function_batch(sp, F)
+        vals = maximal_function(sp, F).values
         est, idx = estimate_from_values(sp, vals, F, w1, w2, 2.0)
         ratios = []
         for j in range(F.shape[1]):

@@ -1,10 +1,24 @@
 """Space construction, canonical balls, and measured constants."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import oracles
-from shtlab import build_space, load_space, save_space, space_from_dict, space_to_dict
+from shtlab import (
+    CommutatorKernel,
+    QuasiMetricSpace,
+    bmo_norm,
+    build_space,
+    load_space,
+    maximal_function,
+    save_space,
+    space_from_dict,
+    space_to_dict,
+    verify_bloom_jn,
+    verify_lower_bound,
+)
 
 KINDS = [("line", 16), ("sqline", 12), ("grid2d", 4), ("tree", 15), ("pair", 2)]
 
@@ -241,3 +255,48 @@ class TestSerialization:
         back = space_from_dict(space_to_dict(sp))
         assert np.array_equal(back.dist, sp.dist)
         assert np.array_equal(back.mass, sp.mass)
+
+
+def _cached_arrays(obj):
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif dataclasses.is_dataclass(obj):
+        for fld in dataclasses.fields(obj):
+            yield from _cached_arrays(getattr(obj, fld.name))
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from _cached_arrays(item)
+
+
+class TestBallTable:
+    def test_ball_sums_match_member_sums_with_random_masses(self):
+        rng = np.random.default_rng(31)
+        pts = rng.random((20, 2))
+        plane = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+        dists = [build_space(kind, n).dist for kind, n in KINDS] + [plane]
+        for dist in dists:
+            sp = QuasiMetricSpace(dist, rng.lognormal(0.0, 1.0, len(dist)))
+            vals = rng.lognormal(0.0, 1.0, (sp.n, 3))
+            got = sp.ball_sums(vals)
+            balls = sp.canonical_balls()
+            assert got.shape == (len(balls), 3)
+            for i, ball in enumerate(balls):
+                want = vals[ball.members].sum(axis=0)
+                np.testing.assert_allclose(got[i], want, rtol=1e-12, atol=0)
+                assert sp.ball_measures()[i] == pytest.approx(sp.measure(ball.members), rel=1e-12)
+            assert np.array_equal(sp.ball_sums(vals[:, 1]), got[:, 1])
+
+    def test_no_cached_array_grows_with_balls_times_points(self):
+        sp = build_space("line", 64)
+        rng = np.random.default_rng(8)
+        b = np.exp(0.5 * rng.standard_normal(64))
+        f = rng.lognormal(0.0, 1.0, 64)
+        lam1, lam2 = rng.lognormal(0.0, 0.4, (2, 64))
+        maximal_function(sp, f)
+        CommutatorKernel(sp, b).apply(f)
+        bmo_norm(sp, b, lam1)
+        verify_lower_bound(sp, b, lam1, lam2, 2.0, probes=4, ball_cap=8)
+        verify_bloom_jn(sp, b, lam1, lam2, 2.0, 1.0)
+        limit = len(sp.canonical_balls()) * sp.n
+        sizes = [a.size for a in _cached_arrays(list(sp._cache.values()))]
+        assert sizes and max(sizes) < limit

@@ -2,6 +2,9 @@
 oscillation augmentation, and pointwise domination certificates."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -340,3 +343,40 @@ class TestBuildDomination:
         assert [fam["eta_certified"] for fam in doc["families"]] == [
             fam.eta_certified for fam in cert.families
         ]
+
+
+_OVERLAP_SCRIPT = """
+import numpy as np
+import shtlab.sparse as sparse
+from shtlab import build_adjacent_systems, build_space
+
+def overlapping(system, g, height, root=None):
+    cube = root if root is not None else system.cubes[system.levels[0]][0]
+    return [cube, cube]
+
+sparse.cz_select = overlapping
+sparse._node_checks_pass = lambda *args: True
+space = build_space("line", 8)
+adjacent = build_adjacent_systems(space, 0.5, 2, seed=0)
+root = space.smallest_covering_ball(np.arange(8))
+print("debug", __debug__)
+try:
+    sparse.build_domination(space, adjacent, np.linspace(0.0, 1.0, 8), np.ones(8), root)
+except sparse.CertificateError as exc:
+    print("CertificateError:", exc)
+"""
+
+
+def test_certificate_invariants_hold_under_optimize():
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _OVERLAP_SCRIPT],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "debug False" in proc.stdout
+    assert "CertificateError: selected cubes overlap" in proc.stdout
