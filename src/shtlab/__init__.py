@@ -46,6 +46,7 @@ from .operators import (
     maximal_commutator,
     maximal_function,
     operator_norm_estimate,
+    probe_images,
     region_grand_maximal,
     sparse_commutator,
     sparse_commutator_adjoint,

@@ -11,8 +11,10 @@ Subcommands
 Reports are deterministic for a fixed seed: the CSV carries no
 metadata, and the JSON metadata holds the wall-clock runtime under
 ``runtime_s`` only, so byte comparisons that drop that one field see
-identical runs.  Exit codes: 0 all checks passed, 1 at least one check
-failed (reports are still written), 2 invalid configuration.
+identical runs.  A check that raises becomes one failed ``<check>.error``
+row (``context.error`` when the scenario's inputs cannot be built) and
+the other checks still run.  Exit codes: 0 all checks passed, 1 at least
+one check failed (reports are still written), 2 invalid configuration.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import math
 import os
 import sys
 import time
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -46,9 +49,9 @@ from .dyadic import (
 )
 from .operators import (
     CommutatorKernel,
-    commutator_bM,
+    estimate_from_values,
     maximal_function,
-    operator_norm_estimate,
+    probe_images,
     sparse_commutator,
     sparse_commutator_adjoint,
     sparse_operator,
@@ -123,9 +126,6 @@ class _ScenarioContext:
             mean = float((absf * self.space.mass).sum() / self.space.total_mass)
             self._cz = [] if mean <= 0 else cz_select(self.system, absf, 0.8 * mean)
         return self._cz
-
-    def full_tree(self):
-        return [c for k in self.system.levels for c in self.system.cubes[k]]
 
 
 def _flag_row(scenario: str, check: str, ok: bool, witness: str = "") -> ReportRow:
@@ -454,7 +454,7 @@ def _check_identities(ctx: _ScenarioContext) -> List[ReportRow]:
             )
         )
 
-    cubes = ctx.full_tree()
+    cubes = ctx.system.all_cubes()
     rng = np.random.default_rng([sc.seed, 9])
     u = rng.standard_normal(space.n)
     v = rng.standard_normal(space.n)
@@ -481,35 +481,19 @@ def _check_eval(ctx: _ScenarioContext) -> List[ReportRow]:
     """Probe norm estimates for the four operators of interest."""
     sc = ctx.sc
     space = ctx.space
-    kernel = CommutatorKernel(space, ctx.b)
-    cubes = ctx.full_tree()
-
-    ops: Dict[str, Callable[[np.ndarray], np.ndarray]] = {
-        "maximal": lambda f: maximal_function(space, f).values,
-        "commutator_kernel": lambda f: kernel.apply(f).values,
-        "commutator_bM": lambda f: commutator_bM(space, ctx.b, f),
-        "sparse": lambda f: sparse_operator(space, cubes, f).values,
+    cubes = ctx.system.all_cubes()
+    F, labels, cb, bm = probe_images(space, ctx.b, sc.probes, sc.seed, sc.ball_cap)
+    images = {
+        "maximal": maximal_function(space, F).values,
+        "commutator_kernel": cb,
+        "commutator_bM": bm,
+        "sparse": np.column_stack([sparse_operator(space, cubes, f).values for f in F.T]),
     }
     rows = []
-    for name, apply_op in ops.items():
-        est = operator_norm_estimate(
-            space,
-            apply_op,
-            ctx.lam1,
-            ctx.lam2,
-            sc.p,
-            probes=sc.probes,
-            seed=sc.seed,
-            ball_cap=sc.ball_cap,
-        )
-        rows.append(
-            _finite_row(
-                sc.scenario,
-                f"eval.{name}_norm",
-                est["estimate"],
-                witness=f"{est['witness']} probes={est['probes']}",
-            )
-        )
+    for name, values in images.items():
+        est, idx = estimate_from_values(space, values, F, ctx.lam1, ctx.lam2, sc.p)
+        witness = f"{labels[idx]} probes={F.shape[1]}"
+        rows.append(_finite_row(sc.scenario, f"eval.{name}_norm", est, witness=witness))
     return rows
 
 
@@ -551,15 +535,27 @@ def _effective_jobs(requested: Optional[int]) -> int:
     return jobs
 
 
+def _isolated(scenario: str, check: str, run: Callable[[], List[ReportRow]]) -> List[ReportRow]:
+    """run()'s rows, or one failed ``<check>.error`` row naming the
+    exception (its traceback goes to stderr)."""
+    try:
+        return run()
+    except Exception as exc:
+        traceback.print_exc()
+        witness = f"{type(exc).__name__}: {exc}"
+        return [ReportRow(scenario, f"{check}.error", "exact", 1.0, 0.0, False, witness)]
+
+
 def _run_scenarios(
     scenarios: Sequence[ScenarioConfig],
     jobs: Optional[int],
     step: Callable[[_ScenarioContext], List[ReportRow]],
 ) -> List[ReportRow]:
-    """Run step on each scenario's context; rows merge in scenario order."""
+    """Run step on each scenario's context; rows merge in scenario order.
+    Steps isolate their checks, so what raises here is the context."""
 
     def one(sc: ScenarioConfig) -> List[ReportRow]:
-        return step(_ScenarioContext(sc))
+        return _isolated(sc.scenario, "context", lambda: step(_ScenarioContext(sc)))
 
     nworkers = _effective_jobs(jobs)
     if nworkers > 1 and len(scenarios) > 1:
@@ -614,8 +610,11 @@ def _cmd_build_dyadic(args) -> int:
 def _cmd_eval(args) -> int:
     started = time.perf_counter()
     scenarios = _resolve_scenarios(args)
-    rows = _run_scenarios(scenarios, args.jobs, _check_eval)
-    return _emit(rows, args, "eval", started)
+
+    def step(ctx: _ScenarioContext) -> List[ReportRow]:
+        return _isolated(ctx.sc.scenario, "eval", lambda: _check_eval(ctx))
+
+    return _emit(_run_scenarios(scenarios, args.jobs, step), args, "eval", started)
 
 
 def _cmd_dominate(args) -> int:
@@ -624,11 +623,14 @@ def _cmd_dominate(args) -> int:
     out_dir = args.out if args.out else "reports"
     os.makedirs(out_dir, exist_ok=True)
 
-    def step(ctx: _ScenarioContext) -> List[ReportRow]:
+    def run(ctx: _ScenarioContext) -> List[ReportRow]:
         rows = _check_domination(ctx)
         path = os.path.join(out_dir, f"{ctx.sc.scenario}-certificate.json")
         save_certificate(ctx.certificate, path)
         return rows
+
+    def step(ctx: _ScenarioContext) -> List[ReportRow]:
+        return _isolated(ctx.sc.scenario, "domination", lambda: run(ctx))
 
     return _emit(_run_scenarios(scenarios, args.jobs, step), args, "dominate", started)
 
@@ -642,7 +644,7 @@ def _cmd_verify(args) -> int:
         rows: List[ReportRow] = []
         for name in CHECK_ORDER:
             if name in ctx.sc.checks and name in wanted:
-                rows.extend(_RUNNERS[name](ctx))
+                rows.extend(_isolated(ctx.sc.scenario, name, lambda: _RUNNERS[name](ctx)))
         return rows
 
     return _emit(_run_scenarios(scenarios, args.jobs, step), args, "verify", started)

@@ -19,8 +19,14 @@ order).  Two exact reorganizations keep desk-scale evaluation fast:
   b(x) in the sorted symbol values, so per-ball sums over
   |b(x) - b(y)| |f(y)| are two cumulative sums over the sorted order
   (``CommutatorKernel``).
+* Probe images of C_b and [b, M] are built once per (space, symbol,
+  probe set) and memoized on the space (``probe_images``).  Each
+  distinct probe column is evaluated once; a point mass at i has the
+  closed forms C_b 1_i(x) = |b(x) - b(i)| m_i / mu and
+  M 1_i(x) = m_i / mu with mu the smallest ball measure holding x and
+  i; [b, M] of the remaining columns takes block maximal functions.
 
-Both paths are exact reorganizations of the defining finite sums, not
+All paths are exact reorganizations of the defining finite sums, not
 approximations.
 
 Sign conventions
@@ -133,12 +139,17 @@ class CommutatorKernel:
         mask = space.ball_mask()
         # the sup only sees member sets, so collapse duplicate balls;
         # ball_ids maps each surviving row back to the lowest canonical
-        # id sharing its member set, keeping witness ids canonical
+        # id sharing its member set, keeping witness ids canonical; twins
+        # summed in other centers' orders can differ in the last bit, and
+        # the sup over all balls sees the least measure
         packed = np.packbits(mask, axis=1)
-        _, first = np.unique(packed, axis=0, return_index=True)
-        self.ball_ids = np.sort(first).astype(np.int64)
+        _, first, twin = np.unique(packed, axis=0, return_index=True, return_inverse=True)
+        mu = np.full(len(first), np.inf)
+        np.minimum.at(mu, twin.reshape(-1), space.ball_measures())
+        keep = np.argsort(first)
+        self.ball_ids = first[keep].astype(np.int64)
         self.mask_s = mask[self.ball_ids][:, self.order]
-        self.mu = space.ball_measures()[self.ball_ids]
+        self.mu = mu[keep]
         nb = self.mask_s.shape[0]
         self._bufA = np.empty((nb, space.n), dtype=np.float64)
         self._bufB = np.empty((nb, space.n), dtype=np.float64)
@@ -419,6 +430,69 @@ def build_probes(
         cols.append((vals * signs)[:, None])
         labels.append(f"random:{j}")
     return np.concatenate(cols, axis=1), labels
+
+
+def _pair_min_ball_measure(space: QuasiMetricSpace) -> np.ndarray:
+    """minmu[x, y] = smallest measure of a canonical ball containing
+    both x and y (per center, the containing balls are nested)."""
+    ptr = space.ball_pointers()
+    mu = space.ball_measures()
+    out = np.full((space.n, space.n), np.inf)
+    for c in range(space.n):
+        np.minimum(out, mu[np.maximum(ptr[:, c, None], ptr[None, :, c])], out=out)
+    return out
+
+
+def probe_images(
+    space: QuasiMetricSpace,
+    b: np.ndarray,
+    probes: int = 16,
+    seed: int = 0,
+    ball_cap: Optional[int] = 4096,
+) -> Tuple[np.ndarray, Tuple[str, ...], np.ndarray, np.ndarray]:
+    """(F, labels, cb, bm): ``build_probes``' matrix and labels and the
+    read-only C_b and [b, M] images of every column, memoized on the
+    space.  Duplicate columns copy the image of the lowest column
+    holding the same values, so argmax witnesses keep their labels.
+    Point masses use the closed forms through the smallest ball holding
+    both points; other columns go through one ``CommutatorKernel`` and,
+    for [b, M] = b Mf - M(bf), block maximal functions."""
+    if probes < 1:
+        raise ValueError("probes must be >= 1")
+    b = np.asarray(b, dtype=np.float64)
+    key = ("probe_images", b.tobytes(), probes, seed, ball_cap)
+    if key in space._cache:
+        return space._cache[key]  # type: ignore[return-value]
+    F, labels = build_probes(space, probes, seed, ball_cap)
+    _, first, inverse = np.unique(F, axis=1, return_index=True, return_inverse=True)
+    m = space.mass
+    cb = np.empty((space.n, len(first)))
+    bm = np.empty_like(cb)
+    # the leading n columns are the point masses, all distinct
+    point = first < space.n
+    i = first[point]
+    minmu = _pair_min_ball_measure(space)[:, i]
+    cb[:, point] = np.abs(b[:, None] * m[i] - b[i] * m[i]) / minmu
+    bm[:, point] = b[:, None] * (m[i] / minmu) - (np.abs(b[i]) * m[i]) / minmu
+    rest = np.flatnonzero(~point)
+    kernel = CommutatorKernel(space, b)
+    for j in rest:
+        cb[:, j] = kernel.apply(F[:, first[j]]).values
+    # [G, b G] blocks of n columns keep the ball averages at the size of
+    # one kernel buffer
+    step = max(1, space.n // 2)
+    for j0 in range(0, len(rest), step):
+        cols = rest[j0 : j0 + step]
+        G = F[:, first[cols]]
+        both = maximal_function(space, np.concatenate([G, b[:, None] * G], axis=1)).values
+        bm[:, cols] = b[:, None] * both[:, : len(cols)] - both[:, len(cols) :]
+    # take keeps the images C-ordered, so column sums over them add
+    # row by row exactly as over the probe matrix
+    cb, bm = (np.take(a, inverse.reshape(-1), axis=1) for a in (cb, bm))
+    for arr in (F, cb, bm):
+        arr.flags.writeable = False
+    space._cache[key] = (F, tuple(labels), cb, bm)
+    return space._cache[key]  # type: ignore[return-value]
 
 
 def estimate_from_values(

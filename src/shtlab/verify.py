@@ -19,11 +19,8 @@ import numpy as np
 
 from .dyadic import DyadicSystem
 from .operators import (
-    CommutatorKernel,
-    build_probes,
-    commutator_bM,
     estimate_from_values,
-    operator_norm_estimate,
+    probe_images,
     sparse_commutator,
     sparse_commutator_adjoint,
     sparse_operator,
@@ -146,28 +143,19 @@ def verify_upper_bound_cb(
     _validate_weights(space, lam1, lam2, p)
     b = np.asarray(b, dtype=np.float64)
     nu, bmo, ap1, ap2, scale = _upper_scale(space, b, lam1, lam2, p)
-    kernel = CommutatorKernel(space, b)
-    est = operator_norm_estimate(
-        space,
-        lambda f: kernel.apply(f).values,
-        lam1,
-        lam2,
-        p,
-        probes=probes,
-        seed=seed,
-        ball_cap=ball_cap,
-    )
+    F, labels, cb, _ = probe_images(space, b, probes, seed, ball_cap)
+    est, idx = estimate_from_values(space, cb, F, lam1, lam2, p)
     vacuous = bmo == 0.0
-    rho = 0.0 if vacuous else est["estimate"] / scale
+    rho = 0.0 if vacuous else est / scale
     return {
         "name": "upper_cb",
         "vacuous": vacuous,
         "rho": rho,
         "rho_cap": float(rho_cap),
-        "estimate": est["estimate"],
+        "estimate": est,
         "estimate_kind": NORM_NOTE,
-        "estimate_witness": est["witness"],
-        "probe_count": est["probes"],
+        "estimate_witness": labels[idx],
+        "probe_count": F.shape[1],
         "bmo_nu": bmo,
         "ap_lambda1": ap1,
         "ap_lambda2": ap2,
@@ -196,16 +184,10 @@ def verify_upper_bound_bm(
     if b.min() < 0:
         raise ValueError("symbol b must be nonnegative for the [b, M] reduction")
     nu, bmo, ap1, ap2, scale = _upper_scale(space, b, lam1, lam2, p)
-    kernel = CommutatorKernel(space, b)
-    F, _ = build_probes(space, probes, seed, ball_cap)
-    cb_vals = np.empty_like(F)
-    bm_vals = np.empty_like(F)
-    for j in range(F.shape[1]):
-        cb_vals[:, j] = kernel.apply(F[:, j]).values
-        bm_vals[:, j] = commutator_bM(space, b, F[:, j])
-    reduction = _leq_entry("upper_bm.pointwise_reduction", np.abs(bm_vals), cb_vals, tol)
-    est_bm, idx_bm = estimate_from_values(space, bm_vals, F, lam1, lam2, p)
-    est_cb, _ = estimate_from_values(space, cb_vals, F, lam1, lam2, p)
+    F, _, cb, bm = probe_images(space, b, probes, seed, ball_cap)
+    reduction = _leq_entry("upper_bm.pointwise_reduction", np.abs(bm), cb, tol)
+    est_bm, _ = estimate_from_values(space, bm, F, lam1, lam2, p)
+    est_cb, _ = estimate_from_values(space, cb, F, lam1, lam2, p)
     mono = _leq_entry("upper_bm.rho_le_rho_cb", est_bm, est_cb, tol)
     vacuous = bmo == 0.0
     rho = 0.0 if vacuous else est_bm / scale
@@ -573,28 +555,19 @@ def verify_lower_bound(
     )
 
     # probe estimate of the operator norm, testing columns included
-    kernel = CommutatorKernel(space, b)
-    F, labels = build_probes(space, probes, seed, ball_cap)
-    op_vals = np.empty_like(F)
-    for j in range(F.shape[1]):
-        op_vals[:, j] = kernel.apply(F[:, j]).values
-    est, est_idx = estimate_from_values(space, op_vals, F, lam1, lam2, p)
+    F, labels, cb, _ = probe_images(space, b, probes, seed, ball_cap)
+    est, est_idx = estimate_from_values(space, cb, F, lam1, lam2, p)
 
     # testing chain on every probed ball, using honest kernel values
-    ball_cols = {
-        int(lab.split(":", 1)[1]): j
-        for j, lab in enumerate(labels)
-        if lab.startswith("ball:")
-    }
+    ball_cols = {int(lab[5:]): j for j, lab in enumerate(labels) if lab.startswith("ball:")}
     l3 = _leq_entry("lower.defn_minorant", 0.0, 0.0, tol_exact)
     l4 = _leq_entry("lower.holder_on_ball", 0.0, 0.0, tol_holder)
     l5 = _leq_entry("lower.restriction", 0.0, 0.0, tol_exact)
     l6 = _leq_entry("lower.testing_probe", 0.0, 0.0, tol_exact)
     c_test = 0.0
-    balls = space.canonical_balls()
     for i, j in ball_cols.items():
-        mem = balls[i].members
-        col = op_vals[:, j]
+        mem = np.sort(t.order[t.center[i], : t.count[i]])
+        col = cb[:, j]
         tb_i = (np.abs(b[mem][:, None] - b[None, :]) * m[mem][:, None]).sum(axis=0)
         _merge_leq(l3, _leq_entry("l3", tb_i[mem], mu[i] * col[mem], tol_exact))
         ball_int = float((col[mem] * lam2[mem] * m[mem]).sum())
@@ -709,58 +682,6 @@ def verify_bloom_jn(
 # -- A_p exponent sweep ---------------------------------------------------------
 
 
-def _pair_min_ball_measure(space: QuasiMetricSpace) -> np.ndarray:
-    """minmu[x, y] = smallest measure of a canonical ball containing
-    both x and y (per center, the containing balls are nested)."""
-    cached = space._cache.get("pair_min_ball_measure")
-    if cached is not None:
-        return cached
-    ptr = space.ball_pointers()
-    mu = space.ball_measures()
-    out = np.full((space.n, space.n), np.inf)
-    for c in range(space.n):
-        col = ptr[:, c]
-        ids = np.maximum(col[:, None], col[None, :])
-        np.minimum(out, mu[ids], out=out)
-    space._cache["pair_min_ball_measure"] = out
-    return out
-
-
-def _sweep_op_values(
-    space: QuasiMetricSpace,
-    b: np.ndarray,
-    cubes: Sequence,
-    F: np.ndarray,
-    labels: Sequence[str],
-) -> Dict[str, np.ndarray]:
-    """Probe images under A_S, C_b and [b, M].  Singleton probes use
-    the closed forms through the smallest ball containing each pair;
-    other probes go through the full operators."""
-    m = space.mass
-    minmu = _pair_min_ball_measure(space)
-    kernel = CommutatorKernel(space, b)
-    # A_S is linear: assemble its matrix once
-    mat = np.zeros((space.n, space.n))
-    for cube in cubes:
-        mem = cube.members
-        mat[np.ix_(mem, mem)] += m[mem][None, :] / space.measure(mem)
-    vals = {
-        "sparse": mat @ F,
-        "cb": np.empty_like(F),
-        "bm": np.empty_like(F),
-    }
-    for j, lab in enumerate(labels):
-        if lab.startswith("point:"):
-            i = int(lab.split(":", 1)[1])
-            reach = m[i] / minmu[:, i]
-            vals["cb"][:, j] = np.abs(b * m[i] - b[i] * m[i]) / minmu[:, i]
-            vals["bm"][:, j] = b * reach - (abs(b[i]) * m[i]) / minmu[:, i]
-        else:
-            vals["cb"][:, j] = kernel.apply(F[:, j]).values
-            vals["bm"][:, j] = commutator_bM(space, b, F[:, j])
-    return vals
-
-
 def fit_weight_exponent(
     space: QuasiMetricSpace,
     system: DyadicSystem,
@@ -771,7 +692,6 @@ def fit_weight_exponent(
     probes: int = 8,
     ball_cap: Optional[int] = 48,
     slope_margin: float = 0.2,
-    op_cache: Optional[Dict[str, object]] = None,
 ) -> Dict[str, object]:
     """Power-weight sweep: for w_a = (d(x0, .) + 1/n)^{a} with
     a = coeff * (p-1), regress log(probe norm estimate) against
@@ -779,18 +699,16 @@ def fit_weight_exponent(
     fitted slope must stay under max(1, 1/(p-1)) + margin."""
     if p <= 1:
         raise ValueError("p must exceed 1")
-    b = np.asarray(b, dtype=np.float64)
     n = space.n
-    cubes = [c for k in system.levels for c in system.cubes[k]]
-    if op_cache is None:
-        op_cache = {}
-    if "F" not in op_cache:
-        F, labels = build_probes(space, probes, seed, ball_cap)
-        op_cache["F"] = F
-        op_cache["labels"] = labels
-        op_cache.update(_sweep_op_values(space, b, cubes, F, labels))
-    F = op_cache["F"]
-    labels = op_cache["labels"]
+    cubes = system.all_cubes()
+    F, _, cb, bm = probe_images(space, b, probes, seed, ball_cap)
+    # A_S is linear: assemble its matrix once
+    m = space.mass
+    mat = np.zeros((n, n))
+    for cube in cubes:
+        mem = cube.members
+        mat[np.ix_(mem, mem)] += m[mem][None, :] / space.measure(mem)
+    images = {"sparse": mat @ F, "cb": cb, "bm": bm}
 
     coord = space.dist[0]
     cells = []
@@ -803,7 +721,7 @@ def fit_weight_exponent(
         cells.append({"a": a, "ap": ap})
         xs.append(math.log(ap * ap))
         for op in ests:
-            est, _ = estimate_from_values(space, op_cache[op], F, w, w, p)
+            est, _ = estimate_from_values(space, images[op], F, w, w, p)
             ests[op].append(est)
 
     cap = max(1.0, 1.0 / (p - 1.0)) + slope_margin

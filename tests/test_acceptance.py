@@ -183,11 +183,10 @@ def test_criterion_5_exponent_sweep():
     system = build_dyadic_system(space, 0.5, seed=0)
     rng = np.random.default_rng(42)
     b = np.exp(0.5 * rng.standard_normal(256))
-    cache = {}
     ok = True
     details = []
     for p in (1.5, 2.0, 3.0):
-        rep = fit_weight_exponent(space, system, b, p, seed=42, op_cache=cache)
+        rep = fit_weight_exponent(space, system, b, p, seed=42)
         cap = max(1.0, 1.0 / (p - 1.0)) + 0.2
         ok = ok and rep["cap"] == cap
         for op in ("sparse", "cb", "bm"):

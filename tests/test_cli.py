@@ -110,6 +110,43 @@ class TestVerifyCommand:
         assert any(not r.passed for r in rows)
         assert any(r.passed for r in rows)  # the healthy scenario still reports
 
+    def test_raising_check_becomes_an_error_row(self, tmp_path, monkeypatch):
+        import shtlab.cli as cli
+
+        def broken(ctx):
+            raise RuntimeError("jn exploded")
+
+        monkeypatch.setitem(cli._RUNNERS, "jn", broken)
+        cfg = _small_config(tmp_path)
+        out = str(tmp_path / "reports")
+        assert main(["verify", "--config", cfg, "--out", out]) == 1
+        assert os.path.exists(os.path.join(out, "verify.csv"))
+        rows = rows_from_json(_read(os.path.join(out, "verify.json")).decode())
+        errors = [r for r in rows if r.check.endswith(".error")]
+        assert [(r.scenario, r.check) for r in errors] == [("line16-b", "jn.error")]
+        err = errors[0]
+        assert (err.kind, err.value, err.threshold, err.passed) == ("exact", 1.0, 0.0, False)
+        assert err.witness == "RuntimeError: jn exploded"
+        checks = {r.check for r in rows if r.scenario == "line16-b"}
+        assert {"system.violations", "domination.pointwise", "oscillation.c_emp"} <= checks
+        assert all(r.passed for r in rows if r is not err)
+
+    def test_context_failure_becomes_an_error_row(self, tmp_path, monkeypatch):
+        import shtlab.cli as cli
+
+        def broken(space, sc):
+            raise ValueError(f"no symbol for {sc.scenario}")
+
+        monkeypatch.setattr(cli, "make_symbol", broken)
+        cfg = _small_config(tmp_path)
+        out = str(tmp_path / "reports")
+        assert main(["verify", "--config", cfg, "--out", out]) == 1
+        rows = rows_from_json(_read(os.path.join(out, "verify.json")).decode())
+        assert [(r.scenario, r.check, r.witness) for r in rows] == [
+            ("line16-b", "context.error", "ValueError: no symbol for line16-b"),
+            ("pair-a", "context.error", "ValueError: no symbol for pair-a"),
+        ]
+
     def test_invalid_config_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(

@@ -17,6 +17,7 @@ from shtlab import (
     maximal_commutator,
     maximal_function,
     operator_norm_estimate,
+    probe_images,
     region_grand_maximal,
     sparse_commutator,
     sparse_commutator_adjoint,
@@ -25,6 +26,7 @@ from shtlab import (
     weighted_lp_norm,
 )
 from shtlab.operators import local_split_check
+from shtlab.space import QuasiMetricSpace
 
 SPACES = [("line", 12), ("sqline", 9), ("grid2d", 3), ("tree", 13), ("pair", 2)]
 
@@ -416,3 +418,71 @@ class TestNormsAndProbes:
             ratios.append(num / den if den > 0 else 0.0)
         assert est == pytest.approx(max(ratios))
         assert idx == int(np.argmax(ratios))
+
+
+def _lognormal_plane(n=20, seed=5):
+    rng = np.random.default_rng(seed)
+    pts = rng.random((n, 2))
+    dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1))
+    return QuasiMetricSpace(dist, rng.lognormal(0.0, 1.0, n))
+
+
+class TestProbeImages:
+    @pytest.mark.parametrize(
+        "kind,n", [("line", 48), ("sqline", 32), ("tree", 31), ("grid2d", 6), ("lognormal", 20)]
+    )
+    def test_bit_identical_to_per_column_operators(self, kind, n):
+        sp = _lognormal_plane(n) if kind == "lognormal" else build_space(kind, n)
+        rng = np.random.default_rng(23)
+        for b in (np.full(sp.n, 1.5), rng.standard_normal(sp.n)):
+            F, labels, cb, bm = probe_images(sp, b, 4, 7, 600)
+            F_ref, labels_ref = build_probes(sp, 4, 7, 600)
+            assert np.array_equal(F, F_ref) and labels == tuple(labels_ref)
+            kernel = CommutatorKernel(sp, b)
+            cb_ref, bm_ref = np.empty_like(F), np.empty_like(F)
+            for j in range(F.shape[1]):
+                cb_ref[:, j] = kernel.apply(F[:, j]).values
+                bm_ref[:, j] = commutator_bM(sp, b, F[:, j])
+            assert np.array_equal(cb, cb_ref) and np.array_equal(bm, bm_ref)
+            # the norm estimates sum over the same memory order, bit for bit
+            w = np.linspace(0.5, 2.0, sp.n)
+            for got, want in ((cb, cb_ref), (bm, bm_ref)):
+                assert estimate_from_values(sp, got, F, w, w[::-1], 1.5) == (
+                    estimate_from_values(sp, want, F_ref, w, w[::-1], 1.5)
+                )
+
+    def test_singleton_ball_copies_its_point_column(self):
+        sp = _lognormal_plane()
+        b = np.abs(np.random.default_rng(24).standard_normal(sp.n))
+        F, labels, cb, bm = probe_images(sp, b, 2, 0, None)
+        t = sp.ball_table()
+        singles = [
+            (j, int(t.center[int(lab[5:])]))
+            for j, lab in enumerate(labels)
+            if lab.startswith("ball:") and t.count[int(lab[5:])] == 1
+        ]
+        assert singles
+        kernel = CommutatorKernel(sp, b)
+        for j, c in singles:
+            assert np.array_equal(F[:, j], F[:, c])
+            assert np.array_equal(cb[:, j], cb[:, c])
+            assert np.array_equal(bm[:, j], bm[:, c])
+            assert np.array_equal(cb[:, j], kernel.apply(F[:, j]).values)
+            assert np.array_equal(bm[:, j], commutator_bM(sp, b, F[:, j]))
+
+    def test_repeat_call_returns_the_read_only_memo(self):
+        sp = build_space("line", 16)
+        b = np.linspace(0.0, 1.0, 16)
+        images = probe_images(sp, b, 4, 1, 32)
+        assert probe_images(sp, b.copy(), 4, 1, 32) is images
+        assert probe_images(sp, b, 4, 2, 32) is not images
+        F, labels, cb, bm = images
+        assert isinstance(labels, tuple)
+        for arr in (F, cb, bm):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
+
+    def test_rejects_no_random_probes(self):
+        with pytest.raises(ValueError):
+            probe_images(build_space("line", 8), np.ones(8), probes=0)

@@ -19,8 +19,7 @@ from shtlab import (
     verify_upper_bound_bm,
     verify_upper_bound_cb,
 )
-from shtlab.operators import build_probes
-from shtlab.verify import _pair_min_ball_measure, _sweep_op_values
+from shtlab.operators import _pair_min_ball_measure, probe_images
 
 
 def _pair_setup():
@@ -286,16 +285,16 @@ class TestExponentFit:
         assert rep["ops"]["sparse"]["slope"] == pytest.approx(0.002884, abs=1e-4)
         assert rep["ops"]["cb"]["slope"] == pytest.approx(0.028489, abs=1e-4)
 
-    def test_op_cache_reuse_is_bit_identical(self):
+    def test_memoized_probe_images_are_bit_identical(self):
         space, system, b = self._setup64()
-        cache = {}
-        first = fit_weight_exponent(space, system, b, 2.0, seed=9, op_cache=cache)
-        again = fit_weight_exponent(space, system, b, 2.0, seed=9, op_cache=cache)
-        fresh = fit_weight_exponent(space, system, b, 2.0, seed=9)
+        first = fit_weight_exponent(space, system, b, 2.0, seed=9)
+        images = probe_images(space, b, 8, 9, 48)
+        again = fit_weight_exponent(space, system, b, 2.0, seed=9)
+        fresh = fit_weight_exponent(build_space("line", 64), system, b, 2.0, seed=9)
         assert again["ops"] == first["ops"]
         assert fresh["ops"] == first["ops"]
-        # The cache holds the probe images, so a second exponent reuses them.
-        assert {"F", "labels", "sparse", "cb", "bm"} <= set(cache.keys())
+        # The space memoizes the probe images, so a second sweep reuses them.
+        assert probe_images(space, b, 8, 9, 48) is images
 
     def test_constant_symbol_has_no_commutator_spread(self):
         space, system, _ = self._setup64()
@@ -327,17 +326,14 @@ class TestClosedFormPointProbes:
 
     def test_point_probe_columns_match_direct_operators(self):
         space = build_space("line", 16)
-        system = build_dyadic_system(space, 0.5, seed=0)
         rng = np.random.default_rng(3)
         b = np.abs(rng.standard_normal(16))
-        cubes = [c for k in system.levels for c in system.cubes[k]]
-        F, labels = build_probes(space, 8, 3, None)
-        vals = _sweep_op_values(space, b, cubes, F, labels)
+        F, labels, cb, bm = probe_images(space, b, 8, 3, None)
         kernel = CommutatorKernel(space, b)
         point_cols = [j for j, lab in enumerate(labels) if lab.startswith("point:")]
         assert point_cols  # the probe set always includes point masses
         for j in point_cols:
             direct_cb = kernel.apply(F[:, j]).values
             direct_bm = commutator_bM(space, b, F[:, j])
-            assert np.allclose(vals["cb"][:, j], direct_cb, rtol=1e-12, atol=1e-14)
-            assert np.allclose(vals["bm"][:, j], direct_bm, rtol=1e-12, atol=1e-14)
+            assert np.array_equal(cb[:, j], direct_cb)
+            assert np.array_equal(bm[:, j], direct_bm)
