@@ -24,7 +24,14 @@ order).  Two exact reorganizations keep desk-scale evaluation fast:
   distinct probe column is evaluated once; a point mass at i has the
   closed forms C_b 1_i(x) = |b(x) - b(i)| m_i / mu and
   M 1_i(x) = m_i / mu with mu the smallest ball measure holding x and
-  i; [b, M] of the remaining columns takes block maximal functions.
+  i; [b, M] of the remaining columns takes one maximal function call.
+* Scratch stays O(balls x n) whatever the column or sub-ball count.
+  M takes its columns in blocks of at most n/2.  The local grand
+  maximal collapses sub-balls sharing member set and 4 A0 enlargement
+  (twins have the same inner value), streams the distinct ones in
+  blocks of n, shares each block's "B' misses B" mask across the
+  functions and takes one outer sup for all of them
+  (``region_grand_maximal``).
 
 All paths are exact reorganizations of the defining finite sums, not
 approximations.
@@ -107,11 +114,17 @@ def maximal_function(space: QuasiMetricSpace, f: np.ndarray) -> OperatorResult:
     """M f(x) = max over balls containing x of avg_B |f|.
 
     f is (n,) or (n, k) with one function per column; values and
-    witnesses take the same shape.
+    witnesses take the same shape.  Columns go in blocks of at most
+    n/2, so the (balls x columns) averages stay within (balls x n).
     """
     f = np.asarray(f, dtype=np.float64)
-    avg = space.ball_averages(np.abs(f))
-    values, witnesses = _sup_over_balls(space, avg.reshape(len(avg), -1))
+    cols = np.abs(f.reshape(len(f), -1))
+    values = np.empty(cols.shape)
+    witnesses = np.empty(cols.shape, dtype=np.int64)
+    step = max(1, space.n // 2)
+    for j in range(0, cols.shape[1], step):
+        avg = space.ball_averages(cols[:, j : j + step])
+        values[:, j : j + step], witnesses[:, j : j + step] = _sup_over_balls(space, avg)
     return OperatorResult(values.reshape(f.shape), witnesses.reshape(f.shape))
 
 
@@ -231,57 +244,56 @@ def region_grand_maximal(
     sub-balls containing x.  Returns per-function value arrays (full
     length, zero off the region), per-function witness arrays (the
     outer sub-ball id, -1 off the region), and the sub-ball id list.
-    """
-    region = np.asarray(region, dtype=np.int64)
-    a0 = space.a0
-    t = space.ball_table()
-    mu = t.measure
-    sub_ids = _sub_balls(space, region)
-    trunc_ind = np.zeros(space.n, dtype=np.float64)
-    trunc_ind[np.asarray(trunc, dtype=np.int64)] = 1.0
 
-    # enlarged member indicators for each sub-ball (4 A0 scaling)
+    Sub-balls sharing their member set and their enlargement have the
+    same inner value, so each such class is evaluated once, in blocks
+    of at most n classes: scratch stays O(balls x n) whatever the
+    number of sub-balls.
+    """
+    t = space.ball_table()
+    n = space.n
+    sub_ids = _sub_balls(space, np.asarray(region, dtype=np.int64))
+    trunc_ind = np.zeros(n, dtype=np.float64)
+    trunc_ind[np.asarray(trunc, dtype=np.int64)] = 1.0
+    # per function, |f| mass inside trunc, and its sum over every ball
+    w_t = np.stack([space.mass * np.abs(np.asarray(f, float)) * trunc_ind for f in fs], axis=1)
+    s_full = space.ball_sums(w_t)
+
     centers = t.center[sub_ids]
-    radii = t.radius[sub_ids]
-    enlarged = (space.dist[centers] < (4.0 * a0 * radii)[:, None]).astype(np.float64)
+    inside = t.rank[centers] < t.count[sub_ids, None]
+    enlarged = space.dist[centers] < (4.0 * space.a0 * t.radius[sub_ids])[:, None]
+    packed = np.packbits(np.concatenate([inside, enlarged], axis=1), axis=1)
+    # one class per distinct row; rep holds its lowest sub-ball
+    _, rep, twin = np.unique(packed, axis=0, return_index=True, return_inverse=True)
 
     # B' meets B exactly when B's first position in the order of B''s
     # center comes before count(B'); first[c, j] is that position for
-    # sub-ball j, a running min of ranks along the sub-ball's own order
-    first = np.empty((space.n, len(sub_ids)), dtype=np.int64)
-    for c in np.unique(centers):
-        cols = np.flatnonzero(centers == c)
+    # class j, a running min of ranks along the class's own order
+    ids = sub_ids[rep]
+    first = np.empty((n, len(ids)), dtype=np.int64)
+    for c in np.unique(t.center[ids]):
+        cols = np.flatnonzero(t.center[ids] == c)
         reach = np.minimum.accumulate(t.rank[:, t.order[c]], axis=1)
-        first[:, cols] = reach[:, t.count[sub_ids[cols]] - 1]
-    misses = np.empty((len(mu), len(sub_ids)), dtype=bool)  # (nballs, L)
-    for c in range(space.n):
-        s, e = t.start[c], t.start[c + 1]
-        misses[s:e] = first[c][None, :] >= t.count[s:e, None]
-
-    values_out: List[np.ndarray] = []
-    witness_out: List[np.ndarray] = []
-    for f in fs:
-        w = space.mass * np.abs(np.asarray(f, dtype=np.float64))
-        w_t = w * trunc_ind
-        s_full = space.ball_sums(w_t)  # per space-ball mass of |f| inside trunc
-        # per (space ball, sub-ball): mass of |f| inside trunc AND enlargement
-        v = space.ball_sums(enlarged.T * w_t[:, None])
-        np.subtract(s_full[:, None], v, out=v)
-        v /= mu[:, None]
-        v[misses] = -np.inf
-        m_b = np.maximum(v.max(axis=0), 0.0)  # best over B' per sub-ball
-        # outer sup over sub-balls containing x, ties to the lowest ball id
-        per_ball = np.full((len(mu), 1), -np.inf)
-        per_ball[sub_ids, 0] = m_b
-        best, arg = _sup_over_balls(space, per_ball)
-        on = best[:, 0] > -np.inf
-        vals = np.zeros(space.n)
-        wits = np.full(space.n, -1, dtype=np.int64)
-        vals[on] = np.maximum(best[on, 0], 0.0)
-        wits[on] = arg[on, 0]
-        values_out.append(vals)
-        witness_out.append(wits)
-    return values_out, witness_out, sub_ids
+        first[:, cols] = reach[:, t.count[ids[cols]] - 1]
+    m_b = np.empty((len(ids), len(fs)))  # best over B' per class
+    for j in range(0, len(ids), n):
+        misses = first[t.center, j : j + n] >= t.count[:, None]
+        cut = enlarged[rep[j : j + n]].T
+        for i in range(len(fs)):
+            # per (space ball, class): mass of |f| inside trunc minus the enlargement
+            v = space.ball_sums(cut * w_t[:, i, None])
+            np.subtract(s_full[:, i, None], v, out=v)
+            v /= t.measure[:, None]
+            v[misses] = -np.inf
+            m_b[j : j + n, i] = np.maximum(v.max(axis=0), 0.0)
+    # outer sup over sub-balls containing x, ties to the lowest ball id
+    per_ball = np.full((len(t.center), len(fs)), -np.inf)
+    per_ball[sub_ids] = m_b[twin.reshape(-1)]
+    best, arg = _sup_over_balls(space, per_ball)
+    on = best > -np.inf
+    values = np.where(on, np.maximum(best, 0.0), 0.0).T.copy()
+    witnesses = np.where(on, arg, -1).T.copy()
+    return list(values), list(witnesses), sub_ids
 
 
 def local_grand_maximal(space: QuasiMetricSpace, b0: Ball, f: np.ndarray) -> OperatorResult:
@@ -478,14 +490,9 @@ def probe_images(
     kernel = CommutatorKernel(space, b)
     for j in rest:
         cb[:, j] = kernel.apply(F[:, first[j]]).values
-    # [G, b G] blocks of n columns keep the ball averages at the size of
-    # one kernel buffer
-    step = max(1, space.n // 2)
-    for j0 in range(0, len(rest), step):
-        cols = rest[j0 : j0 + step]
-        G = F[:, first[cols]]
-        both = maximal_function(space, np.concatenate([G, b[:, None] * G], axis=1)).values
-        bm[:, cols] = b[:, None] * both[:, : len(cols)] - both[:, len(cols) :]
+    G = F[:, first[rest]]
+    both = maximal_function(space, np.concatenate([G, b[:, None] * G], axis=1)).values
+    bm[:, rest] = b[:, None] * both[:, : len(rest)] - both[:, len(rest) :]
     # take keeps the images C-ordered, so column sums over them add
     # row by row exactly as over the probe matrix
     cb, bm = (np.take(a, inverse.reshape(-1), axis=1) for a in (cb, bm))

@@ -1,6 +1,7 @@
 """Maximal function, maximal commutator, localized variants, sparse operators."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -79,7 +80,8 @@ class TestMaximalFunction:
         rng = np.random.default_rng(23)
         for kind, n in SPACES:
             sp = build_space(kind, n)
-            F = rng.standard_normal((sp.n, 7))
+            # 3n columns span several of M's column blocks
+            F = rng.standard_normal((sp.n, 3 * sp.n))
             res = maximal_function(sp, F)
             for j in range(F.shape[1]):
                 one = maximal_function(sp, F[:, j])
@@ -227,35 +229,11 @@ class TestLocalizedMaximal:
         f[7] = 1.0
         trunc = np.flatnonzero(sp.dist[b0.center] < 4.0 * sp.a0 * b0.radius)
         vals, wits, sub_ids = region_grand_maximal(sp, b0.members, trunc, [f])
-        balls = sp.canonical_balls()
-        trunc_set = set(trunc.tolist())
-        region_set = set(b0.members.tolist())
-        sub = [i for i, bl in enumerate(balls) if set(bl.members.tolist()) <= region_set]
-        assert sorted(sub_ids.tolist()) == sorted(sub)
+        want_vals, want_wits, want_sub = oracles.region_grand_maximal(sp, b0.members, trunc, [f])
+        assert np.array_equal(sub_ids, want_sub)
+        assert np.array_equal(wits[0], want_wits[0])
         for x in b0.members:
-            best = 0.0
-            for i in sub:
-                bl = balls[i]
-                if x not in set(bl.members.tolist()):
-                    continue
-                cut = {
-                    y
-                    for y in range(8)
-                    if sp.dist[bl.center, y] < 4.0 * sp.a0 * bl.radius
-                }
-                keep = trunc_set - cut
-                inner = 0.0
-                for other in balls:
-                    if not (set(other.members.tolist()) & set(bl.members.tolist())):
-                        continue
-                    g = sum(
-                        abs(f[y]) * sp.mass[y]
-                        for y in other.members
-                        if y in keep
-                    )
-                    inner = max(inner, g / sp.measure(other.members))
-                best = max(best, inner)
-            assert vals[0][x] == pytest.approx(best, abs=1e-15)
+            assert vals[0][x] == pytest.approx(want_vals[0][x], abs=1e-15)
 
     def test_split_zero_function(self):
         sp = build_space("line", 8)
@@ -486,3 +464,91 @@ class TestProbeImages:
     def test_rejects_no_random_probes(self):
         with pytest.raises(ValueError):
             probe_images(build_space("line", 8), np.ones(8), probes=0)
+
+
+def _tied_quasi_grid(side=5, seed=9):
+    """L1 grid distances to the power 1.5: a quasi-metric full of
+    distance ties, with lognormal masses."""
+    pts = np.array([(i, j) for i in range(side) for j in range(side)], dtype=float)
+    dist = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=-1) ** 1.5
+    return QuasiMetricSpace(dist, np.random.default_rng(seed).lognormal(0.0, 1.0, len(pts)))
+
+
+def _twin_sub_balls(sp, sub_ids):
+    """Number of sub-balls sharing both their member set and their
+    4 A0 enlargement with a lower sub-ball."""
+    balls = sp.canonical_balls()
+    keys = {
+        (
+            tuple(balls[i].members.tolist()),
+            tuple(np.flatnonzero(sp.dist[balls[i].center] < 4.0 * sp.a0 * balls[i].radius)),
+        )
+        for i in sub_ids
+    }
+    return len(sub_ids) - len(keys)
+
+
+class TestGrandMaximalOracle:
+    def _check(self, sp, region, trunc, fs):
+        vals, wits, sub_ids = region_grand_maximal(sp, region, trunc, fs)
+        want_vals, want_wits, want_sub = oracles.region_grand_maximal(sp, region, trunc, fs)
+        assert np.array_equal(sub_ids, want_sub)
+        for i in range(len(fs)):
+            np.testing.assert_allclose(vals[i], want_vals[i], rtol=1e-12, atol=0)
+            assert np.array_equal(wits[i], want_wits[i])
+        return sub_ids
+
+    @pytest.mark.parametrize(
+        "kind,n", [("line", 48), ("sqline", 32), ("tree", 31), ("grid2d", 6), ("ties", 5)]
+    )
+    def test_matches_brute_force_on_full_and_partial_regions(self, kind, n):
+        sp = _tied_quasi_grid(n) if kind == "ties" else build_space(kind, n)
+        rng = np.random.default_rng(29)
+        f = rng.lognormal(0.0, 1.0, sp.n)
+        g = rng.standard_normal(sp.n)
+        g[rng.random(sp.n) < 0.4] = 0.0
+        full = np.arange(sp.n)
+        b0 = sp.smallest_covering_ball(np.arange(sp.n // 3))
+        enlarged = np.flatnonzero(sp.dist[b0.center] < 4.0 * sp.a0 * b0.radius)
+        scattered = np.sort(rng.choice(sp.n, sp.n // 2, replace=False))
+        for region, trunc in ((full, full), (b0.members, enlarged), (scattered, full)):
+            self._check(sp, region, trunc, [f, g])
+
+    def test_twin_sub_balls_match_brute_force(self):
+        sp = build_space("tree", 31)
+        region = sp.smallest_covering_ball(np.arange(16)).members
+        f = np.random.default_rng(30).lognormal(0.0, 1.0, sp.n)
+        g = np.where(np.arange(sp.n) % 3 == 0, 0.0, f)
+        sub_ids = self._check(sp, region, np.arange(sp.n), [f, g])
+        assert _twin_sub_balls(sp, sub_ids) > 0
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestScratchBounds:
+    """The ball sups keep their scratch at O(balls x n): here below
+    eight float arrays of that size on line64."""
+
+    def _space(self):
+        sp = build_space("line", 64)
+        sp.measured_constants()  # cached set-up stays out of the traced peak
+        return sp, 8 * len(sp.ball_table().center) * sp.n * 8
+
+    def test_grand_maximal_over_the_full_region(self):
+        sp, bound = self._space()
+        rng = np.random.default_rng(31)
+        fs = [rng.lognormal(0.0, 1.0, sp.n), rng.standard_normal(sp.n)]
+        full = np.arange(sp.n)
+        assert _traced_peak(lambda: region_grand_maximal(sp, full, full, fs)) < bound
+
+    def test_maximal_function_on_more_columns_than_points(self):
+        sp, bound = self._space()
+        F = np.random.default_rng(32).standard_normal((sp.n, sp.n + 100))
+        assert _traced_peak(lambda: maximal_function(sp, F)) < bound
