@@ -524,17 +524,6 @@ def _resolve_scenarios(args) -> List[ScenarioConfig]:
     return scenarios
 
 
-def _effective_jobs(requested: Optional[int]) -> int:
-    jobs = 1 if requested is None else max(1, int(requested))
-    env = os.environ.get("SHTLAB_THREADS")
-    if env:
-        try:
-            jobs = max(1, min(jobs, int(env)))
-        except ValueError:
-            pass
-    return jobs
-
-
 def _isolated(scenario: str, check: str, run: Callable[[], List[ReportRow]]) -> List[ReportRow]:
     """run()'s rows, or one failed ``<check>.error`` row naming the
     exception (its traceback goes to stderr)."""
@@ -557,7 +546,7 @@ def _run_scenarios(
     def one(sc: ScenarioConfig) -> List[ReportRow]:
         return _isolated(sc.scenario, "context", lambda: step(_ScenarioContext(sc)))
 
-    nworkers = _effective_jobs(jobs)
+    nworkers = 1 if jobs is None else max(1, int(jobs))
     if nworkers > 1 and len(scenarios) > 1:
         with ThreadPoolExecutor(max_workers=nworkers) as pool:
             groups = list(pool.map(one, scenarios))

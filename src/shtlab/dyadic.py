@@ -425,19 +425,20 @@ def geometric_doubling(space: QuasiMetricSpace, delta: float) -> int:
     """Greedy count of (delta * r)-separated points inside canonical
     balls of radius r; a lower bound for the doubling number, reported
     alongside the adjacent-family size bound."""
+    t = space.ball_table()
     best = 1
-    for ball in space.canonical_balls():
-        mem = ball.members
-        if len(mem) <= best:
-            continue
-        sep = delta * ball.radius
-        mind = np.full(len(mem), np.inf)
-        kept = 0
-        for i in range(len(mem)):
-            if mind[i] >= sep:
-                kept += 1
-                np.minimum(mind, space.dist[mem[i], mem], out=mind)
-        best = max(best, kept)
+    for c in range(space.n):
+        ids = slice(t.start[c], t.start[c + 1])
+        count, sep = t.count[ids], delta * t.radius[ids]
+        # the greedy of every ball at c at once: in id order, each ball
+        # holding x keeps it while x is still sep away from its kept points
+        mind = np.full((len(count), space.n), np.inf)
+        kept = np.zeros(len(count), dtype=np.int64)
+        for x in range(space.n):
+            rows = np.flatnonzero((t.rank[c, x] < count) & (mind[:, x] >= sep))
+            kept[rows] += 1
+            mind[rows] = np.minimum(mind[rows], space.dist[x])
+        best = max(best, int(kept.max()))
     return best
 
 

@@ -18,7 +18,9 @@ order).  Two exact reorganizations keep desk-scale evaluation fast:
 * For the maximal commutator the integrand splits around the rank of
   b(x) in the sorted symbol values, so per-ball sums over
   |b(x) - b(y)| |f(y)| are two cumulative sums over the sorted order
-  (``CommutatorKernel``).
+  (``CommutatorKernel``).  The kernel keeps one row per distinct member
+  set, read from the ball table, and takes the rows in blocks of
+  ``KERNEL_BLOCK`` entries with a running max.
 * Probe images of C_b and [b, M] are built once per (space, symbol,
   probe set) and memoized on the space (``probe_images``).  Each
   distinct probe column is evaluated once; a point mass at i has the
@@ -79,7 +81,7 @@ def _sup_over_balls(space: QuasiMetricSpace, per_ball: np.ndarray) -> Tuple[np.n
     suffix of c's list from ptr[x, c] on, so a suffix max along each
     row of the (centers x slots x k) table, read at the pointers and
     maxed over centers, gives the sup.  Columns go in blocks so the
-    (n x n x columns) scratch stays within the size of per_ball.
+    (n x max(width, n) x columns) scratch stays within (balls x n).
     """
     t = space.ball_table()
     n = space.n
@@ -91,7 +93,7 @@ def _sup_over_balls(space: QuasiMetricSpace, per_ball: np.ndarray) -> Tuple[np.n
     positions = np.arange(width)[None, :, None]
     values = np.empty((n, k))
     witnesses = np.empty((n, k), dtype=np.int64)
-    step = max(1, min(k, per_ball.size // (n * n)))
+    step = max(1, min(k, nb // max(width, n)))
     for j0 in range(0, k, step):
         j1 = min(k, j0 + step)
         table = np.full((n, width, j1 - j0), -np.inf)
@@ -130,79 +132,87 @@ def maximal_function(space: QuasiMetricSpace, f: np.ndarray) -> OperatorResult:
 
 # -- maximal commutator ------------------------------------------------------
 
+# float entries per (rows x n) block of ``CommutatorKernel.apply``
+KERNEL_BLOCK = 1 << 19
+
 
 class CommutatorKernel:
     """Reusable evaluator for C_b f(x) = sup_{B owns x} avg_B |b(x)-b(.)| |f|.
 
-    Holds the symbol-sorted ball membership and two cumulative-sum
-    buffers so repeated probe evaluations do not reallocate.
+    Holds the distinct member sets of the canonical balls as rows with
+    columns in symbol order; ``apply`` takes them in blocks of at most
+    ``KERNEL_BLOCK`` entries with a running max.
     """
 
     def __init__(self, space: QuasiMetricSpace, b: np.ndarray) -> None:
         self.space = space
         self.b = np.asarray(b, dtype=np.float64)
-        # a constant symbol annihilates the kernel exactly; shortcut it
-        # so cancellation noise from the cumsum identity cannot leak
-        # nonzero values into exact-zero comparisons
+        # a constant symbol annihilates the kernel exactly; apply runs
+        # it on u = 0 so cancellation noise from the cumsum identity
+        # cannot leak nonzero values into exact-zero comparisons
         self.constant = bool(np.ptp(self.b) == 0.0)
         self.order = np.argsort(self.b, kind="stable")
-        self.rank = np.empty(space.n, dtype=np.int64)
-        self.rank[self.order] = np.arange(space.n)
         self.b_s = self.b[self.order]
-        mask = space.ball_mask()
+        t = space.ball_table()
+        n = space.n
+        # per center, its prefix rows with columns in symbol order
+        packed = np.empty((len(t.center), (n + 7) // 8), dtype=np.uint8)
+        for c in range(n):
+            ids = slice(t.start[c], t.start[c + 1])
+            packed[ids] = np.packbits(t.rank[c, self.order] < t.count[ids, None], axis=1)
         # the sup only sees member sets, so collapse duplicate balls;
         # ball_ids maps each surviving row back to the lowest canonical
         # id sharing its member set, keeping witness ids canonical; twins
         # summed in other centers' orders can differ in the last bit, and
         # the sup over all balls sees the least measure
-        packed = np.packbits(mask, axis=1)
         _, first, twin = np.unique(packed, axis=0, return_index=True, return_inverse=True)
         mu = np.full(len(first), np.inf)
-        np.minimum.at(mu, twin.reshape(-1), space.ball_measures())
+        np.minimum.at(mu, twin.reshape(-1), t.measure)
         keep = np.argsort(first)
         self.ball_ids = first[keep].astype(np.int64)
-        self.mask_s = mask[self.ball_ids][:, self.order]
+        self.mask_s = np.unpackbits(packed[self.ball_ids], axis=1, count=n).astype(bool)
         self.mu = mu[keep]
-        nb = self.mask_s.shape[0]
-        self._bufA = np.empty((nb, space.n), dtype=np.float64)
-        self._bufB = np.empty((nb, space.n), dtype=np.float64)
 
     def apply(self, f: np.ndarray, want_witness: bool = False) -> OperatorResult:
-        space = self.space
+        n = self.space.n
+        u = (self.space.mass * np.abs(np.asarray(f, dtype=np.float64)))[self.order]
         if self.constant:
-            values = np.zeros(space.n)
-            if not want_witness:
-                return OperatorResult(values)
-            wits_sorted = self.mask_s.argmax(axis=0)  # lowest ball id owning x
-            witnesses = np.empty(space.n, dtype=np.int64)
-            witnesses[self.order] = self.ball_ids[wits_sorted]
-            return OperatorResult(values, witnesses)
-        u = (space.mass * np.abs(np.asarray(f, dtype=np.float64)))[self.order]
-        A, B = self._bufA, self._bufB
-        np.multiply(self.mask_s, u[None, :], out=A)
-        np.cumsum(A, axis=1, out=A)
-        np.multiply(self.mask_s, (self.b_s * u)[None, :], out=B)
-        np.cumsum(B, axis=1, out=B)
-        TA = A[:, -1].copy()
-        TB = B[:, -1].copy()
-        # sum_{y in B} |b(x)-b(y)| u(y) = b(x)(2 cA - TA) + (TB - 2 cB)
-        A *= 2.0
-        A -= TA[:, None]
-        A *= self.b_s[None, :]
-        B *= 2.0
-        np.subtract(TB[:, None], B, out=B)
-        A += B
-        A /= self.mu[:, None]
-        A[~self.mask_s] = -np.inf
-        vals_sorted = A.max(axis=0)
-        values = np.empty(space.n)
-        values[self.order] = vals_sorted
-        if not want_witness:
-            return OperatorResult(np.maximum(values, 0.0))
-        args_sorted = A.argmax(axis=0)
-        witnesses = np.empty(space.n, dtype=np.int64)
-        witnesses[self.order] = self.ball_ids[args_sorted]
-        return OperatorResult(np.maximum(values, 0.0), witnesses)
+            # every row then sums to exactly 0, so each point's witness
+            # is the lowest ball owning it
+            u[:] = 0.0
+        bu = self.b_s * u
+        vals = np.full(n, -np.inf)
+        args = np.zeros(n, dtype=np.int64)
+        step = max(1, KERNEL_BLOCK // n)
+        for r0 in range(0, len(self.mu), step):
+            mask = self.mask_s[r0 : r0 + step]
+            A = np.multiply(mask, u)
+            np.cumsum(A, axis=1, out=A)
+            B = np.multiply(mask, bu)
+            np.cumsum(B, axis=1, out=B)
+            TA, TB = A[:, -1:].copy(), B[:, -1:].copy()
+            # sum_{y in B} |b(x)-b(y)| u(y) = b(x)(2 cA - TA) + (TB - 2 cB)
+            A *= 2.0
+            A -= TA
+            A *= self.b_s
+            B *= 2.0
+            np.subtract(TB, B, out=B)
+            A += B
+            A /= self.mu[r0 : r0 + step, None]
+            A[~mask] = -np.inf
+            best = A.max(axis=0)
+            if want_witness:
+                # ties keep the earlier, hence lower, row
+                better = best > vals
+                args[better] = r0 + A.argmax(axis=0)[better]
+            np.maximum(vals, best, out=vals)
+        values = np.empty(n)
+        values[self.order] = np.maximum(vals, 0.0)
+        witnesses = None
+        if want_witness:
+            witnesses = np.empty(n, dtype=np.int64)
+            witnesses[self.order] = self.ball_ids[args]
+        return OperatorResult(values, witnesses)
 
 
 def maximal_commutator(space: QuasiMetricSpace, b: np.ndarray, f: np.ndarray) -> OperatorResult:

@@ -14,7 +14,9 @@ Provides:
   pair.  Each is a prefix of its center's distance order; the stored
   radius is the midpoint between the realizing distance threshold and
   the next distinct distance, so strict comparisons are exact in
-  floating point.
+  floating point.  It is the only stored form of a canonical ball;
+  ``canonical_ball(i)`` derives one, and ``canonical_balls``, ``ball_mask``
+  and ``ball_fmask`` are rebuilt on each call for ``bench/tracing.py``.
 * ``build_space`` -- the five reference generators (line, sqline,
   grid2d, tree, pair).
 * ``QuasiMetricSpace.measured_constants`` -- quasi-triangle constant,
@@ -62,12 +64,6 @@ class Ball:
 
     def __post_init__(self) -> None:
         self.members = np.asarray(self.members, dtype=np.int64)
-
-    def __contains__(self, point: int) -> bool:
-        return bool(np.isin(point, self.members))
-
-    def member_key(self) -> Tuple[int, ...]:
-        return tuple(int(i) for i in self.members)
 
 
 @dataclass(frozen=True)
@@ -210,29 +206,29 @@ class QuasiMetricSpace:
             )
         return self._cache["table"]  # type: ignore[return-value]
 
+    def canonical_ball(self, i: int) -> Ball:
+        """Canonical ball i as a Ball: its center, radius and sorted
+        members (the first count[i] entries of its center's order)."""
+        t = self.ball_table()
+        c = int(t.center[i])
+        return Ball(c, float(t.radius[i]), np.sort(t.order[c, : t.count[i]]), index=int(i))
+
     def canonical_balls(self) -> List[Ball]:
-        """The ball table as Ball objects, in id order."""
-        if "balls" not in self._cache:
-            t = self.ball_table()
-            rows = zip(t.center.tolist(), t.count.tolist(), t.radius.tolist())
-            self._cache["balls"] = [
-                Ball(c, r, np.sort(t.order[c, :k]), index=i) for i, (c, k, r) in enumerate(rows)
-            ]
-        return self._cache["balls"]  # type: ignore[return-value]
+        """Every canonical ball in id order, rebuilt on each call; only
+        the tests and ``bench/tracing.py`` still call it."""
+        return [self.canonical_ball(i) for i in range(len(self.ball_table().center))]
 
     def ball_mask(self) -> np.ndarray:
-        """Boolean (balls x n) membership matrix, built on each call."""
+        """Boolean (balls x n) membership matrix, built on each call;
+        kept only because ``bench/tracing.py`` wraps it by name."""
         t = self.ball_table()
-        mask = np.empty((len(t.center), self.n), dtype=bool)
-        for c in range(self.n):
-            s, e = t.start[c], t.start[c + 1]
-            mask[s:e] = t.rank[c][None, :] < t.count[s:e, None]
-        return mask
+        return t.rank[t.center] < t.count[:, None]
 
     def ball_fmask(self) -> np.ndarray:
-        """Float64 copy of ``ball_mask``; the library no longer calls it,
-        but ``bench/tracing.py`` wraps it by name."""
-        return self.ball_mask().astype(np.float64)
+        """Float64 (balls x n) membership matrix, built on each call;
+        kept only because ``bench/tracing.py`` wraps it by name."""
+        t = self.ball_table()
+        return (t.rank[t.center] < t.count[:, None]).astype(np.float64)
 
     def ball_measures(self) -> np.ndarray:
         return self.ball_table().measure
@@ -300,7 +296,7 @@ class QuasiMetricSpace:
         # per center, the smallest ball there holding the whole support
         ids = self.ball_pointers()[support].max(axis=0)
         best = ids[np.argmin(self.ball_measures()[ids])]
-        return self.canonical_balls()[int(best)]
+        return self.canonical_ball(int(best))
 
     # -- measured geometric constants --------------------------------------
 

@@ -145,8 +145,7 @@ class CertificateError(RuntimeError):
 
 def _smallest_ball_at(space: QuasiMetricSpace, center: int, members: np.ndarray) -> Ball:
     """Smallest canonical ball at the center containing the given ids."""
-    bid = int(space.ball_pointers()[members, center].max())
-    return space.canonical_balls()[bid]
+    return space.canonical_ball(int(space.ball_pointers()[members, center].max()))
 
 
 def _capture_cube(
@@ -589,7 +588,6 @@ def oscillation_domination(
 
     # minimal pointwise constant for the oscillation control
     osc = {key: mean_oscillation(space, b, c.members) for key, c in members_of.items()}
-    in_family = set(members_of)
     c_emp = 0.0
     for key, cube in members_of.items():
         b_q = space.average(b, cube.members)

@@ -427,9 +427,10 @@ def verify_duality_chain(
         _merge_leq(s3, _eq_entry("s3", mid, rhs3, tol_exact))
         _merge_leq(s4, _leq_entry("s4", rhs3, c_cube * bmo * mid4, tol_exact))
         # collapse the stacked sums into sparse-operator integrals
-        int_As = float((As_absf * sparse_operator(space, cubes_t, gabs * lam2).values * nu * m).sum())
+        Ast_g = sparse_operator(space, cubes_t, gabs * lam2).values
+        int_As = float((As_absf * Ast_g * nu * m).sum())
         _merge_leq(s5a, _leq_entry("s5a", mid4, int_As, tol_exact))
-        int_Ast = float((Ast_absf * sparse_operator(space, cubes_t, gabs * lam2).values * nu * m).sum())
+        int_Ast = float((Ast_absf * Ast_g * nu * m).sum())
         _merge_leq(s5b, _leq_entry("s5b", int_As, int_Ast, tol_exact))
         lhs6 = float((H * gabs * lam2 * m).sum())
         _merge_leq(s6, _eq_entry("s6", int_Ast, lhs6, tol_exact))
@@ -566,7 +567,7 @@ def verify_lower_bound(
     l6 = _leq_entry("lower.testing_probe", 0.0, 0.0, tol_exact)
     c_test = 0.0
     for i, j in ball_cols.items():
-        mem = np.sort(t.order[t.center[i], : t.count[i]])
+        mem = space.canonical_ball(i).members
         col = cb[:, j]
         tb_i = (np.abs(b[mem][:, None] - b[None, :]) * m[mem][:, None]).sum(axis=0)
         _merge_leq(l3, _leq_entry("l3", tb_i[mem], mu[i] * col[mem], tol_exact))

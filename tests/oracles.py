@@ -67,6 +67,20 @@ def maximal_function(space, f: np.ndarray) -> np.ndarray:
     return out
 
 
+def geometric_doubling(space, delta: float) -> int:
+    """Max over canonical balls B(c, r) of the greedy count of points,
+    in id order, kept while at distance >= delta * r from every point
+    kept before; at least 1."""
+    best = 1
+    for ball in space.canonical_balls():
+        kept = []
+        for x in ball.members:
+            if all(space.dist[x, y] >= delta * ball.radius for y in kept):
+                kept.append(x)
+        best = max(best, len(kept))
+    return best
+
+
 def commutator_kernel(space, b: np.ndarray, f: np.ndarray) -> np.ndarray:
     """C_b f(x) = sup over balls containing x of avg |b(x)-b(.)||f|."""
     out = np.zeros(space.n)

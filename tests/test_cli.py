@@ -75,11 +75,10 @@ class TestVerifyCommand:
             _read(os.path.join(out1, "verify.json")).decode()
         ) == json_bytes_without_runtime(_read(os.path.join(out2, "verify.json")).decode())
 
-    def test_parallel_run_matches_serial_bytes(self, tmp_path, monkeypatch):
+    def test_parallel_run_matches_serial_bytes(self, tmp_path):
         cfg = _small_config(tmp_path)
         out1, out2 = str(tmp_path / "serial"), str(tmp_path / "par")
         assert main(["verify", "--config", cfg, "--out", out1]) == 0
-        monkeypatch.setenv("SHTLAB_THREADS", "2")
         assert main(["verify", "--config", cfg, "--out", out2, "--jobs", "4"]) == 0
         assert _read(os.path.join(out1, "verify.csv")) == _read(
             os.path.join(out2, "verify.csv")

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from shtlab import (
     build_adjacent_systems,
     build_dyadic_system,
@@ -16,7 +17,14 @@ from shtlab import (
     system_to_dict,
     verify_system,
 )
-from shtlab.dyadic import _ball_level, _ball_levels, _candidate_pool, _capture_mask
+from shtlab.dyadic import (
+    _ball_level,
+    _ball_levels,
+    _candidate_pool,
+    _capture_mask,
+    geometric_doubling,
+)
+from shtlab.space import QuasiMetricSpace
 
 ALL_KINDS = [("line", 16), ("sqline", 12), ("grid2d", 4), ("tree", 15), ("pair", 2)]
 
@@ -243,6 +251,18 @@ class TestAdjacentSystems:
         assert rep["t_count"] == 2
         assert rep["a1"] >= 1
         assert rep["bound"] > 0
+
+    def test_geometric_doubling_matches_the_per_ball_greedy(self):
+        pts = np.random.default_rng(13).random((40, 2))
+        plane = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+        spaces = [build_space(kind, n) for kind, n in ALL_KINDS + [("grid2d", 6)]]
+        spaces.append(QuasiMetricSpace(plane, np.full(40, 1.0 / 40)))
+        grid = np.array([(i, j) for i in range(5) for j in range(5)], dtype=float)
+        ties = np.abs(grid[:, None, :] - grid[None, :, :]).sum(axis=2) ** 1.5
+        spaces.append(QuasiMetricSpace(ties, np.full(25, 1.0 / 25)))
+        for sp in spaces:
+            for delta in (0.1, 0.3, 0.5, 0.9):
+                assert geometric_doubling(sp, delta) == oracles.geometric_doubling(sp, delta)
 
     def test_deterministic(self):
         sp = build_space("sqline", 32)

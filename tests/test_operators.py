@@ -26,6 +26,7 @@ from shtlab import (
     weak_type_11_constant,
     weighted_lp_norm,
 )
+from shtlab import operators
 from shtlab.operators import local_split_check
 from shtlab.space import QuasiMetricSpace
 
@@ -96,8 +97,9 @@ class TestMaximalFunction:
             f = np.round(rng.standard_normal(sp.n))
             avg = sp.ball_averages(np.abs(f))
             res = maximal_function(sp, f)
+            balls = sp.canonical_balls()
             for x in range(sp.n):
-                ids = [i for i, b in enumerate(sp.canonical_balls()) if x in b.members]
+                ids = [i for i, b in enumerate(balls) if x in b.members]
                 best = max(avg[ids])
                 assert res.values[x] == best
                 assert res.witnesses[x] == min(i for i in ids if avg[i] == best)
@@ -164,6 +166,35 @@ class TestCommutatorKernel:
                     np.sum(np.abs(b[x] - b[mem]) * np.abs(f[mem]) * sp.mass[mem])
                 ) / sp.measure(mem)
                 assert avg == pytest.approx(res.values[x], rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("block", [1, 7 * 25, 40 * 25])
+    def test_blocks_match_one_pass_on_a_tied_grid(self, monkeypatch, block):
+        # lognormal masses and a quasi-metric full of distance ties give
+        # many balls sharing a member set and many ties in the sup
+        sp = _tied_quasi_grid(5)
+        rng = np.random.default_rng(33)
+        bs = [rng.lognormal(0.0, 1.0, sp.n), np.round(3.0 * rng.random(sp.n))]
+        fs = [rng.lognormal(0.0, 1.0, sp.n), np.round(2.0 * rng.random(sp.n))]
+        whole = [[CommutatorKernel(sp, b).apply(f, want_witness=True) for f in fs] for b in bs]
+        monkeypatch.setattr(operators, "KERNEL_BLOCK", block)
+        balls = sp.canonical_balls()
+        first = {}
+        for i, ball in enumerate(balls):
+            first.setdefault(ball.members.tobytes(), i)
+        for b, want in zip(bs, whole):
+            kern = CommutatorKernel(sp, b)
+            for f, one in zip(fs, want):
+                got = kern.apply(f, want_witness=True)
+                assert np.array_equal(got.values, one.values)
+                assert np.array_equal(got.witnesses, one.witnesses)
+                assert np.array_equal(kern.apply(f).values, one.values)
+                np.testing.assert_allclose(
+                    got.values, oracles.commutator_kernel(sp, b, f), rtol=1e-12, atol=1e-15
+                )
+                for x, w in enumerate(got.witnesses):
+                    mem = balls[w].members
+                    assert x in set(mem.tolist())
+                    assert first[mem.tobytes()] == w
 
     def test_applies_to_absolute_value(self):
         sp = build_space("line", 12)

@@ -1,15 +1,19 @@
 """Space construction, canonical balls, and measured constants."""
 
 import dataclasses
+import os
 
 import numpy as np
 import pytest
 
 import oracles
 from shtlab import (
+    Ball,
     CommutatorKernel,
     QuasiMetricSpace,
     bmo_norm,
+    build_adjacent_systems,
+    build_domination,
     build_space,
     load_space,
     maximal_function,
@@ -19,6 +23,7 @@ from shtlab import (
     verify_bloom_jn,
     verify_lower_bound,
 )
+from shtlab.cli import main
 
 KINDS = [("line", 16), ("sqline", 12), ("grid2d", 4), ("tree", 15), ("pair", 2)]
 
@@ -300,3 +305,33 @@ class TestBallTable:
         limit = len(sp.canonical_balls()) * sp.n
         sizes = [a.size for a in _cached_arrays(list(sp._cache.values()))]
         assert sizes and max(sizes) < limit
+
+    def test_library_reads_only_the_table(self, tmp_path, monkeypatch):
+        def refuse(self):
+            raise AssertionError("the library must read canonical balls from the ball table")
+
+        for name in ("canonical_balls", "ball_mask", "ball_fmask"):
+            monkeypatch.setattr(QuasiMetricSpace, name, refuse)
+        sp = build_space("line", 32)
+        rng = np.random.default_rng(12)
+        b = np.exp(0.5 * rng.standard_normal(sp.n))
+        f = rng.lognormal(0.0, 1.0, sp.n)
+        root = sp.smallest_covering_ball(np.arange(sp.n))
+        adjacent = build_adjacent_systems(sp, 0.5, 3, seed=42)
+        build_domination(sp, adjacent, b, f, root)
+        CommutatorKernel(sp, b).apply(f, want_witness=True)
+        assert not any(
+            isinstance(v, list) and v and isinstance(v[0], Ball) for v in sp._cache.values()
+        )
+        out = str(tmp_path / "reports")
+        assert main(["verify", "--seed", "42", "--out", out]) == 0
+        with open(os.path.join(out, "verify.csv"), encoding="utf-8") as fh:
+            assert ".error," not in fh.read()
+
+    def test_canonical_ball_matches_the_table_row(self):
+        for kind, n, sp in spaces():
+            t = sp.ball_table()
+            for i in range(len(t.center)):
+                ball = sp.canonical_ball(i)
+                assert (ball.center, ball.radius, ball.index) == (t.center[i], t.radius[i], i)
+                assert np.array_equal(ball.members, oracles.ball_members(sp, ball.center, ball.radius))
