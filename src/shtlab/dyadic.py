@@ -38,6 +38,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -76,13 +77,18 @@ class DyadicSystem:
         self.levels = list(levels)
         self.cubes = cubes
         self.labels = labels
-        self.measured_c1, self.containment_C1 = self._measure_sandwich()
-        self.measured_C1 = self._monotone_C1(self.containment_C1)
-        self.max_children = max(
-            (len(c.children) for k in self.levels for c in self.cubes[k]), default=0
-        )
 
-    def _measure_sandwich(self) -> Tuple[float, float]:
+    measured_c1 = property(lambda self: self._sandwich[0])
+    containment_C1 = property(lambda self: self._sandwich[1])
+
+    @cached_property
+    def measured_C1(self) -> float:
+        return self._monotone_C1(self.containment_C1)
+
+    @cached_property
+    def _sandwich(self) -> Tuple[float, float]:
+        """(c1, C1), measured on first read: of an adjacent pool, only
+        the systems that get verified need them."""
         dist = self.space.dist
         c1 = math.inf
         C1 = 0.0
@@ -125,14 +131,6 @@ class DyadicSystem:
                 break
             c = max(c, hi)
         return c
-
-    def cube_of(self, x: int, k: int) -> DyadicCube:
-        if self.labels is None:
-            for cube in self.cubes[k]:
-                if x in cube.members:
-                    return cube
-            raise KeyError(f"point {x} not covered at level {k}")
-        return self.cubes[k][int(self.labels[k][x])]
 
     def all_cubes(self) -> List[DyadicCube]:
         return [c for k in self.levels for c in self.cubes[k]]

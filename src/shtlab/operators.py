@@ -34,6 +34,13 @@ order).  Two exact reorganizations keep desk-scale evaluation fast:
   blocks of n, shares each block's "B' misses B" mask across the
   functions and takes one outer sup for all of them
   (``region_grand_maximal``).
+* The sparse forms A_S, T_{S,b} and T*_{S,b} run on one flat index of
+  the cube family (concatenated member ids, each id's cube, each
+  cube's measure): per-cube sums are one ``np.add.reduceat`` and
+  ``np.add.at`` spreads them back to points, for (n,) or (n, k) input
+  alike.  The same index gives the oscillation sums
+  sum_{R in S, R within Q} Omega(R) chi_R through one containment
+  relation over the family (``_CubeIndex``).
 
 All paths are exact reorganizations of the defining finite sums, not
 approximations.
@@ -54,7 +61,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .space import Ball, QuasiMetricSpace, scale_ball
+from .space import Ball, QuasiMetricSpace
 
 
 @dataclass
@@ -64,10 +71,6 @@ class OperatorResult:
 
     values: np.ndarray
     witnesses: Optional[np.ndarray] = None
-
-
-def _members_of(obj) -> np.ndarray:
-    return obj.members if hasattr(obj, "members") else np.asarray(obj, dtype=np.int64)
 
 
 # -- maximal function --------------------------------------------------------
@@ -132,6 +135,26 @@ def maximal_function(space: QuasiMetricSpace, f: np.ndarray) -> OperatorResult:
 
 # -- maximal commutator ------------------------------------------------------
 
+
+def _distinct_rows(packed: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(first, inverse) of the distinct rows of a uint8 matrix, as
+    ``np.unique(packed, axis=0, return_index=True, return_inverse=True)``
+    gives them: classes in lexicographic row order, each with its
+    lowest row id.  Rows are read as big-endian uint64 words, so a
+    stable ``np.lexsort`` on the words orders them as the bytes do, and
+    a class starts wherever a row differs from the one before it."""
+    rows, width = packed.shape
+    padded = np.zeros((rows, -(-width // 8) * 8), dtype=np.uint8)
+    padded[:, :width] = packed
+    words = padded.view(">u8").astype(np.uint64)
+    order = np.lexsort(words.T[::-1])
+    new = np.ones(rows, dtype=bool)
+    new[1:] = np.any(words[order[1:]] != words[order[:-1]], axis=1)
+    inverse = np.empty(rows, dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
+
+
 # float entries per (rows x n) block of ``CommutatorKernel.apply``
 KERNEL_BLOCK = 1 << 19
 
@@ -165,9 +188,9 @@ class CommutatorKernel:
         # id sharing its member set, keeping witness ids canonical; twins
         # summed in other centers' orders can differ in the last bit, and
         # the sup over all balls sees the least measure
-        _, first, twin = np.unique(packed, axis=0, return_index=True, return_inverse=True)
+        first, twin = _distinct_rows(packed)
         mu = np.full(len(first), np.inf)
-        np.minimum.at(mu, twin.reshape(-1), t.measure)
+        np.minimum.at(mu, twin, t.measure)
         keep = np.argsort(first)
         self.ball_ids = first[keep].astype(np.int64)
         self.mask_s = np.unpackbits(packed[self.ball_ids], axis=1, count=n).astype(bool)
@@ -274,7 +297,7 @@ def region_grand_maximal(
     enlarged = space.dist[centers] < (4.0 * space.a0 * t.radius[sub_ids])[:, None]
     packed = np.packbits(np.concatenate([inside, enlarged], axis=1), axis=1)
     # one class per distinct row; rep holds its lowest sub-ball
-    _, rep, twin = np.unique(packed, axis=0, return_index=True, return_inverse=True)
+    rep, twin = _distinct_rows(packed)
 
     # B' meets B exactly when B's first position in the order of B''s
     # center comes before count(B'); first[c, j] is that position for
@@ -298,7 +321,7 @@ def region_grand_maximal(
             m_b[j : j + n, i] = np.maximum(v.max(axis=0), 0.0)
     # outer sup over sub-balls containing x, ties to the lowest ball id
     per_ball = np.full((len(t.center), len(fs)), -np.inf)
-    per_ball[sub_ids] = m_b[twin.reshape(-1)]
+    per_ball[sub_ids] = m_b[twin]
     best, arg = _sup_over_balls(space, per_ball)
     on = best > -np.inf
     values = np.where(on, np.maximum(best, 0.0), 0.0).T.copy()
@@ -312,7 +335,7 @@ def local_grand_maximal(space: QuasiMetricSpace, b0: Ball, f: np.ndarray) -> Ope
     Values are meaningful on b0's members and zero elsewhere; queries
     off the ball are not defined by the operator.
     """
-    trunc = scale_ball(space, b0, 4.0 * space.a0).members
+    trunc = space.ball_at(b0.center, 4.0 * space.a0 * b0.radius).members
     vals, wits, _ = region_grand_maximal(space, b0.members, trunc, [f])
     return OperatorResult(vals[0], wits[0])
 
@@ -326,7 +349,7 @@ def local_split_check(space: QuasiMetricSpace, b0: Ball, f: np.ndarray) -> Dict[
     nearby support.  Suites drive this with strictly positive f.
     """
     f = np.asarray(f, dtype=np.float64)
-    big = scale_ball(space, b0, 4.0 * space.a0)
+    big = space.ball_at(b0.center, 4.0 * space.a0 * b0.radius)
     ind = np.zeros(space.n)
     ind[big.members] = 1.0
     lhs = maximal_function(space, f * ind).values
@@ -375,42 +398,100 @@ def weak_type_11_constant(space: QuasiMetricSpace, probes: int = 100, seed: int 
 # -- sparse-form operators ---------------------------------------------------
 
 
-def sparse_operator(space: QuasiMetricSpace, cubes: Sequence, f: np.ndarray) -> OperatorResult:
-    """A_S f = sum over cubes Q of avg_Q(f) 1_Q."""
+class _CubeIndex:
+    """A cube family as one flat index: the concatenated member ids, each
+    entry's cube and each cube's measure.  Per-cube sums are one
+    ``np.add.reduceat`` over the entries (sequential, so a column of an
+    (n, k) input sums exactly as the (n,) call does) and ``spread`` adds
+    per-entry values back to points in family order.
+
+    ``cubes`` holds cubes (anything with ``members``) or raw member arrays.
+    """
+
+    def __init__(self, space: QuasiMetricSpace, cubes: Sequence) -> None:
+        members = [np.asarray(getattr(c, "members", c), dtype=np.int64) for c in cubes]
+        size = np.array([len(m) for m in members], dtype=np.int64)
+        if np.any(size == 0):
+            raise ValueError("member set must be nonempty")
+        self.n = space.n
+        self.size = size
+        self.start = np.cumsum(size) - size
+        self.ids = np.concatenate(members) if members else np.empty(0, dtype=np.int64)
+        self.cube = np.repeat(np.arange(len(size)), size)
+        self.mass = space.mass[self.ids]
+        self.mu = self.sums(self.mass)
+
+    def sums(self, per_entry: np.ndarray) -> np.ndarray:
+        """Per-cube sums of per-entry values, (entries,) or (entries, k)."""
+        return np.add.reduceat(per_entry, self.start, axis=0)
+
+    def averages(self, f: np.ndarray) -> np.ndarray:
+        """avg_Q f per cube; f is (n,) or (n, k)."""
+        tail = (1,) * (f.ndim - 1)
+        return self.sums(f[self.ids] * self.mass.reshape(-1, *tail)) / self.mu.reshape(-1, *tail)
+
+    def deviation(self, b: np.ndarray) -> np.ndarray:
+        """|b(x) - b_Q| per entry (Q, x)."""
+        return np.abs(b[self.ids] - self.averages(b)[self.cube])
+
+    def spread(self, per_entry: np.ndarray) -> np.ndarray:
+        """sum over entries (Q, x) of their values at x, in family order."""
+        out = np.zeros((self.n,) + per_entry.shape[1:])
+        np.add.at(out, self.ids, per_entry)
+        return out
+
+    def inside(self, levels: np.ndarray) -> np.ndarray:
+        """inside[Q, R]: R lies in Q within one dyadic system, i.e. Q is
+        R or an ancestor of R.  Levels are nested partitions, so that
+        holds exactly when Q is no finer than R and holds a point of R;
+        cubes of equal member sets on different levels keep the tree's
+        direction."""
+        holds = np.zeros((len(self.size), self.n), dtype=bool)
+        holds[self.cube, self.ids] = True
+        return holds[:, self.ids[self.start]] & (levels[:, None] <= levels[None, :])
+
+    def oscillation_sums(self, inside: np.ndarray, omega: np.ndarray) -> np.ndarray:
+        """Per entry (Q, x): the sum of omega(R) over family cubes R
+        inside Q holding x, added in family order."""
+        q, r = np.nonzero(inside)
+        size = self.size[r]
+        offset = np.repeat(self.start[r] - (np.cumsum(size) - size), size)
+        x = self.ids[offset + np.arange(int(size.sum()))]
+        flat = np.repeat(q, size) * self.n + x
+        sums = np.bincount(flat, np.repeat(omega[r], size), len(self.size) * self.n)
+        return sums.reshape(len(self.size), self.n)[self.cube, self.ids]
+
+
+def _sparse_input(space: QuasiMetricSpace, cubes: Sequence, f: np.ndarray):
     f = np.asarray(f, dtype=np.float64)
-    values = np.zeros(space.n)
-    for cube in cubes:
-        members = _members_of(cube)
-        values[members] += space.average(f, members)
-    return OperatorResult(values)
+    return _CubeIndex(space, cubes), f, f.reshape(len(f), -1)
+
+
+def sparse_operator(space: QuasiMetricSpace, cubes: Sequence, f: np.ndarray) -> OperatorResult:
+    """A_S f = sum over cubes Q of avg_Q(f) 1_Q; f is (n,) or (n, k)."""
+    index, f, cols = _sparse_input(space, cubes, f)
+    values = index.spread(index.averages(cols)[index.cube])
+    return OperatorResult(values.reshape(f.shape))
 
 
 def sparse_commutator(
     space: QuasiMetricSpace, cubes: Sequence, b: np.ndarray, f: np.ndarray
 ) -> OperatorResult:
     """T_{S,b} f(x) = sum over Q of |b(x) - b_Q| avg_Q(f) 1_Q(x)."""
-    b = np.asarray(b, dtype=np.float64)
-    f = np.asarray(f, dtype=np.float64)
-    values = np.zeros(space.n)
-    for cube in cubes:
-        members = _members_of(cube)
-        b_q = space.average(b, members)
-        values[members] += np.abs(b[members] - b_q) * space.average(f, members)
-    return OperatorResult(values)
+    index, f, cols = _sparse_input(space, cubes, f)
+    dev = index.deviation(np.asarray(b, dtype=np.float64))
+    values = index.spread(dev[:, None] * index.averages(cols)[index.cube])
+    return OperatorResult(values.reshape(f.shape))
 
 
 def sparse_commutator_adjoint(
     space: QuasiMetricSpace, cubes: Sequence, b: np.ndarray, f: np.ndarray
 ) -> OperatorResult:
     """T*_{S,b} f(x) = sum over Q of avg_Q(|b - b_Q| f) 1_Q(x)."""
-    b = np.asarray(b, dtype=np.float64)
-    f = np.asarray(f, dtype=np.float64)
-    values = np.zeros(space.n)
-    for cube in cubes:
-        members = _members_of(cube)
-        b_q = space.average(b, members)
-        values[members] += space.average(np.abs(b - b_q) * f, members)
-    return OperatorResult(values)
+    index, f, cols = _sparse_input(space, cubes, f)
+    dev = index.deviation(np.asarray(b, dtype=np.float64))
+    avg = index.sums(dev[:, None] * cols[index.ids] * index.mass[:, None]) / index.mu[:, None]
+    return OperatorResult(index.spread(avg[index.cube]).reshape(f.shape))
 
 
 # -- norms and norm estimation ------------------------------------------------

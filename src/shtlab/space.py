@@ -390,13 +390,6 @@ class QuasiMetricSpace:
         return self._cache[key]  # type: ignore[return-value]
 
 
-def scale_ball(space: QuasiMetricSpace, ball: Ball, factor: float) -> Ball:
-    """Same center, radius scaled by factor, members recomputed."""
-    radius = float(factor) * ball.radius
-    members = np.flatnonzero(space.dist[ball.center] < radius)
-    return Ball(ball.center, radius, members)
-
-
 # -- generators -------------------------------------------------------------
 
 

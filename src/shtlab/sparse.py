@@ -37,14 +37,14 @@ import numpy as np
 from .dyadic import AdjacentSystems, DyadicCube, DyadicSystem, _ball_level
 from .operators import (
     CommutatorKernel,
+    _CubeIndex,
     maximal_function,
     region_grand_maximal,
     sparse_commutator,
     sparse_commutator_adjoint,
     weak_type_11_constant,
 )
-from .space import Ball, QuasiMetricSpace, scale_ball
-from .weights import mean_oscillation
+from .space import Ball, QuasiMetricSpace
 
 
 @dataclass
@@ -185,10 +185,10 @@ def _cover_balls(space: QuasiMetricSpace, b0: Ball) -> List[Ball]:
     covers = [b0]
     j = 1
     while True:
-        inner = scale_ball(space, b0, 2.0 ** (j - 1))
+        inner = space.ball_at(b0.center, 2.0 ** (j - 1) * b0.radius)
         if len(inner.members) == space.n:
             break
-        outer = scale_ball(space, b0, 2.0**j)
+        outer = space.ball_at(b0.center, 2.0**j * b0.radius)
         annulus = np.setdiff1d(outer.members, inner.members)
         radius = 2.0 ** (j - 2) * b0.radius
         need = np.zeros(space.n, dtype=bool)
@@ -337,9 +337,8 @@ def _dominate_node(
     )
 
     for cube in selection:
-        child_trunc = scale_ball(
-            space, _smallest_ball_at(space, cube.center, cube.members), 4.0 * space.a0
-        )
+        ball = _smallest_ball_at(space, cube.center, cube.members)
+        child_trunc = space.ball_at(ball.center, 4.0 * space.a0 * ball.radius)
         _dominate_node(
             space, systems, b, absf, cube.members, child_trunc,
             cz_system, cube, "cube", depth + 1, updim, cprime, ctx, misses,
@@ -375,9 +374,8 @@ def _node_checks_pass(
     if selection:
         cols = []
         for cube in selection:
-            enlarged = scale_ball(
-                space, _smallest_ball_at(space, cube.center, cube.members), 4.0 * space.a0
-            )
+            ball = _smallest_ball_at(space, cube.center, cube.members)
+            enlarged = space.ball_at(ball.center, 4.0 * space.a0 * ball.radius)
             keep = trunc_ind.copy()
             keep[enlarged.members] = 0.0
             cols.append(absf * keep)
@@ -427,7 +425,7 @@ def build_domination(
     emitted: Dict[int, List[DyadicCube]] = {t: [] for t in range(len(systems))}
     for ball in covers:
         needed = np.union1d(
-            scale_ball(space, ball, 4.0 * space.a0).members, root_ball.members
+            space.ball_at(ball.center, 4.0 * space.a0 * ball.radius).members, root_ball.members
         )
         wide = _smallest_ball_at(space, ball.center, needed)
         ctx = _TreeContext()
@@ -450,16 +448,13 @@ def build_domination(
             emitted[t].append(cube)
 
     families: List[SparseFamily] = []
-    bound = np.zeros(space.n)
     for t, sysm in enumerate(systems):
         unique: Dict[Tuple[int, int], DyadicCube] = {}
         for cube in emitted[t]:
             unique[(cube.k, cube.alpha)] = cube
         cubes = [unique[key] for key in sorted(unique)]
         families.append(SparseFamily(sysm, cubes, packing_constant(sysm, cubes)))
-        if cubes:
-            bound += sparse_commutator(space, cubes, b, absf).values
-            bound += sparse_commutator_adjoint(space, cubes, b, absf).values
+    bound = _family_bound(space, [fam.cubes for fam in families], b, absf)
 
     cb = CommutatorKernel(space, b).apply(f).values
     positive = bound > 0.0
@@ -476,6 +471,19 @@ def build_domination(
         capture_misses=misses,
         cover_overlap=int(overlap.max()) if len(covers) else 1,
     )
+
+
+def _family_bound(
+    space: QuasiMetricSpace, families: Sequence[Sequence], b: np.ndarray, absf: np.ndarray
+) -> np.ndarray:
+    """sum over families S_t of T_{S_t,b}|f| + T*_{S_t,b}|f|, families
+    given as cubes or as member arrays: the certificate and its round
+    trip both evaluate the bound here, so they agree bit for bit."""
+    bound = np.zeros(space.n)
+    for cubes in families:
+        bound += sparse_commutator(space, cubes, b, absf).values
+        bound += sparse_commutator_adjoint(space, cubes, b, absf).values
+    return bound
 
 
 def certificate_to_dict(cert: DominationCertificate) -> Dict[str, object]:
@@ -517,18 +525,32 @@ def evaluate_bound_from_dict(
 ) -> np.ndarray:
     """Recompute the certified bound from serialized member lists, in
     the stored cube order; matches the stored values bit for bit."""
-    b = np.asarray(b, dtype=np.float64)
-    absf = np.abs(np.asarray(f, dtype=np.float64))
-    bound = np.zeros(space.n)
-    for fam in doc["families"]:  # type: ignore[index]
-        members = [np.asarray(c["members"], dtype=np.int64) for c in fam["cubes"]]
-        if members:
-            bound += sparse_commutator(space, members, b, absf).values
-            bound += sparse_commutator_adjoint(space, members, b, absf).values
-    return bound
+    families = [
+        [np.asarray(c["members"], dtype=np.int64) for c in fam["cubes"]]
+        for fam in doc["families"]  # type: ignore[index]
+    ]
+    return _family_bound(
+        space, families, np.asarray(b, dtype=np.float64), np.abs(np.asarray(f, dtype=np.float64))
+    )
 
 
 # -- oscillation stopping time --------------------------------------------------
+
+
+def _oscillation_terms(space: QuasiMetricSpace, cubes: Sequence[DyadicCube], b: np.ndarray):
+    """(index, dev, omega, inside, sums) of a family of one system's
+    cubes: its ``_CubeIndex``, |b(x) - b_Q| per entry (Q, x), the mean
+    oscillation Omega(Q) per cube, the containment relation
+    inside[Q, R], and per entry the oscillation sum
+    sum_{R in family, R within Q} Omega(R) chi_R(x).  Omega is the
+    average of the entries' deviations, so it vanishes only where
+    they do."""
+    index = _CubeIndex(space, cubes)
+    dev = index.deviation(b)
+    omega = index.sums(dev * index.mass) / index.mu
+    inside = index.inside(np.array([c.k for c in cubes], dtype=np.int64))
+    return index, dev, omega, inside, index.oscillation_sums(inside, omega)
+
 
 
 def oscillation_domination(
@@ -561,10 +583,8 @@ def oscillation_domination(
         if key in processed:
             continue
         processed.add(key)
-        omega = mean_oscillation(space, b, cube.members)
-        threshold = 2.0 * omega
-        b_q = space.average(b, cube.members)
-        dev = np.abs(b - b_q)
+        dev = np.abs(b - space.average(b, cube.members))
+        threshold = 2.0 * space.average(dev, cube.members)
         selected: List[DyadicCube] = []
         stack = list(cube.children)
         while stack:
@@ -587,28 +607,10 @@ def oscillation_domination(
     family = SparseFamily(system, cubes, eta, witness=witness)
 
     # minimal pointwise constant for the oscillation control
-    osc = {key: mean_oscillation(space, b, c.members) for key, c in members_of.items()}
-    c_emp = 0.0
-    for key, cube in members_of.items():
-        b_q = space.average(b, cube.members)
-        num = np.abs(b[cube.members] - b_q)
-        denom = np.zeros(len(cube.members))
-        pos = {int(m): i for i, m in enumerate(cube.members)}
-        for rkey, r in members_of.items():
-            node: Optional[DyadicCube] = r
-            inside = False
-            while node is not None:
-                if (node.k, node.alpha) == key:
-                    inside = True
-                    break
-                node = node.parent
-            if not inside:
-                continue
-            for m in r.members:
-                denom[pos[int(m)]] += osc[rkey]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(num > 0, num / denom, 0.0)
-        c_emp = max(c_emp, float(ratio.max()) if len(ratio) else 0.0)
+    _, dev, _, _, sums = _oscillation_terms(space, cubes, b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(dev > 0, dev / sums, 0.0)
+    c_emp = float(ratio.max()) if len(ratio) else 0.0
 
     eta_in = (
         S.eta_certified

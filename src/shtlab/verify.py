@@ -27,13 +27,12 @@ from .operators import (
     weighted_lp_norm,
 )
 from .space import QuasiMetricSpace
-from .sparse import SparseFamily, oscillation_domination, packing_constant
+from .sparse import SparseFamily, _oscillation_terms, oscillation_domination, packing_constant
 from .weights import (
     ap_characteristic,
     bloom_weight,
     bmo_norm,
     deviation_sums,
-    mean_oscillation,
     reverse_holder_constant,
 )
 
@@ -43,43 +42,39 @@ NORM_NOTE = "probe estimate (lower bound)"
 # -- report entry helpers ------------------------------------------------------
 
 
-def _scale(*arrays: np.ndarray) -> float:
-    s = 1.0
-    for a in arrays:
-        if a.size:
-            s = max(s, float(np.abs(a).max()))
-    return s
-
-
-def _leq_entry(name: str, lhs, rhs, tol: float) -> Dict[str, object]:
-    """Normalized overshoot of lhs <= rhs (elementwise)."""
+def _leq_entry(
+    name: str, lhs, rhs, tol: float, runs: Sequence[int] = (0,), eq: bool = False
+) -> Dict[str, object]:
+    """Normalized overshoot of lhs <= rhs (elementwise), or deviation of
+    lhs == rhs when eq.  The entries split into runs at the given
+    offsets; each run is normalized by its own scale max(1, |lhs|,
+    |rhs|), and over several runs the worst is kept, so a per-cube or
+    per-probe check reads as one entry."""
     lhs = np.atleast_1d(np.asarray(lhs, dtype=np.float64))
     rhs = np.atleast_1d(np.asarray(rhs, dtype=np.float64))
-    if lhs.size == 0:
-        viol = 0.0
-    else:
-        viol = max(0.0, float((lhs - rhs).max())) / _scale(lhs, rhs)
+    values = np.zeros(1)
+    if lhs.size:
+        lhs, rhs = np.broadcast_arrays(lhs, rhs)
+        gap = np.maximum.reduceat((np.abs(lhs - rhs) if eq else lhs - rhs).ravel(), runs)
+        if not eq:
+            gap = np.where(gap > 0.0, gap, 0.0)
+        scale = np.ones(len(gap))
+        for side in (lhs, rhs):
+            scale = np.fmax(scale, np.maximum.reduceat(np.abs(side).ravel(), runs))
+        values = gap / scale
+    value = float(values[0]) if len(values) == 1 else float(np.fmax.reduce(values, initial=0.0))
     return {
         "check": name,
         "kind": "exact",
-        "value": viol,
+        "value": value,
         "threshold": tol,
-        "passed": bool(viol <= tol),
+        "passed": bool(np.all(values <= tol)),
     }
 
 
-def _eq_entry(name: str, a, b, tol: float) -> Dict[str, object]:
+def _eq_entry(name: str, a, b, tol: float, runs: Sequence[int] = (0,)) -> Dict[str, object]:
     """Normalized absolute deviation of an identity a == b."""
-    a = np.atleast_1d(np.asarray(a, dtype=np.float64))
-    b = np.atleast_1d(np.asarray(b, dtype=np.float64))
-    dev = 0.0 if a.size == 0 else float(np.abs(a - b).max()) / _scale(a, b)
-    return {
-        "check": name,
-        "kind": "exact",
-        "value": dev,
-        "threshold": tol,
-        "passed": bool(dev <= tol),
-    }
+    return _leq_entry(name, a, b, tol, runs, eq=True)
 
 
 def _ratio_entry(
@@ -214,10 +209,6 @@ def verify_upper_bound_bm(
 # -- duality chain for the sparse commutator -----------------------------------
 
 
-def _cube_key(cube) -> Tuple[int, int]:
-    return (cube.k, cube.alpha)
-
-
 def verify_duality_chain(
     space: QuasiMetricSpace,
     system: DyadicSystem,
@@ -242,6 +233,12 @@ def verify_duality_chain(
         <= int A_S(|f|) A_St(|g|lam2) nu  <= int A_St(|f|) A_St(|g|lam2) nu
         == int A_St(A_St(|f|) nu) |g| lam2   [self-adjointness]
         <= ||A_St(A_St(|f|) nu)||_{p,lam2}   [Hölder, normalized g]
+
+    Every per-cube quantity is an array over S-tilde's cube index (S is
+    the subfamily ``in_S``), the oscillation sums and ancestor stacks
+    come from its one containment relation, and all probes g go through
+    each step at once as the columns of one matrix.  A check repeated
+    per cube or per probe reports its worst instance.
     """
     if p <= 1:
         raise ValueError("p must exceed 1")
@@ -256,69 +253,38 @@ def verify_duality_chain(
     family: SparseFamily = osc["S_tilde"]
     c_osc = float(osc["c_emp"])
     cubes_t = family.cubes
-    base_keys = {_cube_key(c) for c in base}
+    base_keys = {(c.k, c.alpha) for c in base}
+    in_S = np.array([(c.k, c.alpha) in base_keys for c in cubes_t], dtype=bool)
 
     bmo = bmo_norm(space, b, nu).value
     vacuous = bmo == 0.0
 
-    omega = {_cube_key(c): mean_oscillation(space, b, c.members) for c in cubes_t}
-    keys_t = {_cube_key(c) for c in cubes_t}
-
-    # oscillation sums per S-tilde cube: dom[Q] = sum_{R in S-tilde, R within Q} Omega(R) chi_R
-    dom: Dict[Tuple[int, int], np.ndarray] = {k: np.zeros(space.n) for k in keys_t}
-    # ancestor stack of |f|_Q sums per S-tilde cube: S_R = sum_{Q in S, Q contains R} |f|_Q
+    # dom: per entry (Q, x) of S-tilde, sum_{R in S-tilde, R within Q} Omega(R) chi_R(x)
+    index, dev, omega, inside, dom = _oscillation_terms(space, cubes_t, b)
     absf = np.abs(
         np.asarray(f, dtype=np.float64)
         if f is not None
         else np.random.default_rng(seed).lognormal(0.0, 1.0, size=space.n)
     )
-    avgf = {_cube_key(c): space.average(absf, c.members) for c in base}
-    stack_sum: Dict[Tuple[int, int], float] = {}
-    for cube in cubes_t:
-        om = omega[_cube_key(cube)]
-        total = 0.0
-        node = cube
-        while node is not None:
-            nk = _cube_key(node)
-            if nk in keys_t:
-                dom[nk][cube.members] += om
-            if nk in base_keys:
-                total += avgf[nk]
-            node = node.parent
-        stack_sum[_cube_key(cube)] = total
+    avgf = np.where(in_S, index.averages(absf), 0.0)  # |f|_Q on S, 0 elsewhere
+    # ancestor stack per S-tilde cube: S_R = sum_{Q in S, Q contains R} |f|_Q
+    stack = np.where(inside, avgf[:, None], 0.0).sum(axis=0)
 
     # cube-level transfer constant: Omega(R) mu(R) <= c_cube ||b||_BMO_nu nu(R)
-    nu_of = {
-        _cube_key(c): float((nu[c.members] * m[c.members]).sum()) for c in cubes_t
-    }
-    mu_of = {_cube_key(c): space.measure(c.members) for c in cubes_t}
+    nu_t = index.sums(nu[index.ids] * index.mass)
+    transfer = omega * index.mu
     c_cube = 0.0
     if not vacuous:
-        for key in keys_t:
-            denom = bmo * nu_of[key]
-            num = omega[key] * mu_of[key]
-            if num > 0:
-                c_cube = max(c_cube, num / denom)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c_cube = float(np.where(transfer > 0, transfer / (bmo * nu_t), 0.0).max(initial=0.0))
 
-    entries: List[Dict[str, object]] = []
-
-    # pointwise oscillation certificate recheck on every S-tilde cube
-    s1 = _leq_entry("duality.osc_pointwise", 0.0, 0.0, tol_exact)
-    for cube in cubes_t:
-        key = _cube_key(cube)
-        b_q = space.average(b, cube.members)
-        num = np.abs(b[cube.members] - b_q)
-        den = c_osc * dom[key][cube.members]
-        _merge_leq(s1, _leq_entry("duality.osc_pointwise", num, den, tol_exact))
-    entries.append(s1)
-    entries.append(_ratio_entry("duality.c_cube", c_cube))
-    # per-cube transfer inequality (definition of c_cube as the max)
-    if keys_t:
-        nums = np.array([omega[k] * mu_of[k] for k in sorted(keys_t)])
-        dens = np.array([c_cube * bmo * nu_of[k] for k in sorted(keys_t)])
-        entries.append(_leq_entry("duality.cube_transfer", nums, dens, tol_exact))
-    else:
-        entries.append(_leq_entry("duality.cube_transfer", 0.0, 0.0, tol_exact))
+    entries: List[Dict[str, object]] = [
+        # pointwise oscillation certificate recheck on every S-tilde cube
+        _leq_entry("duality.osc_pointwise", dev, c_osc * dom, tol_exact, index.start),
+        _ratio_entry("duality.c_cube", c_cube),
+        # per-cube transfer inequality (definition of c_cube as the max)
+        _leq_entry("duality.cube_transfer", transfer, c_cube * bmo * nu_t, tol_exact),
+    ]
 
     # operator values shared across probes
     T_absf = sparse_commutator(space, base, b, absf).values
@@ -328,18 +294,8 @@ def verify_duality_chain(
     norm_H = weighted_lp_norm(space, H, lam2, p)
 
     # S_R <= min over R of A_S(|f|), pointwise ancestor-stack bound
-    s4b = _leq_entry("duality.stack_le_As", 0.0, 0.0, tol_exact)
-    for cube in cubes_t:
-        _merge_leq(
-            s4b,
-            _leq_entry(
-                "duality.stack_le_As",
-                stack_sum[_cube_key(cube)],
-                float(As_absf[cube.members].min()),
-                tol_exact,
-            ),
-        )
-    entries.append(s4b)
+    As_min = np.minimum.reduceat(As_absf[index.ids], index.start)
+    entries.append(_leq_entry("duality.stack_le_As", stack, As_min, tol_exact, np.arange(len(stack))))
     # A_S <= A_St pointwise (S is contained in S-tilde, all terms nonnegative)
     entries.append(_leq_entry("duality.As_le_Ast", As_absf, Ast_absf, tol_exact))
 
@@ -347,13 +303,12 @@ def verify_duality_chain(
     rng = np.random.default_rng(seed + 1)
     u = rng.lognormal(0.0, 1.0, size=space.n) * (rng.integers(0, 2, size=space.n) * 2 - 1)
     v = rng.lognormal(0.0, 1.0, size=space.n) * (rng.integers(0, 2, size=space.n) * 2 - 1)
-    Au = sparse_operator(space, cubes_t, u).values
-    Av = sparse_operator(space, cubes_t, v).values
+    Auv = sparse_operator(space, cubes_t, np.stack([u, v], axis=1)).values
     entries.append(
         _eq_entry(
             "duality.Ast_self_adjoint",
-            float((Au * v * m).sum()),
-            float((u * Av * m).sum()),
+            float((Auv[:, 0] * v * m).sum()),
+            float((u * Auv[:, 1] * m).sum()),
             tol_exact,
         )
     )
@@ -369,75 +324,48 @@ def verify_duality_chain(
         )
     )
 
-    # probe loop
+    # probes g, one per column, normalized in L^{p'}(lam2)
     rng_g = np.random.default_rng(seed + 2)
-    probes_list: List[np.ndarray] = []
-    for _ in range(int(g_probes)):
-        g = rng_g.lognormal(0.0, 1.0, size=space.n) * (
-            rng_g.integers(0, 2, size=space.n) * 2 - 1
-        )
-        probes_list.append(g)
+    probes = [
+        rng_g.lognormal(0.0, 1.0, size=space.n)
+        * (rng_g.integers(0, 2, size=space.n) * 2 - 1)
+        for _ in range(int(g_probes))
+    ]
     if norm_H > 0:
-        probes_list.append(H ** (p - 1.0))  # attains equality in the Hölder step
+        probes.append(H ** (p - 1.0))  # attains equality in the Hölder step
+    gnorm = np.array([weighted_lp_norm(space, g, lam2, pprime) for g in probes])
+    used = [g for g, gn in zip(probes, gnorm) if gn != 0.0]
+    gabs = np.abs(np.stack(used, axis=1)) / gnorm[gnorm != 0.0] if used else np.zeros((space.n, 0))
+    glam = gabs * lam2[:, None]
+    mcol = m[:, None]
+    runs = np.arange(gabs.shape[1])
 
-    s0 = _eq_entry("duality.pairing_fubini", 0.0, 0.0, tol_exact)
-    s3 = _eq_entry("duality.sum_exchange", 0.0, 0.0, tol_exact)
-    s1_int = _leq_entry("duality.osc_integrated", 0.0, 0.0, tol_exact)
-    s4 = _leq_entry("duality.transfer_aggregate", 0.0, 0.0, tol_exact)
-    s5a = _leq_entry("duality.stack_aggregate", 0.0, 0.0, tol_exact)
-    s5b = _leq_entry("duality.Ast_monotone", 0.0, 0.0, tol_exact)
-    s6 = _eq_entry("duality.self_adjoint_instance", 0.0, 0.0, tol_exact)
-    s7 = _leq_entry("duality.holder", 0.0, 0.0, tol_holder)
-    c_end = 0.0
-    used_probes = 0
-    for g in probes_list:
-        gnorm = weighted_lp_norm(space, g, lam2, pprime)
-        if gnorm == 0.0:
-            continue
-        used_probes += 1
-        gabs = np.abs(g) / gnorm
-        glam = gabs * lam2
-        # pairing == Fubini-grouped sum over S
-        lhs0 = float((T_absf * glam * m).sum())
-        rhs0 = 0.0
-        for cube in base:
-            b_q = space.average(b, cube.members)
-            mem = cube.members
-            rhs0 += avgf[_cube_key(cube)] * float(
-                (np.abs(b[mem] - b_q) * glam[mem] * m[mem]).sum()
-            )
-        _merge_leq(s0, _eq_entry("s0", lhs0, rhs0, tol_exact))
-        # integrated oscillation certificate over the pairing family
-        mid = 0.0
-        for cube in base:
-            mem = cube.members
-            mid += avgf[_cube_key(cube)] * float(
-                (dom[_cube_key(cube)][mem] * glam[mem] * m[mem]).sum()
-            )
-        _merge_leq(s1_int, _leq_entry("s1", rhs0, c_osc * mid, tol_exact))
-        # Fubini exchange to S-tilde cubes
-        rhs3 = 0.0
-        mid4 = 0.0
-        for cube in cubes_t:
-            key = _cube_key(cube)
-            mem = cube.members
-            g_int = float((glam[mem] * m[mem]).sum())
-            rhs3 += omega[key] * stack_sum[key] * g_int
-            mid4 += nu_of[key] * stack_sum[key] * (g_int / mu_of[key])
-        _merge_leq(s3, _eq_entry("s3", mid, rhs3, tol_exact))
-        _merge_leq(s4, _leq_entry("s4", rhs3, c_cube * bmo * mid4, tol_exact))
-        # collapse the stacked sums into sparse-operator integrals
-        Ast_g = sparse_operator(space, cubes_t, gabs * lam2).values
-        int_As = float((As_absf * Ast_g * nu * m).sum())
-        _merge_leq(s5a, _leq_entry("s5a", mid4, int_As, tol_exact))
-        int_Ast = float((Ast_absf * Ast_g * nu * m).sum())
-        _merge_leq(s5b, _leq_entry("s5b", int_As, int_Ast, tol_exact))
-        lhs6 = float((H * gabs * lam2 * m).sum())
-        _merge_leq(s6, _eq_entry("s6", int_Ast, lhs6, tol_exact))
-        _merge_leq(s7, _leq_entry("s7", lhs6, norm_H, tol_holder))
-        if bmo > 0 and norm_H > 0:
-            c_end = max(c_end, lhs0 / (bmo * norm_H))
-    entries.extend([s0, s1_int, s3, s4, s5a, s5b, s6, s7])
+    # pairing == Fubini-grouped sum over S
+    lhs0 = (T_absf[:, None] * glam * mcol).sum(axis=0)
+    g_dm = glam[index.ids] * index.mass[:, None]  # per entry (Q, x): glam(x) m(x)
+    rhs0 = (avgf[:, None] * index.sums(dev[:, None] * g_dm)).sum(axis=0)
+    # integrated oscillation certificate over the pairing family
+    mid = (avgf[:, None] * index.sums(dom[:, None] * g_dm)).sum(axis=0)
+    # Fubini exchange to S-tilde cubes
+    g_int = index.sums(g_dm)
+    rhs3 = ((omega * stack)[:, None] * g_int).sum(axis=0)
+    mid4 = ((nu_t * stack)[:, None] * (g_int / index.mu[:, None])).sum(axis=0)
+    # collapse the stacked sums into sparse-operator integrals
+    Ast_g = sparse_operator(space, cubes_t, glam).values
+    int_As = (As_absf[:, None] * Ast_g * nu[:, None] * mcol).sum(axis=0)
+    int_Ast = (Ast_absf[:, None] * Ast_g * nu[:, None] * mcol).sum(axis=0)
+    lhs6 = (H[:, None] * gabs * lam2[:, None] * mcol).sum(axis=0)
+    entries += [
+        _eq_entry("duality.pairing_fubini", lhs0, rhs0, tol_exact, runs),
+        _leq_entry("duality.osc_integrated", rhs0, c_osc * mid, tol_exact, runs),
+        _eq_entry("duality.sum_exchange", mid, rhs3, tol_exact, runs),
+        _leq_entry("duality.transfer_aggregate", rhs3, c_cube * bmo * mid4, tol_exact, runs),
+        _leq_entry("duality.stack_aggregate", mid4, int_As, tol_exact, runs),
+        _leq_entry("duality.Ast_monotone", int_As, int_Ast, tol_exact, runs),
+        _eq_entry("duality.self_adjoint_instance", int_Ast, lhs6, tol_exact, runs),
+        _leq_entry("duality.holder", lhs6, norm_H, tol_holder, runs),
+    ]
+    c_end = float((lhs0 / (bmo * norm_H)).max(initial=0.0)) if bmo > 0 and norm_H > 0 else 0.0
     entries.append(_ratio_entry("duality.c_end", c_end))
     if not vacuous:
         entries.append(
@@ -454,7 +382,7 @@ def verify_duality_chain(
         "bmo_nu": bmo,
         "family_size": len(cubes_t),
         "eta_tilde": family.eta_certified,
-        "g_probes": used_probes,
+        "g_probes": int(gabs.shape[1]),
         "entries": entries,
         "passed": passed,
     }
@@ -703,13 +631,7 @@ def fit_weight_exponent(
     n = space.n
     cubes = system.all_cubes()
     F, _, cb, bm = probe_images(space, b, probes, seed, ball_cap)
-    # A_S is linear: assemble its matrix once
-    m = space.mass
-    mat = np.zeros((n, n))
-    for cube in cubes:
-        mem = cube.members
-        mat[np.ix_(mem, mem)] += m[mem][None, :] / space.measure(mem)
-    images = {"sparse": mat @ F, "cb": cb, "bm": bm}
+    images = {"sparse": sparse_operator(space, cubes, F).values, "cb": cb, "bm": bm}
 
     coord = space.dist[0]
     cells = []

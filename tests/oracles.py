@@ -199,6 +199,29 @@ def sparse_commutator_adjoint(space, cubes: Sequence, b: np.ndarray, f: np.ndarr
     return out
 
 
+def oscillation_sums(space, cubes: Sequence, b: np.ndarray) -> List[np.ndarray]:
+    """Per family cube Q, sum over family cubes R with Q on R's parent
+    chain (R itself included) of Omega(R) chi_R, with Omega(R) the mean
+    of |b - b_R| over R."""
+    omega = []
+    for r in cubes:
+        mem = r.members
+        mu = space.measure(mem)
+        b_r = float(np.sum(b[mem] * space.mass[mem])) / mu
+        omega.append(float(np.sum(np.abs(b[mem] - b_r) * space.mass[mem])) / mu)
+    out = []
+    for q in cubes:
+        total = np.zeros(space.n)
+        for r, om in zip(cubes, omega):
+            node = r
+            while node is not None and (node.k, node.alpha) != (q.k, q.alpha):
+                node = node.parent
+            if node is not None:
+                total[r.members] += om
+        out.append(total)
+    return out
+
+
 def packing_constant(system, cubes: Sequence) -> float:
     """eta = 1 / max over tree cubes Q of sum_{P in S, P inside Q}
     mu(P)/mu(Q); a single cube family yields 1."""

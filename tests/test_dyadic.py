@@ -147,6 +147,14 @@ class TestVerifySystem:
                     far = sp.dist[cube.center, cube.members].max()
                     assert far <= C1 * scale * (1 + 1e-12)
 
+    def test_sandwich_is_measured_on_first_read(self):
+        sp = build_space("line", 32)
+        system = build_dyadic_system(sp, 0.5)
+        assert "_sandwich" not in vars(system) and "measured_C1" not in vars(system)
+        c1, C1 = system.measured_c1, system.measured_C1
+        assert "_sandwich" in vars(system) and vars(system)["measured_C1"] == C1
+        assert (c1, system.containment_C1) == build_dyadic_system(sp, 0.5)._sandwich
+
     def test_monotone_containing_balls(self):
         sp = build_space("sqline", 16)
         system = build_dyadic_system(sp, 0.5)

@@ -376,6 +376,89 @@ class TestSparseOperators:
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
+def _family_spaces():
+    """line16, tree15 and a lognormal-mass tied grid, each with its
+    dyadic system."""
+    for sp in (build_space("line", 16), build_space("tree", 15), _tied_quasi_grid(4)):
+        yield sp, build_dyadic_system(sp, 0.5)
+
+
+class TestCubeFamilyIndex:
+    FORMS = {
+        "A_S": lambda sp, cubes, b, f: sparse_operator(sp, cubes, f).values,
+        "T": lambda sp, cubes, b, f: sparse_commutator(sp, cubes, b, f).values,
+        "T*": lambda sp, cubes, b, f: sparse_commutator_adjoint(sp, cubes, b, f).values,
+    }
+    ORACLES = {
+        "A_S": lambda sp, cubes, b, f: oracles.sparse_operator(sp, cubes, f),
+        "T": oracles.sparse_commutator,
+        "T*": oracles.sparse_commutator_adjoint,
+    }
+
+    @pytest.mark.parametrize("form", ["A_S", "T", "T*"])
+    def test_columns_are_per_column_calls_bit_for_bit(self, form):
+        for sp, system in _family_spaces():
+            rng = np.random.default_rng(sp.n)
+            b = rng.lognormal(0.0, 1.0, sp.n)
+            F = rng.standard_normal((sp.n, 5))
+            cubes = system.all_cubes()
+            for family in (cubes, cubes[1::3]):
+                for given in (family, [c.members for c in family]):
+                    block = self.FORMS[form](sp, given, b, F)
+                    assert block.shape == F.shape
+                    for j in range(F.shape[1]):
+                        col = self.FORMS[form](sp, given, b, F[:, j])
+                        assert np.array_equal(block[:, j], col)
+                        want = self.ORACLES[form](sp, family, b, F[:, j])
+                        np.testing.assert_allclose(col, want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("form", ["A_S", "T", "T*"])
+    def test_empty_family_is_zero(self, form):
+        sp = build_space("line", 16)
+        F = np.random.default_rng(3).standard_normal((16, 3))
+        assert np.array_equal(self.FORMS[form](sp, [], np.ones(16), F), np.zeros((16, 3)))
+        assert np.array_equal(self.FORMS[form](sp, [], np.ones(16), F[:, 0]), np.zeros(16))
+
+    def test_member_arrays_match_cubes(self):
+        for sp, system in _family_spaces():
+            rng = np.random.default_rng(4)
+            b, f = rng.lognormal(0.0, 1.0, sp.n), rng.lognormal(0.0, 1.0, sp.n)
+            cubes = system.all_cubes()[::2]
+            raw = [list(c.members) for c in cubes]
+            for form in self.FORMS.values():
+                assert np.array_equal(form(sp, cubes, b, f), form(sp, raw, b, f))
+
+    def test_oscillation_sums_match_oracle(self):
+        from shtlab.sparse import _oscillation_terms
+
+        for sp, system in _family_spaces():
+            b = np.random.default_rng(sp.n + 1).lognormal(0.0, 1.0, sp.n)
+            all_cubes = system.all_cubes()
+            for cubes in (all_cubes, all_cubes[::2], all_cubes[-3:]):
+                index, dev, omega, inside, sums = _oscillation_terms(sp, cubes, b)
+                want = oracles.oscillation_sums(sp, cubes, b)
+                for q, cube in enumerate(cubes):
+                    got = sums[index.start[q] : index.start[q] + len(cube.members)]
+                    np.testing.assert_allclose(got, want[q][cube.members], rtol=1e-12, atol=0)
+                    b_q = sp.average(b, cube.members)
+                    np.testing.assert_allclose(
+                        dev[index.start[q] : index.start[q] + len(cube.members)],
+                        np.abs(b[cube.members] - b_q),
+                        rtol=1e-12,
+                        atol=1e-15,
+                    )
+
+    def test_distinct_rows_match_numpy_unique(self):
+        rng = np.random.default_rng(5)
+        for rows, width in [(1, 1), (7, 1), (60, 3), (300, 8), (500, 13)]:
+            packed = rng.integers(0, 3, size=(rows, width)).astype(np.uint8)
+            packed[rows // 2 :] = packed[: rows - rows // 2]
+            _, first, inverse = np.unique(packed, axis=0, return_index=True, return_inverse=True)
+            got_first, got_inverse = operators._distinct_rows(packed)
+            assert np.array_equal(got_first, first)
+            assert np.array_equal(got_inverse, inverse.reshape(-1))
+
+
 class TestNormsAndProbes:
     def test_unit_function_unit_weight(self):
         sp = build_space("line", 4)  # total mass 1

@@ -5,6 +5,7 @@ comparison, and the power-weight exponent sweep."""
 import numpy as np
 import pytest
 
+import oracles
 from shtlab import (
     CommutatorKernel,
     bloom_weight,
@@ -19,7 +20,8 @@ from shtlab import (
     verify_upper_bound_bm,
     verify_upper_bound_cb,
 )
-from shtlab.operators import _pair_min_ball_measure, probe_images
+from shtlab import verify
+from shtlab.operators import _pair_min_ball_measure, estimate_from_values, probe_images
 
 
 def _pair_setup():
@@ -284,6 +286,27 @@ class TestExponentFit:
             assert rep["ops"][op]["slope"] <= rep["cap"]
         assert rep["ops"]["sparse"]["slope"] == pytest.approx(0.002884, abs=1e-4)
         assert rep["ops"]["cb"]["slope"] == pytest.approx(0.028489, abs=1e-4)
+
+    @pytest.mark.parametrize("kind,n", [("line", 16), ("tree", 15)])
+    def test_sparse_images_match_the_oracle(self, kind, n, monkeypatch):
+        space = build_space(kind, n)
+        system = build_dyadic_system(space, 0.5, seed=0)
+        b = np.exp(0.5 * np.random.default_rng(n).standard_normal(n))
+        seen = []
+
+        def record(space_, values, F, *rest):
+            seen.append((values, F))
+            return estimate_from_values(space_, values, F, *rest)
+
+        monkeypatch.setattr(verify, "estimate_from_values", record)
+        fit_weight_exponent(space, system, b, 2.0, seed=9)
+        # per weight the ops run as sparse, cb, bm
+        values, F = seen[0]
+        want = np.column_stack(
+            [oracles.sparse_operator(space, system.all_cubes(), F[:, j]) for j in range(F.shape[1])]
+        )
+        np.testing.assert_allclose(values, want, rtol=1e-12, atol=1e-15)
+        assert all(v is values for v, _ in seen[::3])
 
     def test_memoized_probe_images_are_bit_identical(self):
         space, system, b = self._setup64()
