@@ -67,6 +67,7 @@ from .sparse import (
     save_certificate,
 )
 from .verify import (
+    _eq_entry,
     fit_weight_exponent,
     verify_bloom_jn,
     verify_duality_chain,
@@ -395,30 +396,22 @@ def _check_exponent(ctx: _ScenarioContext) -> List[ReportRow]:
     rows = []
     for op in ("sparse", "cb", "bm"):
         info = fit["ops"][op]
-        if info["status"] == "ok":
-            rows.append(
-                ReportRow(
-                    sc.scenario,
-                    f"exponent.{op}_slope",
-                    "fit",
-                    info["slope"],
-                    fit["cap"],
-                    info["passed"],
-                    witness=f"stderr={info['stderr']:.3g} points={info['points']}",
-                )
+        fitted = info["status"] == "ok"
+        rows.append(
+            ReportRow(
+                sc.scenario,
+                f"exponent.{op}_slope",
+                "fit",
+                info["slope"] if fitted else (0.0 if info["passed"] else math.inf),
+                fit["cap"],
+                info["passed"],
+                witness=(
+                    f"stderr={info['stderr']:.3g} points={info['points']}"
+                    if fitted
+                    else info["status"]
+                ),
             )
-        else:
-            rows.append(
-                ReportRow(
-                    sc.scenario,
-                    f"exponent.{op}_slope",
-                    "fit",
-                    0.0 if info["passed"] else math.inf,
-                    fit["cap"],
-                    info["passed"],
-                    witness=info["status"],
-                )
-            )
+        )
     rows.append(
         _deficit_row(
             sc.scenario,
@@ -462,19 +455,19 @@ def _check_identities(ctx: _ScenarioContext) -> List[ReportRow]:
     tol = sc.tol("exact", 1e-12)
 
     Auv = sparse_operator(space, cubes, np.stack([u, v], axis=1)).values
-    lhs = float((Auv[:, 0] * v * m).sum())
-    rhs = float((u * Auv[:, 1] * m).sum())
-    dev = abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
-    rows.append(
-        ReportRow(sc.scenario, "identities.sparse_self_adjoint", "exact", dev, tol, dev <= tol)
+    self_adjoint = _eq_entry(
+        "identities.sparse_self_adjoint",
+        float((Auv[:, 0] * v * m).sum()),
+        float((u * Auv[:, 1] * m).sum()),
+        tol,
     )
-
-    lhs = float((sparse_commutator(space, cubes, ctx.b, u).values * v * m).sum())
-    rhs = float((u * sparse_commutator_adjoint(space, cubes, ctx.b, v).values * m).sum())
-    dev = abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
-    rows.append(
-        ReportRow(sc.scenario, "identities.commutator_pairing", "exact", dev, tol, dev <= tol)
+    pairing = _eq_entry(
+        "identities.commutator_pairing",
+        float((sparse_commutator(space, cubes, ctx.b, u).values * v * m).sum()),
+        float((u * sparse_commutator_adjoint(space, cubes, ctx.b, v).values * m).sum()),
+        tol,
     )
+    rows += [row_from_entry(sc.scenario, e) for e in (self_adjoint, pairing)]
     return rows
 
 

@@ -243,11 +243,14 @@ def maximal_commutator(space: QuasiMetricSpace, b: np.ndarray, f: np.ndarray) ->
 
 
 def commutator_bM(space: QuasiMetricSpace, b: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """[b, M]f = b * Mf - M(bf) (signed values)."""
-    b = np.asarray(b, dtype=np.float64)
+    """[b, M]f = b * Mf - M(bf) (signed values); f is (n,) or (n, k)
+    with one function per column, all through one maximal function."""
+    b = np.asarray(b, dtype=np.float64)[:, None]
     f = np.asarray(f, dtype=np.float64)
-    both = maximal_function(space, np.stack([f, b * f], axis=1)).values
-    return b * both[:, 0] - both[:, 1]
+    cols = f.reshape(len(f), -1)
+    k = cols.shape[1]
+    both = maximal_function(space, np.concatenate([cols, b * cols], axis=1)).values
+    return (b * both[:, :k] - both[:, k:]).reshape(f.shape)
 
 
 # -- local grand maximal -----------------------------------------------------
@@ -559,7 +562,7 @@ def probe_images(
     holding the same values, so argmax witnesses keep their labels.
     Point masses use the closed forms through the smallest ball holding
     both points; other columns go through one ``CommutatorKernel`` and,
-    for [b, M] = b Mf - M(bf), block maximal functions."""
+    for [b, M], one ``commutator_bM`` call."""
     if probes < 1:
         raise ValueError("probes must be >= 1")
     b = np.asarray(b, dtype=np.float64)
@@ -581,9 +584,7 @@ def probe_images(
     kernel = CommutatorKernel(space, b)
     for j in rest:
         cb[:, j] = kernel.apply(F[:, first[j]]).values
-    G = F[:, first[rest]]
-    both = maximal_function(space, np.concatenate([G, b[:, None] * G], axis=1)).values
-    bm[:, rest] = b[:, None] * both[:, : len(rest)] - both[:, len(rest) :]
+    bm[:, rest] = commutator_bM(space, b, F[:, first[rest]])
     # take keeps the images C-ordered, so column sums over them add
     # row by row exactly as over the probe matrix
     cb, bm = (np.take(a, inverse.reshape(-1), axis=1) for a in (cb, bm))

@@ -585,14 +585,9 @@ def oscillation_domination(
         processed.add(key)
         dev = np.abs(b - space.average(b, cube.members))
         threshold = 2.0 * space.average(dev, cube.members)
-        selected: List[DyadicCube] = []
-        stack = list(cube.children)
-        while stack:
-            child = stack.pop()
-            if space.average(dev, child.members) > threshold:
-                selected.append(child)
-            else:
-                stack.extend(child.children)
+        # the root's own average is threshold/2, so it is never selected;
+        # a zero threshold means b is constant on Q and nothing stops
+        selected = cz_select(system, dev, threshold, root=cube) if threshold > 0 else []
         keep = np.ones(space.n, dtype=bool)
         for child in selected:
             keep[child.members] = False

@@ -9,6 +9,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from shtlab import QuasiMetricSpace
+
+
+def tied_quasi_grid(side: int = 5, seed: int = 9) -> QuasiMetricSpace:
+    """L1 grid distances to the power 1.5: a quasi-metric full of
+    distance ties, with lognormal masses."""
+    pts = np.array([(i, j) for i in range(side) for j in range(side)], dtype=float)
+    dist = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=-1) ** 1.5
+    return QuasiMetricSpace(dist, np.random.default_rng(seed).lognormal(0.0, 1.0, len(pts)))
+
 
 def ball_members(space, center: int, radius: float) -> np.ndarray:
     """Open ball by definition: strict inequality."""
@@ -265,3 +275,102 @@ def cz_select(system, g: np.ndarray, height: float, root=None) -> List:
 
 def weighted_lp_norm(space, f: np.ndarray, w: np.ndarray, p: float) -> float:
     return float(np.sum(np.abs(f) ** p * w * space.mass) ** (1.0 / p))
+
+
+def oscillation_stopping_time(system, base: Sequence, b: np.ndarray):
+    """The mean-oscillation stopping time by definition: from the base
+    cubes (coarse to fine), each cube Q adds the maximal strict subcubes
+    P with avg_P |b - b_Q| > 2 Omega(b, Q), and the added cubes recurse.
+    Returns (family keys in (k, alpha) order, witness sets E_Q = Q minus
+    the cubes Q selected, c_emp) with c_emp the least c such that
+    |b(x) - b_Q| <= c * (oscillation sum over the family inside Q) at
+    every x of every family cube Q (0/0 counts as 0)."""
+    space = system.space
+    m = space.mass
+    family = {(c.k, c.alpha): c for c in base}
+    queue = sorted(family)
+    witness = {}
+    while queue:
+        key = queue.pop(0)
+        if key in witness:
+            continue
+        cube = family[key]
+        mem = cube.members
+        b_q = float(np.sum(b[mem] * m[mem])) / space.measure(mem)
+        dev = np.abs(b - b_q)
+        omega = float(np.sum(dev[mem] * m[mem])) / space.measure(mem)
+        # Q's own average of dev is omega < 2 omega, so Q never stops
+        chosen = cz_select(system, dev, 2.0 * omega, root=cube) if omega > 0 else []
+        taken = set()
+        for child in chosen:
+            family.setdefault((child.k, child.alpha), child)
+            queue.append((child.k, child.alpha))
+            taken |= set(child.members.tolist())
+        witness[key] = np.array([x for x in mem if x not in taken], dtype=np.int64)
+    keys = sorted(family)
+    cubes = [family[k] for k in keys]
+    sums = oscillation_sums(space, cubes, b)
+    c_emp = 0.0
+    for cube, total in zip(cubes, sums):
+        mem = cube.members
+        b_q = float(np.sum(b[mem] * m[mem])) / space.measure(mem)
+        for x in mem:
+            if abs(b[x] - b_q) > 0:
+                c_emp = max(c_emp, abs(b[x] - b_q) / total[x])
+    return keys, witness, c_emp
+
+
+def lower_testing_chain(space, b, lam1, lam2, p: float, labels, cb, est: float) -> Dict[str, float]:
+    """The testing steps of the lower-bound chain, ball by ball.  Per
+    probed canonical ball B (label ``ball:<id>``) with testing image
+    C = C_b(chi_B) in its column of cb:
+
+      defn_minorant   int_B |b(x) - b(y)| dmu(x) <= mu(B) C(y), y in B
+      holder_on_ball  int_B C lam2 <= ||C 1_B||_{p,lam2} lam2(B)^{1/p'}
+      restriction     ||C 1_B||_{p,lam2} <= ||C||_{p,lam2}
+      testing_probe   ||C||_{p,lam2} <= est lam1(B)^{1/p}
+
+    each step's value is its worst overshoot over the balls, a ball's
+    overshoot normalized by max(1, |lhs|, |rhs|) over that ball; and
+    c_test is the largest (int_B C lam2 / nu(B)) divided by
+    est lam1(B)^{1/p} mu(B) / (nu(B) lam2(B)^{1/p}).
+    """
+    m = space.mass
+    pprime = p / (p - 1.0)
+    nu = lam1 ** (1.0 / p) * lam2 ** (-1.0 / p)
+    balls = space.canonical_balls()
+    worst = {
+        "lower.defn_minorant": 0.0,
+        "lower.holder_on_ball": 0.0,
+        "lower.restriction": 0.0,
+        "lower.testing_probe": 0.0,
+    }
+    c_test = 0.0
+    for j, lab in enumerate(labels):
+        if not lab.startswith("ball:"):
+            continue
+        mem = balls[int(lab[5:])].members
+        col = cb[:, j]
+        mu = space.measure(mem)
+        lam1B = float(np.sum(lam1[mem] * m[mem]))
+        lam2B = float(np.sum(lam2[mem] * m[mem]))
+        nuB = float(np.sum(nu[mem] * m[mem]))
+        tb = (np.abs(b[mem][:, None] - b[None, mem]) * m[mem][:, None]).sum(axis=0)
+        ball_int = float(np.sum(col[mem] * lam2[mem] * m[mem]))
+        ball_p = float(np.sum(col[mem] ** p * lam2[mem] * m[mem])) ** (1.0 / p)
+        full_p = weighted_lp_norm(space, col, lam2, p)
+        steps = {
+            "lower.defn_minorant": (tb, mu * col[mem]),
+            "lower.holder_on_ball": (ball_int, ball_p * lam2B ** (1.0 / pprime)),
+            "lower.restriction": (ball_p, full_p),
+            "lower.testing_probe": (full_p, est * lam1B ** (1.0 / p)),
+        }
+        for name, (lhs, rhs) in steps.items():
+            lhs, rhs = np.atleast_1d(lhs), np.atleast_1d(rhs)
+            gap = max(0.0, float((lhs - rhs).max()))
+            scale = max(1.0, float(np.abs(lhs).max()), float(np.abs(rhs).max()))
+            worst[name] = max(worst[name], gap / scale)
+        denom = est * lam1B ** (1.0 / p) * mu / (nuB * lam2B ** (1.0 / p))
+        if denom > 0:
+            c_test = max(c_test, (ball_int / nuB) / denom)
+    return {**worst, "c_test": c_test}

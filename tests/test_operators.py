@@ -171,7 +171,7 @@ class TestCommutatorKernel:
     def test_blocks_match_one_pass_on_a_tied_grid(self, monkeypatch, block):
         # lognormal masses and a quasi-metric full of distance ties give
         # many balls sharing a member set and many ties in the sup
-        sp = _tied_quasi_grid(5)
+        sp = oracles.tied_quasi_grid(5)
         rng = np.random.default_rng(33)
         bs = [rng.lognormal(0.0, 1.0, sp.n), np.round(3.0 * rng.random(sp.n))]
         fs = [rng.lognormal(0.0, 1.0, sp.n), np.round(2.0 * rng.random(sp.n))]
@@ -379,7 +379,7 @@ class TestSparseOperators:
 def _family_spaces():
     """line16, tree15 and a lognormal-mass tied grid, each with its
     dyadic system."""
-    for sp in (build_space("line", 16), build_space("tree", 15), _tied_quasi_grid(4)):
+    for sp in (build_space("line", 16), build_space("tree", 15), oracles.tied_quasi_grid(4)):
         yield sp, build_dyadic_system(sp, 0.5)
 
 
@@ -580,14 +580,6 @@ class TestProbeImages:
             probe_images(build_space("line", 8), np.ones(8), probes=0)
 
 
-def _tied_quasi_grid(side=5, seed=9):
-    """L1 grid distances to the power 1.5: a quasi-metric full of
-    distance ties, with lognormal masses."""
-    pts = np.array([(i, j) for i in range(side) for j in range(side)], dtype=float)
-    dist = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=-1) ** 1.5
-    return QuasiMetricSpace(dist, np.random.default_rng(seed).lognormal(0.0, 1.0, len(pts)))
-
-
 def _twin_sub_balls(sp, sub_ids):
     """Number of sub-balls sharing both their member set and their
     4 A0 enlargement with a lower sub-ball."""
@@ -616,7 +608,7 @@ class TestGrandMaximalOracle:
         "kind,n", [("line", 48), ("sqline", 32), ("tree", 31), ("grid2d", 6), ("ties", 5)]
     )
     def test_matches_brute_force_on_full_and_partial_regions(self, kind, n):
-        sp = _tied_quasi_grid(n) if kind == "ties" else build_space(kind, n)
+        sp = oracles.tied_quasi_grid(n) if kind == "ties" else build_space(kind, n)
         rng = np.random.default_rng(29)
         f = rng.lognormal(0.0, 1.0, sp.n)
         g = rng.standard_normal(sp.n)

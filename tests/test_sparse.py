@@ -204,6 +204,27 @@ class TestOscillationDomination:
                 else:
                     assert num <= res["c_emp"] * denom * (1.0 + 1e-9)
 
+    @pytest.mark.parametrize("kind,n", [("line", 32), ("tree", 31)])
+    def test_family_witnesses_and_constant_match_brute_force(self, kind, n):
+        space = build_space(kind, n)
+        system = build_dyadic_system(space, 0.5, seed=3)
+        b = np.exp(2.0 * np.random.default_rng(0).standard_normal(n))
+        # b is constant on the largest second-level cube, so its stopping
+        # time has a zero threshold and selects nothing
+        flat = max(system.cubes[system.levels[1]], key=lambda c: len(c.members))
+        b[flat.members] = 2.0
+        base = [system.cubes[system.levels[0]][0], flat]
+        res = oscillation_domination(system, base, b)
+        keys, witness, c_emp = oracles.oscillation_stopping_time(system, base, b)
+        fam = res["S_tilde"]
+        assert len(flat.members) > 1 and len(keys) > len(base)
+        assert [_key(c) for c in fam.cubes] == keys
+        assert set(fam.witness) == set(witness)
+        for key, members in witness.items():
+            assert np.array_equal(fam.witness[key], members)
+        assert np.array_equal(fam.witness[_key(flat)], flat.members)
+        assert res["c_emp"] == pytest.approx(c_emp, rel=1e-12)
+
 
 def _seeded_certificate(n, seed, t_count=3):
     space = build_space("line", n)

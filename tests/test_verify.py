@@ -184,6 +184,24 @@ LOWER_ENTRY_NAMES = [
     "lower.aux_reverse_holder",
 ]
 
+TESTING_STEPS = [
+    "lower.defn_minorant",
+    "lower.holder_on_ball",
+    "lower.restriction",
+    "lower.testing_probe",
+]
+
+
+def _testing_setup(kind, n):
+    space = oracles.tied_quasi_grid(n) if kind == "ties" else build_space(kind, n)
+    rng = np.random.default_rng(space.n)
+    # a large symbol lifts the balls' scales above 1, so each ball's
+    # overshoot is normalized by its own scale and the runs matter
+    b = 40.0 * np.exp(0.5 * rng.standard_normal(space.n))
+    lam1 = np.exp(0.3 * rng.standard_normal(space.n))
+    lam2 = np.exp(0.3 * rng.standard_normal(space.n))
+    return space, b, lam1, lam2
+
 
 class TestLowerBound:
     def test_pair_unit_weights_exact(self):
@@ -216,6 +234,38 @@ class TestLowerBound:
         assert rep["aux_max"] <= rep["aux_bound"] * (1.0 + 1e-9)
         assert rep["probed_balls"] >= 1
         assert "lower-bounds the true norm" in rep["note"]
+
+    @pytest.mark.parametrize("ball_cap", [None, 60])
+    @pytest.mark.parametrize("kind,n", [("line", 48), ("tree", 31), ("grid2d", 6), ("ties", 5)])
+    def test_testing_chain_matches_the_per_ball_oracle(self, kind, n, ball_cap):
+        space, b, lam1, lam2 = _testing_setup(kind, n)
+        rep = verify_lower_bound(space, b, lam1, lam2, 1.5, probes=4, seed=5, ball_cap=ball_cap)
+        _, labels, cb, _ = probe_images(space, b, 4, 5, ball_cap)
+        want = oracles.lower_testing_chain(space, b, lam1, lam2, 1.5, labels, cb, rep["estimate"])
+        got = {e["check"]: e["value"] for e in rep["entries"]}
+        for name in TESTING_STEPS:
+            assert got[name] == pytest.approx(want[name], rel=1e-12, abs=1e-15)
+        assert rep["c_test"] == pytest.approx(want["c_test"], rel=1e-12)
+        assert rep["probed_balls"] == sum(lab.startswith("ball:") for lab in labels)
+
+    def test_a_halved_testing_column_fails_with_the_oracle_value(self, monkeypatch):
+        space, b, lam1, lam2 = _testing_setup("line", 48)
+        t = space.ball_table()
+        target = int(t.start[24] + np.argmax(t.count[t.start[24] : t.start[25]] >= 16))
+
+        def halved(*args):
+            F, labels, cb, bm = probe_images(*args)
+            cb = cb.copy()
+            cb[:, labels.index(f"ball:{target}")] *= 0.5
+            return F, labels, cb, bm
+
+        monkeypatch.setattr(verify, "probe_images", halved)
+        rep = verify_lower_bound(space, b, lam1, lam2, 2.0, probes=4, seed=5)
+        _, labels, cb, _ = halved(space, b, 4, 5, None)
+        want = oracles.lower_testing_chain(space, b, lam1, lam2, 2.0, labels, cb, rep["estimate"])
+        entry = next(e for e in rep["entries"] if e["check"] == "lower.defn_minorant")
+        assert not entry["passed"] and entry["value"] > 1e-3
+        assert entry["value"] == pytest.approx(want["lower.defn_minorant"], rel=1e-12)
 
 
 class TestBloomJn:
