@@ -30,10 +30,13 @@ order).  Two exact reorganizations keep desk-scale evaluation fast:
 * Scratch stays O(balls x n) whatever the column or sub-ball count.
   M takes its columns in blocks of at most n/2.  The local grand
   maximal collapses sub-balls sharing member set and 4 A0 enlargement
-  (twins have the same inner value), streams the distinct ones in
-  blocks of n, shares each block's "B' misses B" mask across the
-  functions and takes one outer sup for all of them
-  (``region_grand_maximal``).
+  (twins have the same inner value).  Its cut sums depend only on the
+  enlargement E, and the balls meeting a sub-ball B form a suffix of
+  each center's list, so it takes one ``ball_sums`` per distinct E, a
+  suffix max of the cut averages along each center's list, and per
+  class of B the max of n table entries, one per center.  Enlargements
+  go in blocks, the functions share each block's ``ball_sums`` call,
+  and one outer sup serves them all (``region_grand_maximal``).
 * The sparse forms A_S, T_{S,b} and T*_{S,b} run on one flat index of
   the cube family (concatenated member ids, each id's cube, each
   cube's measure): per-cube sums are one ``np.add.reduceat`` and
@@ -282,12 +285,21 @@ def region_grand_maximal(
     outer sub-ball id, -1 off the region), and the sub-ball id list.
 
     Sub-balls sharing their member set and their enlargement have the
-    same inner value, so each such class is evaluated once, in blocks
-    of at most n classes: scratch stays O(balls x n) whatever the
-    number of sub-balls.
+    same inner value, so each such class is evaluated once.  The cut
+    averages (the mass of |f| on B' inside trunc minus the enlargement
+    E, over mu(B')) depend on a class only through E, and the balls at
+    a center c' meeting B are the suffix of c''s list from the smallest
+    one meeting B.  So the cut sums are taken once per distinct
+    enlargement, their suffix max along each center's list goes in a
+    (slots x centers) table, and each class reads n entries of it, one
+    per center.  Enlargements go in blocks whose cut sums and table
+    each stay within (balls x n) floats, so scratch stays O(balls x n)
+    whatever the number of sub-balls.
     """
     t = space.ball_table()
     n = space.n
+    nb = len(t.center)
+    k = len(fs)
     sub_ids = _sub_balls(space, np.asarray(region, dtype=np.int64))
     trunc_ind = np.zeros(n, dtype=np.float64)
     trunc_ind[np.asarray(trunc, dtype=np.int64)] = 1.0
@@ -302,28 +314,55 @@ def region_grand_maximal(
     # one class per distinct row; rep holds its lowest sub-ball
     rep, twin = _distinct_rows(packed)
 
-    # B' meets B exactly when B's first position in the order of B''s
-    # center comes before count(B'); first[c, j] is that position for
-    # class j, a running min of ranks along the class's own order
+    # the balls at c meeting B are those from slot meet[c, j] on, the
+    # slot of the smallest ball at c holding a member of class j: the
+    # least such slot over B's members, a running min along the class's
+    # own order
     ids = sub_ids[rep]
-    first = np.empty((n, len(ids)), dtype=np.int64)
+    ball_slot = (t.ptr - t.start[None, :-1]).T  # (c, x): slot of the smallest ball at c holding x
+    meet = np.empty((n, len(ids)), dtype=np.int64)
     for c in np.unique(t.center[ids]):
         cols = np.flatnonzero(t.center[ids] == c)
-        reach = np.minimum.accumulate(t.rank[:, t.order[c]], axis=1)
-        first[:, cols] = reach[:, t.count[ids[cols]] - 1]
-    m_b = np.empty((len(ids), len(fs)))  # best over B' per class
-    for j in range(0, len(ids), n):
-        misses = first[t.center, j : j + n] >= t.count[:, None]
-        cut = enlarged[rep[j : j + n]].T
-        for i in range(len(fs)):
-            # per (space ball, class): mass of |f| inside trunc minus the enlargement
-            v = space.ball_sums(cut * w_t[:, i, None])
-            np.subtract(s_full[:, i, None], v, out=v)
-            v /= t.measure[:, None]
-            v[misses] = -np.inf
-            m_b[j : j + n, i] = np.maximum(v.max(axis=0), 0.0)
+        reach = np.minimum.accumulate(ball_slot[:, t.order[c]], axis=1)
+        meet[:, cols] = reach[:, t.count[ids[cols]] - 1]
+    every = np.arange(n)[:, None]
+    cut_rep, cut_of = _distinct_rows(np.packbits(enlarged[rep], axis=1))
+    by_cut = np.argsort(cut_of, kind="stable")
+    sorted_cut = cut_of[by_cut]
+    slot = np.arange(nb) - t.start[t.center]
+    width = int(slot.max()) + 1
+    # the (balls x columns) cut sums and the (slots x centers x columns)
+    # table each stay within (balls x n) floats
+    step = max(1, min(nb // width, n) // k)
+    # slots past a center's last ball stay -inf from block to block
+    table = np.full((width, n, step * k), -np.inf)
+    m_b = np.empty((len(ids), k))  # best over B' per class
+    for e0 in range(0, len(cut_rep), step):
+        e1 = min(len(cut_rep), e0 + step)
+        cut = enlarged[rep[cut_rep[e0:e1]]].T
+        # per (space ball, function, enlargement): mass of |f| inside
+        # trunc minus the enlargement, over the ball's measure
+        v = space.ball_sums((w_t[:, :, None] * cut[:, None, :]).reshape(n, -1))
+        v = v.reshape(nb, k, e1 - e0)
+        np.subtract(s_full[:, :, None], v, out=v)
+        v /= t.measure[:, None, None]
+        suf = table[:, :, : k * (e1 - e0)]
+        suf[slot, t.center] = v.reshape(nb, -1)
+        del v
+        # suffix max along each center's list, one slot at a time: whole
+        # (centers x columns) planes vectorize where an accumulate along
+        # the slot axis does not
+        for s in range(width - 2, -1, -1):
+            np.maximum(suf[s], suf[s + 1], out=suf[s])
+        lo, hi = np.searchsorted(sorted_cut, [e0, e1])
+        cls = by_cut[lo:hi]
+        col = cut_of[cls] - e0
+        for i in range(k):
+            m_b[cls, i] = suf[meet[:, cls], every, i * (e1 - e0) + col].max(axis=0)
+    del table
+    np.maximum(m_b, 0.0, out=m_b)
     # outer sup over sub-balls containing x, ties to the lowest ball id
-    per_ball = np.full((len(t.center), len(fs)), -np.inf)
+    per_ball = np.full((nb, k), -np.inf)
     per_ball[sub_ids] = m_b[twin]
     best, arg = _sup_over_balls(space, per_ball)
     on = best > -np.inf
@@ -383,10 +422,11 @@ def weak_type_11_constant(space: QuasiMetricSpace, probes: int = 100, seed: int 
     if key in space._cache:
         return space._cache[key]  # type: ignore[return-value]
     rng = np.random.default_rng(seed)
-    F = np.concatenate(
-        [np.eye(space.n), rng.lognormal(0.0, 1.0, size=(space.n, probes))], axis=1
-    )
-    MF = maximal_function(space, F).values
+    R = rng.lognormal(0.0, 1.0, size=(space.n, probes))
+    F = np.concatenate([np.eye(space.n), R], axis=1)
+    # M 1_i(x) = m_i / mu, mu the smallest ball measure holding x and i
+    point = space.mass[None, :] / _pair_min_ball_measure(space)
+    MF = np.concatenate([point, maximal_function(space, R).values], axis=1)
     best = 0.0
     l1 = np.abs(F).T @ space.mass
     for j in range(F.shape[1]):
@@ -570,7 +610,7 @@ def probe_images(
     if key in space._cache:
         return space._cache[key]  # type: ignore[return-value]
     F, labels = build_probes(space, probes, seed, ball_cap)
-    _, first, inverse = np.unique(F, axis=1, return_index=True, return_inverse=True)
+    first, inverse = _distinct_rows(np.ascontiguousarray(F.T).view(np.uint8))
     m = space.mass
     cb = np.empty((space.n, len(first)))
     bm = np.empty_like(cb)
@@ -587,7 +627,7 @@ def probe_images(
     bm[:, rest] = commutator_bM(space, b, F[:, first[rest]])
     # take keeps the images C-ordered, so column sums over them add
     # row by row exactly as over the probe matrix
-    cb, bm = (np.take(a, inverse.reshape(-1), axis=1) for a in (cb, bm))
+    cb, bm = (np.take(a, inverse, axis=1) for a in (cb, bm))
     for arr in (F, cb, bm):
         arr.flags.writeable = False
     space._cache[key] = (F, tuple(labels), cb, bm)

@@ -115,6 +115,22 @@ class TestMaximalFunction:
         c = weak_type_11_constant(sp)
         assert math.isfinite(c) and c >= 1.0 - 1e-12
 
+    @pytest.mark.parametrize("kind", ["line48", "ties"])
+    def test_weak_type_constant_matches_all_columns_through_m(self, kind):
+        # the point-mass columns take M's closed form; the constant is
+        # the one every column through maximal_function gives, bit for bit
+        sp = oracles.tied_quasi_grid() if kind == "ties" else build_space("line", 48)
+        rng = np.random.default_rng(0)
+        F = np.concatenate([np.eye(sp.n), rng.lognormal(0.0, 1.0, (sp.n, 100))], axis=1)
+        MF = maximal_function(sp, F).values
+        l1 = np.abs(F).T @ sp.mass
+        want = 0.0
+        for j in range(F.shape[1]):
+            order = np.argsort(MF[:, j])
+            tail = np.cumsum(sp.mass[order][::-1])[::-1]
+            want = max(want, float((MF[order, j] * tail).max()) / float(l1[j]))
+        assert weak_type_11_constant(sp) == want
+
 
 class TestCommutatorKernel:
     def test_constant_symbol_zero(self):
@@ -619,6 +635,25 @@ class TestGrandMaximalOracle:
         scattered = np.sort(rng.choice(sp.n, sp.n // 2, replace=False))
         for region, trunc in ((full, full), (b0.members, enlarged), (scattered, full)):
             self._check(sp, region, trunc, [f, g])
+
+    def test_classes_sharing_an_enlargement_match_brute_force(self, monkeypatch):
+        sp = build_space("line", 48)
+        t = sp.ball_table()
+        inside = t.rank[t.center] < t.count[:, None]
+        enlarged = sp.dist[t.center] < 4.0 * sp.a0 * t.radius[:, None]
+        classes = np.unique(np.concatenate([inside, enlarged], axis=1), axis=0)
+        # every ball lies in the full region; far fewer enlargements than classes
+        assert (len(classes), len(np.unique(classes[:, sp.n :], axis=0))) == (1017, 280)
+        calls = []
+        ball_sums = sp.ball_sums
+        monkeypatch.setattr(sp, "ball_sums", lambda v: calls.append(v.shape) or ball_sums(v))
+        rng = np.random.default_rng(33)
+        f = rng.lognormal(0.0, 1.0, sp.n)
+        g = np.where(rng.random(sp.n) < 0.3, 0.0, rng.standard_normal(sp.n))
+        full = np.arange(sp.n)
+        self._check(sp, full, full, [f, g])
+        # one call for the full sums, then one per block of enlargements
+        assert len(calls) > 2
 
     def test_twin_sub_balls_match_brute_force(self):
         sp = build_space("tree", 31)
