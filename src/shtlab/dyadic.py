@@ -21,7 +21,10 @@ systems is out of reach (it needs delta below 1/(96 A0^6)), so
 ``build_adjacent_systems`` generates a seeded pool of candidate
 systems with varied net seeds and net pitches and keeps the t_count of
 them that jointly capture the most canonical balls.  Capture is then
-certified ball-by-ball and failures are reported as data.
+certified ball-by-ball and failures are reported as data.  The
+geometric doubling count a1 behind the family-size bound runs every
+canonical ball's separated-point greedy in one sweep of the points,
+on a boolean (balls x n) table taken in bounded blocks.
 
 Sandwich constants are measured, not the continuum ones.  c1 is the
 worst ratio (largest ball around the center still inside the cube) /
@@ -419,23 +422,39 @@ class AdjacentSystems:
     report: Dict[str, object]
 
 
+# (balls x n) entries per block of ``geometric_doubling``'s open table
+DOUBLING_BLOCK = 1 << 21
+
+
 def geometric_doubling(space: QuasiMetricSpace, delta: float) -> int:
     """Greedy count of (delta * r)-separated points inside canonical
     balls of radius r; a lower bound for the doubling number, reported
-    alongside the adjacent-family size bound."""
+    alongside the adjacent-family size bound.
+
+    Every ball runs the same greedy (its points in id order, each kept
+    while at least delta * r from the points kept before), all in one
+    sweep of the points: n steps, not one per (center, point) pair.
+    ``open[B, y]`` says y is in B and still that far from every point
+    B has kept, so the balls keeping x are the open rows of column x,
+    which then close every y nearer x than their delta * r.  The balls
+    go in blocks of at most ``DOUBLING_BLOCK`` table entries, so the
+    scratch is one bool table of at most min(balls x n, DOUBLING_BLOCK)
+    bytes plus the int64 rank gather that builds it."""
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must lie in (0, 1)")
     t = space.ball_table()
+    n = space.n
     best = 1
-    for c in range(space.n):
-        ids = slice(t.start[c], t.start[c + 1])
-        count, sep = t.count[ids], delta * t.radius[ids]
-        # the greedy of every ball at c at once: in id order, each ball
-        # holding x keeps it while x is still sep away from its kept points
-        mind = np.full((len(count), space.n), np.inf)
-        kept = np.zeros(len(count), dtype=np.int64)
-        for x in range(space.n):
-            rows = np.flatnonzero((t.rank[c, x] < count) & (mind[:, x] >= sep))
+    step = max(1, DOUBLING_BLOCK // n)
+    for b0 in range(0, len(t.center), step):
+        ids = slice(b0, b0 + step)
+        open_ = t.rank[t.center[ids]] < t.count[ids, None]
+        sep = delta * t.radius[ids, None]
+        kept = np.zeros(len(open_), dtype=np.int64)
+        for x in range(n):
+            rows = np.flatnonzero(open_[:, x])
             kept[rows] += 1
-            mind[rows] = np.minimum(mind[rows], space.dist[x])
+            open_[rows] &= space.dist[x] >= sep[rows]
         best = max(best, int(kept.max()))
     return best
 
@@ -465,11 +484,14 @@ def _capture_mask(
     first label change along that order comes at or after its count."""
     t = space.ball_table()
     lo, hi = system.levels[0], system.levels[-1]
-    first_change = np.zeros((hi - lo + 1, space.n), dtype=np.int64)
+    n = space.n
+    first_change = np.zeros((hi - lo + 1, n), dtype=np.int64)
     for k in system.levels:
         lab = system.labels[k][t.order]  # type: ignore[index]
-        # leading run of the center's own label (order[c, 0] is c itself)
-        first_change[k - lo] = np.cumprod(lab == lab[:, :1], axis=1).sum(axis=1)
+        # end of the leading run of the center's own label (order[c, 0]
+        # is c itself): the first False, or n when there is none
+        eq = lab == lab[:, :1]
+        first_change[k - lo] = np.where(eq.all(axis=1), n, np.argmin(eq, axis=1))
     return first_change[np.clip(levels, lo, hi) - lo, t.center] >= t.count
 
 

@@ -20,6 +20,15 @@ def tied_quasi_grid(side: int = 5, seed: int = 9) -> QuasiMetricSpace:
     return QuasiMetricSpace(dist, np.random.default_rng(seed).lognormal(0.0, 1.0, len(pts)))
 
 
+def lognormal_plane(n: int = 20, seed: int = 5) -> QuasiMetricSpace:
+    """Euclidean distances between uniform random points of the unit
+    square, with lognormal masses."""
+    rng = np.random.default_rng(seed)
+    pts = rng.random((n, 2))
+    dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1))
+    return QuasiMetricSpace(dist, rng.lognormal(0.0, 1.0, n))
+
+
 def ball_members(space, center: int, radius: float) -> np.ndarray:
     """Open ball by definition: strict inequality."""
     return np.array(

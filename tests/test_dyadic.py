@@ -1,11 +1,13 @@
 """Dyadic cube systems: construction, certification, adjacent families."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
+from shtlab import dyadic
 from shtlab import (
     build_adjacent_systems,
     build_dyadic_system,
@@ -268,9 +270,52 @@ class TestAdjacentSystems:
         grid = np.array([(i, j) for i in range(5) for j in range(5)], dtype=float)
         ties = np.abs(grid[:, None, :] - grid[None, :, :]).sum(axis=2) ** 1.5
         spaces.append(QuasiMetricSpace(ties, np.full(25, 1.0 / 25)))
+        # on tree15, 0.4 r and 0.8 r hit integer distances: a point at
+        # exactly the separation is kept
         for sp in spaces:
-            for delta in (0.1, 0.3, 0.5, 0.9):
+            for delta in (0.1, 0.3, 0.4, 0.5, 0.8, 0.9):
                 assert geometric_doubling(sp, delta) == oracles.geometric_doubling(sp, delta)
+
+    @pytest.mark.parametrize("delta", [0.0, -0.5, 1.0, math.nan])
+    def test_geometric_doubling_rejects_delta_outside_unit_interval(self, delta):
+        with pytest.raises(ValueError, match=r"delta must lie in \(0, 1\)"):
+            geometric_doubling(build_space("line", 32), delta)
+
+    @pytest.mark.parametrize("kind", ["line48", "tree31", "ties", "lognormal"])
+    def test_geometric_doubling_blocks_match_the_oracle(self, monkeypatch, kind):
+        sp = {
+            "line48": lambda: build_space("line", 48),
+            "tree31": lambda: build_space("tree", 31),
+            "ties": oracles.tied_quasi_grid,
+            "lognormal": oracles.lognormal_plane,
+        }[kind]()
+        t = sp.ball_table()
+        # one row per block, a block edge one ball into center 1's list,
+        # and every ball in one block
+        assert t.start[2] - t.start[1] > 1
+        for delta in (0.3, 0.5):
+            want = oracles.geometric_doubling(sp, delta)
+            for rows in (1, t.start[1] + 1, len(t.center)):
+                monkeypatch.setattr(dyadic, "DOUBLING_BLOCK", int(rows) * sp.n)
+                assert geometric_doubling(sp, delta) == want
+
+    @pytest.mark.parametrize("rows", [16, 256])
+    def test_geometric_doubling_scratch_follows_the_block_budget(self, monkeypatch, rows):
+        sp = build_space("line", 64)
+        want = geometric_doubling(sp, 0.5)  # the ball table stays out of the traced peak
+        monkeypatch.setattr(dyadic, "DOUBLING_BLOCK", rows * sp.n)
+        tracemalloc.start()
+        try:
+            assert geometric_doubling(sp, 0.5) == want
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the bool table, the int64 rank gather it starts from, and temporaries
+        assert peak < 16 * dyadic.DOUBLING_BLOCK + 16384
+
+    @pytest.mark.parametrize("kind,n,a1", [("line", 256, 4), ("grid2d", 16, 14)])
+    def test_geometric_doubling_on_the_ladder_spaces(self, kind, n, a1):
+        assert geometric_doubling(build_space(kind, n), 0.5) == a1
 
     def test_deterministic(self):
         sp = build_space("sqline", 32)

@@ -28,7 +28,6 @@ from shtlab import (
 )
 from shtlab import operators
 from shtlab.operators import local_split_check
-from shtlab.space import QuasiMetricSpace
 
 SPACES = [("line", 12), ("sqline", 9), ("grid2d", 3), ("tree", 13), ("pair", 2)]
 
@@ -528,19 +527,12 @@ class TestNormsAndProbes:
         assert idx == int(np.argmax(ratios))
 
 
-def _lognormal_plane(n=20, seed=5):
-    rng = np.random.default_rng(seed)
-    pts = rng.random((n, 2))
-    dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1))
-    return QuasiMetricSpace(dist, rng.lognormal(0.0, 1.0, n))
-
-
 class TestProbeImages:
     @pytest.mark.parametrize(
         "kind,n", [("line", 48), ("sqline", 32), ("tree", 31), ("grid2d", 6), ("lognormal", 20)]
     )
     def test_bit_identical_to_per_column_operators(self, kind, n):
-        sp = _lognormal_plane(n) if kind == "lognormal" else build_space(kind, n)
+        sp = oracles.lognormal_plane(n) if kind == "lognormal" else build_space(kind, n)
         rng = np.random.default_rng(23)
         for b in (np.full(sp.n, 1.5), rng.standard_normal(sp.n)):
             F, labels, cb, bm = probe_images(sp, b, 4, 7, 600)
@@ -560,7 +552,7 @@ class TestProbeImages:
                 )
 
     def test_singleton_ball_copies_its_point_column(self):
-        sp = _lognormal_plane()
+        sp = oracles.lognormal_plane()
         b = np.abs(np.random.default_rng(24).standard_normal(sp.n))
         F, labels, cb, bm = probe_images(sp, b, 2, 0, None)
         t = sp.ball_table()
