@@ -507,6 +507,8 @@ _RUNNERS: Dict[str, Callable[[_ScenarioContext], List[ReportRow]]] = {
 
 
 def _resolve_scenarios(args) -> List[ScenarioConfig]:
+    if getattr(args, "seed", None) is not None and args.seed < 0:
+        raise ConfigError("--seed", "must be nonnegative")
     if getattr(args, "config", None):
         scenarios = load_config(args.config)
         if getattr(args, "seed", None) is not None:

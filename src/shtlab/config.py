@@ -11,6 +11,7 @@ generator never shifts another role's stream.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
@@ -20,9 +21,28 @@ import numpy as np
 from .space import MAX_POINTS, QuasiMetricSpace, build_space
 
 SPACE_KINDS = ("line", "sqline", "grid2d", "tree", "pair")
-WEIGHT_KINDS = ("ones", "lognormal", "power")
-SYMBOL_KINDS = ("constant", "abs_lognormal", "log_coord", "abs_wave")
-FUNCTION_KINDS = ("ones", "lognormal", "signed_lognormal", "point", "ball")
+# per generator kind, the parameters its make_* function reads
+_WEIGHT_PARAMS = {"ones": (), "lognormal": ("mu", "sigma"), "power": ("a",)}
+_SYMBOL_PARAMS = {
+    "constant": ("value",),
+    "abs_lognormal": ("sigma",),
+    "log_coord": (),
+    "abs_wave": ("freq",),
+}
+_FUNCTION_PARAMS = {
+    "ones": (),
+    "lognormal": ("sigma",),
+    "signed_lognormal": ("sigma",),
+    "point": ("index",),
+    "ball": ("center", "radius"),
+}
+_INTEGER_PARAMS = ("index", "center")
+_NONNEGATIVE_PARAMS = ("sigma", "value")
+WEIGHT_KINDS = tuple(_WEIGHT_PARAMS)
+SYMBOL_KINDS = tuple(_SYMBOL_PARAMS)
+FUNCTION_KINDS = tuple(_FUNCTION_PARAMS)
+# the names the checks read through ScenarioConfig.tol
+TOLERANCE_NAMES = ("exact", "holder", "ap_duality", "capture_shortfall", "eta_floor")
 CHECK_NAMES = (
     "system",
     "domination",
@@ -112,6 +132,27 @@ _FIELD_TYPES = {
 }
 
 
+def _check_generator(spec: Dict[str, object], params: Dict[str, tuple], path: str) -> None:
+    """A generator spec names a known kind and only that kind's
+    parameters, each a finite number (an integer for point ids)."""
+    kind = spec.get("kind")
+    if kind not in params:
+        raise ConfigError(f"{path}.kind", f"must be one of {tuple(params)}")
+    for key in sorted(set(spec) - {"kind"}):
+        val = spec[key]
+        if key not in params[kind]:
+            raise ConfigError(f"{path}.{key}", f"unknown parameter for kind {kind!r}")
+        # JSON ints are exact, so only floats can be nan or infinite
+        number = isinstance(val, (int, float)) and not isinstance(val, bool)
+        if key in _INTEGER_PARAMS:
+            if not number or isinstance(val, float):
+                raise ConfigError(f"{path}.{key}", "must be an integer")
+        elif not number or (isinstance(val, float) and not math.isfinite(val)):
+            raise ConfigError(f"{path}.{key}", "must be a finite number")
+        if key in _NONNEGATIVE_PARAMS and val < 0:
+            raise ConfigError(f"{path}.{key}", "must be nonnegative")
+
+
 def _parse_scenario(doc: object, path: str) -> ScenarioConfig:
     if not isinstance(doc, dict):
         raise ConfigError(path, "scenario must be an object")
@@ -134,6 +175,10 @@ def _parse_scenario(doc: object, path: str) -> ScenarioConfig:
         raise ConfigError(f"{path}.p", "must exceed 1")
     if not 0.0 < float(merged["delta"]) < 1.0:
         raise ConfigError(f"{path}.delta", "must lie in (0, 1)")
+    if merged["seed"] < 0:
+        raise ConfigError(f"{path}.seed", "must be nonnegative")
+    if merged["ball_cap"] is not None and merged["ball_cap"] < 1:
+        raise ConfigError(f"{path}.ball_cap", "must be null or at least 1")
     if merged["t_count"] < 1:
         raise ConfigError(f"{path}.t_count", "must be at least 1")
     if merged["probes"] < 1:
@@ -148,18 +193,13 @@ def _parse_scenario(doc: object, path: str) -> ScenarioConfig:
         points = n * n if space["kind"] == "grid2d" else n
         if points > MAX_POINTS:
             raise ConfigError(f"{path}.space.n", f"{points} points exceed the cap {MAX_POINTS}")
-    for role, kinds in (
-        ("lambda1", WEIGHT_KINDS),
-        ("lambda2", WEIGHT_KINDS),
-        ("symbol", SYMBOL_KINDS),
-        ("function", FUNCTION_KINDS),
+    for role, params in (
+        ("lambda1", _WEIGHT_PARAMS),
+        ("lambda2", _WEIGHT_PARAMS),
+        ("symbol", _SYMBOL_PARAMS),
+        ("function", _FUNCTION_PARAMS),
     ):
-        kind = merged[role].get("kind")
-        if kind not in kinds:
-            raise ConfigError(f"{path}.{role}.kind", f"must be one of {kinds}")
-    if merged["symbol"].get("kind") == "constant":
-        if float(merged["symbol"].get("value", 1.0)) < 0:
-            raise ConfigError(f"{path}.symbol.value", "must be nonnegative")
+        _check_generator(merged[role], params, f"{path}.{role}")
     p_conj = float(merged["p"]) / (float(merged["p"]) - 1.0)
     for i, r in enumerate(merged["r_values"]):
         if not isinstance(r, (int, float)) or r < 1:
@@ -173,6 +213,8 @@ def _parse_scenario(doc: object, path: str) -> ScenarioConfig:
         if c not in CHECK_NAMES:
             raise ConfigError(f"{path}.checks[{i}]", f"must be one of {CHECK_NAMES}")
     for key, val in merged["tolerances"].items():
+        if key not in TOLERANCE_NAMES:
+            raise ConfigError(f"{path}.tolerances.{key}", f"must be one of {TOLERANCE_NAMES}")
         if not isinstance(val, (int, float)) or val <= 0:
             raise ConfigError(f"{path}.tolerances.{key}", "must be a positive number")
     return ScenarioConfig(**merged)

@@ -339,25 +339,32 @@ def verify_system(system: DyadicSystem, space: QuasiMetricSpace) -> Dict[str, ob
         if not np.all(mk.sum(axis=0) == 1):
             violations.append(("partition", k))
 
+    # containment between every level pair: inter[alpha, beta] counts the
+    # points cube beta of the finer level l shares with cube alpha of k
+    sizes = {k: masks[k].sum(axis=1) for k in levels}
+    children: Dict[int, np.ndarray] = {}  # per k, containment of the next level
     for i, k in enumerate(levels):
         for l in levels[i + 1 :]:
             inter = masks[k].astype(np.int64) @ masks[l].astype(np.int64).T
-            sizes = masks[l].sum(axis=1)
+            contained = inter == sizes[l][None, :]
+            if l == levels[i + 1]:
+                children[k] = contained
             for beta in range(inter.shape[1]):
                 hits = inter[:, beta]
                 for alpha in np.flatnonzero(hits):
-                    if 0 < hits[alpha] < sizes[beta]:
+                    if 0 < hits[alpha] < sizes[l][beta]:
                         violations.append(("nested", l, beta, k, int(alpha)))
-                if int((hits == sizes[beta]).sum()) != 1:
+                if int(contained[:, beta].sum()) != 1:
                     violations.append(("ancestor", l, beta, k))
 
-    # children derived from adjacent-level containment, independent of links
+    # children derived from adjacent-level containment, independent of
+    # links: their centers' separation and the monotone ball check
+    c1, C1 = system.measured_c1, system.measured_C1
     max_children = 0
+    mono_violations: List[Tuple] = []
     for i, k in enumerate(levels[:-1]):
         nxt = levels[i + 1]
-        inter = masks[k].astype(np.int64) @ masks[nxt].astype(np.int64).T
-        sizes = masks[nxt].sum(axis=1)
-        contained = inter == sizes[None, :]
+        contained = children[k]
         if contained.size:
             max_children = max(max_children, int(contained.sum(axis=1).max()))
         sep = delta**nxt * (1.0 - 1e-12)
@@ -371,8 +378,12 @@ def verify_system(system: DyadicSystem, space: QuasiMetricSpace) -> Dict[str, ob
                 off = dd + np.diag(np.full(len(centers), np.inf))
                 if off.min() < sep:
                     violations.append(("separation", k, cube.alpha))
+            ball_parent = space.dist[cube.center] <= C1 * delta**k + 1e-12
+            for beta, center in zip(kids, centers):
+                ball_child = space.dist[center] <= C1 * delta**nxt
+                if np.any(ball_child & ~ball_parent):
+                    mono_violations.append((nxt, int(beta), k, cube.alpha))
 
-    c1, C1 = system.measured_c1, system.measured_C1
     sandwich_ok = True
     for k in levels:
         scale = delta**k
@@ -383,21 +394,6 @@ def verify_system(system: DyadicSystem, space: QuasiMetricSpace) -> Dict[str, ob
             if space.dist[cube.center, cube.members].max() > C1 * scale * (1.0 + 1e-12):
                 sandwich_ok = False
 
-    monotone_ok = True
-    mono_violations: List[Tuple] = []
-    for i, k in enumerate(levels[:-1]):
-        nxt = levels[i + 1]
-        inter = masks[k].astype(np.int64) @ masks[nxt].astype(np.int64).T
-        sizes = masks[nxt].sum(axis=1)
-        for cube in system.cubes[k]:
-            for beta in np.flatnonzero(inter[cube.alpha] == sizes):
-                child = system.cubes[nxt][beta]
-                ball_child = space.dist[child.center] <= C1 * delta**nxt
-                ball_parent = space.dist[cube.center] <= C1 * delta**k + 1e-12
-                if np.any(ball_child & ~ball_parent):
-                    monotone_ok = False
-                    mono_violations.append((nxt, int(beta), k, cube.alpha))
-
     return {
         "c1": c1,
         "C1": C1,
@@ -405,7 +401,7 @@ def verify_system(system: DyadicSystem, space: QuasiMetricSpace) -> Dict[str, ob
         "M": max_children,
         "violations": violations,
         "sandwich_ok": sandwich_ok,
-        "monotone_ok": monotone_ok,
+        "monotone_ok": not mono_violations,
         "monotone_violations": mono_violations,
     }
 

@@ -9,12 +9,13 @@ Every supremum ranges over the canonical ball family, read from the
 space's ball table (each ball is a prefix of its center's distance
 order).  Two exact reorganizations keep desk-scale evaluation fast:
 
-* Balls at a fixed center are nested, so the balls containing a point
-  form a suffix of the center's radius-sorted list.  The maximal
-  function places the ball averages in a (centers x slots) table, takes
-  a suffix maximum along each row with ``np.maximum.accumulate``, reads
-  it at each point's pointer and maxes over centers
-  (``maximal_function``).
+* Balls at a fixed center are nested, so the balls containing a point,
+  or meeting a set, form a suffix of the center's radius-sorted list.
+  One ``_suffix_max`` places per-ball values in a (slots x centers)
+  table and takes the suffix max with one ``np.maximum`` per slot over
+  whole (centers x columns) planes, recording the lowest slot attaining
+  it when asked.  M reads it at each point's pointer and maxes over
+  centers (``maximal_function``); both grand maximal sups use it too.
 * For the maximal commutator the integrand splits around the rank of
   b(x) in the sorted symbol values, so per-ball sums over
   |b(x) - b(y)| |f(y)| are two cumulative sums over the sorted order
@@ -31,12 +32,9 @@ order).  Two exact reorganizations keep desk-scale evaluation fast:
   M takes its columns in blocks of at most n/2.  The local grand
   maximal collapses sub-balls sharing member set and 4 A0 enlargement
   (twins have the same inner value).  Its cut sums depend only on the
-  enlargement E, and the balls meeting a sub-ball B form a suffix of
-  each center's list, so it takes one ``ball_sums`` per distinct E, a
-  suffix max of the cut averages along each center's list, and per
-  class of B the max of n table entries, one per center.  Enlargements
-  go in blocks, the functions share each block's ``ball_sums`` call,
-  and one outer sup serves them all (``region_grand_maximal``).
+  enlargement E, so it takes one ``ball_sums`` and one suffix max per
+  block of distinct E, and per class of B the max of n table entries,
+  one per center (``region_grand_maximal``).
 * The sparse forms A_S, T_{S,b} and T*_{S,b} run on one flat index of
   the cube family (concatenated member ids, each id's cube, each
   cube's measure): per-cube sums are one ``np.add.reduceat`` and
@@ -79,39 +77,61 @@ class OperatorResult:
 # -- maximal function --------------------------------------------------------
 
 
-def _sup_over_balls(space: QuasiMetricSpace, per_ball: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Per point x and column, the max of per_ball over the canonical
-    balls containing x and the lowest ball id attaining it.
+def _ball_slots(space: QuasiMetricSpace) -> Tuple[np.ndarray, int, np.ndarray]:
+    """(slot, width, pslot): each ball's place in its center's
+    radius-sorted list, the longest list, and pslot[x, c], the slot of
+    the smallest ball at c holding x."""
+    t = space.ball_table()
+    slot = np.arange(len(t.center)) - t.start[t.center]
+    return slot, int(slot.max()) + 1, t.ptr - t.start[None, :-1]
 
-    per_ball is (balls, k).  The balls containing x at center c are the
-    suffix of c's list from ptr[x, c] on, so a suffix max along each
-    row of the (centers x slots x k) table, read at the pointers and
-    maxed over centers, gives the sup.  Columns go in blocks so the
-    (n x max(width, n) x columns) scratch stays within (balls x n).
-    """
+
+def _suffix_max(
+    space: QuasiMetricSpace, per_ball: np.ndarray, want_slot: bool = False
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """The suffix max of per_ball (balls, k) along each center's list
+    as a (slots x centers x k) table, -inf past a center's last ball,
+    and with want_slot the lowest slot attaining each entry.  The balls
+    at c holding x are the suffix from pslot[x, c] on, so
+    table[pslot[x, c], c] is their sup."""
+    t = space.ball_table()
+    slot, width, _ = _ball_slots(space)
+    table = np.full((width, space.n, per_ball.shape[1]), -np.inf)
+    table[slot, t.center] = per_ball
+    arg = None
+    if want_slot:
+        arg = np.empty(table.shape, dtype=np.int64)
+        arg[-1] = width - 1
+    for s in range(width - 2, -1, -1):
+        if want_slot:
+            # slot s attains its suffix max unless a later slot beats it
+            arg[s] = np.where(table[s] >= table[s + 1], s, arg[s + 1])
+        np.maximum(table[s], table[s + 1], out=table[s])
+    return table, arg
+
+
+def _sup_over_balls(space: QuasiMetricSpace, per_ball: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Per point x and column, the max of per_ball (balls, k) over the
+    canonical balls containing x and the lowest ball id attaining it.
+    Columns go in blocks so the (max(width, n) x n x columns) scratch
+    stays within (balls x n)."""
     t = space.ball_table()
     n = space.n
     nb, k = per_ball.shape
-    slot = np.arange(nb) - t.start[t.center]
-    width = int(slot.max()) + 1
+    _, width, pslot = _ball_slots(space)
     centers = np.arange(n)[None, :]
-    pslot = t.ptr - t.start[None, :-1]  # (x, c): slot of the smallest ball at c holding x
-    positions = np.arange(width)[None, :, None]
     values = np.empty((n, k))
     witnesses = np.empty((n, k), dtype=np.int64)
     step = max(1, min(k, nb // max(width, n)))
     for j0 in range(0, k, step):
         j1 = min(k, j0 + step)
-        table = np.full((n, width, j1 - j0), -np.inf)
-        table[t.center, slot] = per_ball[:, j0:j1]
-        suf = np.maximum.accumulate(table[:, ::-1], axis=1)[:, ::-1]
-        # the first slot at or after j holding its suffix max is the
-        # earliest, hence lowest-id, argmax of that suffix
-        first = np.where(table == suf, positions, width)
-        arg = np.minimum.accumulate(first[:, ::-1], axis=1)[:, ::-1]
-        cand = suf[centers, pslot]  # (x, c, columns)
+        suf, arg = _suffix_max(space, per_ball[:, j0:j1], want_slot=True)
+        cand = suf[pslot, centers]  # (x, c, columns)
+        del suf
+        ids = arg[pslot, centers]
+        del arg
+        ids += t.start[:-1][None, :, None]
         best = cand.max(axis=1)
-        ids = t.start[:-1][None, :, None] + arg[centers, pslot]
         ids[cand != best[:, None, :]] = np.iinfo(np.int64).max
         values[:, j0:j1] = best
         witnesses[:, j0:j1] = ids.min(axis=1)
@@ -286,15 +306,11 @@ def region_grand_maximal(
 
     Sub-balls sharing their member set and their enlargement have the
     same inner value, so each such class is evaluated once.  The cut
-    averages (the mass of |f| on B' inside trunc minus the enlargement
-    E, over mu(B')) depend on a class only through E, and the balls at
-    a center c' meeting B are the suffix of c''s list from the smallest
-    one meeting B.  So the cut sums are taken once per distinct
-    enlargement, their suffix max along each center's list goes in a
-    (slots x centers) table, and each class reads n entries of it, one
-    per center.  Enlargements go in blocks whose cut sums and table
-    each stay within (balls x n) floats, so scratch stays O(balls x n)
-    whatever the number of sub-balls.
+    averages depend on a class only through its enlargement E, and the
+    balls at c' meeting B are the suffix of c''s list from the smallest
+    one meeting B, so each class reads n entries of the suffix max
+    table of its E.  Enlargements go in blocks whose cut sums and table
+    each stay within (balls x n) floats.
     """
     t = space.ball_table()
     n = space.n
@@ -319,23 +335,19 @@ def region_grand_maximal(
     # least such slot over B's members, a running min along the class's
     # own order
     ids = sub_ids[rep]
-    ball_slot = (t.ptr - t.start[None, :-1]).T  # (c, x): slot of the smallest ball at c holding x
+    _, width, pslot = _ball_slots(space)
     meet = np.empty((n, len(ids)), dtype=np.int64)
     for c in np.unique(t.center[ids]):
         cols = np.flatnonzero(t.center[ids] == c)
-        reach = np.minimum.accumulate(ball_slot[:, t.order[c]], axis=1)
+        reach = np.minimum.accumulate(pslot.T[:, t.order[c]], axis=1)
         meet[:, cols] = reach[:, t.count[ids[cols]] - 1]
     every = np.arange(n)[:, None]
     cut_rep, cut_of = _distinct_rows(np.packbits(enlarged[rep], axis=1))
     by_cut = np.argsort(cut_of, kind="stable")
     sorted_cut = cut_of[by_cut]
-    slot = np.arange(nb) - t.start[t.center]
-    width = int(slot.max()) + 1
     # the (balls x columns) cut sums and the (slots x centers x columns)
     # table each stay within (balls x n) floats
     step = max(1, min(nb // width, n) // k)
-    # slots past a center's last ball stay -inf from block to block
-    table = np.full((width, n, step * k), -np.inf)
     m_b = np.empty((len(ids), k))  # best over B' per class
     for e0 in range(0, len(cut_rep), step):
         e1 = min(len(cut_rep), e0 + step)
@@ -346,20 +358,14 @@ def region_grand_maximal(
         v = v.reshape(nb, k, e1 - e0)
         np.subtract(s_full[:, :, None], v, out=v)
         v /= t.measure[:, None, None]
-        suf = table[:, :, : k * (e1 - e0)]
-        suf[slot, t.center] = v.reshape(nb, -1)
+        suf, _ = _suffix_max(space, v.reshape(nb, -1))
         del v
-        # suffix max along each center's list, one slot at a time: whole
-        # (centers x columns) planes vectorize where an accumulate along
-        # the slot axis does not
-        for s in range(width - 2, -1, -1):
-            np.maximum(suf[s], suf[s + 1], out=suf[s])
         lo, hi = np.searchsorted(sorted_cut, [e0, e1])
         cls = by_cut[lo:hi]
         col = cut_of[cls] - e0
         for i in range(k):
             m_b[cls, i] = suf[meet[:, cls], every, i * (e1 - e0) + col].max(axis=0)
-    del table
+        del suf
     np.maximum(m_b, 0.0, out=m_b)
     # outer sup over sub-balls containing x, ties to the lowest ball id
     per_ball = np.full((nb, k), -np.inf)
@@ -396,15 +402,11 @@ def local_split_check(space: QuasiMetricSpace, b0: Ball, f: np.ndarray) -> Dict[
     ind[big.members] = 1.0
     lhs = maximal_function(space, f * ind).values
     grand = local_grand_maximal(space, b0, f).values
-    c_emp = 0.0
-    for x in b0.members:
-        excess = lhs[x] - grand[x]
-        if excess <= 1e-15:
-            continue
-        if f[x] == 0.0:
-            c_emp = math.inf
-            break
-        c_emp = max(c_emp, excess / abs(f[x]))
+    x = b0.members
+    excess = lhs[x] - grand[x]
+    over = excess > 1e-15
+    zero = np.any(f[x][over] == 0.0)
+    c_emp = math.inf if zero else float(np.max(excess[over] / np.abs(f[x][over]), initial=0.0))
     return {
         "c_emp": float(c_emp),
         "weak11": weak_type_11_constant(space),

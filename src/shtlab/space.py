@@ -438,26 +438,15 @@ def build_space(
         depth = np.zeros(n, dtype=np.int64)
         for i in range(1, n):
             depth[i] = depth[(i - 1) // 2] + 1
-        # ancestor walk gives exact path distances
-        dist = np.zeros((n, n), dtype=np.float64)
-        for i in range(n):
-            for j in range(i + 1, n):
-                a, b_ = i, j
-                da, db = depth[a], depth[b_]
-                hops = 0
-                while da > db:
-                    a = (a - 1) // 2
-                    da -= 1
-                    hops += 1
-                while db > da:
-                    b_ = (b_ - 1) // 2
-                    db -= 1
-                    hops += 1
-                while a != b_:
-                    a = (a - 1) // 2
-                    b_ = (b_ - 1) // 2
-                    hops += 2
-                dist[i, j] = dist[j, i] = float(hops)
+        # path distance = depth(x) + depth(y) - 2 depth(lca); cur holds
+        # each node's ancestor at depth d, and x, y share depth(lca) + 1
+        cur = np.arange(n)
+        common = np.zeros((n, n), dtype=np.int64)
+        for d in range(int(depth.max()), -1, -1):
+            at = depth >= d
+            common += at[:, None] & at[None, :] & (cur[:, None] == cur[None, :])
+            cur = np.where(at, (cur - 1) // 2, cur)
+        dist = (depth[:, None] + depth[None, :] - 2 * (common - 1)).astype(np.float64)
         mass = np.full(n, 1.0 / n)
         coords = (depth / max(1, depth.max())).astype(np.float64)[:, None]
         return QuasiMetricSpace(dist, mass, coords, meta)

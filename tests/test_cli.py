@@ -165,6 +165,15 @@ class TestVerifyCommand:
         assert capsys.readouterr().err.startswith("error: scenario.space.n: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["verify", "eval", "dominate"])
+    def test_negative_seed_exits_two(self, tmp_path, capsys, command):
+        out = tmp_path / "reports"
+        assert main([command, "--seed", "-5", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.strip() == "error: --seed: must be nonnegative"
+        cfg = _small_config(tmp_path)
+        assert main([command, "--config", cfg, "--seed", "-5", "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_seed_override_is_recorded(self, tmp_path):
         cfg = _small_config(tmp_path)
         out = str(tmp_path / "reports")

@@ -107,6 +107,56 @@ class TestParsing:
             == "scenario.tolerances.exact"
         )
 
+    # one entry per value the generators and checks cannot use: the
+    # override and the field the error names
+    REJECTED = [
+        ({"seed": -3}, "scenario.seed"),
+        ({"ball_cap": 0}, "scenario.ball_cap"),
+        ({"ball_cap": -1}, "scenario.ball_cap"),
+        ({"symbol": {"kind": "abs_wave", "frq": 3}}, "scenario.symbol.frq"),
+        ({"lambda1": {"kind": "ones", "sigma": 0.4}}, "scenario.lambda1.sigma"),
+        ({"function": {"kind": "point", "center": 0}}, "scenario.function.center"),
+        ({"lambda2": {"kind": "power", "a": "half"}}, "scenario.lambda2.a"),
+        ({"symbol": {"kind": "abs_wave", "freq": None}}, "scenario.symbol.freq"),
+        ({"symbol": {"kind": "abs_wave", "freq": float("nan")}}, "scenario.symbol.freq"),
+        ({"function": {"kind": "ball", "radius": True}}, "scenario.function.radius"),
+        ({"symbol": {"kind": "constant", "value": "1"}}, "scenario.symbol.value"),
+        ({"lambda1": {"kind": "lognormal", "sigma": -1}}, "scenario.lambda1.sigma"),
+        ({"function": {"kind": "signed_lognormal", "sigma": -0.5}}, "scenario.function.sigma"),
+        ({"function": {"kind": "point", "index": "x"}}, "scenario.function.index"),
+        ({"function": {"kind": "point", "index": 2.0}}, "scenario.function.index"),
+        ({"function": {"kind": "ball", "center": 1.5}}, "scenario.function.center"),
+        ({"tolerances": {"exactt": 1e-10}}, "scenario.tolerances.exactt"),
+    ]
+
+    @pytest.mark.parametrize("over, field", REJECTED)
+    def test_unusable_values_name_their_field(self, over, field):
+        assert _err(_minimal(**over)).field == field
+
+    def test_every_known_parameter_parses(self):
+        sc = parse_config(
+            _minimal(
+                seed=0,
+                ball_cap=1,
+                lambda1={"kind": "lognormal", "mu": -0.5, "sigma": 0},
+                lambda2={"kind": "power", "a": -0.3},
+                symbol={"kind": "abs_wave", "freq": 2},
+                function={"kind": "ball", "center": -1, "radius": 0.3},
+                tolerances={
+                    "exact": 1e-10,
+                    "holder": 1e-8,
+                    "ap_duality": 1e-8,
+                    "capture_shortfall": 0.02,
+                    "eta_floor": 0.1,
+                },
+            )
+        )[0]
+        assert sc.seed == 0 and sc.ball_cap == 1
+        assert parse_config(_minimal(ball_cap=None))[0].ball_cap is None
+        for kind, key, val in (("point", "index", -2), ("lognormal", "sigma", 1.5)):
+            assert parse_config(_minimal(function={"kind": kind, key: val}))[0].function[key] == val
+        assert parse_config(_minimal(symbol={"kind": "constant", "value": 0}))[0].symbol["value"] == 0
+
     def test_scenarios_wrapper(self):
         exc = _err({"scenarios": [_minimal(), _minimal(p=0.5)]})
         assert exc.field == "scenarios[1].p"
