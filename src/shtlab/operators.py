@@ -20,14 +20,19 @@ order).  Two exact reorganizations keep desk-scale evaluation fast:
   b(x) in the sorted symbol values, so per-ball sums over
   |b(x) - b(y)| |f(y)| are two cumulative sums over the sorted order
   (``CommutatorKernel``).  The kernel keeps one row per distinct member
-  set, read from the ball table, and takes the rows in blocks of
-  ``KERNEL_BLOCK`` entries with a running max.
+  set, read from the ball table, as a (positions x rows) mask.  It
+  walks the positions in symbol order over (rows x columns) planes of
+  at most ``KERNEL_BLOCK`` entries, adding each position's mass only
+  to the rows holding it (``where=``, so the sums match a cumsum bit
+  for bit), and maxes over those rows there.  (n,) and (n, k) input
+  take the same path.
 * Probe images of C_b and [b, M] are built once per (space, symbol,
   probe set) and memoized on the space (``probe_images``).  Each
   distinct probe column is evaluated once; a point mass at i has the
   closed forms C_b 1_i(x) = |b(x) - b(i)| m_i / mu and
   M 1_i(x) = m_i / mu with mu the smallest ball measure holding x and
-  i; [b, M] of the remaining columns takes one maximal function call.
+  i; C_b of the remaining columns takes one kernel call and [b, M]
+  one maximal function call.
 * Scratch stays O(balls x n) whatever the column or sub-ball count.
   M takes its columns in blocks of at most n/2.  The local grand
   maximal collapses sub-balls sharing member set and 4 A0 enlargement
@@ -178,16 +183,17 @@ def _distinct_rows(packed: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return order[new], inverse
 
 
-# float entries per (rows x n) block of ``CommutatorKernel.apply``
+# float entries per (rows x columns) plane of ``CommutatorKernel.apply``
 KERNEL_BLOCK = 1 << 19
 
 
 class CommutatorKernel:
     """Reusable evaluator for C_b f(x) = sup_{B owns x} avg_B |b(x)-b(.)| |f|.
 
-    Holds the distinct member sets of the canonical balls as rows with
-    columns in symbol order; ``apply`` takes them in blocks of at most
-    ``KERNEL_BLOCK`` entries with a running max.
+    Holds the distinct member sets of the canonical balls as a
+    (positions x rows) mask, positions in symbol order; ``apply`` walks
+    the positions over (rows x columns) planes of at most
+    ``KERNEL_BLOCK`` entries, for (n,) or (n, k) input alike.
     """
 
     def __init__(self, space: QuasiMetricSpace, b: np.ndarray) -> None:
@@ -212,53 +218,73 @@ class CommutatorKernel:
         # summed in other centers' orders can differ in the last bit, and
         # the sup over all balls sees the least measure
         first, twin = _distinct_rows(packed)
+        del packed
         mu = np.full(len(first), np.inf)
         np.minimum.at(mu, twin, t.measure)
         keep = np.argsort(first)
         self.ball_ids = first[keep].astype(np.int64)
-        self.mask_s = np.unpackbits(packed[self.ball_ids], axis=1, count=n).astype(bool)
         self.mu = mu[keep]
+        # mask_t[j, r]: the j-th point in symbol order lies in row r,
+        # written one center's (contiguous) rows at a time
+        bounds = np.searchsorted(t.center[self.ball_ids], np.arange(n + 1))
+        self.mask_t = np.empty((n, len(self.ball_ids)), dtype=bool)
+        for c in range(n):
+            rows = slice(bounds[c], bounds[c + 1])
+            counts = t.count[self.ball_ids[rows]]
+            np.less(t.rank[c, self.order, None], counts, out=self.mask_t[:, rows])
 
     def apply(self, f: np.ndarray, want_witness: bool = False) -> OperatorResult:
+        """C_b |f| with f (n,) or (n, k), one function per column; the
+        witness is the lowest canonical ball attaining the sup.
+
+        Per row, sum_{y in B} |b(x) - b(y)| u(y) splits at x's position
+        into b(x)(2 cA - TA) + (TB - 2 cB), with cA, cB the running sums
+        of u and b u up to x and TA, TB the row totals.  One pass over
+        the positions adds up the totals and a second the running sums,
+        each in symbol order as a cumsum would, and at each position
+        takes the max over the rows holding it, ties to the lowest row.
+        """
         n = self.space.n
-        u = (self.space.mass * np.abs(np.asarray(f, dtype=np.float64)))[self.order]
+        f = np.asarray(f, dtype=np.float64)
+        u = f.reshape(n, -1)[self.order]
+        np.abs(u, out=u)
+        u *= self.space.mass[self.order, None]
         if self.constant:
             # every row then sums to exactly 0, so each point's witness
             # is the lowest ball owning it
             u[:] = 0.0
-        bu = self.b_s * u
-        vals = np.full(n, -np.inf)
-        args = np.zeros(n, dtype=np.int64)
-        step = max(1, KERNEL_BLOCK // n)
-        for r0 in range(0, len(self.mu), step):
-            mask = self.mask_s[r0 : r0 + step]
-            A = np.multiply(mask, u)
-            np.cumsum(A, axis=1, out=A)
-            B = np.multiply(mask, bu)
-            np.cumsum(B, axis=1, out=B)
-            TA, TB = A[:, -1:].copy(), B[:, -1:].copy()
-            # sum_{y in B} |b(x)-b(y)| u(y) = b(x)(2 cA - TA) + (TB - 2 cB)
-            A *= 2.0
-            A -= TA
-            A *= self.b_s
-            B *= 2.0
-            np.subtract(TB, B, out=B)
-            A += B
-            A /= self.mu[r0 : r0 + step, None]
-            A[~mask] = -np.inf
-            best = A.max(axis=0)
-            if want_witness:
-                # ties keep the earlier, hence lower, row
-                better = best > vals
-                args[better] = r0 + A.argmax(axis=0)[better]
-            np.maximum(vals, best, out=vals)
-        values = np.empty(n)
-        values[self.order] = np.maximum(vals, 0.0)
-        witnesses = None
+        bu = self.b_s[:, None] * u
+        k = u.shape[1]
+        rows = len(self.mu)
+        values = np.empty((n, k))
+        witnesses = np.empty((n, k), dtype=np.int64) if want_witness else None
+        # at most n columns, so a small space's planes stay within the
+        # (rows x n) of one column's cumulative sums
+        step = max(1, min(KERNEL_BLOCK // rows, n))
+        for j0 in range(0, k, step):
+            cols = slice(j0, min(k, j0 + step))
+            shape = (rows, cols.stop - cols.start)
+            TA, TB = np.zeros(shape), np.zeros(shape)
+            for j in range(n):
+                on = self.mask_t[j, :, None]
+                np.add(TA, u[j, cols], out=TA, where=on)
+                np.add(TB, bu[j, cols], out=TB, where=on)
+            cA, cB = np.zeros(shape), np.zeros(shape)
+            for j, x in enumerate(self.order):
+                on = self.mask_t[j, :, None]
+                np.add(cA, u[j, cols], out=cA, where=on)
+                np.add(cB, bu[j, cols], out=cB, where=on)
+                idx = np.flatnonzero(self.mask_t[j])
+                here = (2.0 * cA[idx] - TA[idx]) * self.b_s[j]
+                here += TB[idx] - 2.0 * cB[idx]
+                here /= self.mu[idx, None]
+                values[x, cols] = here.max(axis=0)
+                if want_witness:
+                    witnesses[x, cols] = self.ball_ids[idx[here.argmax(axis=0)]]
+        np.maximum(values, 0.0, out=values)
         if want_witness:
-            witnesses = np.empty(n, dtype=np.int64)
-            witnesses[self.order] = self.ball_ids[args]
-        return OperatorResult(values, witnesses)
+            witnesses = witnesses.reshape(f.shape)
+        return OperatorResult(values.reshape(f.shape), witnesses)
 
 
 def maximal_commutator(space: QuasiMetricSpace, b: np.ndarray, f: np.ndarray) -> OperatorResult:
@@ -603,8 +629,8 @@ def probe_images(
     space.  Duplicate columns copy the image of the lowest column
     holding the same values, so argmax witnesses keep their labels.
     Point masses use the closed forms through the smallest ball holding
-    both points; other columns go through one ``CommutatorKernel`` and,
-    for [b, M], one ``commutator_bM`` call."""
+    both points; other columns go through one ``CommutatorKernel.apply``
+    and, for [b, M], one ``commutator_bM`` call."""
     if probes < 1:
         raise ValueError("probes must be >= 1")
     b = np.asarray(b, dtype=np.float64)
@@ -623,9 +649,7 @@ def probe_images(
     cb[:, point] = np.abs(b[:, None] * m[i] - b[i] * m[i]) / minmu
     bm[:, point] = b[:, None] * (m[i] / minmu) - (np.abs(b[i]) * m[i]) / minmu
     rest = np.flatnonzero(~point)
-    kernel = CommutatorKernel(space, b)
-    for j in rest:
-        cb[:, j] = kernel.apply(F[:, first[j]]).values
+    cb[:, rest] = CommutatorKernel(space, b).apply(F[:, first[rest]]).values
     bm[:, rest] = commutator_bM(space, b, F[:, first[rest]])
     # take keeps the images C-ordered, so column sums over them add
     # row by row exactly as over the probe matrix

@@ -162,7 +162,9 @@ def deviation_sums(
     avg = space.ball_averages(b)
     out = np.empty(len(avg))
     for ids, order, inside in space.ball_prefixes():
-        dev = np.abs(b[order][None, :] - avg[ids, None]) ** r
+        dev = np.abs(b[order][None, :] - avg[ids, None])
+        if r != 1:
+            dev **= r
         out[ids] = (dev * weight[order] * inside).sum(axis=1)
     return out
 

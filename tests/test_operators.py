@@ -213,6 +213,57 @@ class TestCommutatorKernel:
                     assert x in set(mem.tolist())
                     assert first[mem.tobytes()] == w
 
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_columns_match_single_column_calls(self, monkeypatch, width):
+        # column blocks of `width` columns each, so the eight columns
+        # span several blocks; ties and zeros exercise the witness rule
+        rng = np.random.default_rng(34)
+        spaces = [build_space(kind, n) for kind, n in SPACES]
+        spaces += [oracles.lognormal_plane(), oracles.tied_quasi_grid()]
+        for sp in spaces:
+            F = np.concatenate(
+                [rng.standard_normal((sp.n, 5)), np.round(2.0 * rng.random((sp.n, 3)))], axis=1
+            )
+            for b in (np.full(sp.n, 2.5), rng.standard_normal(sp.n)):
+                kern = CommutatorKernel(sp, b)
+                monkeypatch.setattr(operators, "KERNEL_BLOCK", width * len(kern.mu))
+                got = kern.apply(F, want_witness=True)
+                assert got.values.shape == got.witnesses.shape == F.shape
+                assert np.array_equal(kern.apply(F).values, got.values)
+                for j in range(F.shape[1]):
+                    one = kern.apply(F[:, j], want_witness=True)
+                    assert np.array_equal(got.values[:, j], one.values)
+                    assert np.array_equal(got.witnesses[:, j], one.witnesses)
+
+    def test_bit_identical_to_row_cumsums(self):
+        # the reference form: per row, two cumulative sums along the
+        # symbol order, masked to the row's members; apply adds the same
+        # terms in the same order, so it must agree exactly
+        rng = np.random.default_rng(36)
+        for sp in (build_space("line", 24), oracles.lognormal_plane(), oracles.tied_quasi_grid()):
+            for b in (rng.standard_normal(sp.n), np.round(3.0 * rng.random(sp.n))):
+                kern = CommutatorKernel(sp, b)
+                f = np.round(2.0 * rng.standard_normal(sp.n))
+                u = (sp.mass * np.abs(f))[kern.order]
+                mask = kern.mask_t.T
+                A = np.cumsum(mask * u, axis=1)
+                B = np.cumsum(mask * (kern.b_s * u), axis=1)
+                vals = (2.0 * A - A[:, -1:]) * kern.b_s + (B[:, -1:] - 2.0 * B)
+                vals /= kern.mu[:, None]
+                vals[~mask] = -np.inf
+                want = np.empty(sp.n)
+                want[kern.order] = np.maximum(vals.max(axis=0), 0.0)
+                wits = np.empty(sp.n, dtype=np.int64)
+                wits[kern.order] = kern.ball_ids[vals.argmax(axis=0)]
+                got = kern.apply(f, want_witness=True)
+                assert np.array_equal(got.values, want)
+                assert np.array_equal(got.witnesses, wits)
+
+    def test_no_columns(self):
+        sp = build_space("line", 12)
+        res = CommutatorKernel(sp, np.arange(12.0)).apply(np.empty((12, 0)), want_witness=True)
+        assert res.values.shape == res.witnesses.shape == (12, 0)
+
     def test_applies_to_absolute_value(self):
         sp = build_space("line", 12)
         rng = np.random.default_rng(10)
@@ -669,7 +720,8 @@ def _traced_peak(fn):
 
 class TestScratchBounds:
     """The ball sups keep their scratch at O(balls x n): here below
-    five float arrays of that size on line64."""
+    five float arrays of that size on line64.  The maximal commutator
+    kernel keeps its own within its (rows x columns) planes."""
 
     def _space(self):
         sp = build_space("line", 64)
@@ -687,3 +739,16 @@ class TestScratchBounds:
         sp, bound = self._space()
         F = np.random.default_rng(32).standard_normal((sp.n, sp.n + 100))
         assert _traced_peak(lambda: maximal_function(sp, F)) < bound
+
+    def test_kernel_on_more_columns_than_points(self, monkeypatch):
+        sp, _ = self._space()
+        rng = np.random.default_rng(35)
+        F = rng.standard_normal((sp.n, sp.n + 100))
+        kern = CommutatorKernel(sp, rng.lognormal(0.0, 1.0, sp.n))
+        # planes of 32 columns, so the 164 columns take six blocks; the
+        # scratch is the four running and total sums, at most four
+        # temporaries over the rows holding a point, and the (n x k)
+        # input copies and outputs
+        monkeypatch.setattr(operators, "KERNEL_BLOCK", 32 * len(kern.mu))
+        bound = (8 * operators.KERNEL_BLOCK + 7 * F.size) * 8
+        assert _traced_peak(lambda: kern.apply(F, want_witness=True)) < bound
