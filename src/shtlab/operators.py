@@ -38,8 +38,12 @@ order).  Two exact reorganizations keep desk-scale evaluation fast:
   maximal collapses sub-balls sharing member set and 4 A0 enlargement
   (twins have the same inner value).  Its cut sums depend only on the
   enlargement E, so it takes one ``ball_sums`` and one suffix max per
-  block of distinct E, and per class of B the max of n table entries,
-  one per center (``region_grand_maximal``).
+  block of distinct E (each block's arrays within ``GRAND_BLOCK``
+  bytes), and per class of B the max of n table entries, one per
+  center (``region_grand_maximal``).  Given a floor per function, it
+  first reads the same entries of the uncut averages, an upper bound
+  of each class's value, and evaluates only the classes and
+  enlargements whose bound exceeds a floor.
 * The sparse forms A_S, T_{S,b} and T*_{S,b} run on one flat index of
   the cube family (concatenated member ids, each id's cube, each
   cube's measure): per-cube sums are one ``np.add.reduceat`` and
@@ -49,7 +53,8 @@ order).  Two exact reorganizations keep desk-scale evaluation fast:
   relation over the family (``_CubeIndex``).
 
 All paths are exact reorganizations of the defining finite sums, not
-approximations.
+approximations.  The one exception is a grand maximal value at or below
+a floor given to ``region_grand_maximal``: it is reported as the floor.
 
 Sign conventions
 ----------------
@@ -315,11 +320,16 @@ def _sub_balls(space: QuasiMetricSpace, region: np.ndarray) -> np.ndarray:
     return np.flatnonzero(t.count <= exit_at[t.center])
 
 
+# bytes per scratch array of an enlargement block of ``region_grand_maximal``
+GRAND_BLOCK = 1 << 26
+
+
 def region_grand_maximal(
     space: QuasiMetricSpace,
     region: np.ndarray,
     trunc: np.ndarray,
     fs: Sequence[np.ndarray],
+    floors: Optional[Sequence[float]] = None,
 ) -> Tuple[List[np.ndarray], List[np.ndarray], np.ndarray]:
     """Grand maximal values on a region for several functions at once.
 
@@ -330,54 +340,91 @@ def region_grand_maximal(
     length, zero off the region), per-function witness arrays (the
     outer sub-ball id, -1 off the region), and the sub-ball id list.
 
+    ``floors`` gives one finite, nonnegative floor per function.  Then
+    a region point reports the max of its value and the floor: exact
+    wherever it exceeds the floor, and the floor itself elsewhere, with
+    witness -1 wherever the floor is reported.  Without floors values
+    are exact, clipped below at 0.
+
     Sub-balls sharing their member set and their enlargement have the
     same inner value, so each such class is evaluated once.  The cut
     averages depend on a class only through its enlargement E, and the
     balls at c' meeting B are the suffix of c''s list from the smallest
     one meeting B, so each class reads n entries of the suffix max
-    table of its E.  Enlargements go in blocks whose cut sums and table
-    each stay within (balls x n) floats.
+    table of its E.  The same read of the uncut averages bounds a
+    class's inner value from above (w >= 0, so cutting lowers each
+    sum), and classes whose bound stays at or below every floor are
+    not evaluated.  Enlargements go in blocks whose cut sums and table
+    each stay within (balls x n) floats and ``GRAND_BLOCK`` bytes.
     """
     t = space.ball_table()
     n = space.n
     nb = len(t.center)
     k = len(fs)
-    sub_ids = _sub_balls(space, np.asarray(region, dtype=np.int64))
+    if floors is None:
+        lows = np.full(k, -np.inf)
+    else:
+        lows = np.asarray(floors, dtype=np.float64)
+        if lows.shape != (k,):
+            raise ValueError(f"floors has {lows.size} entries for {k} functions")
+        if not np.all(np.isfinite(lows) & (lows >= 0.0)):
+            raise ValueError("floors must be finite and nonnegative")
+    region = np.asarray(region, dtype=np.int64)
+    sub_ids = _sub_balls(space, region)
     trunc_ind = np.zeros(n, dtype=np.float64)
     trunc_ind[np.asarray(trunc, dtype=np.int64)] = 1.0
     # per function, |f| mass inside trunc, and its sum over every ball
     w_t = np.stack([space.mass * np.abs(np.asarray(f, float)) * trunc_ind for f in fs], axis=1)
     s_full = space.ball_sums(w_t)
 
-    centers = t.center[sub_ids]
-    inside = t.rank[centers] < t.count[sub_ids, None]
-    enlarged = space.dist[centers] < (4.0 * space.a0 * t.radius[sub_ids])[:, None]
-    packed = np.packbits(np.concatenate([inside, enlarged], axis=1), axis=1)
+    # each sub-ball's members and 4 A0 enlargement as bits, built in
+    # chunks of GRAND_BLOCK bytes of distances
+    nbytes = -(-n // 8)
+    packed = np.empty((len(sub_ids), 2 * nbytes), dtype=np.uint8)
+    chunk = max(1, GRAND_BLOCK // (8 * n))
+    for s0 in range(0, len(sub_ids), chunk):
+        s = sub_ids[s0 : s0 + chunk]
+        c = t.center[s]
+        packed[s0 : s0 + chunk, :nbytes] = np.packbits(t.rank[c] < t.count[s, None], axis=1)
+        near = space.dist[c] < (4.0 * space.a0 * t.radius[s])[:, None]
+        packed[s0 : s0 + chunk, nbytes:] = np.packbits(near, axis=1)
+    enlarged = packed[:, nbytes:]
     # one class per distinct row; rep holds its lowest sub-ball
     rep, twin = _distinct_rows(packed)
 
     # the balls at c meeting B are those from slot meet[c, j] on, the
     # slot of the smallest ball at c holding a member of class j: the
     # least such slot over B's members, a running min along the class's
-    # own order
+    # own order.  Only the classes evaluated keep their meet column.
     ids = sub_ids[rep]
     _, width, pslot = _ball_slots(space)
-    meet = np.empty((n, len(ids)), dtype=np.int64)
+    uncut, _ = _suffix_max(space, s_full / t.measure[:, None])
+    every = np.arange(n)[:, None]
+    # kept in the narrowest integer type holding a slot
+    slot_type = np.min_scalar_type(width)
+    evaluated, meets = [np.empty(0, dtype=np.int64)], [np.empty((n, 0), dtype=slot_type)]
     for c in np.unique(t.center[ids]):
         cols = np.flatnonzero(t.center[ids] == c)
         reach = np.minimum.accumulate(pslot.T[:, t.order[c]], axis=1)
-        meet[:, cols] = reach[:, t.count[ids[cols]] - 1]
-    every = np.arange(n)[:, None]
-    cut_rep, cut_of = _distinct_rows(np.packbits(enlarged[rep], axis=1))
+        meet = reach[:, t.count[ids[cols]] - 1]
+        bound = uncut[meet, every].max(axis=0)  # (classes, functions)
+        keep = (bound > lows).any(axis=1)
+        evaluated.append(cols[keep])
+        meets.append(meet[:, keep].astype(slot_type))
+    del uncut
+    evaluated = np.concatenate(evaluated)
+    meet = np.concatenate(meets, axis=1)
+    del meets
+    cut_rep, cut_of = _distinct_rows(enlarged[rep[evaluated]])
     by_cut = np.argsort(cut_of, kind="stable")
     sorted_cut = cut_of[by_cut]
     # the (balls x columns) cut sums and the (slots x centers x columns)
-    # table each stay within (balls x n) floats
-    step = max(1, min(nb // width, n) // k)
-    m_b = np.empty((len(ids), k))  # best over B' per class
+    # table each stay within (balls x n) floats and GRAND_BLOCK bytes
+    step = max(1, min(nb, GRAND_BLOCK // (8 * n)) // width // k)
+    m_b = np.full((len(ids), k), -np.inf)  # best over B' per class
     for e0 in range(0, len(cut_rep), step):
         e1 = min(len(cut_rep), e0 + step)
-        cut = enlarged[rep[cut_rep[e0:e1]]].T
+        cut = np.unpackbits(enlarged[rep[evaluated[cut_rep[e0:e1]]]], axis=1, count=n).T
         # per (space ball, function, enlargement): mass of |f| inside
         # trunc minus the enlargement, over the ball's measure
         v = space.ball_sums((w_t[:, :, None] * cut[:, None, :]).reshape(n, -1))
@@ -390,17 +437,24 @@ def region_grand_maximal(
         cls = by_cut[lo:hi]
         col = cut_of[cls] - e0
         for i in range(k):
-            m_b[cls, i] = suf[meet[:, cls], every, i * (e1 - e0) + col].max(axis=0)
+            m_b[evaluated[cls], i] = suf[meet[:, cls], every, i * (e1 - e0) + col].max(axis=0)
         del suf
-    np.maximum(m_b, 0.0, out=m_b)
     # outer sup over sub-balls containing x, ties to the lowest ball id
     per_ball = np.full((nb, k), -np.inf)
-    per_ball[sub_ids] = m_b[twin]
-    best, arg = _sup_over_balls(space, per_ball)
-    on = best > -np.inf
-    values = np.where(on, np.maximum(best, 0.0), 0.0).T.copy()
-    witnesses = np.where(on, arg, -1).T.copy()
-    return list(values), list(witnesses), sub_ids
+    if floors is None:
+        per_ball[sub_ids] = np.maximum(m_b, 0.0)[twin]
+        best, arg = _sup_over_balls(space, per_ball)
+        on = best > -np.inf
+        values = np.where(on, np.maximum(best, 0.0), 0.0)
+        witnesses = np.where(on, arg, -1)
+    else:
+        per_ball[sub_ids] = m_b[twin]
+        best, arg = _sup_over_balls(space, per_ball)
+        on = np.zeros((n, 1), dtype=bool)
+        on[region] = True
+        values = np.where(on, np.maximum(best, lows), 0.0)
+        witnesses = np.where(on & (best > lows), arg, -1)
+    return list(values.T.copy()), list(witnesses.T.copy()), sub_ids
 
 
 def local_grand_maximal(space: QuasiMetricSpace, b0: Ball, f: np.ndarray) -> OperatorResult:

@@ -258,7 +258,10 @@ def _dominate_node(
     g2 = np.abs(b - b_ref) * absf
     avg_f = space.average(absf, trunc)
     avg_g = space.average(g2, trunc)
-    (mf, mg), _, _ = region_grand_maximal(space, region, trunc, [absf, g2])
+    # every threshold alpha * cprime * avg is this floor times a power
+    # of 2, so values at or below it decide no comparison
+    floors = [4.0 * cprime * avg_f, 4.0 * cprime * avg_g]
+    (mf, mg), _, _ = region_grand_maximal(space, region, trunc, [absf, g2], floors=floors)
 
     region_mask = np.zeros(space.n, dtype=bool)
     region_mask[region] = True

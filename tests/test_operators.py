@@ -708,6 +708,64 @@ class TestGrandMaximalOracle:
         sub_ids = self._check(sp, region, np.arange(sp.n), [f, g])
         assert _twin_sub_balls(sp, sub_ids) > 0
 
+    @pytest.mark.parametrize(
+        "kind,n", [("line", 48), ("sqline", 32), ("tree", 31), ("grid2d", 6), ("ties", 5)]
+    )
+    def test_floors_report_exact_values_above_them(self, kind, n):
+        sp = oracles.tied_quasi_grid(n) if kind == "ties" else build_space(kind, n)
+        rng = np.random.default_rng(29)
+        f = rng.lognormal(0.0, 1.0, sp.n)
+        g = rng.standard_normal(sp.n)
+        g[rng.random(sp.n) < 0.4] = 0.0
+        full = np.arange(sp.n)
+        b0 = sp.smallest_covering_ball(np.arange(sp.n // 3))
+        enlarged = np.flatnonzero(sp.dist[b0.center] < 4.0 * sp.a0 * b0.radius)
+        scattered = np.sort(rng.choice(sp.n, sp.n // 2, replace=False))
+        for region, trunc in ((full, full), (b0.members, enlarged), (scattered, full)):
+            want_vals, want_wits, _ = oracles.region_grand_maximal(sp, region, trunc, [f, g])
+            on = np.zeros(sp.n, dtype=bool)
+            on[region] = True
+            for level in (
+                lambda v: 0.0,
+                lambda v: float(np.median(v[region])),
+                lambda v: 1.5 * float(v.max()) + 1.0,
+            ):
+                floors = [level(v) for v in want_vals]
+                vals, wits, _ = region_grand_maximal(sp, region, trunc, [f, g], floors=floors)
+                for i, floor in enumerate(floors):
+                    # the oracle sums in another order, so leave out its
+                    # values within rounding of the floor
+                    above = want_vals[i] > floor * (1.0 + 1e-12)
+                    below = on & (want_vals[i] < floor * (1.0 - 1e-12))
+                    np.testing.assert_allclose(vals[i][above], want_vals[i][above], rtol=1e-12, atol=0)
+                    assert np.array_equal(wits[i][above], want_wits[i][above])
+                    assert np.all(vals[i][below] == floor)
+                    assert np.all(vals[i][on] >= floor)
+                    assert np.all(vals[i][~on] == 0.0)
+                    assert np.array_equal(wits[i] == -1, ~on | (vals[i] == floor))
+
+    def test_one_enlargement_per_block_is_bit_identical(self, monkeypatch):
+        for sp in (build_space("line", 48), oracles.tied_quasi_grid()):
+            rng = np.random.default_rng(34)
+            fs = [rng.lognormal(0.0, 1.0, sp.n), np.where(rng.random(sp.n) < 0.3, 0.0, 1.0)]
+            full = np.arange(sp.n)
+            region = sp.smallest_covering_ball(np.arange(sp.n // 2)).members
+            for floors in (None, [0.0, 0.0], [2.0 * np.mean(v) for v in fs]):
+                want = region_grand_maximal(sp, region, full, fs, floors=floors)
+                with monkeypatch.context() as m:
+                    m.setattr(operators, "GRAND_BLOCK", 1)
+                    got = region_grand_maximal(sp, region, full, fs, floors=floors)
+                assert np.array_equal(got[2], want[2])
+                for a, b in zip(got[0] + got[1], want[0] + want[1]):
+                    assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("floors", [[1.0], [1.0, 2.0, 3.0], [1.0, -0.5], [1.0, np.inf], [np.nan, 1.0]])
+    def test_rejects_bad_floors(self, floors):
+        sp = build_space("line", 8)
+        full = np.arange(sp.n)
+        with pytest.raises(ValueError):
+            region_grand_maximal(sp, full, full, [np.ones(sp.n), np.ones(sp.n)], floors=floors)
+
 
 def _traced_peak(fn):
     tracemalloc.start()
@@ -734,6 +792,16 @@ class TestScratchBounds:
         fs = [rng.lognormal(0.0, 1.0, sp.n), rng.standard_normal(sp.n)]
         full = np.arange(sp.n)
         assert _traced_peak(lambda: region_grand_maximal(sp, full, full, fs)) < bound
+
+    def test_grand_maximal_with_floors(self):
+        sp, bound = self._space()
+        rng = np.random.default_rng(31)
+        fs = [rng.lognormal(0.0, 1.0, sp.n), rng.standard_normal(sp.n)]
+        full = np.arange(sp.n)
+        # floors at 0 evaluate every class, so every meet column is kept
+        for floors in ([0.0, 0.0], [4.0 * np.mean(np.abs(v)) for v in fs]):
+            peak = _traced_peak(lambda: region_grand_maximal(sp, full, full, fs, floors=floors))
+            assert peak < bound
 
     def test_maximal_function_on_more_columns_than_points(self):
         sp, bound = self._space()

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import oracles
+from shtlab import sparse
 from shtlab import (
     CommutatorKernel,
     SparseFamily,
@@ -235,6 +236,44 @@ def _seeded_certificate(n, seed, t_count=3):
     root = space.smallest_covering_ball(np.arange(n))
     cert = build_domination(space, adjacent, b, f, root)
     return space, adjacent, b, f, cert
+
+
+def _floor_spaces():
+    return {
+        "line96": lambda: build_space("line", 96),
+        "tree31": lambda: build_space("tree", 31),
+        "grid2d6": lambda: build_space("grid2d", 6),
+        "lognormal": oracles.lognormal_plane,
+        "ties": oracles.tied_quasi_grid,
+    }
+
+
+class TestDominationFloors:
+    """The recursion passes its stopping floor 4 c' <.> to the grand
+    maximal; every threshold is that floor times a power of 2, so the
+    certificate is the one built from exact grand maximal values."""
+
+    @pytest.mark.parametrize("kind", sorted(_floor_spaces()))
+    @pytest.mark.parametrize("shape", ["lognormal", "point"])
+    def test_certificate_matches_the_unfloored_grand_maximal(self, monkeypatch, kind, shape):
+        space = _floor_spaces()[kind]()
+        rng = np.random.default_rng(43)
+        b = np.exp(0.5 * rng.standard_normal(space.n))
+        if shape == "lognormal":
+            f = rng.lognormal(0.0, 1.0, space.n)
+        else:
+            f = np.zeros(space.n)
+            f[space.n // 3] = 1.0
+        adjacent = build_adjacent_systems(space, 0.5, 3, seed=4)
+        root = space.smallest_covering_ball(np.flatnonzero(f))
+        floored = certificate_to_dict(build_domination(space, adjacent, b, f, root))
+        exact = sparse.region_grand_maximal
+
+        def unfloored(space, region, trunc, fs, floors=None):
+            return exact(space, region, trunc, fs)
+
+        monkeypatch.setattr(sparse, "region_grand_maximal", unfloored)
+        assert certificate_to_dict(build_domination(space, adjacent, b, f, root)) == floored
 
 
 class TestBuildDomination:
