@@ -5,12 +5,19 @@ Dyadic cube systems and adjacent families on a finite space.
 Construction is net-based.  A system is determined by a nested family
 of nets, one per level: the level-k net is delta^k-separated and
 covers the space within a comparable radius, and nets only grow as k
-increases.  Cubes are assigned top-down: every point joins the nearest
-level-k net center whose own cube at level k-1 is the point's current
-cube, ties going to the lower center id.  That makes the partition,
-nestedness and unique-ancestor properties true by construction;
-``verify_system`` still certifies them exhaustively, because
-hand-built or deserialized systems carry no such guarantee.
+increases.  Assembly yields one label array per level, top-down:
+every point joins the nearest level-k net center whose own cube at
+level k-1 is the point's current cube, ties going to the lower center
+id.  That is one masked argmin per level over the (n x net) distance
+columns, with every center outside the point's parent cube masked to
+inf.  The nonempty centers number the level's cubes in (parent alpha,
+center id) order.  That makes the partition, nestedness and
+unique-ancestor properties true by construction; ``verify_system``
+still certifies them exhaustively, because hand-built or deserialized
+systems carry no such guarantee.  The ``DyadicCube`` tree (members,
+parent and child links) is built from the labels on first read of
+``cubes``: capture only reads labels, so the unchosen systems of an
+adjacent pool never build one.
 
 Two net samplers are used: a farthest-point traversal (the insertion
 distances are nonincreasing, so every level's net is a prefix of one
@@ -63,7 +70,13 @@ class DyadicCube:
 
 
 class DyadicSystem:
-    """A nested hierarchy of cube partitions, one per level k."""
+    """A nested hierarchy of cube partitions, one per level k.
+
+    An assembled system stores ``labels`` (per level, the alpha of the
+    cube holding each point) and ``centers`` (per level, the center of
+    each cube in alpha order); ``cubes`` is built from them on first
+    read.  A system from raw level sets passes its own cubes, and its
+    labels are None unless every level is a partition."""
 
     def __init__(
         self,
@@ -71,15 +84,43 @@ class DyadicSystem:
         delta: float,
         seed: int,
         levels: List[int],
-        cubes: Dict[int, List[DyadicCube]],
+        cubes: Optional[Dict[int, List[DyadicCube]]],
         labels: Optional[Dict[int, np.ndarray]],
+        centers: Optional[Dict[int, np.ndarray]] = None,
     ) -> None:
         self.space = space
         self.delta = float(delta)
         self.seed = int(seed)
         self.levels = list(levels)
-        self.cubes = cubes
+        if cubes is not None:
+            self.cubes = cubes
         self.labels = labels
+        self.centers = centers
+
+    @cached_property
+    def cubes(self) -> Dict[int, List[DyadicCube]]:
+        """The cube tree from the labels: each level's members by one
+        stable argsort of its labels, each cube's parent the previous
+        level's cube holding its center, children in alpha order."""
+        labels, centers = self.labels, self.centers
+        cubes: Dict[int, List[DyadicCube]] = {}
+        prev: Optional[int] = None
+        for k in self.levels:
+            lab = labels[k]  # type: ignore[index]
+            order = np.argsort(lab, kind="stable")
+            cuts = np.cumsum(np.bincount(lab, minlength=len(centers[k])))[:-1]  # type: ignore[index]
+            level = [
+                DyadicCube(k, alpha, int(c), mem)
+                for alpha, (c, mem) in enumerate(zip(centers[k].tolist(), np.split(order, cuts)))
+            ]
+            if prev is not None:
+                up = cubes[prev]
+                for cube, a in zip(level, labels[prev][centers[k]].tolist()):
+                    cube.parent = up[a]
+                    up[a].children.append(cube)
+            cubes[k] = level
+            prev = k
+        return cubes
 
     measured_c1 = property(lambda self: self._sandwich[0])
     containment_C1 = property(lambda self: self._sandwich[1])
@@ -193,14 +234,18 @@ def _greedy_nets(
     mind = space.dist[start].copy()
     nets = {k_top: np.array([start], dtype=np.int64)}
     k = k_top
-    while int(in_net.sum()) < n:
+    size = 1
+    while size < n:
         k += 1
         thr = sep_scale * delta**k
-        for x in perm:
-            if not in_net[x] and mind[x] >= thr:
+        # mind only falls during the sweep, so its candidates are the
+        # points already far enough when it starts, taken in perm order
+        for x in perm[~in_net[perm] & (mind[perm] >= thr)].tolist():
+            if mind[x] >= thr:
                 in_net[x] = True
+                size += 1
                 np.minimum(mind, space.dist[x], out=mind)
-        nets[k] = np.sort(np.flatnonzero(in_net))
+        nets[k] = np.flatnonzero(in_net)
     return nets
 
 
@@ -224,38 +269,35 @@ def _level_range(
 def _assemble_system(
     space: QuasiMetricSpace, delta: float, seed: int, nets: Dict[int, np.ndarray]
 ) -> DyadicSystem:
+    """Labels per level by one masked argmin over the net's distance
+    columns: each point picks the nearest center inside its parent
+    cube, the first minimum being the lowest center id.  The nonempty
+    centers take alphas in (parent alpha, center id) order."""
     levels = sorted(nets)
     n = space.n
     k_top = levels[0]
-    root = DyadicCube(k_top, 0, int(nets[k_top][0]), np.arange(n, dtype=np.int64))
-    cubes: Dict[int, List[DyadicCube]] = {k_top: [root]}
     labels: Dict[int, np.ndarray] = {k_top: np.zeros(n, dtype=np.int64)}
+    centers: Dict[int, np.ndarray] = {k_top: np.asarray(nets[k_top][:1], dtype=np.int64)}
     for k in levels[1:]:
+        prev = labels[k - 1]
         net = np.sort(nets[k])
-        center_parent = labels[k - 1][net]
-        new_label = np.full(n, -1, dtype=np.int64)
-        level_cubes: List[DyadicCube] = []
-        for parent in cubes[k - 1]:
-            centers = net[center_parent == parent.alpha]
-            if len(centers) == 0:
-                raise AssertionError(
-                    "net does not refine the parent partition; "
-                    "parent-consistent assignment infeasible"
-                )
-            pts = parent.members
-            sub = space.dist[np.ix_(pts, centers)]
-            pick = np.argmin(sub, axis=1)  # ties: first = lowest center id
-            for j, c in enumerate(centers):
-                mem = pts[pick == j]
-                if len(mem) == 0:
-                    continue
-                cube = DyadicCube(k, len(level_cubes), int(c), mem, parent=parent)
-                parent.children.append(cube)
-                new_label[mem] = cube.alpha
-                level_cubes.append(cube)
-        cubes[k] = level_cubes
-        labels[k] = new_label
-    return DyadicSystem(space, delta, seed, levels, cubes, labels)
+        cp = prev[net]
+        if np.any(np.bincount(cp, minlength=len(centers[k - 1])) == 0):
+            raise AssertionError(
+                "net does not refine the parent partition; "
+                "parent-consistent assignment infeasible"
+            )
+        sub = space.dist[:, net]
+        sub[prev[:, None] != cp[None, :]] = np.inf
+        pick = np.argmin(sub, axis=1)
+        del sub
+        order = np.argsort(cp, kind="stable")
+        order = order[np.bincount(pick, minlength=len(net))[order] > 0]
+        alpha = np.full(len(net), -1, dtype=np.int64)
+        alpha[order] = np.arange(len(order))
+        labels[k] = alpha[pick]
+        centers[k] = net[order]
+    return DyadicSystem(space, delta, seed, levels, None, labels, centers)
 
 
 def build_dyadic_system(
@@ -349,12 +391,14 @@ def verify_system(system: DyadicSystem, space: QuasiMetricSpace) -> Dict[str, ob
             contained = inter == sizes[l][None, :]
             if l == levels[i + 1]:
                 children[k] = contained
-            for beta in range(inter.shape[1]):
-                hits = inter[:, beta]
-                for alpha in np.flatnonzero(hits):
-                    if 0 < hits[alpha] < sizes[l][beta]:
-                        violations.append(("nested", l, beta, k, int(alpha)))
-                if int(contained[:, beta].sum()) != 1:
+            # per finer cube beta: its partial overlaps in alpha order,
+            # then its ancestor entry
+            nested = (0 < inter) & (inter < sizes[l][None, :])
+            lost = contained.sum(axis=0) != 1
+            for beta in np.flatnonzero(nested.any(axis=0) | lost).tolist():
+                for alpha in np.flatnonzero(nested[:, beta]).tolist():
+                    violations.append(("nested", l, beta, k, alpha))
+                if lost[beta]:
                     violations.append(("ancestor", l, beta, k))
 
     # children derived from adjacent-level containment, independent of

@@ -468,32 +468,6 @@ def local_grand_maximal(space: QuasiMetricSpace, b0: Ball, f: np.ndarray) -> Ope
     return OperatorResult(vals[0], wits[0])
 
 
-def local_split_check(space: QuasiMetricSpace, b0: Ball, f: np.ndarray) -> Dict[str, object]:
-    """Minimal c with M(f 1_{4A0 b0}) <= c |f| + (grand maximal) on b0.
-
-    On atoms the constant is honestly +inf when f vanishes at a point
-    where the truncated maximal function does not: the enlargement of a
-    singleton ball always swallows its neighbors, so no excision keeps
-    nearby support.  Suites drive this with strictly positive f.
-    """
-    f = np.asarray(f, dtype=np.float64)
-    big = space.ball_at(b0.center, 4.0 * space.a0 * b0.radius)
-    ind = np.zeros(space.n)
-    ind[big.members] = 1.0
-    lhs = maximal_function(space, f * ind).values
-    grand = local_grand_maximal(space, b0, f).values
-    x = b0.members
-    excess = lhs[x] - grand[x]
-    over = excess > 1e-15
-    zero = np.any(f[x][over] == 0.0)
-    c_emp = math.inf if zero else float(np.max(excess[over] / np.abs(f[x][over]), initial=0.0))
-    return {
-        "c_emp": float(c_emp),
-        "weak11": weak_type_11_constant(space),
-        "pass": bool(math.isfinite(c_emp)),
-    }
-
-
 def weak_type_11_constant(space: QuasiMetricSpace, probes: int = 100, seed: int = 0) -> float:
     """Probe lower bound for the weak (1,1) constant of M.
 

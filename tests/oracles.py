@@ -10,6 +10,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from shtlab import QuasiMetricSpace
+from shtlab.dyadic import DyadicCube, DyadicSystem, _level_range
 
 
 def tied_quasi_grid(side: int = 5, seed: int = 9) -> QuasiMetricSpace:
@@ -28,6 +29,100 @@ def lognormal_plane(n: int = 20, seed: int = 5) -> QuasiMetricSpace:
     dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1))
     return QuasiMetricSpace(dist, rng.lognormal(0.0, 1.0, n))
 
+
+
+def greedy_nets(space, delta: float, seed: int, sep_scale: float = 1.0) -> Dict[int, np.ndarray]:
+    """Nested greedy nets by the per-point sweep: every level visits
+    every point in the seeded order and admits it while it is still
+    sep_scale * delta^k from the net."""
+    rng = np.random.default_rng(seed)
+    n = space.n
+    perm = rng.permutation(n)
+    start = int(perm[0])
+    d_all = space.dist + np.diag(np.full(n, np.inf))
+    k_top, _ = _level_range(float(space.dist[start].max()), float(d_all.min()), delta, sep_scale)
+    in_net = np.zeros(n, dtype=bool)
+    in_net[start] = True
+    mind = space.dist[start].copy()
+    nets = {k_top: np.array([start], dtype=np.int64)}
+    k = k_top
+    while int(in_net.sum()) < n:
+        k += 1
+        thr = sep_scale * delta**k
+        for x in perm:
+            if not in_net[x] and mind[x] >= thr:
+                in_net[x] = True
+                np.minimum(mind, space.dist[x], out=mind)
+        nets[k] = np.sort(np.flatnonzero(in_net))
+    return nets
+
+
+def assemble_system(space, delta: float, seed: int, nets: Dict[int, np.ndarray]):
+    """The cube tree top-down, one parent cube at a time: the parent's
+    points go to the nearest of the level's centers inside it (ties to
+    the lowest center id), and each nonempty center makes the next
+    cube of the level."""
+    levels = sorted(nets)
+    n = space.n
+    k_top = levels[0]
+    root = DyadicCube(k_top, 0, int(nets[k_top][0]), np.arange(n, dtype=np.int64))
+    cubes = {k_top: [root]}
+    labels = {k_top: np.zeros(n, dtype=np.int64)}
+    for k in levels[1:]:
+        net = np.sort(nets[k])
+        center_parent = labels[k - 1][net]
+        new_label = np.full(n, -1, dtype=np.int64)
+        level_cubes = []
+        for parent in cubes[k - 1]:
+            centers = net[center_parent == parent.alpha]
+            if len(centers) == 0:
+                raise AssertionError(
+                    "net does not refine the parent partition; "
+                    "parent-consistent assignment infeasible"
+                )
+            pts = parent.members
+            pick = np.argmin(space.dist[np.ix_(pts, centers)], axis=1)
+            for j, c in enumerate(centers):
+                mem = pts[pick == j]
+                if len(mem) == 0:
+                    continue
+                cube = DyadicCube(k, len(level_cubes), int(c), mem, parent=parent)
+                parent.children.append(cube)
+                new_label[mem] = cube.alpha
+                level_cubes.append(cube)
+        cubes[k] = level_cubes
+        labels[k] = new_label
+    return DyadicSystem(space, delta, seed, levels, cubes, labels)
+
+
+def nesting_violations(system, space) -> List[Tuple]:
+    """verify_system's partition, nested and ancestor violations by a
+    scan of every (finer cube, coarser cube) pair: per finer cube, its
+    partial overlaps in alpha order, then its ancestor count."""
+    n = space.n
+    levels = system.levels
+    masks = {}
+    violations: List[Tuple] = []
+    for k in levels:
+        mk = np.zeros((len(system.cubes[k]), n), dtype=bool)
+        for cube in system.cubes[k]:
+            mk[cube.alpha, cube.members] = True
+        masks[k] = mk
+        if not np.all(mk.sum(axis=0) == 1):
+            violations.append(("partition", k))
+    sizes = {k: masks[k].sum(axis=1) for k in levels}
+    for i, k in enumerate(levels):
+        for l in levels[i + 1 :]:
+            inter = masks[k].astype(np.int64) @ masks[l].astype(np.int64).T
+            contained = inter == sizes[l][None, :]
+            for beta in range(inter.shape[1]):
+                hits = inter[:, beta]
+                for alpha in np.flatnonzero(hits):
+                    if 0 < hits[alpha] < sizes[l][beta]:
+                        violations.append(("nested", l, beta, k, int(alpha)))
+                if int(contained[:, beta].sum()) != 1:
+                    violations.append(("ancestor", l, beta, k))
+    return violations
 
 def ball_members(space, center: int, radius: float) -> np.ndarray:
     """Open ball by definition: strict inequality."""

@@ -20,15 +20,42 @@ from shtlab import (
     verify_system,
 )
 from shtlab.dyadic import (
+    _assemble_system,
     _ball_level,
     _ball_levels,
     _candidate_pool,
     _capture_mask,
+    _fps_nets,
+    _greedy_nets,
     geometric_doubling,
 )
 from shtlab.space import QuasiMetricSpace
 
 ALL_KINDS = [("line", 16), ("sqline", 12), ("grid2d", 4), ("tree", 15), ("pair", 2)]
+
+
+def _assembly_spaces():
+    spaces = [build_space(kind, n) for kind, n in ALL_KINDS]
+    return spaces + [oracles.tied_quasi_grid(), oracles.lognormal_plane()]
+
+
+def _up(cube):
+    return None if cube.parent is None else (cube.parent.k, cube.parent.alpha)
+
+
+def assert_same_system(got, want):
+    """Labels, centers, alpha order, members and tree links agree."""
+    assert got.levels == want.levels
+    for k in want.levels:
+        assert np.array_equal(got.labels[k], want.labels[k])
+        assert len(got.cubes[k]) == len(want.cubes[k])
+        assert got.centers[k].tolist() == [c.center for c in want.cubes[k]]
+        for a, b in zip(got.cubes[k], want.cubes[k]):
+            assert (a.k, a.alpha, a.center) == (b.k, b.alpha, b.center)
+            assert np.array_equal(a.members, b.members)
+            assert _up(a) == _up(b)
+            assert [(c.k, c.alpha) for c in a.children] == [(c.k, c.alpha) for c in b.children]
+            assert all(c.parent is a for c in a.children)
 
 
 class TestConstruction:
@@ -79,6 +106,64 @@ class TestConstruction:
                 assert np.array_equal(np.sort(child_ids), cube.members)
                 for child in cube.children:
                     assert child.parent is cube
+
+
+class TestAssembly:
+    """Label-array assembly against the per-parent loop it replaced."""
+
+    @pytest.mark.parametrize("space", _assembly_spaces(), ids=lambda sp: f"n{sp.n}")
+    def test_greedy_nets_match_the_per_point_sweep(self, space):
+        for delta in (0.3, 0.5):
+            for scale in (1.0, delta ** (-1.0 / 3.0), delta ** (-2.0 / 3.0)):
+                for seed in (0, 7, 42):
+                    got = _greedy_nets(space, delta, seed, sep_scale=scale)
+                    want = oracles.greedy_nets(space, delta, seed, sep_scale=scale)
+                    assert list(got) == list(want)
+                    for k in want:
+                        assert np.array_equal(got[k], want[k])
+
+    @pytest.mark.parametrize("space", _assembly_spaces(), ids=lambda sp: f"n{sp.n}")
+    def test_assembly_matches_the_per_parent_loop(self, space):
+        for delta in (0.3, 0.5):
+            for seed in (0, 7, 42):
+                nets = [_fps_nets(space, delta, seed % space.n, np.random.default_rng(seed))]
+                for scale in (1.0, delta ** (-1.0 / 3.0), delta ** (-2.0 / 3.0)):
+                    nets.append(oracles.greedy_nets(space, delta, seed, sep_scale=scale))
+                for net in nets:
+                    assert_same_system(
+                        _assemble_system(space, delta, seed, net),
+                        oracles.assemble_system(space, delta, seed, net),
+                    )
+
+    def test_net_that_misses_a_parent_cube_is_infeasible(self):
+        sp = build_space("line", 8)
+        # the level-2 net has no center in the level-1 cube around 4
+        nets = {0: np.array([0]), 1: np.array([0, 4]), 2: np.array([0, 2])}
+        for assemble in (_assemble_system, oracles.assemble_system):
+            with pytest.raises(AssertionError, match="parent-consistent assignment infeasible"):
+                assemble(sp, 0.5, 0, nets)
+
+    def test_cubes_are_built_on_first_read(self):
+        sp = build_space("line", 16)
+        system = build_dyadic_system(sp, 0.5)
+        assert "cubes" not in vars(system)
+        cubes = system.cubes
+        assert vars(system)["cubes"] is cubes
+
+    def test_unchosen_pool_systems_never_build_cubes(self, monkeypatch):
+        pools = []
+
+        def keep_pool(*args):
+            pools.append(_candidate_pool(*args))
+            return pools[-1]
+
+        monkeypatch.setattr(dyadic, "_candidate_pool", keep_pool)
+        for kind, n in (("line", 64), ("sqline", 32), ("tree", 31)):
+            adj = build_adjacent_systems(build_space(kind, n), 0.5, 3, seed=42)
+            chosen = adj.report["chosen"]
+            unchosen = [s for i, s in enumerate(pools[-1]) if i not in chosen]
+            assert len(unchosen) == adj.report["pool_size"] - 3
+            assert all("cubes" not in vars(s) for s in unchosen)
 
 
 class TestVerifySystem:
@@ -133,6 +218,49 @@ class TestVerifySystem:
         rep = verify_system(system, sp)
         kinds = {v[0] for v in rep["violations"]}
         assert "nested" in kinds or "ancestor" in kinds
+
+    def test_nesting_violations_match_the_pair_scan(self):
+        rng = np.random.default_rng(3)
+        for kind, n in (("line", 16), ("sqline", 12), ("tree", 15), ("grid2d", 4)):
+            sp = build_space(kind, n)
+            system = build_dyadic_system(sp, 0.5)
+            for trial in range(12):
+                sets = {
+                    k: [(c.center, c.members.tolist()) for c in system.cubes[k]]
+                    for k in system.levels
+                }
+                # move, copy or drop a few points, never emptying a cube
+                for _ in range(1 + trial % 3):
+                    k = system.levels[rng.integers(1, len(system.levels))]
+                    big = [a for a, (_, m) in enumerate(sets[k]) if len(m) > 1]
+                    if not big:
+                        continue
+                    src = sets[k][big[rng.integers(len(big))]][1]
+                    x = src[rng.integers(len(src))]
+                    how = trial % 3
+                    if how != 1:
+                        src.remove(x)
+                    if how != 2:
+                        dst = sets[k][rng.integers(len(sets[k]))][1]
+                        if x not in dst:
+                            dst.append(x)
+                broken = system_from_level_sets(sp, 0.5, sets)
+                got = [v for v in verify_system(broken, sp)["violations"] if v[0] != "separation"]
+                assert got == oracles.nesting_violations(broken, sp)
+
+    def test_nesting_violations_order_on_a_straddling_cube(self):
+        sp = build_space("line", 6)
+        system = system_from_level_sets(
+            sp,
+            0.5,
+            {
+                0: [(0, [0, 1, 2]), (3, [3, 4, 5])],
+                1: [(0, [0, 1]), (2, [2, 3, 4]), (5, [5])],
+            },
+        )
+        want = [("nested", 1, 1, 0, 0), ("nested", 1, 1, 0, 1), ("ancestor", 1, 1, 0)]
+        assert oracles.nesting_violations(system, sp) == want
+        assert verify_system(system, sp)["violations"][:3] == want
 
     def test_sandwich_constants_hold_by_recheck(self):
         for kind, n in (("line", 32), ("tree", 15)):

@@ -27,7 +27,6 @@ from shtlab import (
     weighted_lp_norm,
 )
 from shtlab import operators
-from shtlab.operators import local_split_check
 
 SPACES = [("line", 12), ("sqline", 9), ("grid2d", 3), ("tree", 13), ("pair", 2)]
 
@@ -334,12 +333,6 @@ class TestLocalizedMaximal:
         for x in b0.members:
             assert vals[0][x] == pytest.approx(want_vals[0][x], abs=1e-15)
 
-    def test_split_zero_function(self):
-        sp = build_space("line", 8)
-        b0 = sp.smallest_covering_ball(np.arange(8))
-        rep = local_split_check(sp, b0, np.zeros(8))
-        assert rep["c_emp"] == 0.0
-
     def test_split_indicator_at_supporting_atom(self):
         sp = build_space("line", 8)
         b0 = sp.smallest_covering_ball(np.arange(8))
@@ -350,15 +343,6 @@ class TestLocalizedMaximal:
         # at the supporting atom |f| = 1 absorbs the maximal function
         excess = mf[2] - grand[2]
         assert excess <= mf[2] + 1e-15
-
-    def test_split_positive_function_finite(self):
-        sp = build_space("line", 8)
-        b0 = sp.smallest_covering_ball(np.arange(4))
-        rng = np.random.default_rng(14)
-        f = np.exp(0.3 * rng.standard_normal(8))
-        rep = local_split_check(sp, b0, f)
-        assert math.isfinite(rep["c_emp"])
-        assert rep["pass"]
 
 
 class TestSparseOperators:
