@@ -383,11 +383,13 @@ def verify_system(system: DyadicSystem, space: QuasiMetricSpace) -> Dict[str, ob
 
     # containment between every level pair: inter[alpha, beta] counts the
     # points cube beta of the finer level l shares with cube alpha of k
+    # (float64 products, exact for counts below 2^53)
     sizes = {k: masks[k].sum(axis=1) for k in levels}
     children: Dict[int, np.ndarray] = {}  # per k, containment of the next level
     for i, k in enumerate(levels):
+        coarse = masks[k].astype(np.float64)
         for l in levels[i + 1 :]:
-            inter = masks[k].astype(np.int64) @ masks[l].astype(np.int64).T
+            inter = coarse @ masks[l].astype(np.float64).T
             contained = inter == sizes[l][None, :]
             if l == levels[i + 1]:
                 children[k] = contained
@@ -433,7 +435,7 @@ def verify_system(system: DyadicSystem, space: QuasiMetricSpace) -> Dict[str, ob
         scale = delta**k
         for cube in system.cubes[k]:
             inner = np.flatnonzero(space.dist[cube.center] < c1 * scale * (1.0 - 1e-12))
-            if not np.all(np.isin(inner, cube.members)):
+            if not np.all(masks[k][cube.alpha, inner]):
                 sandwich_ok = False
             if space.dist[cube.center, cube.members].max() > C1 * scale * (1.0 + 1e-12):
                 sandwich_ok = False

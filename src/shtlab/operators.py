@@ -12,10 +12,14 @@ order).  Two exact reorganizations keep desk-scale evaluation fast:
 * Balls at a fixed center are nested, so the balls containing a point,
   or meeting a set, form a suffix of the center's radius-sorted list.
   One ``_suffix_max`` places per-ball values in a (slots x centers)
-  table and takes the suffix max with one ``np.maximum`` per slot over
-  whole (centers x columns) planes, recording the lowest slot attaining
-  it when asked.  M reads it at each point's pointer and maxes over
-  centers (``maximal_function``); both grand maximal sups use it too.
+  table through one flat row index and takes the suffix max with one
+  ``np.maximum`` per slot over whole (centers x columns) planes.  M
+  reads it at each point's pointer and maxes over centers
+  (``maximal_function``); both grand maximal sups use it too.
+* Attaining balls cost a slot table, an id gather and a tie mask as
+  large as the sup's own scratch, so M and ``region_grand_maximal``
+  find them only with ``want_witness=True``, as ``CommutatorKernel``
+  does; the values are the same either way.
 * For the maximal commutator the integrand splits around the rank of
   b(x) in the sorted symbol values, so per-ball sums over
   |b(x) - b(y)| |f(y)| are two cumulative sums over the sorted order
@@ -77,8 +81,9 @@ from .space import Ball, QuasiMetricSpace
 
 @dataclass
 class OperatorResult:
-    """Values per point plus, when the operator is a supremum, the
-    canonical ball id attaining it at each point (lowest id on ties)."""
+    """Values per point plus, when the operator is a supremum and the
+    caller asks, the canonical ball id attaining it at each point
+    (lowest id on ties)."""
 
     values: np.ndarray
     witnesses: Optional[np.ndarray] = None
@@ -105,9 +110,12 @@ def _suffix_max(
     at c holding x are the suffix from pslot[x, c] on, so
     table[pslot[x, c], c] is their sup."""
     t = space.ball_table()
+    n = space.n
     slot, width, _ = _ball_slots(space)
-    table = np.full((width, space.n, per_ball.shape[1]), -np.inf)
-    table[slot, t.center] = per_ball
+    k = per_ball.shape[1]
+    table = np.full((width, n, k), -np.inf)
+    # one flat row index scatters faster than the (slot, center) pair
+    table.reshape(width * n, k)[slot * n + t.center] = per_ball
     arg = None
     if want_slot:
         arg = np.empty(table.shape, dtype=np.int64)
@@ -120,50 +128,61 @@ def _suffix_max(
     return table, arg
 
 
-def _sup_over_balls(space: QuasiMetricSpace, per_ball: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def _sup_over_balls(
+    space: QuasiMetricSpace, per_ball: np.ndarray, want_witness: bool
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """Per point x and column, the max of per_ball (balls, k) over the
-    canonical balls containing x and the lowest ball id attaining it.
-    Columns go in blocks so the (max(width, n) x n x columns) scratch
-    stays within (balls x n)."""
+    canonical balls containing x and, with want_witness, the lowest
+    ball id attaining it (else None).  Columns go in blocks so the
+    (max(width, n) x n x columns) scratch stays within (balls x n)."""
     t = space.ball_table()
     n = space.n
     nb, k = per_ball.shape
     _, width, pslot = _ball_slots(space)
     centers = np.arange(n)[None, :]
     values = np.empty((n, k))
-    witnesses = np.empty((n, k), dtype=np.int64)
+    witnesses = np.empty((n, k), dtype=np.int64) if want_witness else None
     step = max(1, min(k, nb // max(width, n)))
     for j0 in range(0, k, step):
         j1 = min(k, j0 + step)
-        suf, arg = _suffix_max(space, per_ball[:, j0:j1], want_slot=True)
+        suf, arg = _suffix_max(space, per_ball[:, j0:j1], want_slot=want_witness)
         cand = suf[pslot, centers]  # (x, c, columns)
         del suf
-        ids = arg[pslot, centers]
-        del arg
-        ids += t.start[:-1][None, :, None]
         best = cand.max(axis=1)
-        ids[cand != best[:, None, :]] = np.iinfo(np.int64).max
         values[:, j0:j1] = best
-        witnesses[:, j0:j1] = ids.min(axis=1)
+        if want_witness:
+            ids = arg[pslot, centers]
+            del arg
+            ids += t.start[:-1][None, :, None]
+            ids[cand != best[:, None, :]] = np.iinfo(np.int64).max
+            witnesses[:, j0:j1] = ids.min(axis=1)
     return values, witnesses
 
 
-def maximal_function(space: QuasiMetricSpace, f: np.ndarray) -> OperatorResult:
+def maximal_function(
+    space: QuasiMetricSpace, f: np.ndarray, want_witness: bool = False
+) -> OperatorResult:
     """M f(x) = max over balls containing x of avg_B |f|.
 
-    f is (n,) or (n, k) with one function per column; values and
-    witnesses take the same shape.  Columns go in blocks of at most
-    n/2, so the (balls x columns) averages stay within (balls x n).
+    f is (n,) or (n, k) with one function per column; values take the
+    same shape, and so do the witnesses (the lowest canonical ball
+    attaining each value) when asked for, else they are None.  Columns
+    go in blocks of at most n/2, so the (balls x columns) averages stay
+    within (balls x n).
     """
     f = np.asarray(f, dtype=np.float64)
     cols = np.abs(f.reshape(len(f), -1))
     values = np.empty(cols.shape)
-    witnesses = np.empty(cols.shape, dtype=np.int64)
+    witnesses = np.empty(cols.shape, dtype=np.int64) if want_witness else None
     step = max(1, space.n // 2)
     for j in range(0, cols.shape[1], step):
         avg = space.ball_averages(cols[:, j : j + step])
-        values[:, j : j + step], witnesses[:, j : j + step] = _sup_over_balls(space, avg)
-    return OperatorResult(values.reshape(f.shape), witnesses.reshape(f.shape))
+        values[:, j : j + step], arg = _sup_over_balls(space, avg, want_witness)
+        if want_witness:
+            witnesses[:, j : j + step] = arg
+    if want_witness:
+        witnesses = witnesses.reshape(f.shape)
+    return OperatorResult(values.reshape(f.shape), witnesses)
 
 
 # -- maximal commutator ------------------------------------------------------
@@ -330,15 +349,17 @@ def region_grand_maximal(
     trunc: np.ndarray,
     fs: Sequence[np.ndarray],
     floors: Optional[Sequence[float]] = None,
-) -> Tuple[List[np.ndarray], List[np.ndarray], np.ndarray]:
+    want_witness: bool = False,
+) -> Tuple[List[np.ndarray], Optional[List[np.ndarray]], np.ndarray]:
     """Grand maximal values on a region for several functions at once.
 
     For each sub-ball B of the region, the inner quantity is
     max over balls B' meeting B of avg_{B'}(|f| restricted to
     trunc minus the 4 A0 enlargement of B); the outer sup is over
     sub-balls containing x.  Returns per-function value arrays (full
-    length, zero off the region), per-function witness arrays (the
-    outer sub-ball id, -1 off the region), and the sub-ball id list.
+    length, zero off the region), with want_witness per-function
+    witness arrays (the outer sub-ball id, -1 off the region; else
+    None), and the sub-ball id list.
 
     ``floors`` gives one finite, nonnegative floor per function.  Then
     a region point reports the max of its value and the floor: exact
@@ -443,18 +464,19 @@ def region_grand_maximal(
     per_ball = np.full((nb, k), -np.inf)
     if floors is None:
         per_ball[sub_ids] = np.maximum(m_b, 0.0)[twin]
-        best, arg = _sup_over_balls(space, per_ball)
+        best, arg = _sup_over_balls(space, per_ball, want_witness)
         on = best > -np.inf
         values = np.where(on, np.maximum(best, 0.0), 0.0)
-        witnesses = np.where(on, arg, -1)
+        witnessed = on
     else:
         per_ball[sub_ids] = m_b[twin]
-        best, arg = _sup_over_balls(space, per_ball)
+        best, arg = _sup_over_balls(space, per_ball, want_witness)
         on = np.zeros((n, 1), dtype=bool)
         on[region] = True
         values = np.where(on, np.maximum(best, lows), 0.0)
-        witnesses = np.where(on & (best > lows), arg, -1)
-    return list(values.T.copy()), list(witnesses.T.copy()), sub_ids
+        witnessed = on & (best > lows)
+    witnesses = list(np.where(witnessed, arg, -1).T.copy()) if want_witness else None
+    return list(values.T.copy()), witnesses, sub_ids
 
 
 def local_grand_maximal(space: QuasiMetricSpace, b0: Ball, f: np.ndarray) -> OperatorResult:
@@ -464,7 +486,7 @@ def local_grand_maximal(space: QuasiMetricSpace, b0: Ball, f: np.ndarray) -> Ope
     off the ball are not defined by the operator.
     """
     trunc = space.ball_at(b0.center, 4.0 * space.a0 * b0.radius).members
-    vals, wits, _ = region_grand_maximal(space, b0.members, trunc, [f])
+    vals, wits, _ = region_grand_maximal(space, b0.members, trunc, [f], want_witness=True)
     return OperatorResult(vals[0], wits[0])
 
 

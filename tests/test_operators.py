@@ -59,7 +59,7 @@ class TestMaximalFunction:
         sp = build_space("line", 12)
         rng = np.random.default_rng(3)
         f = rng.standard_normal(12)
-        res = maximal_function(sp, f)
+        res = maximal_function(sp, f, want_witness=True)
         balls = sp.canonical_balls()
         for x in range(12):
             ball = balls[res.witnesses[x]]
@@ -81,9 +81,9 @@ class TestMaximalFunction:
             sp = build_space(kind, n)
             # 3n columns span several of M's column blocks
             F = rng.standard_normal((sp.n, 3 * sp.n))
-            res = maximal_function(sp, F)
+            res = maximal_function(sp, F, want_witness=True)
             for j in range(F.shape[1]):
-                one = maximal_function(sp, F[:, j])
+                one = maximal_function(sp, F[:, j], want_witness=True)
                 assert np.array_equal(res.values[:, j], one.values)
                 assert np.array_equal(res.witnesses[:, j], one.witnesses)
 
@@ -95,7 +95,7 @@ class TestMaximalFunction:
             # columns span several column blocks of M and of its sup
             F = np.round(rng.standard_normal((sp.n, 3 * sp.n)))
             avg = sp.ball_averages(np.abs(F))
-            res = maximal_function(sp, F)
+            res = maximal_function(sp, F, want_witness=True)
             balls = sp.canonical_balls()
             for x in range(sp.n):
                 ids = [i for i, b in enumerate(balls) if x in b.members]
@@ -103,6 +103,19 @@ class TestMaximalFunction:
                 assert np.array_equal(res.values[x], best)
                 for j in range(F.shape[1]):
                     assert res.witnesses[x, j] == min(i for i in ids if avg[i, j] == best[j])
+
+    def test_values_only_match_the_witness_path(self):
+        rng = np.random.default_rng(25)
+        spaces = [build_space(kind, n) for kind, n in SPACES]
+        spaces += [oracles.tied_quasi_grid(), oracles.lognormal_plane()]
+        for sp in spaces:
+            # 3n columns span several column blocks of M and of its sup;
+            # rounded columns tie often
+            F = rng.standard_normal((sp.n, 3 * sp.n))
+            F[:, ::2] = np.round(F[:, ::2])
+            res = maximal_function(sp, F)
+            assert res.witnesses is None
+            assert np.array_equal(res.values, maximal_function(sp, F, want_witness=True).values)
 
     def test_dominates_pointwise_value(self):
         sp = build_space("line", 12)
@@ -326,7 +339,7 @@ class TestLocalizedMaximal:
         f = np.zeros(8)
         f[7] = 1.0
         trunc = np.flatnonzero(sp.dist[b0.center] < 4.0 * sp.a0 * b0.radius)
-        vals, wits, sub_ids = region_grand_maximal(sp, b0.members, trunc, [f])
+        vals, wits, sub_ids = region_grand_maximal(sp, b0.members, trunc, [f], want_witness=True)
         want_vals, want_wits, want_sub = oracles.region_grand_maximal(sp, b0.members, trunc, [f])
         assert np.array_equal(sub_ids, want_sub)
         assert np.array_equal(wits[0], want_wits[0])
@@ -641,7 +654,7 @@ def _twin_sub_balls(sp, sub_ids):
 
 class TestGrandMaximalOracle:
     def _check(self, sp, region, trunc, fs):
-        vals, wits, sub_ids = region_grand_maximal(sp, region, trunc, fs)
+        vals, wits, sub_ids = region_grand_maximal(sp, region, trunc, fs, want_witness=True)
         want_vals, want_wits, want_sub = oracles.region_grand_maximal(sp, region, trunc, fs)
         assert np.array_equal(sub_ids, want_sub)
         for i in range(len(fs)):
@@ -715,7 +728,9 @@ class TestGrandMaximalOracle:
                 lambda v: 1.5 * float(v.max()) + 1.0,
             ):
                 floors = [level(v) for v in want_vals]
-                vals, wits, _ = region_grand_maximal(sp, region, trunc, [f, g], floors=floors)
+                vals, wits, _ = region_grand_maximal(
+                    sp, region, trunc, [f, g], floors=floors, want_witness=True
+                )
                 for i, floor in enumerate(floors):
                     # the oracle sums in another order, so leave out its
                     # values within rounding of the floor
@@ -735,12 +750,30 @@ class TestGrandMaximalOracle:
             full = np.arange(sp.n)
             region = sp.smallest_covering_ball(np.arange(sp.n // 2)).members
             for floors in (None, [0.0, 0.0], [2.0 * np.mean(v) for v in fs]):
-                want = region_grand_maximal(sp, region, full, fs, floors=floors)
+                want = region_grand_maximal(sp, region, full, fs, floors=floors, want_witness=True)
                 with monkeypatch.context() as m:
                     m.setattr(operators, "GRAND_BLOCK", 1)
-                    got = region_grand_maximal(sp, region, full, fs, floors=floors)
+                    got = region_grand_maximal(sp, region, full, fs, floors=floors, want_witness=True)
                 assert np.array_equal(got[2], want[2])
                 for a, b in zip(got[0] + got[1], want[0] + want[1]):
+                    assert np.array_equal(a, b)
+
+    def test_values_only_match_the_witness_path(self):
+        rng = np.random.default_rng(37)
+        spaces = [build_space(kind, n) for kind, n in SPACES]
+        spaces += [oracles.tied_quasi_grid(), oracles.lognormal_plane()]
+        for sp in spaces:
+            # 3n functions span several column blocks of the outer sup
+            fs = list(rng.lognormal(0.0, 1.0, (3 * sp.n, sp.n)))
+            fs[::2] = [np.round(f) for f in fs[::2]]
+            full = np.arange(sp.n)
+            region = sp.smallest_covering_ball(np.arange(max(1, sp.n // 2))).members
+            for floors in (None, [0.0] * len(fs), [float(np.mean(f)) for f in fs]):
+                vals, wits, sub_ids = region_grand_maximal(sp, region, full, fs, floors=floors)
+                assert wits is None
+                want = region_grand_maximal(sp, region, full, fs, floors=floors, want_witness=True)
+                assert np.array_equal(sub_ids, want[2])
+                for a, b in zip(vals, want[0]):
                     assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("floors", [[1.0], [1.0, 2.0, 3.0], [1.0, -0.5], [1.0, np.inf], [np.nan, 1.0]])
@@ -762,8 +795,9 @@ def _traced_peak(fn):
 
 class TestScratchBounds:
     """The ball sups keep their scratch at O(balls x n): here below
-    five float arrays of that size on line64.  The maximal commutator
-    kernel keeps its own within its (rows x columns) planes."""
+    five float arrays of that size on line64, and values-only M below
+    two and a half.  The maximal commutator kernel keeps its own within
+    its (rows x columns) planes."""
 
     def _space(self):
         sp = build_space("line", 64)
@@ -790,7 +824,13 @@ class TestScratchBounds:
     def test_maximal_function_on_more_columns_than_points(self):
         sp, bound = self._space()
         F = np.random.default_rng(32).standard_normal((sp.n, sp.n + 100))
-        assert _traced_peak(lambda: maximal_function(sp, F)) < bound
+        assert _traced_peak(lambda: maximal_function(sp, F, want_witness=True)) < bound
+
+    def test_values_only_maximal_function_skips_the_witness_scratch(self):
+        # no slot table and no id gather: the witness path measures 2.74
+        sp, bound = self._space()
+        F = np.random.default_rng(32).standard_normal((sp.n, sp.n + 100))
+        assert _traced_peak(lambda: maximal_function(sp, F)) < bound / 2
 
     def test_kernel_on_more_columns_than_points(self, monkeypatch):
         sp, _ = self._space()

@@ -269,8 +269,8 @@ class TestDominationFloors:
         floored = certificate_to_dict(build_domination(space, adjacent, b, f, root))
         exact = sparse.region_grand_maximal
 
-        def unfloored(space, region, trunc, fs, floors=None):
-            return exact(space, region, trunc, fs)
+        def unfloored(space, region, trunc, fs, floors=None, want_witness=False):
+            return exact(space, region, trunc, fs, want_witness=want_witness)
 
         monkeypatch.setattr(sparse, "region_grand_maximal", unfloored)
         assert certificate_to_dict(build_domination(space, adjacent, b, f, root)) == floored
