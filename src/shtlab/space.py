@@ -15,8 +15,12 @@ Provides:
   radius is the midpoint between the realizing distance threshold and
   the next distinct distance, so strict comparisons are exact in
   floating point.  It is the only stored form of a canonical ball;
-  ``canonical_ball(i)`` derives one, and ``canonical_balls``, ``ball_mask``
-  and ``ball_fmask`` are rebuilt on each call for ``bench/tracing.py``.
+  ``canonical_ball(i)`` derives one, ``canonical_balls`` is a read-only
+  sequence view that derives each ball only when it is read, and
+  ``ball_mask`` and ``ball_fmask`` are rebuilt on each call for
+  ``bench/tracing.py``.
+* ``CanonicalBalls`` -- that view: O(1) length and indexing, no
+  stored Balls.
 * ``build_space`` -- the five reference generators (line, sqline,
   grid2d, tree, pair).
 * ``QuasiMetricSpace.measured_constants`` -- quasi-triangle constant,
@@ -45,8 +49,10 @@ from __future__ import annotations
 
 import json
 import math
+import operator
+from collections import abc
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -84,6 +90,28 @@ class BallTable:
     rank: np.ndarray  # (n, n): rank[c, order[c, j]] = j
     cum_mass: np.ndarray  # (n, n): cumulative mass along order[c]
     ptr: np.ndarray  # (n, n): ptr[x, c] = smallest ball at c holding x
+
+
+class CanonicalBalls(abc.Sequence):
+    """Read-only view of a space's canonical balls in id order.
+
+    Its length is the number of table rows; ``view[i]`` (negative i
+    counts from the end) is ``space.canonical_ball(i)``, built when it
+    is read, and a slice is a list of such balls.
+    """
+
+    def __init__(self, space: "QuasiMetricSpace") -> None:
+        self._space = space
+        self._len = len(space.ball_table().center)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i: Union[int, slice]) -> Union[Ball, List[Ball]]:
+        if isinstance(i, slice):
+            return [self._space.canonical_ball(j) for j in range(*i.indices(self._len))]
+        i = operator.index(i)
+        return self._space.canonical_ball(i + self._len if i < 0 else i)
 
 
 class QuasiMetricSpace:
@@ -208,15 +236,20 @@ class QuasiMetricSpace:
 
     def canonical_ball(self, i: int) -> Ball:
         """Canonical ball i as a Ball: its center, radius and sorted
-        members (the first count[i] entries of its center's order)."""
+        members (the first count[i] entries of its center's order).
+        Raises IndexError unless 0 <= i < number of canonical balls."""
         t = self.ball_table()
+        i = operator.index(i)
+        if not 0 <= i < len(t.center):
+            raise IndexError(f"canonical ball {i} out of range [0, {len(t.center)})")
         c = int(t.center[i])
-        return Ball(c, float(t.radius[i]), np.sort(t.order[c, : t.count[i]]), index=int(i))
+        return Ball(c, float(t.radius[i]), np.sort(t.order[c, : t.count[i]]), index=i)
 
-    def canonical_balls(self) -> List[Ball]:
-        """Every canonical ball in id order, rebuilt on each call; only
-        the tests and ``bench/tracing.py`` still call it."""
-        return [self.canonical_ball(i) for i in range(len(self.ball_table().center))]
+    def canonical_balls(self) -> CanonicalBalls:
+        """Every canonical ball in id order, as a view over the ball
+        table that builds each Ball only when it is read; only the tests
+        and ``bench/`` call it."""
+        return CanonicalBalls(self)
 
     def ball_mask(self) -> np.ndarray:
         """Boolean (balls x n) membership matrix, built on each call;

@@ -277,6 +277,21 @@ def bmo_norm(space, b: np.ndarray, w: np.ndarray) -> float:
     return best
 
 
+def deviation_sums(space, b: np.ndarray, weight: np.ndarray, r: float = 1.0) -> np.ndarray:
+    """Per canonical ball, one center at a time: the sum over its
+    members of |b - b_B|^r weight, in the library's arithmetic order so
+    the result is bit-identical to ``weights.deviation_sums``."""
+    b = np.asarray(b, dtype=np.float64)
+    avg = space.ball_averages(b)
+    out = np.empty(len(avg))
+    for ids, order, inside in space.ball_prefixes():
+        dev = np.abs(b[order][None, :] - avg[ids, None])
+        if r != 1:
+            dev **= r
+        out[ids] = (dev * weight[order] * inside).sum(axis=1)
+    return out
+
+
 def sparse_operator(space, cubes: Sequence, f: np.ndarray) -> np.ndarray:
     """A_S f = sum over cubes of avg_Q f times the indicator of Q."""
     out = np.zeros(space.n)

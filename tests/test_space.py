@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -184,6 +185,60 @@ class TestCanonicalBalls:
                 for x in range(sp.n):
                     holding = [i for i in ids if x in set(balls[i].members.tolist())]
                     assert ptr[x, c] == min(holding)
+
+
+class TestCanonicalBallsView:
+    def test_len_is_the_table_length(self):
+        for sp in [s for _, _, s in spaces()] + [oracles.tied_quasi_grid()]:
+            assert len(sp.canonical_balls()) == len(sp.ball_table().center)
+        for kind, n, balls in (("line", 256, 49280), ("grid2d", 16, 22224), ("line", 384, 133929)):
+            sp = build_space(kind, n)
+            assert len(sp.canonical_balls()) == len(sp.ball_table().center) == balls
+
+    def test_iteration_int_negative_and_slice_match_canonical_ball(self):
+        def same(got, want):
+            assert (got.center, got.radius, got.index) == (want.center, want.radius, want.index)
+            assert np.array_equal(got.members, want.members)
+
+        others = [oracles.tied_quasi_grid(), oracles.lognormal_plane()]
+        for sp in [s for _, _, s in spaces()] + others:
+            view = sp.canonical_balls()
+            want = [sp.canonical_ball(i) for i in range(len(view))]
+            assert len(list(view)) == len(want)
+            for i, ball in enumerate(view):
+                same(ball, want[i])
+                same(view[i], want[i])
+                same(view[np.int64(i)], want[i])
+                same(view[i - len(view)], want[i])
+            for part in (slice(None), slice(1, None, 3), slice(-3, None), slice(None, None, -2)):
+                got = view[part]
+                assert len(got) == len(want[part])
+                for g, w in zip(got, want[part]):
+                    same(g, w)
+
+    def test_ids_outside_the_table_raise(self):
+        sp = build_space("line", 8)
+        balls = len(sp.ball_table().center)
+        view = sp.canonical_balls()
+        for i in (-1, balls):
+            with pytest.raises(IndexError):
+                sp.canonical_ball(i)
+        for i in (balls, -balls - 1):
+            with pytest.raises(IndexError):
+                view[i]
+        assert view[-1].index == balls - 1
+        assert view[-balls].index == 0
+
+    def test_view_stores_no_balls(self):
+        sp = build_space("line", 384)
+        sp.ball_table()
+        tracemalloc.start()
+        try:
+            assert len(sp.canonical_balls()) == 133929
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestMeasuredConstants:

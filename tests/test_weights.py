@@ -16,6 +16,12 @@ from shtlab import (
     reverse_holder_constant,
     weight_doubling_check,
 )
+from shtlab.weights import deviation_sums
+
+
+# line160 has centers whose balls alone exceed a deviation_sums block;
+# tree31 and line48 put several centers in one block
+KINDS = [("line", 48), ("line", 160), ("sqline", 32), ("grid2d", 8), ("tree", 31), ("pair", 2)]
 
 
 def _seeded_weight(space, seed, sigma=0.4):
@@ -160,6 +166,17 @@ class TestOscillation:
             b = rng.standard_normal(sp.n)
             w = _seeded_weight(sp, 6)
             assert bmo_norm(sp, b, w).value == pytest.approx(oracles.bmo_norm(sp, b, w))
+
+    def test_deviation_sums_bit_identical_to_per_center_loop(self):
+        spaces = [build_space(kind, n) for kind, n in KINDS]
+        spaces += [oracles.tied_quasi_grid(), oracles.lognormal_plane()]
+        rng = np.random.default_rng(21)
+        for sp in spaces:
+            b = rng.standard_normal(sp.n)
+            w = rng.lognormal(0.0, 1.0, sp.n)
+            for r in (1.0, 2.0, 0.7):
+                got = deviation_sums(sp, b, w, r)
+                assert np.array_equal(got, oracles.deviation_sums(sp, b, w, r))
 
     def test_bmo_shift_invariance(self):
         sp = build_space("line", 16)
