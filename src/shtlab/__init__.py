@@ -27,12 +27,10 @@ from .dyadic import (
 from .weights import (
     BallValue,
     a1_check,
-    ainf_characteristic,
     ap_characteristic,
     bloom_weight,
     bmo_norm,
     dual_weight,
-    mean_oscillation,
     reverse_holder_constant,
     weight_doubling_check,
 )
@@ -42,10 +40,7 @@ from .operators import (
     build_probes,
     commutator_bM,
     estimate_from_values,
-    local_grand_maximal,
-    maximal_commutator,
     maximal_function,
-    operator_norm_estimate,
     probe_images,
     region_grand_maximal,
     sparse_commutator,

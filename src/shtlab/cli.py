@@ -25,7 +25,6 @@ import os
 import sys
 import time
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -48,9 +47,7 @@ from .dyadic import (
     verify_system,
 )
 from .operators import (
-    CommutatorKernel,
     estimate_from_values,
-    maximal_function,
     probe_images,
     sparse_commutator,
     sparse_commutator_adjoint,
@@ -256,7 +253,7 @@ def _check_domination(ctx: _ScenarioContext) -> List[ReportRow]:
             drift == 0.0,
         )
     )
-    cb = CommutatorKernel(space, ctx.b).apply(ctx.f).values
+    cb = cert.cb
     rhs = cert.c_emp * bound2 if math.isfinite(cert.c_emp) else bound2
     live = ~np.isin(np.arange(space.n), cert.exceptional)
     scale = max(1.0, float(np.abs(cb).max()), float(np.abs(rhs[live]).max()) if live.any() else 0.0)
@@ -476,9 +473,9 @@ def _check_eval(ctx: _ScenarioContext) -> List[ReportRow]:
     sc = ctx.sc
     space = ctx.space
     cubes = ctx.system.all_cubes()
-    F, labels, cb, bm = probe_images(space, ctx.b, sc.probes, sc.seed, sc.ball_cap)
+    F, labels, mf, cb, bm = probe_images(space, ctx.b, sc.probes, sc.seed, sc.ball_cap)
     images = {
-        "maximal": maximal_function(space, F).values,
+        "maximal": mf,
         "commutator_kernel": cb,
         "commutator_bM": bm,
         "sparse": sparse_operator(space, cubes, F).values,
@@ -533,22 +530,14 @@ def _isolated(scenario: str, check: str, run: Callable[[], List[ReportRow]]) -> 
 
 def _run_scenarios(
     scenarios: Sequence[ScenarioConfig],
-    jobs: Optional[int],
     step: Callable[[_ScenarioContext], List[ReportRow]],
 ) -> List[ReportRow]:
-    """Run step on each scenario's context; rows merge in scenario order.
-    Steps isolate their checks, so what raises here is the context."""
-
-    def one(sc: ScenarioConfig) -> List[ReportRow]:
-        return _isolated(sc.scenario, "context", lambda: step(_ScenarioContext(sc)))
-
-    nworkers = 1 if jobs is None else max(1, int(jobs))
-    if nworkers > 1 and len(scenarios) > 1:
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            groups = list(pool.map(one, scenarios))
-    else:
-        groups = [one(sc) for sc in scenarios]
-    return merge_rows(groups)
+    """Run step on each scenario's context in order; rows merge in
+    scenario order.  Steps isolate their checks, so what raises here is
+    the context."""
+    return merge_rows(
+        [_isolated(sc.scenario, "context", lambda: step(_ScenarioContext(sc))) for sc in scenarios]
+    )
 
 
 def _emit(rows: List[ReportRow], args, command: str, started: float) -> int:
@@ -599,7 +588,7 @@ def _cmd_eval(args) -> int:
     def step(ctx: _ScenarioContext) -> List[ReportRow]:
         return _isolated(ctx.sc.scenario, "eval", lambda: _check_eval(ctx))
 
-    return _emit(_run_scenarios(scenarios, args.jobs, step), args, "eval", started)
+    return _emit(_run_scenarios(scenarios, step), args, "eval", started)
 
 
 def _cmd_dominate(args) -> int:
@@ -617,7 +606,7 @@ def _cmd_dominate(args) -> int:
     def step(ctx: _ScenarioContext) -> List[ReportRow]:
         return _isolated(ctx.sc.scenario, "domination", lambda: run(ctx))
 
-    return _emit(_run_scenarios(scenarios, args.jobs, step), args, "dominate", started)
+    return _emit(_run_scenarios(scenarios, step), args, "dominate", started)
 
 
 def _cmd_verify(args) -> int:
@@ -632,7 +621,7 @@ def _cmd_verify(args) -> int:
                 rows.extend(_isolated(ctx.sc.scenario, name, lambda: _RUNNERS[name](ctx)))
         return rows
 
-    return _emit(_run_scenarios(scenarios, args.jobs, step), args, "verify", started)
+    return _emit(_run_scenarios(scenarios, step), args, "verify", started)
 
 
 def _cmd_report_merge(args) -> int:
@@ -649,7 +638,9 @@ def _add_scenario_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON config file (default: built-in suite)")
     sub.add_argument("--seed", type=int, default=None, help="override scenario seeds")
     sub.add_argument("--out", default=None, help="report directory (default: reports)")
-    sub.add_argument("--jobs", type=int, default=1, help="scenario parallelism")
+    sub.add_argument(
+        "--jobs", type=int, default=1, help="deprecated and ignored; scenarios run in order"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

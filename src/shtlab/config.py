@@ -132,6 +132,17 @@ _FIELD_TYPES = {
 }
 
 
+def _finite_number(val: object) -> bool:
+    """A number other than a bool, NaN, an infinity or an int beyond
+    float range (JSON reads the literals NaN and Infinity as floats)."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        return False
+    try:
+        return math.isfinite(val)
+    except OverflowError:
+        return False
+
+
 def _check_generator(spec: Dict[str, object], params: Dict[str, tuple], path: str) -> None:
     """A generator spec names a known kind and only that kind's
     parameters, each a finite number (an integer for point ids)."""
@@ -142,12 +153,10 @@ def _check_generator(spec: Dict[str, object], params: Dict[str, tuple], path: st
         val = spec[key]
         if key not in params[kind]:
             raise ConfigError(f"{path}.{key}", f"unknown parameter for kind {kind!r}")
-        # JSON ints are exact, so only floats can be nan or infinite
-        number = isinstance(val, (int, float)) and not isinstance(val, bool)
         if key in _INTEGER_PARAMS:
-            if not number or isinstance(val, float):
+            if isinstance(val, bool) or not isinstance(val, int):
                 raise ConfigError(f"{path}.{key}", "must be an integer")
-        elif not number or (isinstance(val, float) and not math.isfinite(val)):
+        elif not _finite_number(val):
             raise ConfigError(f"{path}.{key}", "must be a finite number")
         if key in _NONNEGATIVE_PARAMS and val < 0:
             raise ConfigError(f"{path}.{key}", "must be nonnegative")
@@ -171,8 +180,13 @@ def _parse_scenario(doc: object, path: str) -> ScenarioConfig:
             raise ConfigError(f"{path}.{key}", "wrong type")
     if not _SCENARIO_ID.fullmatch(merged["scenario"]):
         raise ConfigError(f"{path}.scenario", "must match [A-Za-z0-9._-]+")
+    for key in ("p", "delta", "rho_cap"):
+        if not _finite_number(merged[key]):
+            raise ConfigError(f"{path}.{key}", "must be a finite number")
     if float(merged["p"]) <= 1.0:
         raise ConfigError(f"{path}.p", "must exceed 1")
+    if merged["rho_cap"] <= 0:
+        raise ConfigError(f"{path}.rho_cap", "must be positive")
     if not 0.0 < float(merged["delta"]) < 1.0:
         raise ConfigError(f"{path}.delta", "must lie in (0, 1)")
     if merged["seed"] < 0:
@@ -202,8 +216,8 @@ def _parse_scenario(doc: object, path: str) -> ScenarioConfig:
         _check_generator(merged[role], params, f"{path}.{role}")
     p_conj = float(merged["p"]) / (float(merged["p"]) - 1.0)
     for i, r in enumerate(merged["r_values"]):
-        if not isinstance(r, (int, float)) or r < 1:
-            raise ConfigError(f"{path}.r_values[{i}]", "must be a number >= 1")
+        if not _finite_number(r) or r < 1:
+            raise ConfigError(f"{path}.r_values[{i}]", "must be a finite number >= 1")
         if "jn" in merged["checks"] and r > p_conj + 0.25 + 1e-12:
             raise ConfigError(
                 f"{path}.r_values[{i}]",
@@ -215,8 +229,8 @@ def _parse_scenario(doc: object, path: str) -> ScenarioConfig:
     for key, val in merged["tolerances"].items():
         if key not in TOLERANCE_NAMES:
             raise ConfigError(f"{path}.tolerances.{key}", f"must be one of {TOLERANCE_NAMES}")
-        if not isinstance(val, (int, float)) or val <= 0:
-            raise ConfigError(f"{path}.tolerances.{key}", "must be a positive number")
+        if not _finite_number(val) or val <= 0:
+            raise ConfigError(f"{path}.tolerances.{key}", "must be a finite positive number")
     return ScenarioConfig(**merged)
 
 

@@ -30,13 +30,13 @@ order).  Two exact reorganizations keep desk-scale evaluation fast:
   to the rows holding it (``where=``, so the sums match a cumsum bit
   for bit), and maxes over those rows there.  (n,) and (n, k) input
   take the same path.
-* Probe images of C_b and [b, M] are built once per (space, symbol,
-  probe set) and memoized on the space (``probe_images``).  Each
-  distinct probe column is evaluated once; a point mass at i has the
-  closed forms C_b 1_i(x) = |b(x) - b(i)| m_i / mu and
+* Probe images of M, C_b and [b, M] are built once per (space,
+  symbol, probe set) and memoized on the space (``probe_images``).
+  Each distinct probe column is evaluated once; a point mass at i has
+  the closed forms C_b 1_i(x) = |b(x) - b(i)| m_i / mu and
   M 1_i(x) = m_i / mu with mu the smallest ball measure holding x and
-  i; C_b of the remaining columns takes one kernel call and [b, M]
-  one maximal function call.
+  i; C_b of the remaining columns takes one kernel call, and M and
+  [b, M] share one maximal function call.
 * Scratch stays O(balls x n) whatever the column or sub-ball count.
   M takes its columns in blocks of at most n/2.  The local grand
   maximal collapses sub-balls sharing member set and 4 A0 enlargement
@@ -72,11 +72,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .space import Ball, QuasiMetricSpace
+from .space import QuasiMetricSpace
 
 
 @dataclass
@@ -311,8 +311,14 @@ class CommutatorKernel:
         return OperatorResult(values.reshape(f.shape), witnesses)
 
 
-def maximal_commutator(space: QuasiMetricSpace, b: np.ndarray, f: np.ndarray) -> OperatorResult:
-    return CommutatorKernel(space, b).apply(f, want_witness=True)
+def _maximal_pair(
+    space: QuasiMetricSpace, b: np.ndarray, cols: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(Mf, M(bf)) for every column f of cols (n, k), through one
+    maximal function call; b is (n, 1)."""
+    k = cols.shape[1]
+    both = maximal_function(space, np.concatenate([cols, b * cols], axis=1)).values
+    return both[:, :k], both[:, k:]
 
 
 def commutator_bM(space: QuasiMetricSpace, b: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -320,10 +326,8 @@ def commutator_bM(space: QuasiMetricSpace, b: np.ndarray, f: np.ndarray) -> np.n
     with one function per column, all through one maximal function."""
     b = np.asarray(b, dtype=np.float64)[:, None]
     f = np.asarray(f, dtype=np.float64)
-    cols = f.reshape(len(f), -1)
-    k = cols.shape[1]
-    both = maximal_function(space, np.concatenate([cols, b * cols], axis=1)).values
-    return (b * both[:, :k] - both[:, k:]).reshape(f.shape)
+    mf, mbf = _maximal_pair(space, b, f.reshape(len(f), -1))
+    return (b * mf - mbf).reshape(f.shape)
 
 
 # -- local grand maximal -----------------------------------------------------
@@ -477,17 +481,6 @@ def region_grand_maximal(
         witnessed = on & (best > lows)
     witnesses = list(np.where(witnessed, arg, -1).T.copy()) if want_witness else None
     return list(values.T.copy()), witnesses, sub_ids
-
-
-def local_grand_maximal(space: QuasiMetricSpace, b0: Ball, f: np.ndarray) -> OperatorResult:
-    """Grand maximal function localized to the ball b0.
-
-    Values are meaningful on b0's members and zero elsewhere; queries
-    off the ball are not defined by the operator.
-    """
-    trunc = space.ball_at(b0.center, 4.0 * space.a0 * b0.radius).members
-    vals, wits, _ = region_grand_maximal(space, b0.members, trunc, [f], want_witness=True)
-    return OperatorResult(vals[0], wits[0])
 
 
 def weak_type_11_constant(space: QuasiMetricSpace, probes: int = 100, seed: int = 0) -> float:
@@ -673,14 +666,14 @@ def probe_images(
     probes: int = 16,
     seed: int = 0,
     ball_cap: Optional[int] = 4096,
-) -> Tuple[np.ndarray, Tuple[str, ...], np.ndarray, np.ndarray]:
-    """(F, labels, cb, bm): ``build_probes``' matrix and labels and the
-    read-only C_b and [b, M] images of every column, memoized on the
-    space.  Duplicate columns copy the image of the lowest column
+) -> Tuple[np.ndarray, Tuple[str, ...], np.ndarray, np.ndarray, np.ndarray]:
+    """(F, labels, mf, cb, bm): ``build_probes``' matrix and labels and
+    the read-only M, C_b and [b, M] images of every column, memoized on
+    the space.  Duplicate columns copy the image of the lowest column
     holding the same values, so argmax witnesses keep their labels.
     Point masses use the closed forms through the smallest ball holding
     both points; other columns go through one ``CommutatorKernel.apply``
-    and, for [b, M], one ``commutator_bM`` call."""
+    and one maximal function call for both M and [b, M]."""
     if probes < 1:
         raise ValueError("probes must be >= 1")
     b = np.asarray(b, dtype=np.float64)
@@ -690,23 +683,26 @@ def probe_images(
     F, labels = build_probes(space, probes, seed, ball_cap)
     first, inverse = _distinct_rows(np.ascontiguousarray(F.T).view(np.uint8))
     m = space.mass
-    cb = np.empty((space.n, len(first)))
-    bm = np.empty_like(cb)
+    mf = np.empty((space.n, len(first)))
+    cb = np.empty_like(mf)
+    bm = np.empty_like(mf)
     # the leading n columns are the point masses, all distinct
     point = first < space.n
     i = first[point]
     minmu = _pair_min_ball_measure(space)[:, i]
+    mf[:, point] = m[i] / minmu
     cb[:, point] = np.abs(b[:, None] * m[i] - b[i] * m[i]) / minmu
-    bm[:, point] = b[:, None] * (m[i] / minmu) - (np.abs(b[i]) * m[i]) / minmu
+    bm[:, point] = b[:, None] * mf[:, point] - (np.abs(b[i]) * m[i]) / minmu
     rest = np.flatnonzero(~point)
     cb[:, rest] = CommutatorKernel(space, b).apply(F[:, first[rest]]).values
-    bm[:, rest] = commutator_bM(space, b, F[:, first[rest]])
+    mf[:, rest], mbf = _maximal_pair(space, b[:, None], F[:, first[rest]])
+    bm[:, rest] = b[:, None] * mf[:, rest] - mbf
     # take keeps the images C-ordered, so column sums over them add
     # row by row exactly as over the probe matrix
-    cb, bm = (np.take(a, inverse, axis=1) for a in (cb, bm))
-    for arr in (F, cb, bm):
+    mf, cb, bm = (np.take(a, inverse, axis=1) for a in (mf, cb, bm))
+    for arr in (F, mf, cb, bm):
         arr.flags.writeable = False
-    space._cache[key] = (F, tuple(labels), cb, bm)
+    space._cache[key] = (F, tuple(labels), mf, cb, bm)
     return space._cache[key]  # type: ignore[return-value]
 
 
@@ -726,24 +722,3 @@ def estimate_from_values(
     ratios = num / den
     best = int(np.argmax(ratios))
     return float(ratios[best]), best
-
-
-def operator_norm_estimate(
-    space: QuasiMetricSpace,
-    apply_op: Callable[[np.ndarray], np.ndarray],
-    lam1: np.ndarray,
-    lam2: np.ndarray,
-    p: float,
-    probes: int = 16,
-    seed: int = 0,
-    ball_cap: Optional[int] = 4096,
-) -> Dict[str, object]:
-    """Probe lower bound for the L^p(lambda1) -> L^p(lambda2) norm."""
-    if probes < 1:
-        raise ValueError("probes must be >= 1")
-    F, labels = build_probes(space, probes, seed, ball_cap)
-    out = np.empty_like(F)
-    for j in range(F.shape[1]):
-        out[:, j] = apply_op(F[:, j])
-    est, idx = estimate_from_values(space, out, F, lam1, lam2, p)
-    return {"estimate": est, "witness": labels[idx], "probes": F.shape[1]}

@@ -130,6 +130,7 @@ def cz_select(
 class DominationCertificate:
     families: List[SparseFamily]
     bound: np.ndarray
+    cb: np.ndarray  # C_b f, the dominated values; not serialized
     c_emp: float
     exceptional: np.ndarray
     nodes: List[Dict[str, object]]
@@ -466,6 +467,7 @@ def build_domination(
     return DominationCertificate(
         families=families,
         bound=bound,
+        cb=cb,
         c_emp=c_emp,
         exceptional=exceptional,
         nodes=nodes,

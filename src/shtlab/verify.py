@@ -131,7 +131,7 @@ def verify_upper_bound_cb(
     _validate_weights(space, lam1, lam2, p)
     b = np.asarray(b, dtype=np.float64)
     nu, bmo, ap1, ap2, scale = _upper_scale(space, b, lam1, lam2, p)
-    F, labels, cb, _ = probe_images(space, b, probes, seed, ball_cap)
+    F, labels, _, cb, _ = probe_images(space, b, probes, seed, ball_cap)
     est, idx = estimate_from_values(space, cb, F, lam1, lam2, p)
     vacuous = bmo == 0.0
     rho = 0.0 if vacuous else est / scale
@@ -172,7 +172,7 @@ def verify_upper_bound_bm(
     if b.min() < 0:
         raise ValueError("symbol b must be nonnegative for the [b, M] reduction")
     nu, bmo, ap1, ap2, scale = _upper_scale(space, b, lam1, lam2, p)
-    F, _, cb, bm = probe_images(space, b, probes, seed, ball_cap)
+    F, _, _, cb, bm = probe_images(space, b, probes, seed, ball_cap)
     reduction = _leq_entry("upper_bm.pointwise_reduction", np.abs(bm), cb, tol)
     est_bm, _ = estimate_from_values(space, bm, F, lam1, lam2, p)
     est_cb, _ = estimate_from_values(space, cb, F, lam1, lam2, p)
@@ -473,7 +473,7 @@ def verify_lower_bound(
     )
 
     # probe estimate of the operator norm, testing columns included
-    F, labels, cb, _ = probe_images(space, b, probes, seed, ball_cap)
+    F, labels, _, cb, _ = probe_images(space, b, probes, seed, ball_cap)
     est, est_idx = estimate_from_values(space, cb, F, lam1, lam2, p)
 
     # testing chain on every probed ball at once, using honest kernel
@@ -622,7 +622,7 @@ def fit_weight_exponent(
         raise ValueError("p must exceed 1")
     n = space.n
     cubes = system.all_cubes()
-    F, _, cb, bm = probe_images(space, b, probes, seed, ball_cap)
+    F, _, _, cb, bm = probe_images(space, b, probes, seed, ball_cap)
     images = {"sparse": sparse_operator(space, cubes, F).values, "cb": cb, "bm": bm}
 
     coord = space.dist[0]

@@ -8,13 +8,11 @@ therefore finite maxima, reported together with the achieving ball.
 
 * ``ap_characteristic`` -- [w]_{A_p} = sup_B (avg_B w)(avg_B w^{-1/(p-1)})^{p-1}
 * ``a1_check``          -- [w]_{A_1} = max M w / w (always >= 1 on atoms)
-* ``ainf_characteristic`` -- Fujii-Wilson-free exponential form
-  sup_B (avg_B w) exp(avg_B log(1/w))
 * ``reverse_holder_constant`` -- smallest C with
   avg_B w <= C (avg_B w^d)^{1/d} for a given d in (0, 1)
 * ``weight_doubling_check`` -- w(lB) <= l^{n p} [w]_{A_p} w(B) with the
   strong measured doubling exponent (see Notes)
-* ``bmo_norm`` / ``mean_oscillation`` -- weighted bounded mean oscillation
+* ``bmo_norm`` -- weighted bounded mean oscillation
 * ``bloom_weight`` -- nu = lambda1^{1/p} lambda2^{-1/p}
 
 Notes
@@ -70,16 +68,6 @@ def a1_check(space: QuasiMetricSpace, w: np.ndarray) -> Dict[str, object]:
     return {"constant": value, "point": best, "is_a1": bool(np.isfinite(value))}
 
 
-def ainf_characteristic(space: QuasiMetricSpace, w: np.ndarray) -> BallValue:
-    """sup_B (avg_B w) exp(avg_B log(1/w)) over canonical balls."""
-    w = np.asarray(w, dtype=np.float64)
-    avg_w = space.ball_averages(w)
-    avg_log_inv = space.ball_averages(-np.log(w))
-    vals = avg_w * np.exp(avg_log_inv)
-    best = int(np.argmax(vals))
-    return BallValue(float(vals[best]), best)
-
-
 def reverse_holder_constant(space: QuasiMetricSpace, w: np.ndarray, d: float) -> float:
     """Smallest C with avg_B w <= C (avg_B w^d)^{1/d} for all canonical B."""
     if not 0 < d < 1:
@@ -127,15 +115,6 @@ def weight_doubling_check(
         "lambda": float(lams[best % len(lams)]),
         "pass": bool(worst <= 1.0 + 1e-9),
     }
-
-
-def mean_oscillation(space: QuasiMetricSpace, b: np.ndarray, members: np.ndarray) -> float:
-    """avg over the set of |b - b_set| (plain mu-averages)."""
-    b = np.asarray(b, dtype=np.float64)
-    members = np.asarray(members, dtype=np.int64)
-    m = space.mass[members]
-    avg = float((b[members] * m).sum() / m.sum())
-    return float((np.abs(b[members] - avg) * m).sum() / m.sum())
 
 
 def bmo_norm(space: QuasiMetricSpace, b: np.ndarray, w: np.ndarray) -> BallValue:

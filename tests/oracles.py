@@ -277,6 +277,15 @@ def bmo_norm(space, b: np.ndarray, w: np.ndarray) -> float:
     return best
 
 
+def mean_oscillation(space, b: np.ndarray, members: np.ndarray) -> float:
+    """avg over the set of |b - b_set| (plain mu-averages)."""
+    b = np.asarray(b, dtype=np.float64)
+    members = np.asarray(members, dtype=np.int64)
+    m = space.mass[members]
+    avg = float((b[members] * m).sum() / m.sum())
+    return float((np.abs(b[members] - avg) * m).sum() / m.sum())
+
+
 def deviation_sums(space, b: np.ndarray, weight: np.ndarray, r: float = 1.0) -> np.ndarray:
     """Per canonical ball, one center at a time: the sum over its
     members of |b - b_B|^r weight, in the library's arithmetic order so

@@ -20,6 +20,7 @@ import sys
 import numpy as np
 
 import _acceptance_log
+import oracles
 from shtlab import (
     CommutatorKernel,
     ap_characteristic,
@@ -32,7 +33,6 @@ from shtlab import (
     evaluate_bound_from_dict,
     certificate_to_dict,
     fit_weight_exponent,
-    mean_oscillation,
     oscillation_domination,
     sparse_commutator,
     sparse_commutator_adjoint,
@@ -155,7 +155,7 @@ def test_criterion_4_oscillation_domination():
         ok = ok and np.isfinite(res["c_emp"]) and res["c_emp"] >= 0.0
         # pointwise realization on every family cube
         cubes = {key: system.cubes[key[0]][key[1]] for key in out_keys}
-        osc = {key: mean_oscillation(space, b, c.members) for key, c in cubes.items()}
+        osc = {key: oracles.mean_oscillation(space, b, c.members) for key, c in cubes.items()}
         for key, cube in cubes.items():
             b_q = space.average(b, cube.members)
             for x in cube.members:

@@ -76,6 +76,7 @@ class TestVerifyCommand:
         ) == json_bytes_without_runtime(_read(os.path.join(out2, "verify.json")).decode())
 
     def test_parallel_run_matches_serial_bytes(self, tmp_path):
+        # --jobs is accepted and ignored: scenarios run in order either way
         cfg = _small_config(tmp_path)
         out1, out2 = str(tmp_path / "serial"), str(tmp_path / "par")
         assert main(["verify", "--config", cfg, "--out", out1]) == 0
@@ -155,6 +156,18 @@ class TestVerifyCommand:
         assert main(["verify", "--config", str(bad)]) == 2
         err = capsys.readouterr().err
         assert err.strip() == "error: scenario.p: must exceed 1"
+
+    def test_non_finite_literal_exits_two(self, tmp_path, capsys):
+        # json reads NaN as a float, which no range check alone rejects
+        bad = tmp_path / "nan.json"
+        bad.write_text(
+            '{"scenario": "x", "space": {"kind": "line", "n": 8}, "seed": 1, "p": NaN}',
+            encoding="utf-8",
+        )
+        out = tmp_path / "reports"
+        assert main(["verify", "--config", str(bad), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.strip() == "error: scenario.p: must be a finite number"
+        assert not out.exists()
 
     def test_space_above_point_cap_exits_two(self, tmp_path, capsys):
         big = tmp_path / "big.json"

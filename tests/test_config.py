@@ -127,6 +127,21 @@ class TestParsing:
         ({"function": {"kind": "point", "index": 2.0}}, "scenario.function.index"),
         ({"function": {"kind": "ball", "center": 1.5}}, "scenario.function.center"),
         ({"tolerances": {"exactt": 1e-10}}, "scenario.tolerances.exactt"),
+        # JSON reads NaN and Infinity as floats
+        ({"p": float("nan")}, "scenario.p"),
+        ({"p": float("inf")}, "scenario.p"),
+        ({"rho_cap": float("nan")}, "scenario.rho_cap"),
+        ({"rho_cap": float("inf")}, "scenario.rho_cap"),
+        ({"rho_cap": 0}, "scenario.rho_cap"),
+        ({"rho_cap": -1.0}, "scenario.rho_cap"),
+        ({"r_values": [float("nan")]}, "scenario.r_values[0]"),
+        ({"r_values": [1.0, float("inf")], "checks": ["system"]}, "scenario.r_values[1]"),
+        ({"r_values": [True]}, "scenario.r_values[0]"),
+        ({"tolerances": {"exact": float("nan")}}, "scenario.tolerances.exact"),
+        ({"tolerances": {"holder": float("inf")}}, "scenario.tolerances.holder"),
+        # a JSON int beyond float range
+        ({"p": 10**400}, "scenario.p"),
+        ({"delta": -(10**400)}, "scenario.delta"),
     ]
 
     @pytest.mark.parametrize("over, field", REJECTED)

@@ -14,10 +14,7 @@ from shtlab import (
     build_space,
     commutator_bM,
     estimate_from_values,
-    local_grand_maximal,
-    maximal_commutator,
     maximal_function,
-    operator_norm_estimate,
     probe_images,
     region_grand_maximal,
     sparse_commutator,
@@ -168,15 +165,6 @@ class TestCommutatorKernel:
             got = CommutatorKernel(sp, b).apply(f).values
             assert np.allclose(got, oracles.commutator_kernel(sp, b, f), rtol=1e-12)
 
-    def test_maximal_commutator_wrapper(self):
-        sp = build_space("line", 12)
-        rng = np.random.default_rng(8)
-        b, f = rng.standard_normal(12), rng.standard_normal(12)
-        assert np.allclose(
-            maximal_commutator(sp, b, f).values,
-            CommutatorKernel(sp, b).apply(f).values,
-        )
-
     def test_witness_is_canonical_and_attains(self):
         # the kernel collapses duplicate member sets internally; its
         # witnesses must still be valid canonical ball ids that attain
@@ -323,6 +311,14 @@ class TestCommutatorBM:
                 assert np.all(lhs <= rhs + 1e-12 * scale)
 
 
+def _grand_on_ball(sp, b0, f):
+    """The grand maximal operator localized to b0, truncated to its
+    4 A0 enlargement."""
+    trunc = sp.ball_at(b0.center, 4.0 * sp.a0 * b0.radius).members
+    vals, _, _ = region_grand_maximal(sp, b0.members, trunc, [f])
+    return vals[0]
+
+
 class TestLocalizedMaximal:
     def test_vanishing_outside_enlargement_gives_zero(self):
         sp = build_space("line", 8)
@@ -330,8 +326,7 @@ class TestLocalizedMaximal:
         big = np.flatnonzero(sp.dist[b0.center] < 4.0 * sp.a0 * b0.radius)
         f = np.ones(8)
         f[big] = 0.0
-        vals = local_grand_maximal(sp, b0, f).values
-        assert np.allclose(vals, 0.0)
+        assert np.allclose(_grand_on_ball(sp, b0, f), 0.0)
 
     def test_line8_right_indicator_matches_brute_force(self):
         sp = build_space("line", 8)
@@ -352,7 +347,7 @@ class TestLocalizedMaximal:
         f = np.zeros(8)
         f[2] = 1.0
         mf = maximal_function(sp, f).values
-        grand = local_grand_maximal(sp, b0, f).values
+        grand = _grand_on_ball(sp, b0, f)
         # at the supporting atom |f| = 1 absorbs the maximal function
         excess = mf[2] - grand[2]
         assert excess <= mf[2] + 1e-15
@@ -542,16 +537,15 @@ class TestNormsAndProbes:
     def test_identity_operator_estimate_one(self):
         sp = build_space("line", 16)
         w = np.exp(np.random.default_rng(21).standard_normal(16))
-        est = operator_norm_estimate(sp, lambda f: f, w, w, 2.0, probes=8, seed=0)
-        assert est["estimate"] == pytest.approx(1.0)
+        F, _ = build_probes(sp, random_count=8, seed=0)
+        est, _ = estimate_from_values(sp, F, F, w, w, 2.0)
+        assert est == pytest.approx(1.0)
 
     def test_constant_symbol_estimate_zero(self):
         sp = build_space("line", 16)
-        kern = CommutatorKernel(sp, np.full(16, 2.0))
-        est = operator_norm_estimate(
-            sp, lambda f: kern.apply(f).values, np.ones(16), np.ones(16), 2.0, probes=4
-        )
-        assert est["estimate"] == 0.0
+        F, _, _, cb, _ = probe_images(sp, np.full(16, 2.0), probes=4)
+        est, _ = estimate_from_values(sp, cb, F, np.ones(16), np.ones(16), 2.0)
+        assert est == 0.0
 
     def test_probe_labels_and_shapes(self):
         sp = build_space("line", 16)
@@ -579,24 +573,36 @@ class TestNormsAndProbes:
 
 class TestProbeImages:
     @pytest.mark.parametrize(
-        "kind,n", [("line", 48), ("sqline", 32), ("tree", 31), ("grid2d", 6), ("lognormal", 20)]
+        "kind,n",
+        [("line", 48), ("sqline", 32), ("tree", 31), ("grid2d", 6), ("lognormal", 20), ("ties", 5)],
     )
     def test_bit_identical_to_per_column_operators(self, kind, n):
-        sp = oracles.lognormal_plane(n) if kind == "lognormal" else build_space(kind, n)
+        if kind == "lognormal":
+            sp = oracles.lognormal_plane(n)
+        elif kind == "ties":
+            sp = oracles.tied_quasi_grid(n)
+        else:
+            sp = build_space(kind, n)
         rng = np.random.default_rng(23)
         for b in (np.full(sp.n, 1.5), rng.standard_normal(sp.n)):
-            F, labels, cb, bm = probe_images(sp, b, 4, 7, 600)
+            F, labels, mf, cb, bm = probe_images(sp, b, 4, 7, 600)
             F_ref, labels_ref = build_probes(sp, 4, 7, 600)
             assert np.array_equal(F, F_ref) and labels == tuple(labels_ref)
+            # singleton balls repeat point columns: M over every column,
+            # duplicates and point masses included, is the memoized image
+            assert np.unique(F, axis=1).shape[1] < F.shape[1]
+            assert np.array_equal(mf, maximal_function(sp, F).values)
             kernel = CommutatorKernel(sp, b)
-            cb_ref, bm_ref = np.empty_like(F), np.empty_like(F)
+            mf_ref, cb_ref, bm_ref = np.empty_like(F), np.empty_like(F), np.empty_like(F)
             for j in range(F.shape[1]):
+                mf_ref[:, j] = maximal_function(sp, F[:, j]).values
                 cb_ref[:, j] = kernel.apply(F[:, j]).values
                 bm_ref[:, j] = commutator_bM(sp, b, F[:, j])
+            assert np.array_equal(mf, mf_ref)
             assert np.array_equal(cb, cb_ref) and np.array_equal(bm, bm_ref)
             # the norm estimates sum over the same memory order, bit for bit
             w = np.linspace(0.5, 2.0, sp.n)
-            for got, want in ((cb, cb_ref), (bm, bm_ref)):
+            for got, want in ((mf, mf_ref), (cb, cb_ref), (bm, bm_ref)):
                 assert estimate_from_values(sp, got, F, w, w[::-1], 1.5) == (
                     estimate_from_values(sp, want, F_ref, w, w[::-1], 1.5)
                 )
@@ -604,7 +610,7 @@ class TestProbeImages:
     def test_singleton_ball_copies_its_point_column(self):
         sp = oracles.lognormal_plane()
         b = np.abs(np.random.default_rng(24).standard_normal(sp.n))
-        F, labels, cb, bm = probe_images(sp, b, 2, 0, None)
+        F, labels, mf, cb, bm = probe_images(sp, b, 2, 0, None)
         t = sp.ball_table()
         singles = [
             (j, int(t.center[int(lab[5:])]))
@@ -615,6 +621,7 @@ class TestProbeImages:
         kernel = CommutatorKernel(sp, b)
         for j, c in singles:
             assert np.array_equal(F[:, j], F[:, c])
+            assert np.array_equal(mf[:, j], mf[:, c])
             assert np.array_equal(cb[:, j], cb[:, c])
             assert np.array_equal(bm[:, j], bm[:, c])
             assert np.array_equal(cb[:, j], kernel.apply(F[:, j]).values)
@@ -626,9 +633,9 @@ class TestProbeImages:
         images = probe_images(sp, b, 4, 1, 32)
         assert probe_images(sp, b.copy(), 4, 1, 32) is images
         assert probe_images(sp, b, 4, 2, 32) is not images
-        F, labels, cb, bm = images
+        F, labels, mf, cb, bm = images
         assert isinstance(labels, tuple)
-        for arr in (F, cb, bm):
+        for arr in (F, mf, cb, bm):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0, 0] = 1.0

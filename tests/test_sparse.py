@@ -21,7 +21,6 @@ from shtlab import (
     certificate_to_dict,
     cz_select,
     evaluate_bound_from_dict,
-    mean_oscillation,
     oscillation_domination,
     packing_constant,
     save_certificate,
@@ -190,7 +189,7 @@ class TestOscillationDomination:
         # every family cube: |b - b_Q| <= c_emp * sum of osc(R) chi_R
         # over family members R inside Q, with 0/0 treated as fine.
         cubes = {key: system.cubes[key[0]][key[1]] for key in out_keys}
-        osc = {key: mean_oscillation(space, b, c.members) for key, c in cubes.items()}
+        osc = {key: oracles.mean_oscillation(space, b, c.members) for key, c in cubes.items()}
         for key, cube in cubes.items():
             b_q = space.average(b, cube.members)
             for x in cube.members:

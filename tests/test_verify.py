@@ -240,7 +240,7 @@ class TestLowerBound:
     def test_testing_chain_matches_the_per_ball_oracle(self, kind, n, ball_cap):
         space, b, lam1, lam2 = _testing_setup(kind, n)
         rep = verify_lower_bound(space, b, lam1, lam2, 1.5, probes=4, seed=5, ball_cap=ball_cap)
-        _, labels, cb, _ = probe_images(space, b, 4, 5, ball_cap)
+        _, labels, _, cb, _ = probe_images(space, b, 4, 5, ball_cap)
         want = oracles.lower_testing_chain(space, b, lam1, lam2, 1.5, labels, cb, rep["estimate"])
         got = {e["check"]: e["value"] for e in rep["entries"]}
         for name in TESTING_STEPS:
@@ -254,14 +254,14 @@ class TestLowerBound:
         target = int(t.start[24] + np.argmax(t.count[t.start[24] : t.start[25]] >= 16))
 
         def halved(*args):
-            F, labels, cb, bm = probe_images(*args)
+            F, labels, mf, cb, bm = probe_images(*args)
             cb = cb.copy()
             cb[:, labels.index(f"ball:{target}")] *= 0.5
-            return F, labels, cb, bm
+            return F, labels, mf, cb, bm
 
         monkeypatch.setattr(verify, "probe_images", halved)
         rep = verify_lower_bound(space, b, lam1, lam2, 2.0, probes=4, seed=5)
-        _, labels, cb, _ = halved(space, b, 4, 5, None)
+        _, labels, _, cb, _ = halved(space, b, 4, 5, None)
         want = oracles.lower_testing_chain(space, b, lam1, lam2, 2.0, labels, cb, rep["estimate"])
         entry = next(e for e in rep["entries"] if e["check"] == "lower.defn_minorant")
         assert not entry["passed"] and entry["value"] > 1e-3
@@ -401,7 +401,7 @@ class TestClosedFormPointProbes:
         space = build_space("line", 16)
         rng = np.random.default_rng(3)
         b = np.abs(rng.standard_normal(16))
-        F, labels, cb, bm = probe_images(space, b, 8, 3, None)
+        F, labels, _, cb, bm = probe_images(space, b, 8, 3, None)
         kernel = CommutatorKernel(space, b)
         point_cols = [j for j, lab in enumerate(labels) if lab.startswith("point:")]
         assert point_cols  # the probe set always includes point masses

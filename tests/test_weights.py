@@ -6,13 +6,11 @@ import pytest
 import oracles
 from shtlab import (
     a1_check,
-    ainf_characteristic,
     ap_characteristic,
     bloom_weight,
     bmo_norm,
     build_space,
     dual_weight,
-    mean_oscillation,
     reverse_holder_constant,
     weight_doubling_check,
 )
@@ -84,21 +82,6 @@ class TestA1AndAinf:
         # Mw = (2, 3): full-ball average 2 beats the first atom
         assert rep["constant"] == pytest.approx(2.0)
 
-    def test_ainf_unit_weight(self):
-        sp = build_space("line", 8)
-        assert ainf_characteristic(sp, np.ones(8)).value == pytest.approx(1.0)
-
-    def test_ainf_pair_closed_form(self):
-        sp = build_space("pair", 2)
-        got = ainf_characteristic(sp, np.array([1.0, 4.0]))
-        # (5/2) * exp(-(log 1 + log 4)/2) = 2.5 / 2
-        assert got.value == pytest.approx(1.25)
-
-    def test_ainf_below_ap(self):
-        sp = build_space("line", 16)
-        w = _seeded_weight(sp, 3)
-        assert ainf_characteristic(sp, w).value <= ap_characteristic(sp, w, 2.0).value + 1e-12
-
 
 class TestReverseHolder:
     def test_unit_weight_is_one(self):
@@ -145,12 +128,13 @@ class TestWeightDoubling:
 class TestOscillation:
     def test_constant_symbol_zero(self):
         sp = build_space("line", 8)
-        assert mean_oscillation(sp, np.full(8, 3.0), np.arange(8)) == pytest.approx(0.0)
+        assert oracles.mean_oscillation(sp, np.full(8, 3.0), np.arange(8)) == pytest.approx(0.0)
         assert bmo_norm(sp, np.full(8, 3.0), np.ones(8)).value == pytest.approx(0.0)
 
     def test_pair_mean_oscillation_half(self):
         sp = build_space("pair", 2)
-        got = mean_oscillation(sp, np.array([0.0, 1.0]), np.array([0, 1]))
+        # the brute-force oracle that test_sparse and test_acceptance use
+        got = oracles.mean_oscillation(sp, np.array([0.0, 1.0]), np.array([0, 1]))
         assert got == pytest.approx(0.5)
 
     def test_pair_bmo_half(self):
