@@ -481,16 +481,22 @@ def geometric_doubling(space: QuasiMetricSpace, delta: float) -> int:
     which then close every y nearer x than their delta * r.  The balls
     go in blocks of at most ``DOUBLING_BLOCK`` table entries, so the
     scratch is one bool table of at most min(balls x n, DOUBLING_BLOCK)
-    bytes plus the int64 rank gather that builds it."""
+    bytes; each block's table is filled in row chunks whose rank
+    gather takes an eighth of that."""
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     t = space.ball_table()
     n = space.n
     best = 1
     step = max(1, DOUBLING_BLOCK // n)
+    # rows per chunk of the int64 rank gather filling a block's table
+    chunk = max(1, DOUBLING_BLOCK // (64 * n))
     for b0 in range(0, len(t.center), step):
-        ids = slice(b0, b0 + step)
-        open_ = t.rank[t.center[ids]] < t.count[ids, None]
+        ids = np.arange(b0, min(len(t.center), b0 + step))
+        open_ = np.empty((len(ids), n), dtype=bool)
+        for r0 in range(0, len(ids), chunk):
+            part = ids[r0 : r0 + chunk]
+            np.less(t.rank[t.center[part]], t.count[part, None], out=open_[r0 : r0 + chunk])
         sep = delta * t.radius[ids, None]
         kept = np.zeros(len(open_), dtype=np.int64)
         for x in range(n):

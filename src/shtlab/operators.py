@@ -24,12 +24,13 @@ order).  Two exact reorganizations keep desk-scale evaluation fast:
   b(x) in the sorted symbol values, so per-ball sums over
   |b(x) - b(y)| |f(y)| are two cumulative sums over the sorted order
   (``CommutatorKernel``).  The kernel keeps one row per distinct member
-  set, read from the ball table, as a (positions x rows) mask.  It
-  walks the positions in symbol order over (rows x columns) planes of
-  at most ``KERNEL_BLOCK`` entries, adding each position's mass only
-  to the rows holding it (``where=``, so the sums match a cumsum bit
-  for bit), and maxes over those rows there.  (n,) and (n, k) input
-  take the same path.
+  set, read from the ball table, as (positions x rows) bits packed
+  along the rows, one bit per entry.  It walks the positions in symbol
+  order over (rows x columns) planes of at most ``KERNEL_BLOCK``
+  entries, unpacking each position's rows, adding its mass only to the
+  rows holding it (``where=``, so the sums match a cumsum bit for
+  bit), and maxing over those rows there.  (n,) and (n, k) input take
+  the same path.
 * Probe images of M, C_b and [b, M] are built once per (space,
   symbol, probe set) and memoized on the space (``probe_images``).
   Each distinct probe column is evaluated once; a point mass at i has
@@ -188,36 +189,50 @@ def maximal_function(
 # -- maximal commutator ------------------------------------------------------
 
 
+# float entries per (rows x columns) plane of ``CommutatorKernel.apply``;
+# the kernel's and ``_distinct_rows``' set-up scratch goes in chunks of
+# as many bytes
+KERNEL_BLOCK = 1 << 19
+
+
 def _distinct_rows(packed: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(first, inverse) of the distinct rows of a uint8 matrix, as
     ``np.unique(packed, axis=0, return_index=True, return_inverse=True)``
     gives them: classes in lexicographic row order, each with its
     lowest row id.  Rows are read as big-endian uint64 words, so a
     stable ``np.lexsort`` on the words orders them as the bytes do, and
-    a class starts wherever a row differs from the one before it."""
+    a class starts wherever a row differs from the one before it.  A
+    C-contiguous matrix whose width is a multiple of 8 is read in place;
+    any other is first copied into zero-padded words.  Neighbours are
+    compared in chunks of ``KERNEL_BLOCK`` bytes."""
     rows, width = packed.shape
-    padded = np.zeros((rows, -(-width // 8) * 8), dtype=np.uint8)
-    padded[:, :width] = packed
-    words = padded.view(">u8").astype(np.uint64)
-    order = np.lexsort(words.T[::-1])
+    if width % 8 or not packed.flags.c_contiguous:
+        padded = np.zeros((rows, -(-width // 8) * 8), dtype=np.uint8)
+        padded[:, :width] = packed
+        packed = padded
+    order = np.lexsort(packed.view(">u8").T[::-1])
+    # equal rows have equal words in either byte order
+    words = packed.view(np.uint64)
     new = np.ones(rows, dtype=bool)
-    new[1:] = np.any(words[order[1:]] != words[order[:-1]], axis=1)
+    step = max(1, KERNEL_BLOCK // packed.shape[1])
+    for i in range(1, rows, step):
+        here = order[i : i + step]
+        before = order[i - 1 : i - 1 + len(here)]
+        new[i : i + len(here)] = np.any(words[here] != words[before], axis=1)
     inverse = np.empty(rows, dtype=np.int64)
     inverse[order] = np.cumsum(new) - 1
     return order[new], inverse
 
 
-# float entries per (rows x columns) plane of ``CommutatorKernel.apply``
-KERNEL_BLOCK = 1 << 19
-
-
 class CommutatorKernel:
     """Reusable evaluator for C_b f(x) = sup_{B owns x} avg_B |b(x)-b(.)| |f|.
 
-    Holds the distinct member sets of the canonical balls as a
-    (positions x rows) mask, positions in symbol order; ``apply`` walks
-    the positions over (rows x columns) planes of at most
-    ``KERNEL_BLOCK`` entries, for (n,) or (n, k) input alike.
+    Holds the distinct member sets of the canonical balls as packed
+    bits: ``bits[j]`` is the ``np.packbits`` of which rows hold the
+    j-th point in symbol order, one bit per row.  ``apply`` walks the
+    positions over (rows x columns) planes of at most ``KERNEL_BLOCK``
+    entries, unpacking their rows a few positions at a time, for (n,)
+    or (n, k) input alike.
     """
 
     def __init__(self, space: QuasiMetricSpace, b: np.ndarray) -> None:
@@ -231,11 +246,16 @@ class CommutatorKernel:
         self.b_s = self.b[self.order]
         t = space.ball_table()
         n = space.n
-        # per center, its prefix rows with columns in symbol order
-        packed = np.empty((len(t.center), (n + 7) // 8), dtype=np.uint8)
+        # rank_s[c, j]: the place of the j-th point in symbol order along
+        # c's distance order, so ball i holds it when below count[i]
+        # (C-ordered: the fancy index alone leaves each row strided)
+        rank_s = np.ascontiguousarray(t.rank[:, self.order])
+        # per center, its prefix rows with columns in symbol order, zero
+        # padded to whole 8-byte words so _distinct_rows reads them in place
+        packed = np.zeros((len(t.center), -(-n // 64) * 8), dtype=np.uint8)
         for c in range(n):
             ids = slice(t.start[c], t.start[c + 1])
-            packed[ids] = np.packbits(t.rank[c, self.order] < t.count[ids, None], axis=1)
+            packed[ids, : (n + 7) // 8] = np.packbits(rank_s[c] < t.count[ids, None], axis=1)
         # the sup only sees member sets, so collapse duplicate balls;
         # ball_ids maps each surviving row back to the lowest canonical
         # id sharing its member set, keeping witness ids canonical; twins
@@ -248,14 +268,30 @@ class CommutatorKernel:
         keep = np.argsort(first)
         self.ball_ids = first[keep].astype(np.int64)
         self.mu = mu[keep]
-        # mask_t[j, r]: the j-th point in symbol order lies in row r,
-        # written one center's (contiguous) rows at a time
+        # bits[j] packs the rows holding the j-th point in symbol order,
+        # built through a (positions x rows) mask of at most KERNEL_BLOCK
+        # bytes whose row count is a multiple of 8, so each chunk packs
+        # into whole bytes; a center's rows are contiguous
+        rows = len(self.ball_ids)
+        self.bits = np.empty((n, -(-rows // 8)), dtype=np.uint8)
         bounds = np.searchsorted(t.center[self.ball_ids], np.arange(n + 1))
-        self.mask_t = np.empty((n, len(self.ball_ids)), dtype=bool)
-        for c in range(n):
-            rows = slice(bounds[c], bounds[c + 1])
-            counts = t.count[self.ball_ids[rows]]
-            np.less(t.rank[c, self.order, None], counts, out=self.mask_t[:, rows])
+        step = max(8, KERNEL_BLOCK // n // 8 * 8)
+        mask = np.empty((n, step), dtype=bool)
+        for r0 in range(0, rows, step):
+            r1 = min(rows, r0 + step)
+            for c in range(t.center[self.ball_ids[r0]], t.center[self.ball_ids[r1 - 1]] + 1):
+                lo, hi = max(bounds[c], r0), min(bounds[c + 1], r1)
+                counts = t.count[self.ball_ids[lo:hi]]
+                np.less(rank_s[c, :, None], counts, out=mask[:, lo - r0 : hi - r0])
+            self.bits[:, r0 // 8 : -(-r1 // 8)] = np.packbits(mask[:, : r1 - r0], axis=1)
+
+    def _holders(self):
+        """Per position in symbol order, the (rows,) bool of which rows
+        hold it, unpacked in groups of at most ``KERNEL_BLOCK`` bytes."""
+        rows = len(self.mu)
+        group = max(1, KERNEL_BLOCK // rows)
+        for j0 in range(0, self.space.n, group):
+            yield from np.unpackbits(self.bits[j0 : j0 + group], axis=1, count=rows).view(bool)
 
     def apply(self, f: np.ndarray, want_witness: bool = False) -> OperatorResult:
         """C_b |f| with f (n,) or (n, k), one function per column; the
@@ -289,16 +325,16 @@ class CommutatorKernel:
             cols = slice(j0, min(k, j0 + step))
             shape = (rows, cols.stop - cols.start)
             TA, TB = np.zeros(shape), np.zeros(shape)
-            for j in range(n):
-                on = self.mask_t[j, :, None]
+            for j, held in enumerate(self._holders()):
+                on = held[:, None]
                 np.add(TA, u[j, cols], out=TA, where=on)
                 np.add(TB, bu[j, cols], out=TB, where=on)
             cA, cB = np.zeros(shape), np.zeros(shape)
-            for j, x in enumerate(self.order):
-                on = self.mask_t[j, :, None]
+            for j, (x, held) in enumerate(zip(self.order, self._holders())):
+                on = held[:, None]
                 np.add(cA, u[j, cols], out=cA, where=on)
                 np.add(cB, bu[j, cols], out=cB, where=on)
-                idx = np.flatnonzero(self.mask_t[j])
+                idx = np.flatnonzero(held)
                 here = (2.0 * cA[idx] - TA[idx]) * self.b_s[j]
                 here += TB[idx] - 2.0 * cB[idx]
                 here /= self.mu[idx, None]

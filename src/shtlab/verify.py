@@ -617,7 +617,8 @@ def fit_weight_exponent(
     """Power-weight sweep: for w_a = (d(x0, .) + 1/n)^{a} with
     a = coeff * (p-1), regress log(probe norm estimate) against
     log([w]_{A_p}^2) for A_S (full dyadic tree), C_b and [b, M]; the
-    fitted slope must stay under max(1, 1/(p-1)) + margin."""
+    fitted slope must stay under max(1, 1/(p-1)) + margin.  A constant
+    symbol makes C_b and [b, M] vanish, so their rows are vacuous."""
     if p <= 1:
         raise ValueError("p must exceed 1")
     n = space.n
@@ -644,8 +645,14 @@ def fit_weight_exponent(
     spread = float(x.max() - x.min()) if x.size else 0.0
     ops: Dict[str, Dict[str, object]] = {}
     all_pass = True
+    # the kernel's own test: C_b is then exactly 0, and [b, M] is 0 up
+    # to rounding, which a fit would read as a slope
+    constant = bool(np.ptp(b) == 0.0)
     for op, vals in ests.items():
         y = np.asarray(vals)
+        if constant and op != "sparse":
+            ops[op] = {"status": "vacuous", "points": int(y.size), "passed": True}
+            continue
         keep = np.isfinite(x) & (y > 0) & np.isfinite(np.log(np.maximum(y, 1e-300)))
         xk, yk = x[keep], np.log(y[keep])
         if xk.size < 3:

@@ -197,6 +197,38 @@ class TestVerifyCommand:
         assert doc["meta"]["scenarios"] == ["line16-b", "pair-a"]
         assert "runtime_s" in doc["meta"]
 
+    def test_constant_symbol_exponent_rows_are_vacuous(self, tmp_path):
+        # C_b of a constant symbol is exactly 0 and [b, M] is 0 up to
+        # rounding: neither has a slope to fit
+        scenarios = [
+            {
+                "scenario": name,
+                "space": space,
+                "seed": seed,
+                "p": 2.0,
+                "symbol": symbol,
+                "function": {"kind": "lognormal"},
+                "checks": ["upper", "jn", "exponent", "lower"],
+            }
+            for name, space, seed, symbol in (
+                ("line32-const", {"kind": "line", "n": 32}, 1, {"kind": "constant"}),
+                ("grid-const", {"kind": "grid2d", "n": 6}, 2, {"kind": "constant", "value": 3}),
+            )
+        ]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"scenarios": scenarios}), encoding="utf-8")
+        out = str(tmp_path / "reports")
+        main(["verify", "--config", str(path), "--out", out])
+        rows = rows_from_json(_read(os.path.join(out, "verify.json")).decode())
+        for scenario in ("line32-const", "grid-const"):
+            by_check = {r.check: r for r in rows if r.scenario == scenario}
+            assert by_check["exponent.sparse_slope"].passed
+            for op in ("cb", "bm"):
+                row = by_check[f"exponent.{op}_slope"]
+                assert (row.value, row.witness, row.passed) == (0.0, "vacuous", True)
+        # the default constant 1 passes every row
+        assert all(r.passed for r in rows if r.scenario == "line32-const")
+
 
 class TestOtherCommands:
     def test_gen_space_round_trips(self, tmp_path, capsys):

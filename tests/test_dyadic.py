@@ -445,6 +445,21 @@ class TestAdjacentSystems:
     def test_geometric_doubling_on_the_ladder_spaces(self, kind, n, a1):
         assert geometric_doubling(build_space(kind, n), 0.5) == a1
 
+    @pytest.mark.parametrize("kind,n,a1", [("line", 256, 4), ("grid2d", 16, 14)])
+    def test_geometric_doubling_scratch_at_ladder_scale(self, kind, n, a1):
+        # a full block's bool table, its sweep's temporaries, and a rank
+        # gather of an eighth of a block per chunk (int64, so gathering a
+        # whole block at once would take 8 blocks)
+        sp = build_space(kind, n)
+        sp.ball_table()  # the ball table stays out of the traced peak
+        tracemalloc.start()
+        try:
+            assert geometric_doubling(sp, 0.5) == a1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * dyadic.DOUBLING_BLOCK
+
     def test_deterministic(self):
         sp = build_space("sqline", 32)
         a = build_adjacent_systems(sp, 0.5, 2, seed=9)

@@ -245,7 +245,8 @@ class TestCommutatorKernel:
                 kern = CommutatorKernel(sp, b)
                 f = np.round(2.0 * rng.standard_normal(sp.n))
                 u = (sp.mass * np.abs(f))[kern.order]
-                mask = kern.mask_t.T
+                t = sp.ball_table()
+                mask = t.rank[t.center[kern.ball_ids]][:, kern.order] < t.count[kern.ball_ids, None]
                 A = np.cumsum(mask * u, axis=1)
                 B = np.cumsum(mask * (kern.b_s * u), axis=1)
                 vals = (2.0 * A - A[:, -1:]) * kern.b_s + (B[:, -1:] - 2.0 * B)
@@ -258,6 +259,69 @@ class TestCommutatorKernel:
                 got = kern.apply(f, want_witness=True)
                 assert np.array_equal(got.values, want)
                 assert np.array_equal(got.witnesses, wits)
+
+    @pytest.mark.parametrize(
+        "kind", ["pair", "line48", "sqline32", "grid2d8", "tree31", "ties", "lognormal"]
+    )
+    def test_packed_rows_off_a_byte_edge(self, monkeypatch, kind):
+        # the distinct-row count is no multiple of 8, so the last byte of
+        # each position's bits is partly padding; a one-entry block packs
+        # 8 rows per chunk and unpacks one position at a time
+        sp = {
+            "pair": lambda: build_space("pair", 2),
+            "line48": lambda: build_space("line", 48),
+            "sqline32": lambda: build_space("sqline", 32),
+            "grid2d8": lambda: build_space("grid2d", 8),
+            "tree31": lambda: build_space("tree", 31),
+            "ties": oracles.tied_quasi_grid,
+            "lognormal": oracles.lognormal_plane,
+        }[kind]()
+        t = sp.ball_table()
+        rng = np.random.default_rng(37)
+        F = np.concatenate([rng.lognormal(0.0, 1.0, (sp.n, 3)), np.round(2.0 * rng.random((sp.n, 2)))], axis=1)
+        for b in (rng.lognormal(0.0, 1.0, sp.n), np.round(3.0 * rng.random(sp.n)), np.full(sp.n, 2.5)):
+            kern = CommutatorKernel(sp, b)
+            rows = len(kern.mu)
+            assert rows % 8
+            mask = t.rank[t.center[kern.ball_ids]][:, kern.order] < t.count[kern.ball_ids, None]
+            assert kern.bits.shape == (sp.n, -(-rows // 8))
+            assert np.array_equal(np.unpackbits(kern.bits, axis=1, count=rows).view(bool), mask.T)
+            assert not np.unpackbits(kern.bits, axis=1)[:, rows:].any()
+            want = kern.apply(F, want_witness=True)
+            monkeypatch.setattr(operators, "KERNEL_BLOCK", 1)
+            small = CommutatorKernel(sp, b)
+            for name in ("bits", "ball_ids", "mu"):
+                assert np.array_equal(getattr(small, name), getattr(kern, name))
+            got = small.apply(F, want_witness=True)
+            monkeypatch.undo()
+            assert np.array_equal(got.values, want.values)
+            assert np.array_equal(got.witnesses, want.witnesses)
+            # the reference form: masked cumulative sums per row
+            for j in range(F.shape[1]):
+                u = (sp.mass * F[:, j])[kern.order] * (not kern.constant)
+                A = np.cumsum(mask * u, axis=1)
+                B = np.cumsum(mask * (kern.b_s * u), axis=1)
+                vals = (2.0 * A - A[:, -1:]) * kern.b_s + (B[:, -1:] - 2.0 * B)
+                vals /= kern.mu[:, None]
+                vals[~mask] = -np.inf
+                assert np.array_equal(want.values[kern.order, j], np.maximum(vals.max(axis=0), 0.0))
+                assert np.array_equal(want.witnesses[kern.order, j], kern.ball_ids[vals.argmax(axis=0)])
+
+    def test_line384_membership_stays_packed(self):
+        # one bit per (position, distinct ball): 384 x 55901 entries keep
+        # 2.7 MB, where one byte each would take 21.5 MB
+        sp = build_space("line", 384)
+        sp.ball_table()  # cached set-up stays out of the traced peak
+        b = np.exp(0.5 * np.random.default_rng(38).standard_normal(sp.n))
+        tracemalloc.start()
+        try:
+            kern = CommutatorKernel(sp, b)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kern.bits.nbytes == sp.n * -(-len(kern.mu) // 8)
+        assert kept < 6e6
+        assert peak < 20e6
 
     def test_no_columns(self):
         sp = build_space("line", 12)
