@@ -12,9 +12,12 @@ order).  Two exact reorganizations keep desk-scale evaluation fast:
 * Balls at a fixed center are nested, so the balls containing a point,
   or meeting a set, form a suffix of the center's radius-sorted list.
   One ``_suffix_max`` places per-ball values in a (slots x centers)
-  table through one flat row index and takes the suffix max with one
-  ``np.maximum`` per slot over whole (centers x columns) planes.  M
-  reads it at each point's pointer and maxes over centers
+  table through one flat row index, as ``space.ball_sum_blocks`` yields
+  them block by block of centers with the caller's transform applied
+  (/ measure for M, (uncut - cut) / measure for the grand maximal), and
+  takes the suffix max with one ``np.maximum`` per slot over whole
+  (centers x columns) planes.  M reads it at each point's pointer and
+  maxes over centers, a chunk of points at a time
   (``maximal_function``); both grand maximal sups use it too.
 * Attaining balls cost a slot table, an id gather and a tie mask as
   large as the sup's own scratch, so M and ``region_grand_maximal``
@@ -38,17 +41,23 @@ order).  Two exact reorganizations keep desk-scale evaluation fast:
   M 1_i(x) = m_i / mu with mu the smallest ball measure holding x and
   i; C_b of the remaining columns takes one kernel call, and M and
   [b, M] share one maximal function call.
-* Scratch stays O(balls x n) whatever the column or sub-ball count.
-  M takes its columns in blocks of at most n/2.  The local grand
+* Scratch stays O(balls x n) whatever the column or sub-ball count,
+  and a ball sup holds one (balls x columns)-sized array: its suffix
+  max table.  No array of every ball's sums or averages is built, the
+  blocks of ball sums stay within one (centers x columns) plane of the
+  table, and the read-out gathers within one such plane per point.
+  Blocks and chunks take at least ``KERNEL_BLOCK // 8`` floats, so a
+  small space takes one of each.  M takes its columns in even blocks
+  whose table stays within (balls x n) floats.  The local grand
   maximal collapses sub-balls sharing member set and 4 A0 enlargement
   (twins have the same inner value).  Its cut sums depend only on the
-  enlargement E, so it takes one ``ball_sums`` and one suffix max per
-  block of distinct E (each block's arrays within ``GRAND_BLOCK``
-  bytes), and per class of B the max of n table entries, one per
-  center (``region_grand_maximal``).  Given a floor per function, it
-  first reads the same entries of the uncut averages, an upper bound
-  of each class's value, and evaluates only the classes and
-  enlargements whose bound exceeds a floor.
+  enlargement E, so it takes one suffix max per block of distinct E
+  (each table within ``GRAND_BLOCK`` bytes), filled from one
+  ``ball_sum_blocks`` pass, and per class of B the max of n table
+  entries, one per center (``region_grand_maximal``).  Given a floor
+  per function, it first reads the same entries of the uncut averages,
+  an upper bound of each class's value, and evaluates only the classes
+  and enlargements whose bound exceeds a floor.
 * The sparse forms A_S, T_{S,b} and T*_{S,b} run on one flat index of
   the cube family (concatenated member ids, each id's cube, each
   cube's measure): per-cube sums are one ``np.add.reduceat`` and
@@ -73,7 +82,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -102,21 +111,42 @@ def _ball_slots(space: QuasiMetricSpace) -> Tuple[np.ndarray, int, np.ndarray]:
     return slot, int(slot.max()) + 1, t.ptr - t.start[None, :-1]
 
 
+# float entries per (rows x columns) plane of ``CommutatorKernel.apply``;
+# the kernel's and ``_distinct_rows``' set-up scratch goes in chunks of
+# as many bytes, and the ball sups' blocks and chunks take at least an
+# eighth as many floats
+KERNEL_BLOCK = 1 << 19
+
+
+def _floats(size: int) -> int:
+    """A block or chunk size of size floats, raised to at least
+    ``KERNEL_BLOCK // 8`` so that a small space takes one block."""
+    return max(KERNEL_BLOCK // 8, size)
+
+
 def _suffix_max(
-    space: QuasiMetricSpace, per_ball: np.ndarray, want_slot: bool = False
+    space: QuasiMetricSpace,
+    blocks: Iterable[Tuple[slice, np.ndarray]],
+    k: int,
+    want_slot: bool = False,
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """The suffix max of per_ball (balls, k) along each center's list
-    as a (slots x centers x k) table, -inf past a center's last ball,
-    and with want_slot the lowest slot attaining each entry.  The balls
-    at c holding x are the suffix from pslot[x, c] on, so
-    table[pslot[x, c], c] is their sup."""
+    """The suffix max of per-ball values along each center's list as a
+    (slots x centers x k) table, -inf past a center's last ball, and
+    with want_slot the lowest slot attaining each entry.  blocks yields
+    (ids, per_ball): a slice of ball ids and their (balls, k) values,
+    each placed in the table as it comes, so no (balls x k) array of
+    every ball's values is needed.  The balls at c holding x are the
+    suffix from pslot[x, c] on, so table[pslot[x, c], c] is their sup."""
     t = space.ball_table()
     n = space.n
     slot, width, _ = _ball_slots(space)
-    k = per_ball.shape[1]
     table = np.full((width, n, k), -np.inf)
     # one flat row index scatters faster than the (slot, center) pair
-    table.reshape(width * n, k)[slot * n + t.center] = per_ball
+    flat = table.reshape(width * n, k)
+    row = slot * n + t.center
+    for ids, per_ball in blocks:
+        flat[row[ids]] = per_ball
+        del per_ball  # freed before the next block is built
     arg = None
     if want_slot:
         arg = np.empty(table.shape, dtype=np.int64)
@@ -130,34 +160,56 @@ def _suffix_max(
 
 
 def _sup_over_balls(
-    space: QuasiMetricSpace, per_ball: np.ndarray, want_witness: bool
+    space: QuasiMetricSpace,
+    blocks: Iterable[Tuple[slice, np.ndarray]],
+    k: int,
+    want_witness: bool,
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Per point x and column, the max of per_ball (balls, k) over the
+    """Per point x and column, the max of the per-ball values that
+    blocks yields (as ``_suffix_max`` takes them, k columns) over the
     canonical balls containing x and, with want_witness, the lowest
-    ball id attaining it (else None).  Columns go in blocks so the
-    (max(width, n) x n x columns) scratch stays within (balls x n)."""
+    ball id attaining it (else None).  The table is read in chunks of
+    points whose (points x centers x k) gather stays within one
+    (centers x k) plane per point, or ``KERNEL_BLOCK // 8`` floats if
+    more."""
     t = space.ball_table()
     n = space.n
-    nb, k = per_ball.shape
-    _, width, pslot = _ball_slots(space)
+    _, _, pslot = _ball_slots(space)
+    suf, arg = _suffix_max(space, blocks, k, want_slot=want_witness)
     centers = np.arange(n)[None, :]
     values = np.empty((n, k))
     witnesses = np.empty((n, k), dtype=np.int64) if want_witness else None
-    step = max(1, min(k, nb // max(width, n)))
-    for j0 in range(0, k, step):
-        j1 = min(k, j0 + step)
-        suf, arg = _suffix_max(space, per_ball[:, j0:j1], want_slot=want_witness)
-        cand = suf[pslot, centers]  # (x, c, columns)
-        del suf
+    chunk = _floats(n * k) // (n * k)
+    for x0 in range(0, n, chunk):
+        x = slice(x0, min(n, x0 + chunk))
+        cand = suf[pslot[x], centers]  # (x, c, columns)
         best = cand.max(axis=1)
-        values[:, j0:j1] = best
+        values[x] = best
         if want_witness:
-            ids = arg[pslot, centers]
-            del arg
+            ids = arg[pslot[x], centers]
             ids += t.start[:-1][None, :, None]
             ids[cand != best[:, None, :]] = np.iinfo(np.int64).max
-            witnesses[:, j0:j1] = ids.min(axis=1)
+            witnesses[x] = ids.min(axis=1)
     return values, witnesses
+
+
+def _ball_averages(
+    space: QuasiMetricSpace, w: np.ndarray, uncut: Optional[np.ndarray] = None
+) -> Iterator[Tuple[slice, np.ndarray]]:
+    """Per block of ``ball_sum_blocks``: (ids, averages), the sums of w
+    (n, k) over each ball, or with uncut (balls, functions) its sums
+    minus them (w then holds k / functions columns per function), over
+    the ball's measure.  The cumsum scratch stays within one (centers x
+    k) plane of a suffix max table."""
+    t = space.ball_table()
+    for ids, v in space.ball_sum_blocks(w, _floats(space.n * w.shape[1])):
+        if uncut is not None:
+            cut = v.reshape(len(v), uncut.shape[1], -1)
+            np.subtract(uncut[ids, :, None], cut, out=cut)
+            del cut  # a view would keep the block alive
+        v /= t.measure[ids, None]
+        yield ids, v
+        del v  # freed before the next block is built
 
 
 def maximal_function(
@@ -168,31 +220,34 @@ def maximal_function(
     f is (n,) or (n, k) with one function per column; values take the
     same shape, and so do the witnesses (the lowest canonical ball
     attaining each value) when asked for, else they are None.  Columns
-    go in blocks of at most n/2, so the (balls x columns) averages stay
-    within (balls x n).
+    go in even blocks whose suffix max table stays within (balls x n)
+    floats; each block's averages come from ``ball_sum_blocks`` straight
+    into the table, one block of centers at a time.
     """
+    t = space.ball_table()
+    n = space.n
     f = np.asarray(f, dtype=np.float64)
-    cols = np.abs(f.reshape(len(f), -1))
-    values = np.empty(cols.shape)
-    witnesses = np.empty(cols.shape, dtype=np.int64) if want_witness else None
-    step = max(1, space.n // 2)
-    for j in range(0, cols.shape[1], step):
-        avg = space.ball_averages(cols[:, j : j + step])
-        values[:, j : j + step], arg = _sup_over_balls(space, avg, want_witness)
+    w = np.abs(f.reshape(len(f), -1))
+    w *= space.mass[:, None]
+    k = w.shape[1]
+    values = np.empty(w.shape)
+    witnesses = np.empty(w.shape, dtype=np.int64) if want_witness else None
+    width = int(np.diff(t.start).max())  # the longest ball list
+    blocks = -(-k // max(1, _floats(len(t.center) * n) // (width * n)))
+    step = -(-k // blocks) if blocks else 1
+    for j0 in range(0, k, step):
+        j = slice(j0, min(k, j0 + step))
+        values[:, j], arg = _sup_over_balls(
+            space, _ball_averages(space, w[:, j]), j.stop - j0, want_witness
+        )
         if want_witness:
-            witnesses[:, j : j + step] = arg
+            witnesses[:, j] = arg
     if want_witness:
         witnesses = witnesses.reshape(f.shape)
     return OperatorResult(values.reshape(f.shape), witnesses)
 
 
 # -- maximal commutator ------------------------------------------------------
-
-
-# float entries per (rows x columns) plane of ``CommutatorKernel.apply``;
-# the kernel's and ``_distinct_rows``' set-up scratch goes in chunks of
-# as many bytes
-KERNEL_BLOCK = 1 << 19
 
 
 def _distinct_rows(packed: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -379,7 +434,7 @@ def _sub_balls(space: QuasiMetricSpace, region: np.ndarray) -> np.ndarray:
     return np.flatnonzero(t.count <= exit_at[t.center])
 
 
-# bytes per scratch array of an enlargement block of ``region_grand_maximal``
+# bytes per suffix max table of an enlargement block of ``region_grand_maximal``
 GRAND_BLOCK = 1 << 26
 
 
@@ -415,8 +470,9 @@ def region_grand_maximal(
     table of its E.  The same read of the uncut averages bounds a
     class's inner value from above (w >= 0, so cutting lowers each
     sum), and classes whose bound stays at or below every floor are
-    not evaluated.  Enlargements go in blocks whose cut sums and table
-    each stay within (balls x n) floats and ``GRAND_BLOCK`` bytes.
+    not evaluated.  Enlargements go in blocks whose suffix max table
+    stays within (balls x n) floats and ``GRAND_BLOCK`` bytes; the cut
+    averages go into it one ``ball_sum_blocks`` block at a time.
     """
     t = space.ball_table()
     n = space.n
@@ -439,10 +495,10 @@ def region_grand_maximal(
     s_full = space.ball_sums(w_t)
 
     # each sub-ball's members and 4 A0 enlargement as bits, built in
-    # chunks of GRAND_BLOCK bytes of distances
+    # chunks of KERNEL_BLOCK bytes of distances
     nbytes = -(-n // 8)
     packed = np.empty((len(sub_ids), 2 * nbytes), dtype=np.uint8)
-    chunk = max(1, GRAND_BLOCK // (8 * n))
+    chunk = _floats(n) // n
     for s0 in range(0, len(sub_ids), chunk):
         s = sub_ids[s0 : s0 + chunk]
         c = t.center[s]
@@ -459,7 +515,7 @@ def region_grand_maximal(
     # own order.  Only the classes evaluated keep their meet column.
     ids = sub_ids[rep]
     _, width, pslot = _ball_slots(space)
-    uncut, _ = _suffix_max(space, s_full / t.measure[:, None])
+    uncut, _ = _suffix_max(space, [(slice(0, nb), s_full / t.measure[:, None])], k)
     every = np.arange(n)[:, None]
     # kept in the narrowest integer type holding a slot
     slot_type = np.min_scalar_type(width)
@@ -479,8 +535,8 @@ def region_grand_maximal(
     cut_rep, cut_of = _distinct_rows(enlarged[rep[evaluated]])
     by_cut = np.argsort(cut_of, kind="stable")
     sorted_cut = cut_of[by_cut]
-    # the (balls x columns) cut sums and the (slots x centers x columns)
-    # table each stay within (balls x n) floats and GRAND_BLOCK bytes
+    # the (slots x centers x columns) table stays within (balls x n)
+    # floats and GRAND_BLOCK bytes
     step = max(1, min(nb, GRAND_BLOCK // (8 * n)) // width // k)
     m_b = np.full((len(ids), k), -np.inf)  # best over B' per class
     for e0 in range(0, len(cut_rep), step):
@@ -488,12 +544,9 @@ def region_grand_maximal(
         cut = np.unpackbits(enlarged[rep[evaluated[cut_rep[e0:e1]]]], axis=1, count=n).T
         # per (space ball, function, enlargement): mass of |f| inside
         # trunc minus the enlargement, over the ball's measure
-        v = space.ball_sums((w_t[:, :, None] * cut[:, None, :]).reshape(n, -1))
-        v = v.reshape(nb, k, e1 - e0)
-        np.subtract(s_full[:, :, None], v, out=v)
-        v /= t.measure[:, None, None]
-        suf, _ = _suffix_max(space, v.reshape(nb, -1))
-        del v
+        w_cut = (w_t[:, :, None] * cut[:, None, :]).reshape(n, -1)
+        suf, _ = _suffix_max(space, _ball_averages(space, w_cut, s_full), w_cut.shape[1])
+        del w_cut
         lo, hi = np.searchsorted(sorted_cut, [e0, e1])
         cls = by_cut[lo:hi]
         col = cut_of[cls] - e0
@@ -504,13 +557,13 @@ def region_grand_maximal(
     per_ball = np.full((nb, k), -np.inf)
     if floors is None:
         per_ball[sub_ids] = np.maximum(m_b, 0.0)[twin]
-        best, arg = _sup_over_balls(space, per_ball, want_witness)
+        best, arg = _sup_over_balls(space, [(slice(0, nb), per_ball)], k, want_witness)
         on = best > -np.inf
         values = np.where(on, np.maximum(best, 0.0), 0.0)
         witnessed = on
     else:
         per_ball[sub_ids] = m_b[twin]
-        best, arg = _sup_over_balls(space, per_ball, want_witness)
+        best, arg = _sup_over_balls(space, [(slice(0, nb), per_ball)], k, want_witness)
         on = np.zeros((n, 1), dtype=bool)
         on[region] = True
         values = np.where(on, np.maximum(best, lows), 0.0)

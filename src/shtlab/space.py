@@ -32,9 +32,13 @@ Evaluation strategy
 -------------------
 The ball table holds O(n^2) data: per-ball (center, count, radius),
 each center's stable distance order and the cumulative mass along it.
-A sum over every canonical ball (``ball_sums``) is a cumulative sum
-along each center's order read at each ball's count, so no operator
-stores a (balls x n) membership matrix.
+A sum over every canonical ball is a cumulative sum along each
+center's order read at each ball's count, so no operator stores a
+(balls x n) membership matrix.  ``ball_sum_blocks`` yields those sums
+per block of whole centers, with its cumsum scratch within a caller's
+limit, so a caller that reduces the sums at once (the ball sups of
+``operators``) never holds them for every ball; ``ball_sums`` gathers
+the blocks into one (balls,) or (balls, k) array.
 
 Notes
 -----
@@ -279,30 +283,51 @@ class QuasiMetricSpace:
         """
         return self.ball_table().ptr
 
-    def ball_sums(self, values: np.ndarray) -> np.ndarray:
-        """Sum of values over the members of every canonical ball.
+    def ball_sum_blocks(
+        self, values: np.ndarray, limit: int
+    ) -> Iterator[Tuple[slice, np.ndarray]]:
+        """Per block of whole centers: (ids, sums), the slice of the
+        block's ball ids and the sums of values over those balls.
 
-        values is (n,) or (n, k); the result is (balls,) or (balls, k).
-        Each center's cumulative sum along its distance order is read
-        at its balls' counts.  Centers and columns go in blocks so the
-        (centers x n x columns) scratch never exceeds the output.
+        values is (n,) or (n, k); sums is (balls in block,) or (balls in
+        block, k).  Each center's cumulative sum along its distance
+        order is read at its balls' counts.  Centers and columns go in
+        blocks so the (centers x n x columns) cumsum scratch stays
+        within limit floats, or one center and one column if more.
         """
         t = self.ball_table()
         v = np.asarray(values, dtype=np.float64)
         cols = v[:, None] if v.ndim == 1 else v
         n, k = cols.shape
-        out = np.empty((len(t.center), k))
-        width = max(1, min(k, out.size // (n * n)))
-        rows = max(1, min(n, out.size // (n * width)))
+        width = max(1, min(k, limit // n))
+        rows = max(1, min(n, limit // (n * width)))
         for c0 in range(0, n, rows):
             c1 = min(n, c0 + rows)
             ids = slice(t.start[c0], t.start[c1])
+            parts = []
             for j0 in range(0, k, width):
-                j1 = min(k, j0 + width)
-                cum = cols[t.order[c0:c1], j0:j1]
+                cum = cols[t.order[c0:c1], j0 : j0 + width]
                 np.cumsum(cum, axis=1, out=cum)
-                out[ids, j0:j1] = cum[t.center[ids] - c0, t.count[ids] - 1]
-        return out[:, 0] if v.ndim == 1 else out
+                parts.append(cum[t.center[ids] - c0, t.count[ids] - 1])
+                del cum
+            sums = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+            del parts
+            yield ids, sums[:, 0] if v.ndim == 1 else sums
+            # hold no block while the next one is built
+            del sums
+
+    def ball_sums(self, values: np.ndarray) -> np.ndarray:
+        """Sum of values over the members of every canonical ball.
+
+        values is (n,) or (n, k); the result is (balls,) or (balls, k),
+        assembled from ``ball_sum_blocks`` with its scratch within the
+        output's size.
+        """
+        v = np.asarray(values, dtype=np.float64)
+        out = np.empty((len(self.ball_table().center),) + v.shape[1:])
+        for ids, sums in self.ball_sum_blocks(v, out.size):
+            out[ids] = sums
+        return out
 
     def ball_averages(self, values: np.ndarray) -> np.ndarray:
         """avg_B(values) = sum(values * mass) / mu(B) for every canonical

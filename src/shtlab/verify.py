@@ -464,11 +464,15 @@ def verify_lower_bound(
     entries.append(_leq_entry("lower.mean_le_2median", osc_int, 2.0 * med_int, tol_exact))
     entries.append(_leq_entry("lower.median_le_pointpick", med_int, min_tb, tol_exact))
     entries.append(_leq_entry("lower.pointpick_le_weighted_avg", min_tb, l2avg_tb, tol_exact))
+    # a constant symbol leaves deviation_sums at rounding noise while
+    # the median residuals and the probe estimate are exactly 0, so its
+    # two ratios are vacuous, as in fit_weight_exponent
+    constant = bool(np.ptp(b) == 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         med_ratio = np.where(osc_int > 0, osc_int / med_int, 0.0)
     entries.append(
         _ratio_entry(
-            "lower.median_doubling", float(med_ratio.max()) if nb else 0.0
+            "lower.median_doubling", float(med_ratio.max()) if nb and not constant else 0.0
         )
     )
 
@@ -509,7 +513,7 @@ def verify_lower_bound(
 
     # headline comparison: BMO quantity vs the probe estimate
     lhs_bmo = osc_int / nuB
-    if vacuous:
+    if vacuous or constant:
         c_meas = 0.0
     elif est > 0:
         c_meas = float(lhs_bmo.max()) / est

@@ -229,6 +229,28 @@ class TestVerifyCommand:
         # the default constant 1 passes every row
         assert all(r.passed for r in rows if r.scenario == "line32-const")
 
+    def test_constant_symbol_lower_chain_passes(self, tmp_path):
+        # on a constant 3 the oscillation sums are rounding noise while
+        # the median residuals and the probe estimate are exactly 0
+        scenario = {
+            "scenario": "grid-const",
+            "space": {"kind": "grid2d", "n": 6},
+            "seed": 2,
+            "p": 2.0,
+            "symbol": {"kind": "constant", "value": 3},
+            "function": {"kind": "lognormal"},
+            "checks": ["lower"],
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"scenarios": [scenario]}), encoding="utf-8")
+        out = str(tmp_path / "reports")
+        assert main(["verify", "--config", str(path), "--out", out]) == 0
+        rows = rows_from_json(_read(os.path.join(out, "verify.json")).decode())
+        by_check = {r.check: r for r in rows}
+        for check in ("lower.median_doubling", "lower.bmo_vs_estimate"):
+            assert (by_check[check].value, by_check[check].passed) == (0.0, True)
+        assert all(r.passed for r in rows)
+
 
 class TestOtherCommands:
     def test_gen_space_round_trips(self, tmp_path, capsys):

@@ -346,6 +346,28 @@ class TestBallTable:
                 assert sp.ball_measures()[i] == pytest.approx(sp.measure(ball.members), rel=1e-12)
             assert np.array_equal(sp.ball_sums(vals[:, 1]), got[:, 1])
 
+    @pytest.mark.parametrize("width", [None, 3])
+    def test_blocks_concatenate_to_ball_sums(self, width):
+        rng = np.random.default_rng(36)
+        spaces = [build_space(kind, n) for kind, n in KINDS]
+        spaces += [oracles.tied_quasi_grid(), oracles.lognormal_plane()]
+        for sp in spaces:
+            t = sp.ball_table()
+            vals = rng.lognormal(0.0, 1.0, (sp.n,) if width is None else (sp.n, width))
+            want = sp.ball_sums(vals)
+            k = 1 if width is None else width
+            # one float (one center, one column at a time), one center
+            # with every column, and every center at once
+            for limit, blocks in ((1, sp.n), (sp.n * k, sp.n), (sp.n * sp.n * k, 1)):
+                got = list(sp.ball_sum_blocks(vals, limit))
+                assert len(got) == blocks
+                ids = [i for i, _ in got]
+                assert [i.start for i in ids] == [i.stop for i in [slice(0, 0)] + ids[:-1]]
+                assert ids[-1].stop == len(t.center)
+                assert set(i.start for i in ids) <= set(t.start.tolist())
+                assert all(sums.shape == want[i].shape for i, sums in got)
+                assert np.array_equal(np.concatenate([sums for _, sums in got]), want)
+
     def test_no_cached_array_grows_with_balls_times_points(self):
         sp = build_space("line", 64)
         rng = np.random.default_rng(8)
