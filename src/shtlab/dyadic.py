@@ -502,7 +502,8 @@ def geometric_doubling(space: QuasiMetricSpace, delta: float) -> int:
         for x in range(n):
             rows = np.flatnonzero(open_[:, x])
             kept[rows] += 1
-            open_[rows] &= space.dist[x] >= sep[rows]
+            # columns up to x are never read again
+            open_[rows, x + 1 :] &= space.dist[x, x + 1 :] >= sep[rows]
         best = max(best, int(kept.max()))
     return best
 

@@ -389,10 +389,18 @@ class CommutatorKernel:
                 on = held[:, None]
                 np.add(cA, u[j, cols], out=cA, where=on)
                 np.add(cB, bu[j, cols], out=cB, where=on)
+                # whole-row gathers, in the order (2 cA - TA) b + (TB - 2 cB)
                 idx = np.flatnonzero(held)
-                here = (2.0 * cA[idx] - TA[idx]) * self.b_s[j]
-                here += TB[idx] - 2.0 * cB[idx]
-                here /= self.mu[idx, None]
+                here = np.take(cA, idx, axis=0)
+                here *= 2.0
+                here -= np.take(TA, idx, axis=0)
+                here *= self.b_s[j]
+                tail = np.take(TB, idx, axis=0)
+                twice = np.take(cB, idx, axis=0)
+                twice *= 2.0
+                tail -= twice
+                here += tail
+                here /= np.take(self.mu, idx)[:, None]
                 values[x, cols] = here.max(axis=0)
                 if want_witness:
                     witnesses[x, cols] = self.ball_ids[idx[here.argmax(axis=0)]]

@@ -62,6 +62,9 @@ import numpy as np
 
 MAX_POINTS = 4096
 
+# rows per block of the min-plus loop in ``_measure_a0``
+A0_BLOCK = 64
+
 
 @dataclass
 class Ball:
@@ -387,12 +390,24 @@ class QuasiMetricSpace:
         return self.measured_constants()[2]
 
     def _measure_a0(self) -> float:
+        """max over x != y of d(x, y) / min_z (d(x, z) + d(z, y)), at least 1.
+
+        The min-plus loop runs over blocks of ``A0_BLOCK`` rows, so each
+        block's (rows x n) planes stay in cache; every entry still takes
+        the same ``np.minimum`` over z in the same order, so the result
+        is exact.
+        """
         d = self.dist
+        n = self.n
         best = d.copy()  # min over z of d(x,z) + d(z,y)
-        for z in range(self.n):
-            detour = d[:, z][:, None] + d[z, :][None, :]
-            np.minimum(best, detour, out=best)
-        off = ~np.eye(self.n, dtype=bool)
+        detour = np.empty((min(A0_BLOCK, n), n))
+        for x0 in range(0, n, A0_BLOCK):
+            rows = best[x0 : x0 + A0_BLOCK]
+            scratch = detour[: len(rows)]
+            for z in range(n):
+                np.add(d[x0 : x0 + A0_BLOCK, z, None], d[z], out=scratch)
+                np.minimum(rows, scratch, out=rows)
+        off = ~np.eye(n, dtype=bool)
         ratios = d[off] / best[off]
         return float(max(1.0, ratios.max()))
 

@@ -30,6 +30,7 @@ from .space import QuasiMetricSpace
 from .sparse import SparseFamily, _oscillation_terms, oscillation_domination, packing_constant
 from .weights import (
     ap_characteristic,
+    ball_max,
     bloom_weight,
     bmo_norm,
     deviation_sums,
@@ -424,9 +425,6 @@ def verify_lower_bound(
     m = space.mass
     pprime = p / (p - 1.0)
     nu = bloom_weight(lam1, lam2, p)
-    bmo_bv = bmo_norm(space, b, nu)
-    bmo = bmo_bv.value
-    vacuous = bmo == 0.0
 
     entries: List[Dict[str, object]] = []
     entries.append(
@@ -441,6 +439,10 @@ def verify_lower_bound(
     lam2B = space.ball_sums(lam2 * m)
     nuB = space.ball_sums(nu * m)
     osc_int = deviation_sums(space, b, m)
+    # the BMO_nu norm of b, as bmo_norm takes it
+    bmo_bv = ball_max(osc_int / nuB)
+    bmo = bmo_bv.value
+    vacuous = bmo == 0.0
 
     # per-ball data, one center's balls at a time
     Km = np.abs(b[:, None] - b[None, :]) * m[:, None]
@@ -512,11 +514,10 @@ def verify_lower_bound(
     entries.append(_ratio_entry("lower.testing_display", c_test))
 
     # headline comparison: BMO quantity vs the probe estimate
-    lhs_bmo = osc_int / nuB
     if vacuous or constant:
         c_meas = 0.0
     elif est > 0:
-        c_meas = float(lhs_bmo.max()) / est
+        c_meas = bmo / est
     else:
         c_meas = math.inf
     entries.append(_ratio_entry("lower.bmo_vs_estimate", c_meas))
@@ -578,15 +579,23 @@ def verify_bloom_jn(
         raise ValueError(f"r={r} outside [1, p'={pprime} + eps={eps}]")
     branch = 1 if r <= pprime + 1e-12 else 2
     nu = bloom_weight(lam1, lam2, p)
-    bmo = bmo_norm(space, b, nu).value
     ap2 = ap_characteristic(space, lam2, p).value
     m = space.mass
-    lhs = deviation_sums(space, b, lam1 ** (-r / p) * m, r) / space.ball_measures()
+    jn_weight = lam1 ** (-r / p) * m
+    if r == 1:
+        # the BMO_nu oscillation and the left side share |b - b_B|
+        osc, jn_sums = deviation_sums(space, b, np.stack([m, jn_weight], axis=1)).T
+        bmo = ball_max(osc / space.ball_sums(nu * m)).value
+    else:
+        bmo = bmo_norm(space, b, nu).value
+        jn_sums = deviation_sums(space, b, jn_weight, r)
+    lhs = jn_sums / space.ball_measures()
     rhs_factor = space.ball_averages(lam2 ** (-1.0 / p))
     rhs = bmo**r * ap2 ** (r / p) * rhs_factor**r
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(lhs > 0, lhs / rhs, 0.0)
-    c_jn = float(ratios.max()) if ratios.size else 0.0
+    worst = ball_max(ratios)
+    c_jn = worst.value
     entry = _ratio_entry(f"jn.branch{branch}_constant", c_jn)
     return {
         "name": "bloom_jn",
@@ -598,7 +607,7 @@ def verify_bloom_jn(
         "bmo_nu": bmo,
         "ap_lambda2": ap2,
         "vacuous": bmo == 0.0,
-        "worst_ball": int(ratios.argmax()) if ratios.size else -1,
+        "worst_ball": worst.ball,
         "entries": [entry],
         "passed": bool(entry["passed"]),
     }

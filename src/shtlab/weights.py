@@ -39,6 +39,12 @@ class BallValue(NamedTuple):
     ball: int  # canonical ball index achieving the value
 
 
+def ball_max(vals: np.ndarray) -> BallValue:
+    """The largest per-ball value and the first ball attaining it."""
+    best = int(np.argmax(vals))
+    return BallValue(float(vals[best]), best)
+
+
 def ap_characteristic(space: QuasiMetricSpace, w: np.ndarray, p: float) -> BallValue:
     """[w]_{A_p} over canonical balls, with the achieving ball id."""
     w = np.asarray(w, dtype=np.float64)
@@ -46,9 +52,7 @@ def ap_characteristic(space: QuasiMetricSpace, w: np.ndarray, p: float) -> BallV
         raise ValueError("ap_characteristic requires p > 1")
     avg_w = space.ball_averages(w)
     avg_sigma = space.ball_averages(w ** (-1.0 / (p - 1.0)))
-    vals = avg_w * avg_sigma ** (p - 1.0)
-    best = int(np.argmax(vals))
-    return BallValue(float(vals[best]), best)
+    return ball_max(avg_w * avg_sigma ** (p - 1.0))
 
 
 def a1_check(space: QuasiMetricSpace, w: np.ndarray) -> Dict[str, object]:
@@ -126,10 +130,7 @@ def bmo_norm(space: QuasiMetricSpace, b: np.ndarray, w: np.ndarray) -> BallValue
     b = np.asarray(b, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
     wb = space.ball_sums(w * space.mass)
-    osc = deviation_sums(space, b, space.mass)
-    vals = osc / wb
-    best = int(np.argmax(vals))
-    return BallValue(float(vals[best]), best)
+    return ball_max(deviation_sums(space, b, space.mass) / wb)
 
 
 # float entries per (balls x n) block of ``deviation_sums``; blocks that
@@ -141,12 +142,22 @@ def deviation_sums(
     space: QuasiMetricSpace, b: np.ndarray, weight: np.ndarray, r: float = 1.0
 ) -> np.ndarray:
     """Per canonical ball B: sum over y in B of |b(y) - b_B|^r weight(y),
-    with b_B the plain mu-average of b over B."""
+    with b_B the plain mu-average of b over B.
+
+    ``weight`` is (n,) or (n, k), one weight per column, and the result
+    is (balls,) or (balls, k) to match.  Each block of centers takes the
+    masked |b - b_B|^r rows once and then weighs them column by column,
+    so k weights cost one deviation pass, and each column equals the
+    sum for that weight alone.
+    """
     b = np.asarray(b, dtype=np.float64)
+    weight = np.asarray(weight, dtype=np.float64)
     t = space.ball_table()
     n = space.n
     avg = space.ball_averages(b)
-    out = np.empty(len(avg))
+    # one contiguous (n,) row per weight column
+    columns = weight.reshape(n, -1).T.copy()
+    out = np.empty((len(avg), len(columns)))
     positions = np.arange(n)
     c0 = 0
     while c0 < n:
@@ -161,12 +172,15 @@ def deviation_sums(
         np.abs(dev, out=dev)
         if r != 1:
             dev **= r
-        dev *= weight[order][rows]
+        # dev >= 0, so masking before weighing gives the same products
         dev *= positions < t.count[ids, None]
-        # full n-length rows keep numpy's pairwise summation order
-        out[ids] = dev.sum(axis=1)
+        for j, w in enumerate(columns):
+            weighed = w[order][rows]
+            weighed *= dev
+            # full n-length rows keep numpy's pairwise summation order
+            out[ids, j] = weighed.sum(axis=1)
         c0 = c1
-    return out
+    return out if weight.ndim > 1 else out[:, 0]
 
 
 def bloom_weight(lambda1: np.ndarray, lambda2: np.ndarray, p: float) -> np.ndarray:

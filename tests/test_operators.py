@@ -259,26 +259,39 @@ class TestCommutatorKernel:
         # the reference form: per row, two cumulative sums along the
         # symbol order, masked to the row's members; apply adds the same
         # terms in the same order, so it must agree exactly
+        def reference(sp, kern, f):
+            u = (sp.mass * np.abs(f))[kern.order]
+            t = sp.ball_table()
+            mask = t.rank[t.center[kern.ball_ids]][:, kern.order] < t.count[kern.ball_ids, None]
+            A = np.cumsum(mask * u, axis=1)
+            B = np.cumsum(mask * (kern.b_s * u), axis=1)
+            vals = (2.0 * A - A[:, -1:]) * kern.b_s + (B[:, -1:] - 2.0 * B)
+            vals /= kern.mu[:, None]
+            vals[~mask] = -np.inf
+            want = np.empty(sp.n)
+            want[kern.order] = np.maximum(vals.max(axis=0), 0.0)
+            wits = np.empty(sp.n, dtype=np.int64)
+            wits[kern.order] = kern.ball_ids[vals.argmax(axis=0)]
+            return want, wits
+
         rng = np.random.default_rng(36)
+        # the (n, 3) inputs come from their own stream, so the single
+        # columns keep their values
+        wide = np.random.default_rng(37)
         for sp in (build_space("line", 24), oracles.lognormal_plane(), oracles.tied_quasi_grid()):
             for b in (rng.standard_normal(sp.n), np.round(3.0 * rng.random(sp.n))):
                 kern = CommutatorKernel(sp, b)
                 f = np.round(2.0 * rng.standard_normal(sp.n))
-                u = (sp.mass * np.abs(f))[kern.order]
-                t = sp.ball_table()
-                mask = t.rank[t.center[kern.ball_ids]][:, kern.order] < t.count[kern.ball_ids, None]
-                A = np.cumsum(mask * u, axis=1)
-                B = np.cumsum(mask * (kern.b_s * u), axis=1)
-                vals = (2.0 * A - A[:, -1:]) * kern.b_s + (B[:, -1:] - 2.0 * B)
-                vals /= kern.mu[:, None]
-                vals[~mask] = -np.inf
-                want = np.empty(sp.n)
-                want[kern.order] = np.maximum(vals.max(axis=0), 0.0)
-                wits = np.empty(sp.n, dtype=np.int64)
-                wits[kern.order] = kern.ball_ids[vals.argmax(axis=0)]
+                want, wits = reference(sp, kern, f)
                 got = kern.apply(f, want_witness=True)
                 assert np.array_equal(got.values, want)
                 assert np.array_equal(got.witnesses, wits)
+                F = np.round(2.0 * wide.standard_normal((sp.n, 3)))
+                got = kern.apply(F, want_witness=True)
+                for j in range(3):
+                    want, wits = reference(sp, kern, F[:, j])
+                    assert np.array_equal(got.values[:, j], want)
+                    assert np.array_equal(got.witnesses[:, j], wits)
 
     @pytest.mark.parametrize(
         "kind", ["pair", "line48", "sqline32", "grid2d8", "tree31", "ties", "lognormal"]

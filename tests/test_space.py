@@ -24,6 +24,7 @@ from shtlab import (
     verify_bloom_jn,
     verify_lower_bound,
 )
+from shtlab import space as space_module
 from shtlab.cli import main
 
 KINDS = [("line", 16), ("sqline", 12), ("grid2d", 4), ("tree", 15), ("pair", 2)]
@@ -100,6 +101,24 @@ class TestQuasiTriangle:
     def test_a0_matches_triple_oracle(self):
         for kind, n, sp in spaces():
             assert sp.a0 == pytest.approx(max(1.0, oracles.quasi_triangle_constant(sp)))
+
+    @pytest.mark.parametrize("block", [space_module.A0_BLOCK, 5])
+    @pytest.mark.parametrize("kind", ["line70", "sqline33", "ties"])
+    def test_blocked_a0_equals_unblocked_min_plus(self, monkeypatch, kind, block):
+        # n is no multiple of the block, so the last block is short
+        monkeypatch.setattr(space_module, "A0_BLOCK", block)
+        sp = {
+            "line70": lambda: build_space("line", 70),
+            "sqline33": lambda: build_space("sqline", 33),
+            "ties": oracles.tied_quasi_grid,
+        }[kind]()
+        d = sp.dist
+        best = d.copy()
+        for z in range(sp.n):
+            np.minimum(best, d[:, z][:, None] + d[z, :][None, :], out=best)
+        off = ~np.eye(sp.n, dtype=bool)
+        want = float(max(1.0, (d[off] / best[off]).max()))
+        assert sp._measure_a0() == want
 
     def test_a0_inequality_never_violated(self):
         for kind, n, sp in spaces():

@@ -8,7 +8,9 @@ import pytest
 import oracles
 from shtlab import (
     CommutatorKernel,
+    ap_characteristic,
     bloom_weight,
+    bmo_norm,
     build_dyadic_system,
     build_space,
     commutator_bM,
@@ -22,6 +24,7 @@ from shtlab import (
 )
 from shtlab import verify
 from shtlab.operators import _pair_min_ball_measure, estimate_from_values, probe_images
+from shtlab.weights import deviation_sums
 
 
 def _pair_setup():
@@ -248,6 +251,15 @@ class TestLowerBound:
         assert rep["c_test"] == pytest.approx(want["c_test"], rel=1e-12)
         assert rep["probed_balls"] == sum(lab.startswith("ball:") for lab in labels)
 
+    @pytest.mark.parametrize("kind,n", [("line", 48), ("tree", 31), ("ties", 5)])
+    def test_bmo_and_witness_equal_bmo_norm(self, kind, n):
+        # the chain reads the BMO_nu norm off its own oscillation sums
+        space, b, lam1, lam2 = _testing_setup(kind, n)
+        rep = verify_lower_bound(space, b, lam1, lam2, 1.5, probes=4, seed=5, ball_cap=60)
+        want = bmo_norm(space, b, bloom_weight(lam1, lam2, 1.5))
+        assert rep["bmo_nu"] == want.value
+        assert rep["bmo_witness"] == want.ball
+
     def test_a_halved_testing_column_fails_with_the_oracle_value(self, monkeypatch):
         space, b, lam1, lam2 = _testing_setup("line", 48)
         t = space.ball_table()
@@ -315,6 +327,29 @@ class TestBloomJn:
         assert rep["branch"] == 1 and rep["passed"]
         assert np.isfinite(rep["c_jn"]) and rep["c_jn"] >= 0.0
         assert 0 <= rep["worst_ball"]
+
+    @pytest.mark.parametrize("r", [1.0, 2.0])
+    def test_matches_two_call_reference(self, r):
+        # the reference takes the BMO_nu norm and the left side from two
+        # separate oscillation passes; at r = 1 the check shares one
+        spaces = [build_space("line", 48), build_space("tree", 31)]
+        spaces += [oracles.tied_quasi_grid(), oracles.lognormal_plane()]
+        rng = np.random.default_rng(23)
+        p = 2.0
+        for space in spaces:
+            b = rng.standard_normal(space.n)
+            lam1 = np.exp(0.4 * rng.standard_normal(space.n))
+            lam2 = np.exp(0.4 * rng.standard_normal(space.n))
+            bmo = bmo_norm(space, b, bloom_weight(lam1, lam2, p)).value
+            ap2 = ap_characteristic(space, lam2, p).value
+            lhs = deviation_sums(space, b, lam1 ** (-r / p) * space.mass, r)
+            lhs /= space.ball_measures()
+            rhs = bmo**r * ap2 ** (r / p) * space.ball_averages(lam2 ** (-1.0 / p)) ** r
+            ratios = np.where(lhs > 0, lhs / rhs, 0.0)
+            rep = verify_bloom_jn(space, b, lam1, lam2, p, r)
+            assert rep["bmo_nu"] == bmo
+            assert rep["c_jn"] == float(ratios.max())
+            assert rep["worst_ball"] == int(ratios.argmax())
 
 
 class TestExponentFit:

@@ -158,9 +158,15 @@ class TestOscillation:
         for sp in spaces:
             b = rng.standard_normal(sp.n)
             w = rng.lognormal(0.0, 1.0, sp.n)
+            # a second weight column, drawn apart so w keeps its values
+            W = np.stack([w, np.random.default_rng(sp.n).lognormal(0.0, 1.0, sp.n)], axis=1)
             for r in (1.0, 2.0, 0.7):
                 got = deviation_sums(sp, b, w, r)
                 assert np.array_equal(got, oracles.deviation_sums(sp, b, w, r))
+                pair = deviation_sums(sp, b, W, r)
+                assert pair.shape == (len(got), 2)
+                for j in range(2):
+                    assert np.array_equal(pair[:, j], oracles.deviation_sums(sp, b, W[:, j], r))
 
     def test_bmo_shift_invariance(self):
         sp = build_space("line", 16)
