@@ -33,7 +33,13 @@ order).  Two exact reorganizations keep desk-scale evaluation fast:
   entries, unpacking each position's rows, adding its mass only to the
   rows holding it (``where=``, so the sums match a cumsum bit for
   bit), and maxing over those rows there.  (n,) and (n, k) input take
-  the same path.
+  the same path.  A column with |f| in {0, 1} is u = m 1_{B'}: every
+  sum starts at +0.0 and adds only +-0.0 off B', which leaves its bits
+  unchanged, so a row's sums depend only on r & B'.  Such columns keep
+  one running sum per distinct intersection, found by
+  ``_distinct_rows`` a chunk of columns at a time, whenever those sums
+  over n positions plus the gathers through each (row, column) pair's
+  class touch no more entries than the per-row sums (``_classes_pay``).
 * Probe images of M, C_b and [b, M] are built once per (space,
   symbol, probe set) and memoized on the space (``probe_images``).
   Each distinct probe column is evaluated once; a point mass at i has
@@ -254,9 +260,10 @@ def _distinct_rows(packed: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(first, inverse) of the distinct rows of a uint8 matrix, as
     ``np.unique(packed, axis=0, return_index=True, return_inverse=True)``
     gives them: classes in lexicographic row order, each with its
-    lowest row id.  Rows are read as big-endian uint64 words, so a
-    stable ``np.lexsort`` on the words orders them as the bytes do, and
-    a class starts wherever a row differs from the one before it.  A
+    lowest row id.  Rows are read as big-endian uint64 words, so
+    ``np.lexsort`` on the words (``np.argsort`` on one) orders them as
+    the bytes do, a class starts wherever a row differs from the one
+    before it, and its lowest row is its least entry in the order.  A
     C-contiguous matrix whose width is a multiple of 8 is read in place;
     any other is first copied into zero-padded words.  Neighbours are
     compared in chunks of ``KERNEL_BLOCK`` bytes."""
@@ -265,18 +272,32 @@ def _distinct_rows(packed: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         padded = np.zeros((rows, -(-width // 8) * 8), dtype=np.uint8)
         padded[:, :width] = packed
         packed = padded
-    order = np.lexsort(packed.view(">u8").T[::-1])
-    # equal rows have equal words in either byte order
-    words = packed.view(np.uint64)
+    keys = packed.view(">u8")
     new = np.ones(rows, dtype=bool)
-    step = max(1, KERNEL_BLOCK // packed.shape[1])
-    for i in range(1, rows, step):
-        here = order[i : i + step]
-        before = order[i - 1 : i - 1 + len(here)]
-        new[i : i + len(here)] = np.any(words[here] != words[before], axis=1)
+    if keys.shape[1] == 1:
+        # one word sorts several times faster unstably, and its sorted
+        # copy marks the class starts; the lowest row of a class is then
+        # its least entry in the order
+        key = keys[:, 0].astype(np.uint64)
+        order = np.argsort(key)
+        key.sort()
+        np.not_equal(key[1:], key[:-1], out=new[1:])
+        del key
+    else:
+        order = np.lexsort(keys.T[::-1])
+        # equal rows have equal words in either byte order
+        words = packed.view(np.uint64)
+        step = max(1, KERNEL_BLOCK // packed.shape[1])
+        for i in range(1, rows, step):
+            here = order[i : i + step]
+            before = order[i - 1 : i - 1 + len(here)]
+            new[i : i + len(here)] = np.any(words[here] != words[before], axis=1)
     inverse = np.empty(rows, dtype=np.int64)
-    inverse[order] = np.cumsum(new) - 1
-    return order[new], inverse
+    ranks = np.cumsum(new)
+    ranks -= 1
+    inverse[order] = ranks
+    del ranks
+    return np.minimum.reduceat(order, np.flatnonzero(new)), inverse
 
 
 class CommutatorKernel:
@@ -287,7 +308,8 @@ class CommutatorKernel:
     j-th point in symbol order, one bit per row.  ``apply`` walks the
     positions over (rows x columns) planes of at most ``KERNEL_BLOCK``
     entries, unpacking their rows a few positions at a time, for (n,)
-    or (n, k) input alike.
+    or (n, k) input alike; indicator columns may instead take one
+    running sum per distinct intersection of a row with their set.
     """
 
     def __init__(self, space: QuasiMetricSpace, b: np.ndarray) -> None:
@@ -323,6 +345,8 @@ class CommutatorKernel:
         keep = np.argsort(first)
         self.ball_ids = first[keep].astype(np.int64)
         self.mu = mu[keep]
+        # (row, position) memberships: the entries one column's gathers read
+        self.held = int(t.count[self.ball_ids].sum())
         # bits[j] packs the rows holding the j-th point in symbol order,
         # built through a (positions x rows) mask of at most KERNEL_BLOCK
         # bytes whose row count is a multiple of 8, so each chunk packs
@@ -340,14 +364,6 @@ class CommutatorKernel:
                 np.less(rank_s[c, :, None], counts, out=mask[:, lo - r0 : hi - r0])
             self.bits[:, r0 // 8 : -(-r1 // 8)] = np.packbits(mask[:, : r1 - r0], axis=1)
 
-    def _holders(self):
-        """Per position in symbol order, the (rows,) bool of which rows
-        hold it, unpacked in groups of at most ``KERNEL_BLOCK`` bytes."""
-        rows = len(self.mu)
-        group = max(1, KERNEL_BLOCK // rows)
-        for j0 in range(0, self.space.n, group):
-            yield from np.unpackbits(self.bits[j0 : j0 + group], axis=1, count=rows).view(bool)
-
     def apply(self, f: np.ndarray, want_witness: bool = False) -> OperatorResult:
         """C_b |f| with f (n,) or (n, k), one function per column; the
         witness is the lowest canonical ball attaining the sup.
@@ -358,16 +374,28 @@ class CommutatorKernel:
         the positions adds up the totals and a second the running sums,
         each in symbol order as a cumsum would, and at each position
         takes the max over the rows holding it, ties to the lowest row.
+
+        A column with |f| in {0, 1} has u = m 1_{B'}.  Its sums start at
+        +0.0 and only ever add +-0.0 off B', which leaves their bits
+        alone, so a row's four sums depend only on r & B'.  Such columns
+        go in chunks whose running sums are kept once per distinct
+        intersection (``_by_classes``) when that is the cheaper pass:
+        when n positions over the distinct intersections plus the
+        holders' gathers touch no more entries than n positions over
+        every (row, column) pair.  Every other column, and a chunk that
+        fails that test, takes the per-row running sums
+        (``_by_rows``).  The values are the same bits either way.
         """
         n = self.space.n
         f = np.asarray(f, dtype=np.float64)
         u = f.reshape(n, -1)[self.order]
         np.abs(u, out=u)
-        u *= self.space.mass[self.order, None]
         if self.constant:
             # every row then sums to exactly 0, so each point's witness
             # is the lowest ball owning it
             u[:] = 0.0
+        indicator = ((u == 0.0) | (u == 1.0)).all(axis=0)
+        u *= self.space.mass[self.order, None]
         bu = self.b_s[:, None] * u
         k = u.shape[1]
         rows = len(self.mu)
@@ -376,38 +404,154 @@ class CommutatorKernel:
         # at most n columns, so a small space's planes stay within the
         # (rows x n) of one column's cumulative sums
         step = max(1, min(KERNEL_BLOCK // rows, n))
-        for j0 in range(0, k, step):
-            cols = slice(j0, min(k, j0 + step))
-            shape = (rows, cols.stop - cols.start)
-            TA, TB = np.zeros(shape), np.zeros(shape)
-            for j, held in enumerate(self._holders()):
-                on = held[:, None]
-                np.add(TA, u[j, cols], out=TA, where=on)
-                np.add(TB, bu[j, cols], out=TB, where=on)
-            cA, cB = np.zeros(shape), np.zeros(shape)
-            for j, (x, held) in enumerate(zip(self.order, self._holders())):
-                on = held[:, None]
-                np.add(cA, u[j, cols], out=cA, where=on)
-                np.add(cB, bu[j, cols], out=cB, where=on)
-                # whole-row gathers, in the order (2 cA - TA) b + (TB - 2 cB)
-                idx = np.flatnonzero(held)
-                here = np.take(cA, idx, axis=0)
-                here *= 2.0
-                here -= np.take(TA, idx, axis=0)
-                here *= self.b_s[j]
-                tail = np.take(TB, idx, axis=0)
-                twice = np.take(cB, idx, axis=0)
-                twice *= 2.0
-                tail -= twice
-                here += tail
-                here /= np.take(self.mu, idx)[:, None]
-                values[x, cols] = here.max(axis=0)
-                if want_witness:
-                    witnesses[x, cols] = self.ball_ids[idx[here.argmax(axis=0)]]
+        others = np.flatnonzero(~indicator)
+        indicator = np.flatnonzero(indicator)
+        if len(indicator):
+            # each row's members in symbol order as whole words
+            words = np.zeros((rows, -(-n // 64) * 8), dtype=np.uint8)
+            words[:, : (n + 7) // 8] = _transposed_bits(self.bits, rows)
+            words = words.view(np.uint64)
+            # a chunk's (row, column) intersections take at most one
+            # plane of words, or KERNEL_BLOCK // 8 if more
+            chunk = max(1, _floats(rows * step) // words.size)
+            for j0 in range(0, len(indicator), chunk):
+                cols = indicator[j0 : j0 + chunk]
+                if not self._by_classes(words, u, cols, values, witnesses):
+                    self._by_rows(u, bu, cols, values, witnesses)
+        for j0 in range(0, len(others), step):
+            self._by_rows(u, bu, others[j0 : j0 + step], values, witnesses)
         np.maximum(values, 0.0, out=values)
         if want_witness:
             witnesses = witnesses.reshape(f.shape)
         return OperatorResult(values.reshape(f.shape), witnesses)
+
+    def _holders(self) -> Iterator[np.ndarray]:
+        """Per position in symbol order, the (rows,) bool of which rows
+        hold it."""
+        return _unpacked(self.bits, len(self.mu))
+
+    def _by_rows(self, u, bu, cols, values, witnesses) -> None:
+        """C_b of columns cols of u (b u in bu) through per-row running
+        sums over (rows x columns) planes, into values (and witnesses)."""
+        shape = (len(self.mu), len(cols))
+        TA, TB = np.zeros(shape), np.zeros(shape)
+        for j, held in enumerate(self._holders()):
+            on = held[:, None]
+            np.add(TA, u[j, cols], out=TA, where=on)
+            np.add(TB, bu[j, cols], out=TB, where=on)
+        cA, cB = np.zeros(shape), np.zeros(shape)
+        for j, (x, held) in enumerate(zip(self.order, self._holders())):
+            on = held[:, None]
+            np.add(cA, u[j, cols], out=cA, where=on)
+            np.add(cB, bu[j, cols], out=cB, where=on)
+            # whole-row gathers, in the order (2 cA - TA) b + (TB - 2 cB)
+            idx = np.flatnonzero(held)
+            here = np.take(cA, idx, axis=0)
+            here *= 2.0
+            here -= np.take(TA, idx, axis=0)
+            here *= self.b_s[j]
+            tail = np.take(TB, idx, axis=0)
+            twice = np.take(cB, idx, axis=0)
+            twice *= 2.0
+            tail -= twice
+            here += tail
+            here /= np.take(self.mu, idx)[:, None]
+            values[x, cols] = here.max(axis=0)
+            if witnesses is not None:
+                witnesses[x, cols] = self.ball_ids[idx[here.argmax(axis=0)]]
+
+    def _by_classes(self, words, u, cols, values, witnesses) -> bool:
+        """C_b of the indicator columns cols of u through one set of
+        running sums per distinct intersection r & B', into values (and
+        witnesses); words holds each row's members as whole words.
+        Returns False, writing nothing, when the cost rule of ``apply``
+        (``_classes_pay``) prefers the per-row sums for these columns."""
+        n = self.space.n
+        rows, width = words.shape
+        k = len(cols)
+        inside = np.zeros((k, width * 8), dtype=np.uint8)
+        inside[:, : (n + 7) // 8] = np.packbits(u[:, cols].T != 0.0, axis=1)
+        pairs = (words[:, None, :] & inside.view(np.uint64)[None, :, :]).reshape(rows * k, width)
+        del inside
+        first, cls = _distinct_rows(pairs.view(np.uint8))
+        classes = len(first)
+        if not _classes_pay(n, rows, self.held, k, classes):
+            return False
+        # per position, which classes hold it, packed along the classes
+        on = _transposed_bits(pairs[first].view(np.uint8), n)
+        del pairs, first
+        cls = cls.reshape(rows, k)
+        m = self.space.mass[self.order]
+        bm = self.b_s * m
+        TA, TB = np.zeros(classes), np.zeros(classes)
+        for j, there in enumerate(_unpacked(on, classes)):
+            np.add(TA, m[j], out=TA, where=there)
+            np.add(TB, bm[j], out=TB, where=there)
+        # the running sums of a block of positions, one row each after
+        # the row carried from the block before; each table stays within
+        # one (rows x k) plane and becomes the block's values in place
+        block = min(n, max(1, rows * k // classes - 1))
+        cA, cB = np.zeros((block + 1, classes)), np.zeros((block + 1, classes))
+        holders = self._holders()
+        for j0 in range(0, n, block):
+            j1 = min(n, j0 + block)
+            A, B = cA[: j1 - j0 + 1], cB[: j1 - j0 + 1]
+            there = np.unpackbits(on[j0:j1], axis=1, count=classes)
+            np.multiply(there, m[j0:j1, None], out=A[1:])
+            np.multiply(there, bm[j0:j1, None], out=B[1:])
+            del there
+            for i in range(1, len(A)):
+                np.add(A[i - 1], A[i], out=A[i])
+                np.add(B[i - 1], B[i], out=B[i])
+            carry = A[-1].copy(), B[-1].copy()
+            # per class, in the order (2 cA - TA) b + (TB - 2 cB)
+            per, tail = A[1:], B[1:]
+            per *= 2.0
+            per -= TA
+            per *= self.b_s[j0:j1, None]
+            tail *= 2.0
+            np.subtract(TB, tail, out=tail)
+            per += tail
+            for x, row, held in zip(self.order[j0:j1], per, holders):
+                idx = np.flatnonzero(held)
+                here = np.take(row, np.take(cls, idx, axis=0))
+                here /= np.take(self.mu, idx)[:, None]
+                values[x, cols] = here.max(axis=0)
+                if witnesses is not None:
+                    witnesses[x, cols] = self.ball_ids[idx[here.argmax(axis=0)]]
+            cA[0], cB[0] = carry
+        return True
+
+
+def _classes_pay(n: int, rows: int, held: int, k: int, classes: int) -> bool:
+    """The cost rule of ``CommutatorKernel.apply`` for k indicator
+    columns whose (row, column) intersections fall into classes: their
+    sums over n positions plus the gathers over the held (row,
+    position) entries of each column touch no more entries than the
+    per-row running sums over n positions and every (row, column)
+    pair."""
+    return n * classes + held * k <= n * rows * k
+
+
+def _unpacked(bits: np.ndarray, count: int) -> Iterator[np.ndarray]:
+    """Each row of bits, packed along count entries, as a (count,) bool,
+    unpacked in groups of at most ``KERNEL_BLOCK`` bytes."""
+    group = max(1, KERNEL_BLOCK // max(1, count))
+    for j0 in range(0, len(bits), group):
+        yield from np.unpackbits(bits[j0 : j0 + group], axis=1, count=count).view(bool)
+
+
+def _transposed_bits(bits: np.ndarray, count: int) -> np.ndarray:
+    """The (count, ceil(rows / 8)) packed transpose of rows of bits,
+    each packed along count entries, built in chunks of rows whose
+    unpacked block stays within ``KERNEL_BLOCK`` bytes."""
+    rows = len(bits)
+    out = np.empty((count, -(-rows // 8)), dtype=np.uint8)
+    step = max(8, KERNEL_BLOCK // max(1, count) // 8 * 8)
+    for r0 in range(0, rows, step):
+        block = np.unpackbits(bits[r0 : r0 + step], axis=1, count=count)
+        out[:, r0 // 8 : -(-(r0 + len(block)) // 8)] = np.packbits(block.T, axis=1)
+    return out
 
 
 def _maximal_pair(

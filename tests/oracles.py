@@ -5,6 +5,7 @@ definitions, deliberately ignoring the library's vectorized code paths,
 so tests can compare the two implementations on small spaces.
 """
 
+import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -168,6 +169,28 @@ def doubling_constant(space) -> float:
             if len(small):
                 best = max(best, space.measure(big) / space.measure(small))
     return best
+
+
+def measured_doubling(space) -> Tuple[float, float]:
+    """(c_mu, updim) as ``QuasiMetricSpace._measure_doubling`` gives
+    them, by a per-center loop with one ``_mu_ball`` search per scale."""
+    lams = (2.0, 4.0, 8.0)
+    c_mu = 1.0
+    worst: List[Tuple[float, float]] = []  # (lambda, ratio) pairs
+    for c in range(space.n):
+        radii = space._doubling_probe_radii(c)
+        base = space._mu_ball(c, radii)
+        for lam in lams:
+            ratio = space._mu_ball(c, lam * radii) / base
+            peak = float(ratio.max())
+            worst.append((lam, peak))
+            if lam == 2.0:
+                c_mu = max(c_mu, peak)
+    n_req = 0.0
+    for lam, peak in worst:
+        if peak > c_mu:
+            n_req = max(n_req, math.log(peak / c_mu) / math.log(lam))
+    return c_mu, max(n_req, 1e-9)
 
 
 def maximal_function(space, f: np.ndarray) -> np.ndarray:

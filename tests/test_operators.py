@@ -32,6 +32,16 @@ def _cube(system, k, alpha):
     return system.cubes[k][alpha]
 
 
+def _indicator_columns(sp, rng, balls=6):
+    """Columns with |f| in {0, 1}: indicators of up to `balls` canonical
+    balls, two of random sets with random signs, and an empty one."""
+    t = sp.ball_table()
+    ids = rng.choice(len(t.center), size=min(balls, len(t.center)), replace=False)
+    signed = np.where(rng.random((sp.n, 2)) < 0.5, -1.0, 1.0) * (rng.random((sp.n, 2)) < 0.6)
+    inside = (t.rank[t.center[ids]] < t.count[ids, None]).T
+    return np.concatenate([inside.astype(np.float64), signed, np.zeros((sp.n, 1))], axis=1)
+
+
 class TestMaximalFunction:
     def test_constant_function(self):
         for kind, n in SPACES:
@@ -255,6 +265,39 @@ class TestCommutatorKernel:
                     assert np.array_equal(got.values[:, j], one.values)
                     assert np.array_equal(got.witnesses[:, j], one.witnesses)
 
+    @pytest.mark.parametrize("block", [None, 1, 3])
+    def test_indicator_columns_match_the_running_sums(self, monkeypatch, block):
+        # one input mixes indicator and lognormal columns; apply sends the
+        # indicators through the sums per distinct r & B' and must agree
+        # bit for bit with the per-row running sums alone, also with the
+        # class sums forced on every indicator chunk.  A block of 1 or 3
+        # rows' columns ends the indicator chunks mid-way through them.
+        rng = np.random.default_rng(40)
+        spaces = [build_space(kind, n) for kind, n in SPACES]
+        spaces += [oracles.lognormal_plane(), oracles.tied_quasi_grid()]
+        for sp in spaces:
+            F = np.concatenate([_indicator_columns(sp, rng, 12), rng.lognormal(0.0, 1.0, (sp.n, 3))], axis=1)
+            F = F[:, rng.permutation(F.shape[1])]
+            for b in (np.full(sp.n, 2.5), rng.standard_normal(sp.n), rng.lognormal(0.0, 1.0, sp.n)):
+                kern = CommutatorKernel(sp, b)
+                if block:
+                    monkeypatch.setattr(operators, "KERNEL_BLOCK", block * len(kern.mu))
+                runs = {}
+                for rule in (None, False, True):
+                    with monkeypatch.context() as m:
+                        if rule is not None:
+                            m.setattr(operators, "_classes_pay", lambda *_, rule=rule: rule)
+                        runs[rule] = kern.apply(F, want_witness=True)
+                        if rule is False:
+                            ones = [kern.apply(F[:, j], want_witness=True) for j in range(F.shape[1])]
+                want = runs[False]
+                for got in (runs[None], runs[True]):
+                    assert got.values.tobytes() == want.values.tobytes()
+                    assert got.witnesses.tobytes() == want.witnesses.tobytes()
+                for j, one in enumerate(ones):
+                    assert np.array_equal(runs[None].values[:, j], one.values)
+                    assert np.array_equal(runs[None].witnesses[:, j], one.witnesses)
+
     def test_bit_identical_to_row_cumsums(self):
         # the reference form: per row, two cumulative sums along the
         # symbol order, masked to the row's members; apply adds the same
@@ -275,9 +318,10 @@ class TestCommutatorKernel:
             return want, wits
 
         rng = np.random.default_rng(36)
-        # the (n, 3) inputs come from their own stream, so the single
-        # columns keep their values
+        # the (n, 3) and indicator inputs come from their own streams, so
+        # the single columns keep their values
         wide = np.random.default_rng(37)
+        sets = np.random.default_rng(38)
         for sp in (build_space("line", 24), oracles.lognormal_plane(), oracles.tied_quasi_grid()):
             for b in (rng.standard_normal(sp.n), np.round(3.0 * rng.random(sp.n))):
                 kern = CommutatorKernel(sp, b)
@@ -290,6 +334,13 @@ class TestCommutatorKernel:
                 got = kern.apply(F, want_witness=True)
                 for j in range(3):
                     want, wits = reference(sp, kern, F[:, j])
+                    assert np.array_equal(got.values[:, j], want)
+                    assert np.array_equal(got.witnesses[:, j], wits)
+                # indicator columns take the sums per distinct r & B'
+                S = _indicator_columns(sp, sets)
+                got = kern.apply(S, want_witness=True)
+                for j in range(S.shape[1]):
+                    want, wits = reference(sp, kern, S[:, j])
                     assert np.array_equal(got.values[:, j], want)
                     assert np.array_equal(got.witnesses[:, j], wits)
 
@@ -905,7 +956,7 @@ class TestScratchBounds:
     grand maximal keeps its traced scratch below two (balls x n) float
     arrays, M with witnesses below two and a half and values-only M
     below one and a quarter.  The maximal commutator kernel keeps its
-    own within its (rows x columns) planes."""
+    own within its (rows x columns) planes, on indicator columns too."""
 
     def _space(self, n=96):
         sp = build_space("line", n)
@@ -958,3 +1009,18 @@ class TestScratchBounds:
         monkeypatch.setattr(operators, "KERNEL_BLOCK", 32 * len(kern.mu))
         bound = (8 * operators.KERNEL_BLOCK + 7 * F.size) * 8
         assert _traced_peak(lambda: kern.apply(F, want_witness=True)) < bound
+
+    def test_kernel_on_ball_indicator_probes(self, monkeypatch):
+        # line48's distinct ball columns take the sums per distinct r & B'
+        # within the bound of the per-row running sums above
+        sp, _ = self._space(48)
+        F, labels = build_probes(sp, 16, 0, 4096)
+        F = np.unique(F[:, [lab.startswith("ball:") for lab in labels]], axis=1)
+        kern = CommutatorKernel(sp, np.random.default_rng(35).lognormal(0.0, 1.0, sp.n))
+        monkeypatch.setattr(operators, "KERNEL_BLOCK", 32 * len(kern.mu))
+        chosen = []
+        rule = operators._classes_pay
+        monkeypatch.setattr(operators, "_classes_pay", lambda *a: chosen.append(rule(*a)) or chosen[-1])
+        bound = (8 * operators.KERNEL_BLOCK + 7 * F.size) * 8
+        assert _traced_peak(lambda: kern.apply(F, want_witness=True)) < bound
+        assert len(chosen) > 1 and all(chosen)

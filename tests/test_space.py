@@ -120,6 +120,24 @@ class TestQuasiTriangle:
         want = float(max(1.0, (d[off] / best[off]).max()))
         assert sp._measure_a0() == want
 
+    @pytest.mark.parametrize("block", [space_module.A0_BLOCK, 3, 1])
+    def test_a0_attained_only_through_the_last_point(self, monkeypatch, block):
+        # d(0, 1) = 4 shortens to 2 only through point 3 (through point 2
+        # it is 3), so a loop that skips the last z reports 4 / 3; a
+        # block of 3 rows leaves a short last block
+        monkeypatch.setattr(space_module, "A0_BLOCK", block)
+        dist = np.array(
+            [
+                [0.0, 4.0, 1.5, 1.0],
+                [4.0, 0.0, 1.5, 1.0],
+                [1.5, 1.5, 0.0, 1.0],
+                [1.0, 1.0, 1.0, 0.0],
+            ]
+        )
+        sp = QuasiMetricSpace(dist, np.full(4, 0.25))
+        assert sp._measure_a0() == 2.0
+        assert oracles.quasi_triangle_constant(sp) == 2.0
+
     def test_a0_inequality_never_violated(self):
         for kind, n, sp in spaces():
             d = sp.dist
@@ -271,6 +289,13 @@ class TestMeasuredConstants:
     def test_doubling_matches_oracle(self):
         for kind, n, sp in spaces():
             assert sp.c_mu == pytest.approx(oracles.doubling_constant(sp))
+
+    @pytest.mark.parametrize("kind", ["line", "sqline", "grid2d", "tree", "pair", "ties", "lognormal"])
+    def test_doubling_equals_the_per_scale_loop(self, kind):
+        sp = {"ties": oracles.tied_quasi_grid, "lognormal": oracles.lognormal_plane}.get(
+            kind, lambda: build_space(kind, dict(KINDS)[kind])
+        )()
+        assert sp._measure_doubling() == oracles.measured_doubling(sp)
 
     def test_doubling_inequality_valid(self):
         for kind, n, sp in spaces():
