@@ -26,13 +26,11 @@ from .dyadic import (
 )
 from .weights import (
     BallValue,
-    a1_check,
     ap_characteristic,
     bloom_weight,
     bmo_norm,
     dual_weight,
     reverse_holder_constant,
-    weight_doubling_check,
 )
 from .operators import (
     CommutatorKernel,

@@ -20,6 +20,7 @@ one check failed (reports are still written), 2 invalid configuration.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import sys
@@ -54,7 +55,7 @@ from .operators import (
     sparse_operator,
 )
 from .report import ReportRow, merge_rows, row_from_entry, rows_from_json, write_report
-from .space import build_space, save_space
+from .space import SPACE_KINDS, build_space, save_space
 from .sparse import (
     build_domination,
     certificate_to_dict,
@@ -130,12 +131,9 @@ def _flag_row(scenario: str, check: str, ok: bool, witness: str = "") -> ReportR
     return ReportRow(scenario, check, "exact", 0.0 if ok else 1.0, 0.0, bool(ok), witness)
 
 
-def _finite_row(
-    scenario: str, check: str, value: float, witness: str = "", cap: float = math.inf
-) -> ReportRow:
+def _finite_row(scenario: str, check: str, value: float, witness: str = "") -> ReportRow:
     value = float(value)
-    ok = math.isfinite(value) and value <= cap
-    return ReportRow(scenario, check, "ratio", value, cap, ok, witness)
+    return ReportRow(scenario, check, "ratio", value, math.inf, math.isfinite(value), witness)
 
 
 def _deficit_row(
@@ -507,7 +505,10 @@ def _resolve_scenarios(args) -> List[ScenarioConfig]:
     if getattr(args, "seed", None) is not None and args.seed < 0:
         raise ConfigError("--seed", "must be nonnegative")
     if getattr(args, "config", None):
-        scenarios = load_config(args.config)
+        try:
+            scenarios = load_config(args.config)
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ConfigError("--config", f"cannot read {args.config!r}: {exc}") from None
         if getattr(args, "seed", None) is not None:
             for i, sc in enumerate(scenarios):
                 sc.seed = int(args.seed) + i
@@ -563,15 +564,27 @@ def _emit(rows: List[ReportRow], args, command: str, started: float) -> int:
 # -- subcommands ---------------------------------------------------------------
 
 
+def _space_from_flags(args):
+    """The space of ``gen-space`` and ``build-dyadic``; --kind is
+    checked by argparse, so what build_space rejects is --n, before it
+    allocates."""
+    try:
+        return build_space(args.kind, args.n, seed=args.seed or 0)
+    except ValueError as exc:
+        raise ConfigError("--n", str(exc)) from None
+
+
 def _cmd_gen_space(args) -> int:
-    space = build_space(args.kind, args.n, seed=args.seed or 0)
+    space = _space_from_flags(args)
     save_space(space, args.out)
     print(f"wrote {args.out}: kind={args.kind} points={space.n}")
     return 0
 
 
 def _cmd_build_dyadic(args) -> int:
-    space = build_space(args.kind, args.n, seed=args.seed or 0)
+    if not 0.0 < args.delta < 1.0:
+        raise ConfigError("--delta", "must lie in (0, 1)")
+    space = _space_from_flags(args)
     system = build_dyadic_system(space, args.delta, seed=args.seed or 0)
     save_system(system, args.out)
     print(
@@ -638,9 +651,6 @@ def _add_scenario_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON config file (default: built-in suite)")
     sub.add_argument("--seed", type=int, default=None, help="override scenario seeds")
     sub.add_argument("--out", default=None, help="report directory (default: reports)")
-    sub.add_argument(
-        "--jobs", type=int, default=1, help="deprecated and ignored; scenarios run in order"
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -652,14 +662,14 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     g = subs.add_parser("gen-space", help="build and save a reference space")
-    g.add_argument("--kind", required=True)
+    g.add_argument("--kind", required=True, choices=SPACE_KINDS)
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)
     g.set_defaults(func=_cmd_gen_space)
 
     d = subs.add_parser("build-dyadic", help="build and save a dyadic system")
-    d.add_argument("--kind", required=True)
+    d.add_argument("--kind", required=True, choices=SPACE_KINDS)
     d.add_argument("--n", type=int, required=True)
     d.add_argument("--delta", type=float, default=0.5)
     d.add_argument("--seed", type=int, default=0)

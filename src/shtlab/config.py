@@ -18,9 +18,9 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .space import MAX_POINTS, QuasiMetricSpace, build_space
+from .space import MAX_POINTS, SPACE_KINDS, QuasiMetricSpace, build_space
+from .verify import JN_EPS
 
-SPACE_KINDS = ("line", "sqline", "grid2d", "tree", "pair")
 # per generator kind, the parameters its make_* function reads
 _WEIGHT_PARAMS = {"ones": (), "lognormal": ("mu", "sigma"), "power": ("a",)}
 _SYMBOL_PARAMS = {
@@ -198,6 +198,9 @@ def _parse_scenario(doc: object, path: str) -> ScenarioConfig:
     if merged["probes"] < 1:
         raise ConfigError(f"{path}.probes", "must be at least 1")
     space = merged["space"]
+    unknown = set(space) - {"kind", "n"}
+    if unknown:
+        raise ConfigError(f"{path}.space.{sorted(unknown)[0]}", "unknown field")
     if space.get("kind") not in SPACE_KINDS:
         raise ConfigError(f"{path}.space.kind", f"must be one of {SPACE_KINDS}")
     if space.get("kind") != "pair":
@@ -218,10 +221,10 @@ def _parse_scenario(doc: object, path: str) -> ScenarioConfig:
     for i, r in enumerate(merged["r_values"]):
         if not _finite_number(r) or r < 1:
             raise ConfigError(f"{path}.r_values[{i}]", "must be a finite number >= 1")
-        if "jn" in merged["checks"] and r > p_conj + 0.25 + 1e-12:
+        if "jn" in merged["checks"] and r > p_conj + JN_EPS + 1e-12:
             raise ConfigError(
                 f"{path}.r_values[{i}]",
-                f"exceeds p' + 0.25 = {p_conj + 0.25} for p = {merged['p']}",
+                f"exceeds p' + {JN_EPS} = {p_conj + JN_EPS} for p = {merged['p']}",
             )
     for i, c in enumerate(merged["checks"]):
         if c not in CHECK_NAMES:

@@ -16,8 +16,8 @@ unique-ancestor properties true by construction; ``verify_system``
 still certifies them exhaustively, because hand-built or deserialized
 systems carry no such guarantee.  The ``DyadicCube`` tree (members,
 parent and child links) is built from the labels on first read of
-``cubes``: capture only reads labels, so the unchosen systems of an
-adjacent pool never build one.
+``cubes``: capture only reads ``first_change``, a table built from the
+labels, so the unchosen systems of an adjacent pool never build one.
 
 Two net samplers are used: a farthest-point traversal (the insertion
 distances are nonincreasing, so every level's net is a prefix of one
@@ -176,6 +176,27 @@ class DyadicSystem:
             c = max(c, hi)
         return c
 
+    @cached_property
+    def first_change(self) -> np.ndarray:
+        """(levels, n): row ``k - levels[0]``, entry c is the first
+        position along c's distance order whose point lies outside c's
+        level-k cube, or n when none does.  A ball B(c, r) is a prefix
+        of that order, so the cube holds it exactly when the entry
+        reaches the ball's count; entries only grow toward coarser
+        levels.  Entries are at most n <= MAX_POINTS, so int16 holds them,
+        at a quarter of the memory an adjacent pool's tables would take
+        as int64."""
+        t = self.space.ball_table()
+        n = self.space.n
+        out = np.empty((len(self.levels), n), dtype=np.int16)
+        for i, k in enumerate(self.levels):
+            lab = self.labels[k][t.order]  # type: ignore[index]
+            # end of the leading run of the center's own label (order[c, 0]
+            # is c itself): the first False, or n when there is none
+            eq = lab == lab[:, :1]
+            out[i] = np.where(eq.all(axis=1), n, np.argmin(eq, axis=1))
+        return out
+
     def all_cubes(self) -> List[DyadicCube]:
         return [c for k in self.levels for c in self.cubes[k]]
 
@@ -300,19 +321,16 @@ def _assemble_system(
     return DyadicSystem(space, delta, seed, levels, None, labels, centers)
 
 
-def build_dyadic_system(
-    space: QuasiMetricSpace, delta: float, seed: int = 0, start: Optional[int] = None
-) -> DyadicSystem:
+def build_dyadic_system(space: QuasiMetricSpace, delta: float, seed: int = 0) -> DyadicSystem:
     """Build one dyadic system from a farthest-point net family.
 
-    The traversal starts at the lowest-id point unless a start is
-    given; the seed only breaks exact ties among farthest candidates,
-    so the result is fully deterministic per (space, delta, seed,
-    start)."""
+    The traversal starts at point 0; the seed only breaks exact ties
+    among farthest candidates, so the result is fully deterministic per
+    (space, delta, seed)."""
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     rng = np.random.default_rng(seed)
-    nets = _fps_nets(space, delta, 0 if start is None else int(start), rng)
+    nets = _fps_nets(space, delta, 0, rng)
     return _assemble_system(space, delta, seed, nets)
 
 
@@ -528,20 +546,10 @@ def _capture_mask(
     space: QuasiMetricSpace, system: DyadicSystem, levels: np.ndarray
 ) -> np.ndarray:
     """Per canonical ball: does the cube holding its center at the
-    ball's clamped level hold the whole ball?  The ball is a prefix of
-    its center's distance order, so it is captured exactly when the
-    first label change along that order comes at or after its count."""
+    ball's clamped level hold the whole ball?"""
     t = space.ball_table()
     lo, hi = system.levels[0], system.levels[-1]
-    n = space.n
-    first_change = np.zeros((hi - lo + 1, n), dtype=np.int64)
-    for k in system.levels:
-        lab = system.labels[k][t.order]  # type: ignore[index]
-        # end of the leading run of the center's own label (order[c, 0]
-        # is c itself): the first False, or n when there is none
-        eq = lab == lab[:, :1]
-        first_change[k - lo] = np.where(eq.all(axis=1), n, np.argmin(eq, axis=1))
-    return first_change[np.clip(levels, lo, hi) - lo, t.center] >= t.count
+    return system.first_change[np.clip(levels, lo, hi) - lo, t.center] >= t.count
 
 
 def _candidate_pool(

@@ -61,6 +61,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 MAX_POINTS = 4096
+SPACE_KINDS = ("line", "sqline", "grid2d", "tree", "pair")
 
 # rows per block of the min-plus loop in ``_measure_a0``
 A0_BLOCK = 64
@@ -274,7 +275,8 @@ class QuasiMetricSpace:
         return self.ball_table().measure
 
     def ball_slices(self) -> List[Tuple[int, int]]:
-        """Per center, the [start, end) range of its canonical balls."""
+        """Per center, the [start, end) range of its canonical balls;
+        kept only because ``bench/tracing.py`` wraps it by name."""
         start = self.ball_table().start.tolist()
         return list(zip(start[:-1], start[1:]))
 
@@ -420,24 +422,21 @@ class QuasiMetricSpace:
         return np.unique(np.concatenate([pos, mids[mids > 0], top]))
 
     def _mu_ball(self, center: int, radii: np.ndarray) -> np.ndarray:
-        """mu(B(center, r)) for each r."""
+        """mu(B(center, r)) for each r (any shape), by one
+        ``searchsorted`` along the center's distance order."""
         t = self.ball_table()
         idx = np.searchsorted(self.dist[center, t.order[center]], radii, side="left")
         return np.where(idx > 0, t.cum_mass[center, np.maximum(idx - 1, 0)], 0.0)
 
     def _measure_doubling(self) -> Tuple[float, float]:
         """(c_mu, updim): per center, the peak of mu(B(c, l r)) / mu(B(c, r))
-        over its probe radii r for l = 2, 4, 8, all four scales placed
-        along its distance order by one ``searchsorted``, as ``_mu_ball``
-        places each."""
-        t = self.ball_table()
+        over its probe radii r for l = 2, 4, 8, all four scales read by
+        one ``_mu_ball`` call."""
         lams = (2.0, 4.0, 8.0)
         scales = np.array((1.0,) + lams)[:, None]
         peaks = np.empty((self.n, len(lams)))
         for c in range(self.n):
-            radii = scales * self._doubling_probe_radii(c)
-            idx = np.searchsorted(self.dist[c, t.order[c]], radii, side="left")
-            mu = np.where(idx > 0, t.cum_mass[c, np.maximum(idx - 1, 0)], 0.0)
+            mu = self._mu_ball(c, scales * self._doubling_probe_radii(c))
             peaks[c] = (mu[1:] / mu[0]).max(axis=1)
         c_mu = max(1.0, float(peaks[:, 0].max()))
         n_req = 0.0
@@ -448,7 +447,8 @@ class QuasiMetricSpace:
 
     def strong_doubling_exponent(self, lams: Sequence[float] = (2.0, 4.0, 8.0)) -> float:
         """Smallest n with mu(B(x, lr)) <= l**n * mu(B(x, r)) over canonical
-        balls and the sampled scale factors (no c_mu prefactor)."""
+        balls and the sampled scale factors (no c_mu prefactor); kept
+        only because ``bench/tracing.py`` wraps it by name."""
         key = ("strong_n", tuple(lams))
         if key not in self._cache:
             t = self.ball_table()
@@ -482,7 +482,12 @@ def build_space(
       grid2d  -- n x n grid (i/n, j/n), Euclidean metric, mass 1/n^2
       tree    -- complete binary tree on n nodes, path metric, mass 1/n
       pair    -- two points at distance 1, mass 1/2 each
+
+    The kind, n and the point cap are checked before anything is
+    allocated.
     """
+    if kind not in SPACE_KINDS:
+        raise ValueError(f"unknown space kind {kind!r}")
     params = dict(params or {})
     meta = {"kind": kind, "n": n, "params": params, "seed": seed}
     if kind == "pair":
@@ -492,6 +497,9 @@ def build_space(
         return QuasiMetricSpace(dist, mass, coords, meta)
     if n is None or n < 2:
         raise ValueError(f"kind {kind!r} needs n >= 2")
+    points = n * n if kind == "grid2d" else n
+    if points > MAX_POINTS:
+        raise ValueError(f"{points} points exceed the cap {MAX_POINTS}")
     if kind in ("line", "sqline"):
         x = np.arange(n, dtype=np.float64) / n
         diff = np.abs(x[:, None] - x[None, :])
@@ -500,32 +508,28 @@ def build_space(
         return QuasiMetricSpace(dist, mass, x[:, None], meta)
     if kind == "grid2d":
         side = n
-        if side * side > MAX_POINTS:
-            raise ValueError(f"grid2d side {side} exceeds the point cap")
         ii, jj = np.meshgrid(np.arange(side), np.arange(side), indexing="ij")
         pts = np.stack([ii.ravel(), jj.ravel()], axis=1).astype(np.float64) / side
         diff = pts[:, None, :] - pts[None, :, :]
         dist = np.sqrt((diff**2).sum(axis=2))
         mass = np.full(side * side, 1.0 / (side * side))
         return QuasiMetricSpace(dist, mass, pts, meta)
-    if kind == "tree":
-        # complete binary tree in heap order: parent of i is (i-1)//2
-        depth = np.zeros(n, dtype=np.int64)
-        for i in range(1, n):
-            depth[i] = depth[(i - 1) // 2] + 1
-        # path distance = depth(x) + depth(y) - 2 depth(lca); cur holds
-        # each node's ancestor at depth d, and x, y share depth(lca) + 1
-        cur = np.arange(n)
-        common = np.zeros((n, n), dtype=np.int64)
-        for d in range(int(depth.max()), -1, -1):
-            at = depth >= d
-            common += at[:, None] & at[None, :] & (cur[:, None] == cur[None, :])
-            cur = np.where(at, (cur - 1) // 2, cur)
-        dist = (depth[:, None] + depth[None, :] - 2 * (common - 1)).astype(np.float64)
-        mass = np.full(n, 1.0 / n)
-        coords = (depth / max(1, depth.max())).astype(np.float64)[:, None]
-        return QuasiMetricSpace(dist, mass, coords, meta)
-    raise ValueError(f"unknown space kind {kind!r}")
+    # tree: a complete binary tree in heap order, the parent of i at (i-1)//2
+    depth = np.zeros(n, dtype=np.int64)
+    for i in range(1, n):
+        depth[i] = depth[(i - 1) // 2] + 1
+    # path distance = depth(x) + depth(y) - 2 depth(lca); cur holds
+    # each node's ancestor at depth d, and x, y share depth(lca) + 1
+    cur = np.arange(n)
+    common = np.zeros((n, n), dtype=np.int64)
+    for d in range(int(depth.max()), -1, -1):
+        at = depth >= d
+        common += at[:, None] & at[None, :] & (cur[:, None] == cur[None, :])
+        cur = np.where(at, (cur - 1) // 2, cur)
+    dist = (depth[:, None] + depth[None, :] - 2 * (common - 1)).astype(np.float64)
+    mass = np.full(n, 1.0 / n)
+    coords = (depth / max(1, depth.max())).astype(np.float64)[:, None]
+    return QuasiMetricSpace(dist, mass, coords, meta)
 
 
 # -- serialization -----------------------------------------------------------

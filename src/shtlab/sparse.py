@@ -92,7 +92,7 @@ def packing_constant(system: DyadicSystem, cubes: Sequence[DyadicCube]) -> float
 
 def cz_select(
     system: DyadicSystem,
-    g,
+    g: np.ndarray,
     height: float,
     root: Optional[DyadicCube] = None,
 ) -> List[DyadicCube]:
@@ -103,7 +103,7 @@ def cz_select(
     <= height.  Because the hierarchy bottoms out at singletons, any
     atom with g(x) > height lies inside some selected cube.
     """
-    values = np.asarray(getattr(g, "values", g), dtype=np.float64)
+    values = np.asarray(g, dtype=np.float64)
     if height <= 0:
         raise ValueError("height must be positive")
     if np.any(values < 0):
@@ -153,30 +153,30 @@ def _capture_cube(
     space: QuasiMetricSpace, systems: Sequence[DyadicSystem], ball: Ball
 ) -> Tuple[int, DyadicCube, bool]:
     """A cube containing the ball: level-matched capture when some
-    system provides it (lowest t wins), otherwise the smallest
-    containing cube anywhere (a root always contains everything);
-    the flag reports which case occurred."""
-    delta = systems[0].delta
+    system provides it (lowest t wins), otherwise the smallest of each
+    system's finest cube containing it (a root always contains
+    everything); the flag reports which case occurred.  The ball is a
+    prefix of its center's distance order, so a cube at the center
+    holds it exactly when ``first_change`` reaches its count."""
+    c, count = ball.center, len(ball.members)
     for t, sysm in enumerate(systems):
-        k = _ball_level(ball.radius, delta, sysm.levels[0], sysm.levels[-1])
-        lab = sysm.labels[k]  # type: ignore[index]
-        ref = int(lab[ball.center])
-        if np.all(lab[ball.members] == ref):
-            return t, sysm.cubes[k][ref], True
-    best: Optional[Tuple[float, int, DyadicCube]] = None
+        lo, hi = sysm.levels[0], sysm.levels[-1]
+        k = _ball_level(ball.radius, sysm.delta, lo, hi)
+        if sysm.first_change[k - lo, c] >= count:
+            return t, sysm.cubes[k][int(sysm.labels[k][c])], True  # type: ignore[index]
+    found = []
     for t, sysm in enumerate(systems):
-        for k in reversed(sysm.levels):  # finest first -> smallest cube
-            lab = sysm.labels[k]  # type: ignore[index]
-            ref = int(lab[ball.center])
-            if np.all(lab[ball.members] == ref):
-                cube = sysm.cubes[k][ref]
-                mu = space.measure(cube.members)
-                if best is None or mu < best[0]:
-                    best = (mu, t, cube)
-                break
-    if best is None:  # the root cube always contains the ball
-        raise CertificateError("no cube of any system contains the ball")
-    return best[1], best[2], False
+        # the levels reaching count are a prefix, and the root's entry is n
+        k = sysm.levels[int(np.count_nonzero(sysm.first_change[:, c] >= count)) - 1]
+        cube = sysm.cubes[k][int(sysm.labels[k][c])]  # type: ignore[index]
+        found.append((space.measure(cube.members), t, cube))
+    _, t, cube = min(found, key=lambda e: e[:2])
+    return t, cube, False
+
+
+def _truncation_ball(space: QuasiMetricSpace, ball: Ball) -> Ball:
+    """B(c, 4 A0 r), the truncation ball around B(c, r)."""
+    return space.ball_at(ball.center, 4.0 * space.a0 * ball.radius)
 
 
 def _cover_balls(space: QuasiMetricSpace, b0: Ball) -> List[Ball]:
@@ -288,10 +288,11 @@ def _dominate_node(
             selection = cz_select(
                 cz_system, e_mask.astype(np.float64), height, root=cz_root
             )
-            if _node_checks_pass(
+            child_truncs = _node_checks_pass(
                 space, selection, e_mask, mu_region, absf, g2, trunc_ind,
                 alpha, cprime, avg_f, avg_g,
-            ):
+            )
+            if child_truncs is not None:
                 break
         alpha *= 2.0
         doublings += 1
@@ -340,9 +341,7 @@ def _dominate_node(
         }
     )
 
-    for cube in selection:
-        ball = _smallest_ball_at(space, cube.center, cube.members)
-        child_trunc = space.ball_at(ball.center, 4.0 * space.a0 * ball.radius)
+    for cube, child_trunc in zip(selection, child_truncs):
         _dominate_node(
             space, systems, b, absf, cube.members, child_trunc,
             cz_system, cube, "cube", depth + 1, updim, cprime, ctx, misses,
@@ -361,36 +360,40 @@ def _node_checks_pass(
     cprime: float,
     avg_f: float,
     avg_g: float,
-) -> bool:
+) -> Optional[List[Ball]]:
     """The post-selection identities the recursion step needs: each
     selected cube keeps an atom outside the exceptional set, the
     selected measures stay below half the region, and the truncated
     maximal function of f and (b - b_ref) f away from each selected
-    cube's enlargement stays below the alpha threshold on the cube."""
+    cube's truncation ball stays below the alpha threshold on the cube.
+    Returns those truncation balls, in selection order, when every
+    identity holds, and None otherwise."""
     mu_sel = 0.0
     for cube in selection:
         inter = float(space.mass[cube.members[e_mask[cube.members]]].sum())
         if inter >= space.measure(cube.members) * (1.0 - 1e-15):
-            return False  # no atom of E^c inside the cube
+            return None  # no atom of E^c inside the cube
         mu_sel += space.measure(cube.members)
     if mu_sel > 0.5 * mu_region * (1.0 + 1e-12):
-        return False
+        return None
+    truncs = [
+        _truncation_ball(space, _smallest_ball_at(space, cube.center, cube.members))
+        for cube in selection
+    ]
     if selection:
         cols = []
-        for cube in selection:
-            ball = _smallest_ball_at(space, cube.center, cube.members)
-            enlarged = space.ball_at(ball.center, 4.0 * space.a0 * ball.radius)
+        for trunc in truncs:
             keep = trunc_ind.copy()
-            keep[enlarged.members] = 0.0
+            keep[trunc.members] = 0.0
             cols.append(absf * keep)
             cols.append(g2 * keep)
         mvals = maximal_function(space, np.stack(cols, axis=1)).values
         for j, cube in enumerate(selection):
             if mvals[cube.members, 2 * j].max() > alpha * cprime * avg_f:
-                return False
+                return None
             if mvals[cube.members, 2 * j + 1].max() > alpha * cprime * avg_g:
-                return False
-    return True
+                return None
+    return truncs
 
 
 def build_domination(
@@ -428,9 +431,7 @@ def build_domination(
     nodes: List[Dict[str, object]] = []
     emitted: Dict[int, List[DyadicCube]] = {t: [] for t in range(len(systems))}
     for ball in covers:
-        needed = np.union1d(
-            space.ball_at(ball.center, 4.0 * space.a0 * ball.radius).members, root_ball.members
-        )
+        needed = np.union1d(_truncation_ball(space, ball).members, root_ball.members)
         wide = _smallest_ball_at(space, ball.center, needed)
         ctx = _TreeContext()
         ctx.used = np.zeros(space.n, dtype=bool)
@@ -559,7 +560,7 @@ def _oscillation_terms(space: QuasiMetricSpace, cubes: Sequence[DyadicCube], b: 
 
 
 def oscillation_domination(
-    system: DyadicSystem, S, b: np.ndarray
+    system: DyadicSystem, S: Sequence[DyadicCube], b: np.ndarray
 ) -> Dict[str, object]:
     """Augment S so the symbol's deviation on each family cube is
     controlled by oscillation sums: starting from S (coarse to fine),
@@ -575,7 +576,7 @@ def oscillation_domination(
     """
     space = system.space
     b = np.asarray(b, dtype=np.float64)
-    base = list(S.cubes) if isinstance(S, SparseFamily) else list(S)
+    base = list(S)
     members_of: Dict[Tuple[int, int], DyadicCube] = {
         (c.k, c.alpha): c for c in base
     }
@@ -612,11 +613,7 @@ def oscillation_domination(
         ratio = np.where(dev > 0, dev / sums, 0.0)
     c_emp = float(ratio.max()) if len(ratio) else 0.0
 
-    eta_in = (
-        S.eta_certified
-        if isinstance(S, SparseFamily)
-        else packing_constant(system, base)
-    )
+    eta_in = packing_constant(system, base)
     floor = eta_in / (2.0 * (eta_in + 1.0))
     return {
         "S_tilde": family,

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dyadic import DyadicSystem
+from .dyadic import DyadicCube, DyadicSystem
 from .operators import (
     estimate_from_values,
     probe_images,
@@ -38,6 +38,8 @@ from .weights import (
 )
 
 NORM_NOTE = "probe estimate (lower bound)"
+# r in (p', p' + JN_EPS] is the measurement-only John-Nirenberg branch
+JN_EPS = 0.25
 
 
 # -- report entry helpers ------------------------------------------------------
@@ -206,7 +208,7 @@ def verify_upper_bound_bm(
 def verify_duality_chain(
     space: QuasiMetricSpace,
     system: DyadicSystem,
-    S,
+    S: Sequence[DyadicCube],
     b: np.ndarray,
     lam2,
     nu,
@@ -242,7 +244,7 @@ def verify_duality_chain(
     m = space.mass
     pprime = p / (p - 1.0)
 
-    base = list(S.cubes) if isinstance(S, SparseFamily) else list(S)
+    base = list(S)
     osc = oscillation_domination(system, base, b)
     family: SparseFamily = osc["S_tilde"]
     c_osc = float(osc["c_emp"])
@@ -560,7 +562,6 @@ def verify_bloom_jn(
     lam2,
     p: float,
     r: float,
-    eps: float = 0.25,
 ) -> Dict[str, object]:
     """Per canonical ball B compare
 
@@ -568,15 +569,15 @@ def verify_bloom_jn(
 
     against ||b||^r_{BMO_nu} [lam2]_{A_p}^{r/p} ((1/mu(B)) int_B
     lam2^{-1/p})^r and report the least multiplicative constant.  The
-    range 1 <= r <= p' is asserted-finite; p' < r <= p'+eps is
+    range 1 <= r <= p' is asserted-finite; p' < r <= p' + JN_EPS is
     measurement-only."""
     _validate_weights(space, lam1, lam2, p)
     b = np.asarray(b, dtype=np.float64)
     lam1 = np.asarray(lam1, dtype=np.float64)
     lam2 = np.asarray(lam2, dtype=np.float64)
     pprime = p / (p - 1.0)
-    if r < 1.0 - 1e-12 or r > pprime + eps + 1e-12:
-        raise ValueError(f"r={r} outside [1, p'={pprime} + eps={eps}]")
+    if r < 1.0 - 1e-12 or r > pprime + JN_EPS + 1e-12:
+        raise ValueError(f"r={r} outside [1, p'={pprime} + {JN_EPS}]")
     branch = 1 if r <= pprime + 1e-12 else 2
     nu = bloom_weight(lam1, lam2, p)
     ap2 = ap_characteristic(space, lam2, p).value
@@ -622,16 +623,15 @@ def fit_weight_exponent(
     b: np.ndarray,
     p: float,
     seed: int = 0,
-    coeffs: Sequence[float] = (0.25, 0.4, 0.55, 0.7, 0.8, 0.9),
     probes: int = 8,
     ball_cap: Optional[int] = 48,
-    slope_margin: float = 0.2,
 ) -> Dict[str, object]:
     """Power-weight sweep: for w_a = (d(x0, .) + 1/n)^{a} with
-    a = coeff * (p-1), regress log(probe norm estimate) against
-    log([w]_{A_p}^2) for A_S (full dyadic tree), C_b and [b, M]; the
-    fitted slope must stay under max(1, 1/(p-1)) + margin.  A constant
-    symbol makes C_b and [b, M] vanish, so their rows are vacuous."""
+    a = coeff * (p-1) over six coefficients in [0.25, 0.9], regress
+    log(probe norm estimate) against log([w]_{A_p}^2) for A_S (full
+    dyadic tree), C_b and [b, M]; the fitted slope must stay under
+    max(1, 1/(p-1)) + 0.2.  A constant symbol makes C_b and [b, M]
+    vanish, so their rows are vacuous."""
     if p <= 1:
         raise ValueError("p must exceed 1")
     n = space.n
@@ -643,7 +643,7 @@ def fit_weight_exponent(
     cells = []
     xs: List[float] = []
     ests: Dict[str, List[float]] = {"sparse": [], "cb": [], "bm": []}
-    for coeff in coeffs:
+    for coeff in (0.25, 0.4, 0.55, 0.7, 0.8, 0.9):
         a = coeff * (p - 1.0)
         w = (coord + 1.0 / n) ** a
         ap = ap_characteristic(space, w, p).value
@@ -653,7 +653,7 @@ def fit_weight_exponent(
             est, _ = estimate_from_values(space, images[op], F, w, w, p)
             ests[op].append(est)
 
-    cap = max(1.0, 1.0 / (p - 1.0)) + slope_margin
+    cap = max(1.0, 1.0 / (p - 1.0)) + 0.2
     x = np.asarray(xs)
     spread = float(x.max() - x.min()) if x.size else 0.0
     ops: Dict[str, Dict[str, object]] = {}

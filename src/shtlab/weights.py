@@ -1,33 +1,25 @@
-# src/shtlab/weights.py
 """
-Muckenhoupt characteristics, reverse Holder constants, Bloom weights and
-weighted mean oscillation on a finite space.
+Muckenhoupt characteristics, reverse Holder constants, weighted BMO
+norms, Bloom and dual weights on a finite space.
 
-All suprema range over the canonical ball family of the space and are
-therefore finite maxima, reported together with the achieving ball.
+Every supremum ranges over the canonical ball family of the space, so
+it is a finite maximum, reported with the achieving ball where the
+checks need one.
 
 * ``ap_characteristic`` -- [w]_{A_p} = sup_B (avg_B w)(avg_B w^{-1/(p-1)})^{p-1}
-* ``a1_check``          -- [w]_{A_1} = max M w / w (always >= 1 on atoms)
 * ``reverse_holder_constant`` -- smallest C with
   avg_B w <= C (avg_B w^d)^{1/d} for a given d in (0, 1)
-* ``weight_doubling_check`` -- w(lB) <= l^{n p} [w]_{A_p} w(B) with the
-  strong measured doubling exponent (see Notes)
 * ``bmo_norm`` -- weighted bounded mean oscillation
+  sup_B (1/w(B)) int_B |b - b_B| dmu
+* ``deviation_sums`` -- per ball, int_B |b - b_B|^r weight, for one
+  weight or a block of weight columns in one pass
 * ``bloom_weight`` -- nu = lambda1^{1/p} lambda2^{-1/p}
-
-Notes
------
-``weight_doubling_check`` measures the doubling exponent in the strong
-form n = max over balls and sampled scale factors of
-log_l mu(lB)/mu(B).  With that exponent the inequality
-w(lB) <= l^{np} [w]_{A_p} w(B) is a theorem for every positive weight
-(mass comparison inside lB plus the A_p characteristic on lB), so the
-check doubles as a self-test of the characteristic computation.
+* ``dual_weight`` -- the conjugate weight w^{1 - p'}
 """
 
 from __future__ import annotations
 
-from typing import Dict, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,23 +47,6 @@ def ap_characteristic(space: QuasiMetricSpace, w: np.ndarray, p: float) -> BallV
     return ball_max(avg_w * avg_sigma ** (p - 1.0))
 
 
-def a1_check(space: QuasiMetricSpace, w: np.ndarray) -> Dict[str, object]:
-    """[w]_{A_1} = max_x M w(x) / w(x).
-
-    On atoms M w >= w (singleton balls), so the constant is >= 1 and the
-    classical pointwise form holds with that constant.  is_a1 records
-    finiteness, which is automatic here and kept for report symmetry.
-    """
-    from .operators import maximal_function
-
-    w = np.asarray(w, dtype=np.float64)
-    mw = maximal_function(space, w).values
-    ratios = mw / w
-    best = int(np.argmax(ratios))
-    value = float(ratios[best])
-    return {"constant": value, "point": best, "is_a1": bool(np.isfinite(value))}
-
-
 def reverse_holder_constant(space: QuasiMetricSpace, w: np.ndarray, d: float) -> float:
     """Smallest C with avg_B w <= C (avg_B w^d)^{1/d} for all canonical B."""
     if not 0 < d < 1:
@@ -80,45 +55,6 @@ def reverse_holder_constant(space: QuasiMetricSpace, w: np.ndarray, d: float) ->
     avg_w = space.ball_averages(w)
     avg_pow = space.ball_averages(w**d) ** (1.0 / d)
     return float(np.max(avg_w / avg_pow))
-
-
-def weight_doubling_check(
-    space: QuasiMetricSpace,
-    w: np.ndarray,
-    p: float,
-    lams: Sequence[float] = (2.0, 4.0, 8.0),
-) -> Dict[str, object]:
-    """Scan w(lB) <= l^{np} [w]_{A_p} w(B) over canonical balls.
-
-    Returns the worst ratio (must be <= 1 up to float slack), the
-    exponent n used, and the achieving (ball, lambda) pair.
-    """
-    w = np.asarray(w, dtype=np.float64)
-    ap = ap_characteristic(space, w, p).value
-    n = space.strong_doubling_exponent(tuple(lams))
-    t = space.ball_table()
-    wm = w * space.mass
-    base = space.ball_sums(wm)
-    cum_w = np.cumsum(wm[t.order], axis=1)
-    lam_arr = np.asarray(lams, dtype=np.float64)
-    enlarged = np.empty((len(base), len(lam_arr)))
-    for c in range(space.n):
-        ids = slice(t.start[c], t.start[c + 1])
-        # B(c, l r) is the prefix of c's order strictly closer than l r
-        idx = np.searchsorted(space.dist[c, t.order[c]], t.radius[ids, None] * lam_arr[None, :])
-        enlarged[ids] = cum_w[c, idx - 1]
-    allowed = np.stack([lam ** (n * p) * ap * base for lam in lams], axis=1)
-    ratios = enlarged / allowed
-    best = int(np.argmax(ratios))  # row-major: the first (ball, lambda) pair at the max
-    worst = float(ratios.flat[best])
-    return {
-        "max_ratio": worst,
-        "exponent": float(n),
-        "ap": float(ap),
-        "ball": best // len(lams),
-        "lambda": float(lams[best % len(lams)]),
-        "pass": bool(worst <= 1.0 + 1e-9),
-    }
 
 
 def bmo_norm(space: QuasiMetricSpace, b: np.ndarray, w: np.ndarray) -> BallValue:

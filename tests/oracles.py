@@ -11,7 +11,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from shtlab import QuasiMetricSpace
-from shtlab.dyadic import DyadicCube, DyadicSystem, _level_range
+from shtlab.dyadic import DyadicCube, DyadicSystem, _ball_level, _level_range
 
 
 def tied_quasi_grid(side: int = 5, seed: int = 9) -> QuasiMetricSpace:
@@ -286,6 +286,25 @@ def ap_characteristic(space, w: np.ndarray, p: float) -> Tuple[float, int]:
     return best, best_ball
 
 
+def weight_doubling_check(space, w: np.ndarray, p: float, lams: Sequence[float] = (2.0, 4.0, 8.0)):
+    """The worst ratio of w(lB) to l^{np} [w]_{A_p} w(B) over canonical
+    balls B and the scale factors, with n the space's
+    ``strong_doubling_exponent``.  Mass comparison inside lB plus the
+    A_p characteristic on lB make it at most 1 for every positive
+    weight, so it tests both library quantities."""
+    w = np.asarray(w, dtype=np.float64)
+    ap, _ = ap_characteristic(space, w, p)
+    n = space.strong_doubling_exponent(tuple(lams))
+    worst = 0.0
+    for ball in space.canonical_balls():
+        base = float(np.sum(w[ball.members] * space.mass[ball.members]))
+        for lam in lams:
+            big = ball_members(space, ball.center, lam * ball.radius)
+            enlarged = float(np.sum(w[big] * space.mass[big]))
+            worst = max(worst, enlarged / (lam ** (n * p) * ap * base))
+    return worst
+
+
 def bmo_norm(space, b: np.ndarray, w: np.ndarray) -> float:
     """sup_B (1/w(B)) integral_B |b - b_B| dmu."""
     best = 0.0
@@ -525,3 +544,29 @@ def lower_testing_chain(space, b, lam1, lam2, p: float, labels, cb, est: float) 
         if denom > 0:
             c_test = max(c_test, (ball_int / nuB) / denom)
     return {**worst, "c_test": c_test}
+
+
+def capture_cube(space, systems: Sequence[DyadicSystem], ball):
+    """(t, cube, matched) by scanning the ball's members: the first
+    system whose level-matched cube at the center holds every member,
+    else the smallest of each system's finest cube holding them (the
+    lowest t among equal measures)."""
+    delta = systems[0].delta
+    for t, sysm in enumerate(systems):
+        k = _ball_level(ball.radius, delta, sysm.levels[0], sysm.levels[-1])
+        lab = sysm.labels[k]
+        ref = int(lab[ball.center])
+        if np.all(lab[ball.members] == ref):
+            return t, sysm.cubes[k][ref], True
+    best = None
+    for t, sysm in enumerate(systems):
+        for k in reversed(sysm.levels):  # finest first -> smallest cube
+            lab = sysm.labels[k]
+            ref = int(lab[ball.center])
+            if np.all(lab[ball.members] == ref):
+                cube = sysm.cubes[k][ref]
+                mu = space.measure(cube.members)
+                if best is None or mu < best[0]:
+                    best = (mu, t, cube)
+                break
+    return best[1], best[2], False

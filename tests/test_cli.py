@@ -75,15 +75,15 @@ class TestVerifyCommand:
             _read(os.path.join(out1, "verify.json")).decode()
         ) == json_bytes_without_runtime(_read(os.path.join(out2, "verify.json")).decode())
 
-    def test_parallel_run_matches_serial_bytes(self, tmp_path):
-        # --jobs is accepted and ignored: scenarios run in order either way
-        cfg = _small_config(tmp_path)
-        out1, out2 = str(tmp_path / "serial"), str(tmp_path / "par")
-        assert main(["verify", "--config", cfg, "--out", out1]) == 0
-        assert main(["verify", "--config", cfg, "--out", out2, "--jobs", "4"]) == 0
-        assert _read(os.path.join(out1, "verify.csv")) == _read(
-            os.path.join(out2, "verify.csv")
-        )
+    @pytest.mark.parametrize("command", ["verify", "eval", "dominate"])
+    def test_jobs_flag_exits_two(self, tmp_path, capsys, command):
+        # the flag was ignored for a release after its thread pool went
+        out = tmp_path / "reports"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--jobs", "2", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_suite_filter_limits_rows(self, tmp_path):
         cfg = _small_config(tmp_path)
@@ -179,6 +179,28 @@ class TestVerifyCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["verify", "eval", "dominate"])
+    @pytest.mark.parametrize("content", [None, "{not json", b"\xff\xfe"])
+    def test_unreadable_config_exits_two(self, tmp_path, capsys, command, content):
+        path = tmp_path / "config.json"
+        if isinstance(content, str):
+            path.write_text(content, encoding="utf-8")
+        elif content is not None:
+            path.write_bytes(content)
+        out = tmp_path / "reports"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: --config: cannot read ")
+        assert not out.exists()
+
+    def test_unknown_space_key_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        doc = {"scenario": "x", "space": {"kind": "line", "n": 8, "file": "x.json"}, "seed": 1}
+        cfg.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "reports"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.strip() == "error: scenario.space.file: unknown field"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["verify", "eval", "dominate"])
     def test_negative_seed_exits_two(self, tmp_path, capsys, command):
         out = tmp_path / "reports"
         assert main([command, "--seed", "-5", "--out", str(out)]) == 2
@@ -271,6 +293,37 @@ class TestOtherCommands:
         system = load_system(build_space("line", 8), out)
         assert system.space.n == 8
 
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["gen-space", "--kind", "blob", "--n", "8"], "--kind"),
+            (["gen-space", "--kind", "line", "--n", "1"], "--n"),
+            (["gen-space", "--kind", "grid2d", "--n", "65"], "--n"),
+            (["build-dyadic", "--kind", "blob", "--n", "8"], "--kind"),
+            (["build-dyadic", "--kind", "tree", "--n", "5000"], "--n"),
+            (["build-dyadic", "--kind", "line", "--n", "8", "--delta", "1.5"], "--delta"),
+            (["build-dyadic", "--kind", "line", "--n", "8", "--delta", "0"], "--delta"),
+        ],
+    )
+    def test_bad_flag_exits_two_naming_it(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "out.json"
+        try:
+            code = main(argv + ["--out", str(out)])
+        except SystemExit as exc:  # argparse rejects a --kind outside its choices
+            code = exc.code
+        assert code == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_point_cap_is_checked_before_allocating(self, tmp_path, capsys):
+        # a line of 10**6 points needs an 8 TB distance matrix
+        out = tmp_path / "space.json"
+        assert main(["gen-space", "--kind", "line", "--n", str(10**6), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.strip() == (
+            "error: --n: 1000000 points exceed the cap 4096"
+        )
+        assert not out.exists()
+
     def test_eval_emits_norm_rows(self, tmp_path):
         cfg = _small_config(tmp_path)
         out = str(tmp_path / "reports")
@@ -319,3 +372,21 @@ class TestOtherCommands:
         merged = rows_from_json(_read(os.path.join(merged_dir, "merged.json")).decode())
         assert len(merged) == len(verify_rows) + len(eval_rows)
         assert [r.scenario for r in merged] == sorted(r.scenario for r in merged)
+
+
+# ROADMAP item 1: on a ball where the symbol is constant, deviation_sums
+# leaves rounding noise over an exactly zero median residual.  Any other
+# failed row is a plain failure, not this xfail.
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="tree15-branching lower.median_doubling reports inf (ROADMAP item 1)",
+)
+@pytest.mark.parametrize("seed", [0, 1, 4, 5, 45])
+def test_stock_suite_passes_at_seed(tmp_path, seed):
+    code = main(["verify", "--seed", str(seed), "--out", str(tmp_path)])
+    rows = rows_from_json(_read(os.path.join(tmp_path, "verify.json")).decode())
+    failed = [(r.scenario, r.check) for r in rows if not r.passed]
+    if set(failed) - {("tree15-branching", "lower.median_doubling")}:
+        pytest.fail(f"unexpected failed rows {failed}")
+    assert code == 0 and not failed

@@ -43,6 +43,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             build_space("circle", 8)
 
+    @pytest.mark.parametrize(
+        "kind,n", [("line", 10**6), ("sqline", 4097), ("tree", 10**6), ("grid2d", 65)]
+    )
+    def test_point_cap_comes_before_any_allocation(self, kind, n):
+        # line at 10**6 points would need an 8 TB distance matrix
+        with pytest.raises(ValueError, match="exceed the cap 4096"):
+            build_space(kind, n)
+
     def test_dist_symmetric_zero_diagonal(self):
         for kind, n, sp in spaces():
             assert np.array_equal(sp.dist, sp.dist.T)

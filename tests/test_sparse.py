@@ -1,6 +1,7 @@
 """Sparse families: packing constants, stopping-time selection,
 oscillation augmentation, and pointwise domination certificates."""
 
+import functools
 import json
 import os
 import subprocess
@@ -27,6 +28,8 @@ from shtlab import (
     sparse_commutator,
     sparse_commutator_adjoint,
 )
+from shtlab.cli import main as cli_main
+from shtlab.dyadic import DyadicSystem
 
 
 def _all_cubes(system):
@@ -152,17 +155,6 @@ class TestOscillationDomination:
         assert [_key(c) for c in fam.cubes] == [_key(root)]
         assert sorted(fam.witness.keys()) == [_key(root)]
 
-    def test_accepts_sparse_family_input(self):
-        space = build_space("line", 8)
-        system = build_dyadic_system(space, 0.5, seed=0)
-        root = system.cubes[system.levels[0]][0]
-        fam_in = SparseFamily(system=system, cubes=[root], eta_certified=1.0)
-        b = np.linspace(0.0, 1.0, 8)
-        res = oscillation_domination(system, fam_in, b)
-        assert res["eta_input"] == 1.0
-        keys = {_key(c) for c in res["S_tilde"].cubes}
-        assert _key(root) in keys
-
     @pytest.mark.parametrize("seed", [0, 4, 9])
     def test_seeded_pointwise_control(self, seed):
         space = build_space("line", 32)
@@ -273,6 +265,80 @@ class TestDominationFloors:
 
         monkeypatch.setattr(sparse, "region_grand_maximal", unfloored)
         assert certificate_to_dict(build_domination(space, adjacent, b, f, root)) == floored
+
+
+def _same_capture(got, want):
+    return got[0] == want[0] and got[1] is want[1] and got[2] == want[2]
+
+
+class TestCaptureCube:
+    """The ``first_change`` lookup picks the cube the member scan picks."""
+
+    @pytest.mark.parametrize("t_count,fallbacks", [(3, 15), (4, 3)])
+    def test_every_canonical_ball_of_sqline64(self, t_count, fallbacks):
+        space = build_space("sqline", 64)
+        systems = build_adjacent_systems(space, 0.5, t_count, seed=0).systems
+        matched = []
+        for ball in space.canonical_balls():
+            got = sparse._capture_cube(space, systems, ball)
+            assert _same_capture(got, oracles.capture_cube(space, systems, ball))
+            matched.append(got[2])
+        assert matched.count(False) == fallbacks
+
+    def test_every_recursion_call_of_the_stock_and_chains_configs(self, tmp_path, monkeypatch):
+        calls, mismatches = [], []
+        lookup = sparse._capture_cube
+
+        def checked(space, systems, ball):
+            got = lookup(space, systems, ball)
+            calls.append(got)
+            if not _same_capture(got, oracles.capture_cube(space, systems, ball)):
+                mismatches.append((ball.center, ball.radius))
+            return got
+
+        monkeypatch.setattr(sparse, "_capture_cube", checked)
+        # the domination scenarios of the chains-mid benchmark, variant 0
+        chains = {
+            "scenarios": [
+                {
+                    "scenario": "line48-chains",
+                    "space": {"kind": "line", "n": 48},
+                    "seed": 42,
+                    "lambda1": {"kind": "lognormal", "sigma": 0.4},
+                    "lambda2": {"kind": "lognormal", "sigma": 0.4},
+                    "symbol": {"kind": "abs_wave"},
+                    "checks": ["domination"],
+                },
+                {
+                    "scenario": "line96-domination",
+                    "space": {"kind": "line", "n": 96},
+                    "seed": 142,
+                    "symbol": {"kind": "log_coord"},
+                    "checks": ["domination"],
+                },
+            ]
+        }
+        cfg = tmp_path / "chains.json"
+        cfg.write_text(json.dumps(chains), encoding="utf-8")
+        assert cli_main(["dominate", "--seed", "42", "--out", str(tmp_path / "stock")]) == 0
+        assert cli_main(["dominate", "--config", str(cfg), "--out", str(tmp_path / "chains")]) == 0
+        assert len(calls) >= 18 and mismatches == []
+
+    def test_first_change_is_built_once_per_system(self, monkeypatch):
+        built = []
+        table = DyadicSystem.__dict__["first_change"]
+
+        def counted(system):
+            built.append(id(system))
+            return table.func(system)
+
+        prop = functools.cached_property(counted)
+        prop.__set_name__(DyadicSystem, "first_change")
+        monkeypatch.setattr(DyadicSystem, "first_change", prop)
+        space, adjacent, _, _, cert = _seeded_certificate(16, 7)
+        assert len(cert.nodes) > 1
+        assert sorted(built) == sorted(set(built))
+        assert {id(s) for s in adjacent.systems} <= set(built)
 
 
 class TestBuildDomination:

@@ -1,18 +1,19 @@
 """Weight characteristics, BMO norms, and the Bloom weight."""
 
+import math
+
 import numpy as np
 import pytest
 
 import oracles
 from shtlab import (
-    a1_check,
     ap_characteristic,
     bloom_weight,
     bmo_norm,
     build_space,
     dual_weight,
+    maximal_function,
     reverse_holder_constant,
-    weight_doubling_check,
 )
 from shtlab.weights import deviation_sums
 
@@ -70,17 +71,18 @@ class TestApCharacteristic:
 
 
 class TestA1AndAinf:
+    """[w]_{A_1} = max M w / w, at least 1 on atoms (singleton balls)."""
+
     def test_unit_weight(self):
         sp = build_space("line", 8)
-        rep = a1_check(sp, np.ones(8))
-        assert rep["constant"] == pytest.approx(1.0)
-        assert rep["is_a1"]
+        w = np.ones(8)
+        assert (maximal_function(sp, w).values / w).max() == pytest.approx(1.0)
 
     def test_pair_one_three(self):
         sp = build_space("pair", 2)
-        rep = a1_check(sp, np.array([1.0, 3.0]))
+        w = np.array([1.0, 3.0])
         # Mw = (2, 3): full-ball average 2 beats the first atom
-        assert rep["constant"] == pytest.approx(2.0)
+        assert (maximal_function(sp, w).values / w).max() == pytest.approx(2.0)
 
 
 class TestReverseHolder:
@@ -108,21 +110,43 @@ class TestReverseHolder:
 
 
 class TestWeightDoubling:
+    """w(lB) <= l^{np} [w]_{A_p} w(B) with n the strong doubling
+    exponent: a theorem for every positive weight, checked by the
+    oracle over every canonical ball."""
+
     def test_unit_weight_ratio_at_most_one(self):
         sp = build_space("line", 16)
-        rep = weight_doubling_check(sp, np.ones(16), 2.0)
-        assert rep["max_ratio"] <= 1.0 + 1e-12
+        assert oracles.weight_doubling_check(sp, np.ones(16), 2.0) <= 1.0 + 1e-12
 
     def test_pair_exact(self):
         sp = build_space("pair", 2)
-        rep = weight_doubling_check(sp, np.array([1.0, 4.0]), 2.0, lams=(2.0,))
-        assert rep["max_ratio"] <= 1.0 + 1e-12
+        worst = oracles.weight_doubling_check(sp, np.array([1.0, 4.0]), 2.0, lams=(2.0,))
+        assert worst <= 1.0 + 1e-12
 
     def test_random_weight_line32(self):
         sp = build_space("line", 32)
         w = _seeded_weight(sp, 12)
-        rep = weight_doubling_check(sp, w, 2.0)
-        assert rep["max_ratio"] <= 1.0 + 1e-12
+        assert oracles.weight_doubling_check(sp, w, 2.0) <= 1.0 + 1e-12
+
+
+class TestStrongDoublingExponent:
+    """n = strong_doubling_exponent is the least exponent with
+    mu(B(x, lr)) <= l^n mu(B(x, r)) over canonical balls and the
+    sampled scale factors."""
+
+    @pytest.mark.parametrize("kind,n", [("line", 32), ("pair", 2)])
+    def test_defining_inequality_holds_and_is_attained(self, kind, n):
+        sp = build_space(kind, n)
+        lams = (2.0, 4.0, 8.0)
+        expo = sp.strong_doubling_exponent(lams)
+        worst = 0.0
+        for ball in sp.canonical_balls():
+            mu = sp.measure(ball.members)
+            for lam in lams:
+                big = sp.measure(oracles.ball_members(sp, ball.center, lam * ball.radius))
+                assert big <= lam**expo * mu * (1.0 + 1e-12)
+                worst = max(worst, math.log(big / mu) / math.log(lam))
+        assert expo == pytest.approx(worst, rel=1e-12, abs=1e-15)
 
 
 class TestOscillation:
