@@ -253,7 +253,8 @@ def _check_domination(ctx: _ScenarioContext) -> List[ReportRow]:
     )
     cb = cert.cb
     rhs = cert.c_emp * bound2 if math.isfinite(cert.c_emp) else bound2
-    live = ~np.isin(np.arange(space.n), cert.exceptional)
+    live = np.ones(space.n, dtype=bool)
+    live[cert.exceptional] = False
     scale = max(1.0, float(np.abs(cb).max()), float(np.abs(rhs[live]).max()) if live.any() else 0.0)
     overshoot = float(np.maximum(cb[live] - rhs[live], 0.0).max() / scale) if live.any() else 0.0
     tol = sc.tol("exact", 1e-12)

@@ -537,8 +537,15 @@ def _ball_level(r: float, delta: float, k_lo: int, k_hi: int) -> int:
 def _ball_levels(space: QuasiMetricSpace, delta: float) -> np.ndarray:
     """The unclamped ``_ball_level`` of every canonical ball, one log per
     distinct radius."""
-    radii, inv = np.unique(space.ball_table().radius, return_inverse=True)
-    raw = [_ball_level(r, delta, -math.inf, math.inf) for r in radii.tolist()]
+    radius = space.ball_table().radius
+    by_radius = np.argsort(radius)
+    radii = radius[by_radius]
+    new = np.ones(len(radii), dtype=bool)
+    new[1:] = radii[1:] != radii[:-1]
+    # inv[i]: the position of ball i's radius among the distinct radii
+    inv = np.empty(len(radii), dtype=np.int64)
+    inv[by_radius] = np.cumsum(new) - 1
+    raw = [_ball_level(r, delta, -math.inf, math.inf) for r in radii[new].tolist()]
     return np.asarray(raw, dtype=np.int64)[inv]
 
 

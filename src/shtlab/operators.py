@@ -92,7 +92,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .space import QuasiMetricSpace
+from .space import QuasiMetricSpace, _distinct
 
 
 @dataclass
@@ -672,7 +672,7 @@ def region_grand_maximal(
     # kept in the narrowest integer type holding a slot
     slot_type = np.min_scalar_type(width)
     evaluated, meets = [np.empty(0, dtype=np.int64)], [np.empty((n, 0), dtype=slot_type)]
-    for c in np.unique(t.center[ids]):
+    for c in _distinct(t.center[ids]):
         cols = np.flatnonzero(t.center[ids] == c)
         reach = np.minimum.accumulate(pslot.T[:, t.order[c]], axis=1)
         meet = reach[:, t.count[ids[cols]] - 1]

@@ -415,11 +415,11 @@ class QuasiMetricSpace:
 
     def _doubling_probe_radii(self, center: int) -> np.ndarray:
         """Distance thresholds plus canonical midpoints for one center."""
-        distinct = np.unique(self.dist[center])
+        distinct = _distinct(self.dist[center])
         pos = distinct[distinct > 0]
         mids = (distinct[:-1] + distinct[1:]) / 2.0
         top = np.array([1.5 * distinct[-1]]) if distinct[-1] > 0 else np.array([1.0])
-        return np.unique(np.concatenate([pos, mids[mids > 0], top]))
+        return _distinct(np.concatenate([pos, mids[mids > 0], top]))
 
     def _mu_ball(self, center: int, radii: np.ndarray) -> np.ndarray:
         """mu(B(center, r)) for each r (any shape), by one
@@ -466,6 +466,16 @@ class QuasiMetricSpace:
 
 
 # -- generators -------------------------------------------------------------
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct values, as ``np.unique`` gives them, from a
+    sort and a neighbour comparison: ``np.unique`` imports ``numpy.ma``
+    on its first call, which costs more than the sort at these sizes."""
+    s = np.sort(values, axis=None)
+    keep = np.ones(s.size, dtype=bool)
+    keep[1:] = s[1:] != s[:-1]
+    return s[keep]
 
 
 def build_space(

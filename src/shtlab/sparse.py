@@ -190,10 +190,11 @@ def _cover_balls(space: QuasiMetricSpace, b0: Ball) -> List[Ball]:
         if len(inner.members) == space.n:
             break
         outer = space.ball_at(b0.center, 2.0**j * b0.radius)
-        annulus = np.setdiff1d(outer.members, inner.members)
         radius = 2.0 ** (j - 2) * b0.radius
+        # the annulus: outer members that are not inner members
         need = np.zeros(space.n, dtype=bool)
-        need[annulus] = True
+        need[outer.members] = True
+        need[inner.members] = False
         while need.any():
             center = int(np.flatnonzero(need)[0])
             cover = space.ball_at(center, radius)
@@ -431,8 +432,10 @@ def build_domination(
     nodes: List[Dict[str, object]] = []
     emitted: Dict[int, List[DyadicCube]] = {t: [] for t in range(len(systems))}
     for ball in covers:
-        needed = np.union1d(_truncation_ball(space, ball).members, root_ball.members)
-        wide = _smallest_ball_at(space, ball.center, needed)
+        needed = np.zeros(space.n, dtype=bool)
+        needed[_truncation_ball(space, ball).members] = True
+        needed[root_ball.members] = True
+        wide = _smallest_ball_at(space, ball.center, np.flatnonzero(needed))
         ctx = _TreeContext()
         ctx.used = np.zeros(space.n, dtype=bool)
         _dominate_node(

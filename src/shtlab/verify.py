@@ -33,6 +33,7 @@ from .weights import (
     ball_max,
     bloom_weight,
     bmo_norm,
+    deviation_max,
     deviation_sums,
     reverse_holder_constant,
 )
@@ -582,20 +583,21 @@ def verify_bloom_jn(
     nu = bloom_weight(lam1, lam2, p)
     ap2 = ap_characteristic(space, lam2, p).value
     m = space.mass
-    jn_weight = lam1 ** (-r / p) * m
-    if r == 1:
-        # the BMO_nu oscillation and the left side share |b - b_B|
-        osc, jn_sums = deviation_sums(space, b, np.stack([m, jn_weight], axis=1)).T
-        bmo = ball_max(osc / space.ball_sums(nu * m)).value
-    else:
-        bmo = bmo_norm(space, b, nu).value
-        jn_sums = deviation_sums(space, b, jn_weight, r)
-    lhs = jn_sums / space.ball_measures()
-    rhs_factor = space.ball_averages(lam2 ** (-1.0 / p))
-    rhs = bmo**r * ap2 ** (r / p) * rhs_factor**r
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(lhs > 0, lhs / rhs, 0.0)
-    worst = ball_max(ratios)
+    # the BMO_nu norm, as bmo_norm takes it
+    nu_sums = space.ball_sums(nu * m)
+    (bmo, _), bmo_exact = deviation_max(space, b, m, 1.0, lambda ids, sums: sums / nu_sums[ids])
+    del nu_sums
+    mu = space.ball_measures()
+    rhs = bmo**r * ap2 ** (r / p) * space.ball_averages(lam2 ** (-1.0 / p)) ** r
+
+    def ratio(ids, sums):
+        lhs = sums / mu[ids]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = lhs / rhs[ids]
+        out[~(lhs > 0)] = 0.0
+        return out
+
+    worst, jn_exact = deviation_max(space, b, lam1 ** (-r / p) * m, r, ratio)
     c_jn = worst.value
     entry = _ratio_entry(f"jn.branch{branch}_constant", c_jn)
     return {
@@ -609,6 +611,8 @@ def verify_bloom_jn(
         "ap_lambda2": ap2,
         "vacuous": bmo == 0.0,
         "worst_ball": worst.ball,
+        # balls whose deviation sums were evaluated, BMO_nu and JN maxima together
+        "exact_balls": bmo_exact + jn_exact,
         "entries": [entry],
         "passed": bool(entry["passed"]),
     }

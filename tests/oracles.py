@@ -10,7 +10,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from shtlab import QuasiMetricSpace
+from shtlab import QuasiMetricSpace, weights
 from shtlab.dyadic import DyadicCube, DyadicSystem, _ball_level, _level_range
 
 
@@ -341,6 +341,30 @@ def deviation_sums(space, b: np.ndarray, weight: np.ndarray, r: float = 1.0) -> 
             dev **= r
         out[ids] = (dev * weight[order] * inside).sum(axis=1)
     return out
+
+
+def bmo_max(space, b: np.ndarray, w: np.ndarray) -> Tuple[float, int]:
+    """The BMO_w norm and its first ball from every ball's oscillation
+    sum: the full pass that ``weights.bmo_norm`` must equal bit for bit."""
+    vals = deviation_sums(space, b, space.mass) / space.ball_sums(np.asarray(w) * space.mass)
+    best = int(np.argmax(vals))
+    return float(vals[best]), best
+
+
+def jn_max(space, b: np.ndarray, lam1, lam2, p: float, r: float) -> Tuple[float, int, float]:
+    """(c_jn, worst ball, BMO_nu norm) of the weighted John-Nirenberg
+    comparison from every ball's deviation sum, in the library's
+    arithmetic order, so ``verify_bloom_jn`` must equal it bit for bit."""
+    lam1 = np.asarray(lam1, dtype=np.float64)
+    lam2 = np.asarray(lam2, dtype=np.float64)
+    bmo, _ = bmo_max(space, b, weights.bloom_weight(lam1, lam2, p))
+    ap2 = weights.ap_characteristic(space, lam2, p).value
+    lhs = deviation_sums(space, b, lam1 ** (-r / p) * space.mass, r) / space.ball_measures()
+    rhs = bmo**r * ap2 ** (r / p) * space.ball_averages(lam2 ** (-1.0 / p)) ** r
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(lhs > 0, lhs / rhs, 0.0)
+    best = int(np.argmax(ratios))
+    return float(ratios[best]), best, bmo
 
 
 def sparse_operator(space, cubes: Sequence, f: np.ndarray) -> np.ndarray:

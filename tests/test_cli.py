@@ -3,6 +3,8 @@ byte determinism of the emitted reports."""
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -390,3 +392,30 @@ def test_stock_suite_passes_at_seed(tmp_path, seed):
     if set(failed) - {("tree15-branching", "lower.median_doubling")}:
         pytest.fail(f"unexpected failed rows {failed}")
     assert code == 0 and not failed
+
+
+_NUMPY_MA_SCRIPT = """
+import sys
+from shtlab.cli import main
+code = main(["verify", "--seed", "42", "--out", sys.argv[1]])
+print(code, "numpy.ma" in sys.modules)
+"""
+
+
+def test_verify_leaves_numpy_ma_unimported(tmp_path):
+    # numpy's set routines import numpy.ma on first use, which costs
+    # more than a whole small scenario
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    bare = subprocess.run(
+        [sys.executable, "-c", "import sys, numpy; print('numpy.ma' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    if bare.stdout.strip() == "True":
+        pytest.skip("import numpy alone loads numpy.ma")
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_MA_SCRIPT, str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-2:] == ["0", "False"]

@@ -14,7 +14,9 @@ from shtlab import (
     dual_weight,
     maximal_function,
     reverse_holder_constant,
+    verify_bloom_jn,
 )
+from shtlab import weights
 from shtlab.weights import deviation_sums
 
 
@@ -182,15 +184,9 @@ class TestOscillation:
         for sp in spaces:
             b = rng.standard_normal(sp.n)
             w = rng.lognormal(0.0, 1.0, sp.n)
-            # a second weight column, drawn apart so w keeps its values
-            W = np.stack([w, np.random.default_rng(sp.n).lognormal(0.0, 1.0, sp.n)], axis=1)
             for r in (1.0, 2.0, 0.7):
                 got = deviation_sums(sp, b, w, r)
                 assert np.array_equal(got, oracles.deviation_sums(sp, b, w, r))
-                pair = deviation_sums(sp, b, W, r)
-                assert pair.shape == (len(got), 2)
-                for j in range(2):
-                    assert np.array_equal(pair[:, j], oracles.deviation_sums(sp, b, W[:, j], r))
 
     def test_bmo_shift_invariance(self):
         sp = build_space("line", 16)
@@ -198,6 +194,123 @@ class TestOscillation:
         b = rng.standard_normal(16)
         w = _seeded_weight(sp, 7)
         assert bmo_norm(sp, b, w).value == pytest.approx(bmo_norm(sp, b + 11.0, w).value)
+
+
+def _symbols(space, seed):
+    """Lognormal, signed, constant (0, 1 and 3) and constant-on-one-ball
+    symbols; b = 1 gives a BMO norm of exactly 0 and b = 3 rounding noise."""
+    rng = np.random.default_rng(seed)
+    t = space.ball_table()
+    on_ball = rng.lognormal(0.0, 1.0, space.n)
+    mid = len(t.center) // 2
+    on_ball[t.order[t.center[mid], : t.count[mid]]] = 0.0
+    return {
+        "lognormal": np.exp(0.5 * rng.standard_normal(space.n)),
+        "signed": rng.standard_normal(space.n),
+        "zero": np.zeros(space.n),
+        "one": np.ones(space.n),
+        "three": np.full(space.n, 3.0),
+        "on_ball": on_ball,
+    }
+
+
+# the stock test spaces of test_operators, the tied grid and the lognormal plane
+MAX_SPACES = [("line", 12), ("sqline", 9), ("grid2d", 3), ("tree", 13), ("pair", 2)]
+
+
+def _max_spaces():
+    spaces = [build_space(kind, n) for kind, n in MAX_SPACES]
+    return spaces + [oracles.tied_quasi_grid(), oracles.lognormal_plane()]
+
+
+class TestDeviationMax:
+    @pytest.mark.parametrize("top", [1, weights.TOP_BALLS])
+    def test_bmo_and_jn_maxima_equal_the_full_pass(self, monkeypatch, top):
+        # a one-float block sends every space through the bounds; one top
+        # ball leaves the threshold stage to find the rest
+        monkeypatch.setattr(weights, "DEVIATION_BLOCK", 1)
+        monkeypatch.setattr(weights, "TOP_BALLS", top)
+        bounded = 0
+        for sp in _max_spaces():
+            rng = np.random.default_rng(sp.n)
+            lam1 = rng.lognormal(0.0, 0.4, sp.n)
+            lam2 = rng.lognormal(0.0, 0.4, sp.n)
+            balls = len(sp.ball_table().center)
+            for name, b in _symbols(sp, sp.n + 1).items():
+                got = bmo_norm(sp, b, lam1)
+                assert (got.value, got.ball) == oracles.bmo_max(sp, b, lam1), name
+                for p, r in ((2.0, 1.0), (2.0, 1.5), (2.0, 2.0), (2.0, 2.25), (1.5, 3.25)):
+                    rep = verify_bloom_jn(sp, b, lam1, lam2, p, r)
+                    want = oracles.jn_max(sp, b, lam1, lam2, p, r)
+                    assert (rep["c_jn"], rep["worst_ball"], rep["bmo_nu"]) == want, (name, r)
+                    bounded += rep["exact_balls"] < 2 * balls
+        # from one top ball, the bounds settle most maxima without a full pass
+        assert top > 1 or bounded > 100, bounded
+
+    def test_default_path_on_large_spaces(self):
+        for sp in (build_space("line", 160), build_space("grid2d", 8), oracles.lognormal_plane(96)):
+            balls = len(sp.ball_table().center)
+            rng = np.random.default_rng(7)
+            lam1 = rng.lognormal(0.0, 0.4, sp.n)
+            lam2 = rng.lognormal(0.0, 0.4, sp.n)
+            for name, b in _symbols(sp, 8).items():
+                for r in (1.0, 2.25):
+                    rep = verify_bloom_jn(sp, b, lam1, lam2, 2.0, r)
+                    want = oracles.jn_max(sp, b, lam1, lam2, 2.0, r)
+                    assert (rep["c_jn"], rep["worst_ball"], rep["bmo_nu"]) == want, (name, r)
+                    if name in ("lognormal", "one", "three"):
+                        # constant symbols too: their spread bounds are tight
+                        assert rep["exact_balls"] < balls, name
+
+    def test_ties_at_the_threshold_are_evaluated(self, monkeypatch):
+        # every value is 0; the one ball with a positive bound, a singleton
+        # where b equals its average exactly, is the top ball, and ball 0
+        # ties with it at a lower id
+        monkeypatch.setattr(weights, "TOP_BALLS", 1)
+        sp = build_space("line", 160)
+        t = sp.ball_table()
+        b = np.exp(np.random.default_rng(5).standard_normal(sp.n))
+        b[-1] = 1.0
+        single = int(t.start[sp.n - 1])
+        mult = np.zeros(len(t.center))
+        mult[single] = 1.0
+        got, _ = weights.deviation_max(sp, b, sp.mass, 1.0, lambda ids, sums: sums * mult[ids])
+        assert got == (0.0, 0)
+
+    def test_zero_denominator_takes_the_full_pass(self):
+        sp = build_space("line", 160)
+        b = np.exp(np.random.default_rng(4).standard_normal(sp.n))
+        den = sp.ball_measures().copy()
+        den[5000] = 0.0
+        with np.errstate(divide="ignore"):
+            got, exact = weights.deviation_max(sp, b, sp.mass, 1.0, lambda ids, sums: sums / den[ids])
+            want = weights.ball_max(deviation_sums(sp, b, sp.mass) / den)
+        assert got == want and got.value == math.inf and exact == len(den)
+
+    def test_small_spaces_take_the_full_pass(self):
+        sp = build_space("line", 16)
+        b = np.exp(np.random.default_rng(3).standard_normal(16))
+        rep = verify_bloom_jn(sp, b, np.ones(16), np.ones(16), 2.0, 1.0)
+        assert rep["exact_balls"] == 2 * len(sp.ball_table().center)
+
+    @pytest.mark.parametrize("r", [1.0, 1.5, 2.0, 2.25, 3.25])
+    def test_bound_dominates_every_computed_sum(self, r):
+        spaces = _max_spaces() + [build_space("line", 48), build_space("tree", 31)]
+        for sp in spaces:
+            rng = np.random.default_rng(sp.n + 2)
+            wide = 10.0 ** rng.uniform(-8.0, 8.0, sp.n)
+            symbols = dict(_symbols(sp, sp.n + 3))
+            # magnitudes from 1e-8 to 1e8, one-signed and signed, and a symbol
+            # constant up to 1e-8
+            symbols["wide"] = wide
+            symbols["wide_signed"] = wide * rng.choice([-1.0, 1.0], sp.n)
+            symbols["wide_tiny"] = 1.0 + 1e-8 * rng.standard_normal(sp.n)
+            for w in (sp.mass, rng.lognormal(0.0, 1.0, sp.n), 10.0 ** rng.uniform(-8.0, 8.0, sp.n)):
+                for name, b in symbols.items():
+                    avg = sp.ball_averages(b)
+                    bound = weights._deviation_bounds(sp, b, w, r, avg)
+                    sums = deviation_sums(sp, b, w, r)
+                    assert (bound >= sums).all(), (name, int(np.argmin(bound - sums)))
 
 
 class TestBloomAndDual:
