@@ -53,7 +53,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .space import QuasiMetricSpace
+from .space import QuasiMetricSpace, _distinct
 
 
 @dataclass
@@ -538,15 +538,9 @@ def _ball_levels(space: QuasiMetricSpace, delta: float) -> np.ndarray:
     """The unclamped ``_ball_level`` of every canonical ball, one log per
     distinct radius."""
     radius = space.ball_table().radius
-    by_radius = np.argsort(radius)
-    radii = radius[by_radius]
-    new = np.ones(len(radii), dtype=bool)
-    new[1:] = radii[1:] != radii[:-1]
-    # inv[i]: the position of ball i's radius among the distinct radii
-    inv = np.empty(len(radii), dtype=np.int64)
-    inv[by_radius] = np.cumsum(new) - 1
-    raw = [_ball_level(r, delta, -math.inf, math.inf) for r in radii[new].tolist()]
-    return np.asarray(raw, dtype=np.int64)[inv]
+    radii = _distinct(radius)
+    raw = [_ball_level(r, delta, -math.inf, math.inf) for r in radii.tolist()]
+    return np.asarray(raw, dtype=np.int64)[np.searchsorted(radii, radius)]
 
 
 def _capture_mask(

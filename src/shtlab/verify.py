@@ -29,6 +29,7 @@ from .operators import (
 from .space import QuasiMetricSpace
 from .sparse import SparseFamily, _oscillation_terms, oscillation_domination, packing_constant
 from .weights import (
+    _bmo_max,
     ap_characteristic,
     ball_max,
     bloom_weight,
@@ -583,10 +584,7 @@ def verify_bloom_jn(
     nu = bloom_weight(lam1, lam2, p)
     ap2 = ap_characteristic(space, lam2, p).value
     m = space.mass
-    # the BMO_nu norm, as bmo_norm takes it
-    nu_sums = space.ball_sums(nu * m)
-    (bmo, _), bmo_exact = deviation_max(space, b, m, 1.0, lambda ids, sums: sums / nu_sums[ids])
-    del nu_sums
+    (bmo, _), bmo_exact = _bmo_max(space, b, nu)
     mu = space.ball_measures()
     rhs = bmo**r * ap2 ** (r / p) * space.ball_averages(lam2 ** (-1.0 / p)) ** r
 

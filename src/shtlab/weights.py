@@ -30,15 +30,12 @@ uses, d = b - a, W = sum_B weight, s = max_B |d| and
 
 with S1 = sum_B b weight and S2 = sum_B b^2 weight.  Cauchy-Schwarz
 and Holder give sum_B |d|^r weight <= Q^{r/2} W^{1 - r/2} for
-1 <= r <= 2 and <= s^{r-2} Q for r > 2, and always <= s^r W.  All
-three hold for any constant a, with d, Q and s taken from it.  One
-``ball_sum_blocks`` pass over the columns (weight, b weight, |b| weight,
-b^2 weight) gives W, S1, S1a = sum_B |b| weight and S2 block by block,
-so only (balls,) vectors are kept.  s comes from the running max and
-min of b along each center's order.  It is read for r > 2, and for
-r <= 2 only in blocks where b is constant up to rounding on some ball
-of several points: there the sum is rounding noise that the Q bound
-cannot resolve and s^r W can.
+1 <= r <= 2 and <= s^{r-2} Q for r > 2.  Both hold for any constant
+a, with d, Q and s taken from it.  One ``ball_sum_blocks`` pass over
+the columns (weight, b weight, |b| weight, b^2 weight) gives W, S1,
+S1a = sum_B |b| weight and S2 block by block, so only (balls,) vectors
+are kept.  For r > 2, s comes from the running max and min of b along
+each center's order.
 
 Rounding margin.  A bound must dominate the *computed* sum.  With
 u = 2^-53 and gamma_k = k u / (1 - k u), the computed sum exceeds the
@@ -51,12 +48,11 @@ relative margin: it lifts the bound by at least a factor
 n <= MAX_POINTS (gamma_{8208} is 9.1e-13, 2^-37 is 7.3e-12) and
 r <= 4096.  It also covers balls where b is constant or a single point,
 whose computed sums are rounding noise of about 1e-17 rather than 0.
-The s^r W bound takes the factor 1 + 2^-36 itself; a computed s of 0
-means b == a on the whole ball, where the computed sum is exactly 0.
-The analysis assumes that no step underflows or overflows, which holds
-while the nonzero |b| and weights lie in [2^-200, 2^200] and a positive
-s is floored so that s^r >= 2^-300; an overflow shows as a bound that
-is not finite.
+A computed s of 0 means b == a on the whole ball, where the computed
+sum is exactly 0.  The analysis assumes that no step underflows or
+overflows, which holds while the nonzero |b| and weights lie in
+[2^-200, 2^200] and a positive s is floored so that s^{r-2} >= 2^-300;
+an overflow shows as a bound that is not finite.
 
 Exact stage.  The TOP_BALLS largest bound ratios (ties to the lower
 id) are evaluated exactly.  Their best value L, first reached at ball
@@ -119,8 +115,13 @@ def bmo_norm(space: QuasiMetricSpace, b: np.ndarray, w: np.ndarray) -> BallValue
     b_B is the plain mu-average; the weight enters only through the
     normalizing factor w(B).
     """
+    return _bmo_max(space, b, w)[0]
+
+
+def _bmo_max(space: QuasiMetricSpace, b: np.ndarray, w: np.ndarray) -> Tuple[BallValue, int]:
+    """``bmo_norm`` with the number of balls ``deviation_max`` evaluated."""
     wb = space.ball_sums(np.asarray(w, dtype=np.float64) * space.mass)
-    return deviation_max(space, b, space.mass, 1.0, lambda ids, sums: sums / wb[ids])[0]
+    return deviation_max(space, b, space.mass, 1.0, lambda ids, sums: sums / wb[ids])
 
 
 # float entries per (balls x n) block of ``_deviation_rows``, unless one
@@ -246,26 +247,22 @@ def _deviation_bounds(
 ) -> np.ndarray:
     """Per canonical ball, a bound on its computed ``deviation_sums``
     (r >= 1), from one ``ball_sum_blocks`` pass over the columns
-    (weight, b weight, |b| weight, b^2 weight) and the running max and
-    min of b along each center's order."""
+    (weight, b weight, |b| weight, b^2 weight) and, for r > 2, the
+    running max and min of b along each center's order."""
     t = space.ball_table()
     cols = np.stack([weight, b * weight, np.abs(b) * weight, b * b * weight], axis=1)
     out = np.empty(len(avg))
     for ids, sums in space.ball_sum_blocks(cols, 4 * DEVIATION_BLOCK):
         w, s1, s1a, s2 = sums.T
         a = avg[ids]
-        # sum_B (b - a)^2 weight, and the rounding margin 2^-36 times a
-        # scale that dominates both it and the error its cancellation
+        # sum_B (b - a)^2 weight, raised by the rounding margin 2^-36 times
+        # a scale that dominates both it and the error its cancellation
         # can hide (module docstring)
         q = np.maximum(s2 - 2.0 * a * s1 + a * a * w, 0.0)
-        margin = 2.0**-36 * (s2 + 2.0 * np.abs(a) * s1a + a * a * w)
+        q += 2.0**-36 * (s2 + 2.0 * np.abs(a) * s1a + a * a * w)
         if r <= 2:
-            bound = (q + margin) ** (r / 2.0) * w ** (1.0 - r / 2.0)
-            # where the margin outweighs q on a ball of several points, b is
-            # constant there up to rounding and only the spread bound is tight
-            if not ((margin > q) & (t.count[ids] > 1)).any():
-                out[ids] = bound
-                continue
+            out[ids] = q ** (r / 2.0) * w ** (1.0 - r / 2.0)
+            continue
         c0 = t.center[ids.start]
         along = b[t.order[c0 : t.center[ids.stop - 1] + 1]]
         at = (t.center[ids] - c0, t.count[ids] - 1)
@@ -273,12 +270,10 @@ def _deviation_bounds(
             np.maximum.accumulate(along, axis=1)[at] - a,
             a - np.minimum.accumulate(along, axis=1)[at],
         )
-        # the floor keeps a positive spread^r and spread^(r-2) >= 2^-300;
-        # a spread of 0 means b == a on B, where every sum is exactly 0
+        # the floor keeps a positive spread^(r-2) >= 2^-300; a spread of
+        # 0 means b == a on B, where every sum is exactly 0
         spread = np.maximum(spread, np.where(spread > 0, 2.0 ** (-300.0 / r), 0.0))
-        if r > 2:
-            bound = spread ** (r - 2.0) * (q + margin)
-        out[ids] = np.minimum(bound, spread**r * w * (1.0 + 2.0**-36))
+        out[ids] = spread ** (r - 2.0) * q
     return out
 
 
