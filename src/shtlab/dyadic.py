@@ -31,7 +31,9 @@ them that jointly capture the most canonical balls.  Capture is then
 certified ball-by-ball and failures are reported as data.  The
 geometric doubling count a1 behind the family-size bound runs every
 canonical ball's separated-point greedy in one sweep of the points,
-on a boolean (balls x n) table taken in bounded blocks.
+on a table of uint64 words, one bit per (ball, point), taken in
+bounded blocks: the points a kept point closes are a prefix of its
+distance order, whose words are one cumulative OR along that order.
 
 Sandwich constants are measured, not the continuum ones.  c1 is the
 worst ratio (largest ball around the center still inside the cube) /
@@ -53,7 +55,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .space import QuasiMetricSpace, _distinct
+from .space import QuasiMetricSpace, _distinct, _point_words, _prefix_words
 
 
 @dataclass
@@ -183,14 +185,15 @@ class DyadicSystem:
         level-k cube, or n when none does.  A ball B(c, r) is a prefix
         of that order, so the cube holds it exactly when the entry
         reaches the ball's count; entries only grow toward coarser
-        levels.  Entries are at most n <= MAX_POINTS, so int16 holds them,
-        at a quarter of the memory an adjacent pool's tables would take
-        as int64."""
+        levels.  Entries and labels are at most n <= MAX_POINTS, so int16
+        holds them: the table takes a quarter of the memory an adjacent
+        pool's tables would take as int64, and each level's (n x n) label
+        gather a quarter of the traffic."""
         t = self.space.ball_table()
         n = self.space.n
         out = np.empty((len(self.levels), n), dtype=np.int16)
         for i, k in enumerate(self.levels):
-            lab = self.labels[k][t.order]  # type: ignore[index]
+            lab = self.labels[k].astype(np.int16)[t.order]  # type: ignore[index]
             # end of the leading run of the center's own label (order[c, 0]
             # is c itself): the first False, or n when there is none
             eq = lab == lab[:, :1]
@@ -482,8 +485,22 @@ class AdjacentSystems:
     report: Dict[str, object]
 
 
-# (balls x n) entries per block of ``geometric_doubling``'s open table
+# bytes per block of ``geometric_doubling``'s open word table, and per
+# chunk of centers of its prefix words
 DOUBLING_BLOCK = 1 << 21
+
+
+def _outside_words(
+    space: QuasiMetricSpace, one: np.ndarray, c0: int, c1: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(outside, near) for the centers c0:c1.  outside[c - c0, j] is the
+    complement of the words of the first j + 1 points of c's distance
+    order; near[c - c0] is c's distances in ascending order, so
+    ``searchsorted`` on near[c - c0, 1:] gives how many points other
+    than c lie nearer c than a threshold."""
+    outside = _prefix_words(one, space.ball_table().order[c0:c1])
+    np.invert(outside, out=outside)
+    return outside, np.sort(space.dist[c0:c1], axis=1)
 
 
 def geometric_doubling(space: QuasiMetricSpace, delta: float) -> int:
@@ -494,34 +511,57 @@ def geometric_doubling(space: QuasiMetricSpace, delta: float) -> int:
     Every ball runs the same greedy (its points in id order, each kept
     while at least delta * r from the points kept before), all in one
     sweep of the points: n steps, not one per (center, point) pair.
-    ``open[B, y]`` says y is in B and still that far from every point
-    B has kept, so the balls keeping x are the open rows of column x,
-    which then close every y nearer x than their delta * r.  The balls
-    go in blocks of at most ``DOUBLING_BLOCK`` table entries, so the
-    scratch is one bool table of at most min(balls x n, DOUBLING_BLOCK)
-    bytes; each block's table is filled in row chunks whose rank
-    gather takes an eighth of that."""
+    Each ball's open set (its points still that far from every point it
+    has kept) is a column of uint64 words, one bit per point, so the
+    balls keeping x are the set bits of one contiguous word row.  The
+    points nearer x than a ball's delta * r are a prefix of x's
+    distance order, its length one ``searchsorted`` on x's sorted
+    distances, so each keeping ball clears that prefix's words
+    (``_outside_words``) from x's word on; earlier words are never read
+    again.  A ball's column starts as its own prefix's words.  The
+    balls go in blocks whose word table takes at most ``DOUBLING_BLOCK``
+    bytes, and the prefix words and sorted distances in chunks of
+    centers within as many bytes."""
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     t = space.ball_table()
     n = space.n
+    one = _point_words(n)
+    width = one.shape[1]
+    step = max(1, DOUBLING_BLOCK // (8 * width))
+    chunk = max(1, DOUBLING_BLOCK // (8 * (width + 1) * n))
     best = 1
-    step = max(1, DOUBLING_BLOCK // n)
-    # rows per chunk of the int64 rank gather filling a block's table
-    chunk = max(1, DOUBLING_BLOCK // (64 * n))
+    # the chunk of centers c0:c0 + chunk held in outside and near; each
+    # is dropped before the next is built
+    c0, outside, near = -1, None, None
     for b0 in range(0, len(t.center), step):
-        ids = np.arange(b0, min(len(t.center), b0 + step))
-        open_ = np.empty((len(ids), n), dtype=bool)
-        for r0 in range(0, len(ids), chunk):
-            part = ids[r0 : r0 + chunk]
-            np.less(t.rank[t.center[part]], t.count[part, None], out=open_[r0 : r0 + chunk])
-        sep = delta * t.radius[ids, None]
-        kept = np.zeros(len(open_), dtype=np.int64)
+        b1 = min(len(t.center), b0 + step)
+        open_ = np.empty((width, b1 - b0), dtype=np.uint64)
+        for c in range(t.center[b0] // chunk * chunk, t.center[b1 - 1] + 1, chunk):
+            if c != c0:
+                c0, outside, near = c, None, None
+                outside, near = _outside_words(space, one, c0, c0 + chunk)
+            lo = max(t.start[c0], b0)
+            hi = min(t.start[min(n, c0 + chunk)], b1)
+            np.invert(
+                outside[t.center[lo:hi] - c0, t.count[lo:hi] - 1].T,
+                out=open_[:, lo - b0 : hi - b0],
+            )
+        sep = delta * t.radius[b0:b1]
+        kept = np.zeros(b1 - b0, dtype=np.int64)
         for x in range(n):
-            rows = np.flatnonzero(open_[:, x])
+            if x - x % chunk != c0:
+                c0, outside, near = x - x % chunk, None, None
+                outside, near = _outside_words(space, one, c0, c0 + chunk)
+            w = x >> 6
+            rows = (open_[w] & one[x, w]).nonzero()[0]
+            if not len(rows):
+                continue
             kept[rows] += 1
-            # columns up to x are never read again
-            open_[rows, x + 1 :] &= space.dist[x, x + 1 :] >= sep[rows]
+            # x itself is the first point of its order, and the nearest
+            cut = near[x - c0, 1:].searchsorted(sep[rows])
+            for i in range(w, width):
+                open_[i, rows] &= outside[x - c0, cut, i]
         best = max(best, int(kept.max()))
     return best
 

@@ -92,7 +92,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .space import QuasiMetricSpace, _distinct
+from .space import QuasiMetricSpace, _distinct, _point_words, _prefix_words
 
 
 @dataclass
@@ -323,16 +323,20 @@ class CommutatorKernel:
         self.b_s = self.b[self.order]
         t = space.ball_table()
         n = space.n
-        # rank_s[c, j]: the place of the j-th point in symbol order along
-        # c's distance order, so ball i holds it when below count[i]
-        # (C-ordered: the fancy index alone leaves each row strided)
-        rank_s = np.ascontiguousarray(t.rank[:, self.order])
-        # per center, its prefix rows with columns in symbol order, zero
-        # padded to whole 8-byte words so _distinct_rows reads them in place
-        packed = np.zeros((len(t.center), -(-n // 64) * 8), dtype=np.uint8)
-        for c in range(n):
-            ids = slice(t.start[c], t.start[c + 1])
-            packed[ids, : (n + 7) // 8] = np.packbits(rank_s[c] < t.count[ids, None], axis=1)
+        # every ball's member set as one bit per point in whole 8-byte
+        # words, which _distinct_rows reads in place: a ball is a prefix
+        # of its center's distance order, so its row is one cumulative OR
+        # of the points' one-hot words along that order, taken for blocks
+        # of centers within KERNEL_BLOCK bytes
+        one = _point_words(n)
+        packed = np.empty((len(t.center), one.shape[1]), dtype=np.uint64)
+        step = max(1, KERNEL_BLOCK // one.nbytes)
+        for c0 in range(0, n, step):
+            ids = slice(t.start[c0], t.start[min(n, c0 + step)])
+            words = _prefix_words(one, t.order[c0 : c0 + step])
+            packed[ids] = words[t.center[ids] - c0, t.count[ids] - 1]
+            del words
+        packed = packed.view(np.uint8)
         # the sup only sees member sets, so collapse duplicate balls;
         # ball_ids maps each surviving row back to the lowest canonical
         # id sharing its member set, keeping witness ids canonical; twins
@@ -347,6 +351,10 @@ class CommutatorKernel:
         self.mu = mu[keep]
         # (row, position) memberships: the entries one column's gathers read
         self.held = int(t.count[self.ball_ids].sum())
+        # rank_s[c, j]: the place of the j-th point in symbol order along
+        # c's distance order, so ball i holds it when below count[i]
+        # (C-ordered: the fancy index alone leaves each row strided)
+        rank_s = np.ascontiguousarray(t.rank[:, self.order])
         # bits[j] packs the rows holding the j-th point in symbol order,
         # built through a (positions x rows) mask of at most KERNEL_BLOCK
         # bytes whose row count is a multiple of 8, so each chunk packs

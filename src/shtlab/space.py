@@ -38,7 +38,11 @@ center's order read at each ball's count, so no operator stores a
 per block of whole centers, with its cumsum scratch within a caller's
 limit, so a caller that reduces the sums at once (the ball sups of
 ``operators``) never holds them for every ball; ``ball_sums`` gathers
-the blocks into one (balls,) or (balls, k) array.
+the blocks into one (balls,) or (balls, k) array.  In the same way a
+ball's members as bits are one cumulative OR of one-hot uint64 words
+along its center's order (``_prefix_words``), which the maximal
+commutator kernel and the geometric doubling greedy read per block of
+centers.
 
 Notes
 -----
@@ -394,24 +398,32 @@ class QuasiMetricSpace:
     def _measure_a0(self) -> float:
         """max over x != y of d(x, y) / min_z (d(x, z) + d(z, y)), at least 1.
 
-        The min-plus loop runs over blocks of ``A0_BLOCK`` rows, so each
-        block's (rows x n) planes stay in cache; every entry still takes
-        the same ``np.minimum`` over z in the same order, so the result
-        is exact.
+        ``dist`` is exactly symmetric and float addition commutes, so
+        the detours d(x, z) + d(z, y) and d(y, z) + d(z, x) are the same
+        numbers and the pair (x, y) has the same ratio both ways round;
+        the min-plus loop runs over the triangle y >= x only.  It takes
+        blocks of ``A0_BLOCK`` rows x, each against the columns y from
+        the block's first row on, so each block's planes stay in cache;
+        every entry still takes the same ``np.minimum`` over z in the
+        same order, so the result is exact.
         """
         d = self.dist
         n = self.n
-        best = d.copy()  # min over z of d(x,z) + d(z,y)
-        detour = np.empty((min(A0_BLOCK, n), n))
+        best = 1.0
+        detour = np.empty(min(A0_BLOCK, n) * n)
         for x0 in range(0, n, A0_BLOCK):
-            rows = best[x0 : x0 + A0_BLOCK]
-            scratch = detour[: len(rows)]
+            x1 = min(n, x0 + A0_BLOCK)
+            cols = d[:, x0:]
+            rows = cols[x0:x1].copy()  # min over z of d(x,z) + d(z,y)
+            scratch = detour[: rows.size].reshape(rows.shape)
             for z in range(n):
-                np.add(d[x0 : x0 + A0_BLOCK, z, None], d[z], out=scratch)
+                np.add(d[x0:x1, z, None], cols[z], out=scratch)
                 np.minimum(rows, scratch, out=rows)
-        off = ~np.eye(n, dtype=bool)
-        ratios = d[off] / best[off]
-        return float(max(1.0, ratios.max()))
+            # x = y has no ratio: 0 / 1 leaves the max alone
+            np.fill_diagonal(rows, 1.0)
+            np.divide(cols[x0:x1], rows, out=rows)
+            best = max(best, float(rows.max()))
+        return best
 
     def _doubling_probe_radii(self, center: int) -> np.ndarray:
         """Distance thresholds plus canonical midpoints for one center."""
@@ -476,6 +488,23 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     keep = np.ones(s.size, dtype=bool)
     keep[1:] = s[1:] != s[:-1]
     return s[keep]
+
+
+def _point_words(n: int) -> np.ndarray:
+    """(n, words) uint64: row y has y's bit alone, bit 7 - y % 8 of byte
+    y // 8 as ``np.packbits`` places it, so in word y // 64."""
+    out = np.zeros((n, -(-n // 64) * 8), dtype=np.uint8)
+    out[:, : (n + 7) // 8] = np.packbits(np.eye(n, dtype=bool), axis=1)
+    return out.view(np.uint64)
+
+
+def _prefix_words(bits: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """(centers, n, words) uint64: entry [i, j] is the OR of the rows
+    bits[order[i, :j + 1]], one cumulative OR along each row of order.
+    With order a block of distance orders and bits one point per row,
+    a canonical ball of count points is its center's entry count - 1."""
+    out = np.take(bits, order, axis=0)
+    return np.bitwise_or.accumulate(out, axis=1, out=out)
 
 
 def build_space(

@@ -584,7 +584,8 @@ def verify_bloom_jn(
     nu = bloom_weight(lam1, lam2, p)
     ap2 = ap_characteristic(space, lam2, p).value
     m = space.mass
-    (bmo, _), bmo_exact = _bmo_max(space, b, nu)
+    avg = space.ball_averages(b)
+    (bmo, _), bmo_exact = _bmo_max(space, b, avg, nu)
     mu = space.ball_measures()
     rhs = bmo**r * ap2 ** (r / p) * space.ball_averages(lam2 ** (-1.0 / p)) ** r
 
@@ -595,7 +596,7 @@ def verify_bloom_jn(
         out[~(lhs > 0)] = 0.0
         return out
 
-    worst, jn_exact = deviation_max(space, b, lam1 ** (-r / p) * m, r, ratio)
+    worst, jn_exact = deviation_max(space, b, avg, lam1 ** (-r / p) * m, r, ratio)
     c_jn = worst.value
     entry = _ratio_entry(f"jn.branch{branch}_constant", c_jn)
     return {

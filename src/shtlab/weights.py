@@ -115,13 +115,16 @@ def bmo_norm(space: QuasiMetricSpace, b: np.ndarray, w: np.ndarray) -> BallValue
     b_B is the plain mu-average; the weight enters only through the
     normalizing factor w(B).
     """
-    return _bmo_max(space, b, w)[0]
+    return _bmo_max(space, b, space.ball_averages(b), w)[0]
 
 
-def _bmo_max(space: QuasiMetricSpace, b: np.ndarray, w: np.ndarray) -> Tuple[BallValue, int]:
-    """``bmo_norm`` with the number of balls ``deviation_max`` evaluated."""
+def _bmo_max(
+    space: QuasiMetricSpace, b: np.ndarray, avg: np.ndarray, w: np.ndarray
+) -> Tuple[BallValue, int]:
+    """``bmo_norm`` with the number of balls ``deviation_max`` evaluated;
+    avg is ``space.ball_averages(b)``."""
     wb = space.ball_sums(np.asarray(w, dtype=np.float64) * space.mass)
-    return deviation_max(space, b, space.mass, 1.0, lambda ids, sums: sums / wb[ids])
+    return deviation_max(space, b, avg, space.mass, 1.0, lambda ids, sums: sums / wb[ids])
 
 
 # float entries per (balls x n) block of ``_deviation_rows``, unless one
@@ -188,6 +191,7 @@ def _deviation_rows(
 def deviation_max(
     space: QuasiMetricSpace,
     b: np.ndarray,
+    avg: np.ndarray,
     weight: np.ndarray,
     r: float,
     ratio: Callable[[Union[slice, np.ndarray], np.ndarray], np.ndarray],
@@ -195,6 +199,8 @@ def deviation_max(
     """The largest ratio(ids, sums) over canonical balls, with sums the
     balls' ``deviation_sums(space, b, weight, r)``, and the first ball
     attaining it; also the number of balls whose sums were evaluated.
+    avg is ``space.ball_averages(b)``, so maxima over one symbol share
+    it.
 
     ratio(ids, sums) maps the sums of the balls ids (a slice or an id
     array) elementwise to their values, non-decreasing in each sum.
@@ -203,7 +209,6 @@ def deviation_max(
     """
     b = np.asarray(b, dtype=np.float64)
     weight = np.asarray(weight, dtype=np.float64)
-    avg = space.ball_averages(b)
     if (
         len(avg) * space.n > DEVIATION_BLOCK
         and 1.0 <= r <= 4096.0

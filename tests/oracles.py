@@ -208,11 +208,16 @@ def geometric_doubling(space, delta: float) -> int:
     """Max over canonical balls B(c, r) of the greedy count of points,
     in id order, kept while at distance >= delta * r from every point
     kept before; at least 1."""
+    dist = space.dist.tolist()
     best = 1
     for ball in space.canonical_balls():
+        sep = delta * ball.radius
         kept = []
-        for x in ball.members:
-            if all(space.dist[x, y] >= delta * ball.radius for y in kept):
+        for x in ball.members.tolist():
+            for y in kept:
+                if dist[x][y] < sep:
+                    break
+            else:
                 kept.append(x)
         best = max(best, len(kept))
     return best
@@ -230,6 +235,30 @@ def commutator_kernel(space, b: np.ndarray, f: np.ndarray) -> np.ndarray:
                 s += abs(b[x] - b[y]) * abs(f[y]) * space.mass[y]
             out[x] = max(out[x], s / mu)
     return out
+
+
+def kernel_rows(space, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ball_ids, mu, bits) of ``CommutatorKernel(space, b)`` by the
+    per-center construction: each center's balls as (balls x n) member
+    masks in symbol order, packed by ``np.packbits``; the distinct rows
+    from ``np.unique``, each kept at its lowest ball id with the least
+    measure among its twins; bits[j] packs which kept rows hold the
+    j-th point in symbol order."""
+    order = np.argsort(np.asarray(b, dtype=np.float64), kind="stable")
+    t = space.ball_table()
+    n = space.n
+    rank_s = t.rank[:, order]
+    packed = np.zeros((len(t.center), (n + 7) // 8), dtype=np.uint8)
+    for c in range(n):
+        ids = slice(t.start[c], t.start[c + 1])
+        packed[ids] = np.packbits(rank_s[c] < t.count[ids, None], axis=1)
+    _, first, twin = np.unique(packed, axis=0, return_index=True, return_inverse=True)
+    mu = np.full(len(first), np.inf)
+    np.minimum.at(mu, twin.reshape(-1), t.measure)
+    keep = np.argsort(first)
+    ball_ids = first[keep].astype(np.int64)
+    members = rank_s[t.center[ball_ids]] < t.count[ball_ids, None]
+    return ball_ids, mu[keep], np.packbits(members.T, axis=1)
 
 
 def region_grand_maximal(space, region, trunc, fs: Sequence[np.ndarray]):

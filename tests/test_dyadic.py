@@ -398,6 +398,11 @@ class TestAdjacentSystems:
         grid = np.array([(i, j) for i in range(5) for j in range(5)], dtype=float)
         ties = np.abs(grid[:, None, :] - grid[None, :, :]).sum(axis=2) ** 1.5
         spaces.append(QuasiMetricSpace(ties, np.full(25, 1.0 / 25)))
+        spaces += [oracles.tied_quasi_grid(), oracles.lognormal_plane()]
+        # the open sets' 64-point word edges fall inside the balls of
+        # line63 to line129, grid2d8 (64 points) and grid2d9 (81)
+        spaces += [build_space("line", n) for n in (63, 64, 65, 127, 129)]
+        spaces += [build_space("grid2d", 8), build_space("grid2d", 9)]
         # on tree15, 0.4 r and 0.8 r hit integer distances: a point at
         # exactly the separation is kept
         for sp in spaces:
@@ -418,13 +423,14 @@ class TestAdjacentSystems:
             "lognormal": oracles.lognormal_plane,
         }[kind]()
         t = sp.ball_table()
-        # one row per block, a block edge one ball into center 1's list,
-        # and every ball in one block
+        # one ball per block, a block edge one ball into center 1's list,
+        # and every ball in one block; a ball's open set takes one 8-byte
+        # word per 64 points
         assert t.start[2] - t.start[1] > 1
         for delta in (0.3, 0.5):
             want = oracles.geometric_doubling(sp, delta)
             for rows in (1, t.start[1] + 1, len(t.center)):
-                monkeypatch.setattr(dyadic, "DOUBLING_BLOCK", int(rows) * sp.n)
+                monkeypatch.setattr(dyadic, "DOUBLING_BLOCK", int(rows) * 8 * -(-sp.n // 64))
                 assert geometric_doubling(sp, delta) == want
 
     @pytest.mark.parametrize("rows", [16, 256])
@@ -438,7 +444,8 @@ class TestAdjacentSystems:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the bool table, the int64 rank gather it starts from, and temporaries
+        # the word table, a chunk of prefix words and sorted distances,
+        # the gather that fills the table, and temporaries
         assert peak < 16 * dyadic.DOUBLING_BLOCK + 16384
 
     @pytest.mark.parametrize("kind,n,a1", [("line", 256, 4), ("grid2d", 16, 14)])
@@ -447,9 +454,9 @@ class TestAdjacentSystems:
 
     @pytest.mark.parametrize("kind,n,a1", [("line", 256, 4), ("grid2d", 16, 14)])
     def test_geometric_doubling_scratch_at_ladder_scale(self, kind, n, a1):
-        # a full block's bool table, its sweep's temporaries, and a rank
-        # gather of an eighth of a block per chunk (int64, so gathering a
-        # whole block at once would take 8 blocks)
+        # a full block's word table, a chunk of prefix words and sorted
+        # distances within another, and either the gather that fills the
+        # table or the sweep's per-word temporaries
         sp = build_space(kind, n)
         sp.ball_table()  # the ball table stays out of the traced peak
         tracemalloc.start()

@@ -195,6 +195,23 @@ class TestCommutatorKernel:
             got = CommutatorKernel(sp, b).apply(f).values
             assert np.allclose(got, oracles.commutator_kernel(sp, b, f), rtol=1e-12)
 
+    @pytest.mark.parametrize("block", [operators.KERNEL_BLOCK, 1])
+    def test_rows_equal_the_per_center_packing(self, monkeypatch, block):
+        # a tied symbol leaves its symbol order to the stable sort's
+        # tie-break; a block of 1 byte builds the rows one center at a time
+        monkeypatch.setattr(operators, "KERNEL_BLOCK", block)
+        spaces = [build_space(kind, n) for kind, n in SPACES]
+        spaces += [oracles.tied_quasi_grid(), oracles.lognormal_plane()]
+        spaces += [build_space("line", 65), build_space("line", 129)]
+        rng = np.random.default_rng(36)
+        for sp in spaces:
+            for b in (np.round(3.0 * rng.random(sp.n)), rng.lognormal(0.0, 1.0, sp.n)):
+                kern = CommutatorKernel(sp, b)
+                rows = (kern.ball_ids, kern.mu, kern.bits)
+                for got, want in zip(rows, oracles.kernel_rows(sp, b)):
+                    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                    assert got.tobytes() == want.tobytes()
+
     def test_witness_is_canonical_and_attains(self):
         # the kernel collapses duplicate member sets internally; its
         # witnesses must still be valid canonical ball ids that attain

@@ -30,6 +30,11 @@ from shtlab.cli import main
 KINDS = [("line", 16), ("sqline", 12), ("grid2d", 4), ("tree", 15), ("pair", 2)]
 
 
+def _powered(sp, gamma):
+    """sp with every distance raised to gamma: a quasi-metric."""
+    return QuasiMetricSpace(sp.dist**gamma, sp.mass)
+
+
 def spaces():
     return [(kind, n, build_space(kind, n)) for kind, n in KINDS]
 
@@ -110,15 +115,18 @@ class TestQuasiTriangle:
         for kind, n, sp in spaces():
             assert sp.a0 == pytest.approx(max(1.0, oracles.quasi_triangle_constant(sp)))
 
-    @pytest.mark.parametrize("block", [space_module.A0_BLOCK, 5])
-    @pytest.mark.parametrize("kind", ["line70", "sqline33", "ties"])
+    @pytest.mark.parametrize("block", [space_module.A0_BLOCK, 5, 1])
+    @pytest.mark.parametrize("kind", ["line70", "sqline33", "ties", "lognormal80"])
     def test_blocked_a0_equals_unblocked_min_plus(self, monkeypatch, kind, block):
-        # n is no multiple of the block, so the last block is short
+        # n is no multiple of the block, so the last block is short;
+        # lognormal80's one worst pair, points 19 and 71, lies in two
+        # different blocks of 64 rows and of 5
         monkeypatch.setattr(space_module, "A0_BLOCK", block)
         sp = {
             "line70": lambda: build_space("line", 70),
             "sqline33": lambda: build_space("sqline", 33),
             "ties": oracles.tied_quasi_grid,
+            "lognormal80": lambda: _powered(oracles.lognormal_plane(80, seed=7), 1.5),
         }[kind]()
         d = sp.dist
         best = d.copy()

@@ -273,7 +273,9 @@ class TestDeviationMax:
         single = int(t.start[sp.n - 1])
         mult = np.zeros(len(t.center))
         mult[single] = 1.0
-        got, _ = weights.deviation_max(sp, b, sp.mass, 1.0, lambda ids, sums: sums * mult[ids])
+        got, _ = weights.deviation_max(
+            sp, b, sp.ball_averages(b), sp.mass, 1.0, lambda ids, sums: sums * mult[ids]
+        )
         assert got == (0.0, 0)
 
     def test_zero_denominator_takes_the_full_pass(self):
@@ -282,7 +284,9 @@ class TestDeviationMax:
         den = sp.ball_measures().copy()
         den[5000] = 0.0
         with np.errstate(divide="ignore"):
-            got, exact = weights.deviation_max(sp, b, sp.mass, 1.0, lambda ids, sums: sums / den[ids])
+            got, exact = weights.deviation_max(
+                sp, b, sp.ball_averages(b), sp.mass, 1.0, lambda ids, sums: sums / den[ids]
+            )
             want = weights.ball_max(deviation_sums(sp, b, sp.mass) / den)
         assert got == want and got.value == math.inf and exact == len(den)
 
