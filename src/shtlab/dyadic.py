@@ -159,11 +159,12 @@ class DyadicSystem:
         max of distances to the parent center; the answer is the first
         point at or above base not covered by any failing interval."""
         dist = self.space.dist
+        orders = self.space.ball_table().order
         intervals: List[Tuple[float, float]] = []
         for k in self.levels:
             for cube in self.cubes[k]:
                 for child in cube.children:
-                    order = np.argsort(dist[child.center], kind="stable")
+                    order = orders[child.center]
                     d_child = dist[child.center][order]
                     h_parent = np.maximum.accumulate(dist[cube.center][order])
                     lo = d_child / self.delta**child.k

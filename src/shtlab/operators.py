@@ -26,9 +26,9 @@ order).  Two exact reorganizations keep desk-scale evaluation fast:
 * For the maximal commutator the integrand splits around the rank of
   b(x) in the sorted symbol values, so per-ball sums over
   |b(x) - b(y)| |f(y)| are two cumulative sums over the sorted order
-  (``CommutatorKernel``).  The kernel keeps one row per distinct member
-  set, read from the ball table, as (positions x rows) bits packed
-  along the rows, one bit per entry.  It walks the positions in symbol
+  (``CommutatorKernel``).  The kernel keeps one row per member class
+  of the space's class map, as (positions x rows) bits packed along
+  the rows, one bit per entry.  It walks the positions in symbol
   order over (rows x columns) planes of at most ``KERNEL_BLOCK``
   entries, unpacking each position's rows, adding its mass only to the
   rows holding it (``where=``, so the sums match a cumsum bit for
@@ -56,14 +56,19 @@ order).  Two exact reorganizations keep desk-scale evaluation fast:
   small space takes one of each.  M takes its columns in even blocks
   whose table stays within (balls x n) floats.  The local grand
   maximal collapses sub-balls sharing member set and 4 A0 enlargement
-  (twins have the same inner value).  Its cut sums depend only on the
-  enlargement E, so it takes one suffix max per block of distinct E
-  (each table within ``GRAND_BLOCK`` bytes), filled from one
-  ``ball_sum_blocks`` pass, and per class of B the max of n table
-  entries, one per center (``region_grand_maximal``).  Given a floor
-  per function, it first reads the same entries of the uncut averages,
-  an upper bound of each class's value, and evaluates only the classes
-  and enlargements whose bound exceeds a floor.
+  E (twins have the same inner value); E is a canonical ball too, so a
+  class is a pair of member classes.  Its cut sums depend only on E,
+  so it takes one suffix max per block of distinct E (each table
+  within ``GRAND_BLOCK`` bytes, E's members read from the ball table),
+  filled from one ``ball_sum_blocks`` pass, and per class of B the max
+  of n table entries, one per center (``region_grand_maximal``).
+  Given a floor per function, it first reads the same entries of the
+  uncut averages, an upper bound of each class's value, and evaluates
+  only the classes and enlargements whose bound exceeds a floor.
+* The class map (``_member_classes``), which the kernel and the grand
+  maximal read, is the one dedup of ball member sets: every ball's
+  bits, one cumulative OR along its center's order, sorted once per
+  space and memoized.
 * The sparse forms A_S, T_{S,b} and T*_{S,b} run on one flat index of
   the cube family (concatenated member ids, each id's cube, each
   cube's measure): per-cube sums are one ``np.add.reduceat`` and
@@ -300,6 +305,26 @@ def _distinct_rows(packed: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return np.minimum.reduceat(order, np.flatnonzero(new)), inverse
 
 
+def _member_classes(space: QuasiMetricSpace) -> Tuple[np.ndarray, np.ndarray]:
+    """The class map: ``_distinct_rows`` of every canonical ball's
+    members as bits in point order, memoized on the space.  A ball's
+    bits are one cumulative OR of one-hot words along its center's
+    order, taken for blocks of centers within ``KERNEL_BLOCK`` bytes."""
+    if "member_classes" not in space._cache:
+        t = space.ball_table()
+        n = space.n
+        one = _point_words(n)
+        packed = np.empty((len(t.center), one.shape[1]), dtype=np.uint64)
+        step = max(1, KERNEL_BLOCK // one.nbytes)
+        for c0 in range(0, n, step):
+            ids = slice(t.start[c0], t.start[min(n, c0 + step)])
+            words = _prefix_words(one, t.order[c0 : c0 + step])
+            packed[ids] = words[t.center[ids] - c0, t.count[ids] - 1]
+            del words
+        space._cache["member_classes"] = _distinct_rows(packed.view(np.uint8))
+    return space._cache["member_classes"]  # type: ignore[return-value]
+
+
 class CommutatorKernel:
     """Reusable evaluator for C_b f(x) = sup_{B owns x} avg_B |b(x)-b(.)| |f|.
 
@@ -323,27 +348,10 @@ class CommutatorKernel:
         self.b_s = self.b[self.order]
         t = space.ball_table()
         n = space.n
-        # every ball's member set as one bit per point in whole 8-byte
-        # words, which _distinct_rows reads in place: a ball is a prefix
-        # of its center's distance order, so its row is one cumulative OR
-        # of the points' one-hot words along that order, taken for blocks
-        # of centers within KERNEL_BLOCK bytes
-        one = _point_words(n)
-        packed = np.empty((len(t.center), one.shape[1]), dtype=np.uint64)
-        step = max(1, KERNEL_BLOCK // one.nbytes)
-        for c0 in range(0, n, step):
-            ids = slice(t.start[c0], t.start[min(n, c0 + step)])
-            words = _prefix_words(one, t.order[c0 : c0 + step])
-            packed[ids] = words[t.center[ids] - c0, t.count[ids] - 1]
-            del words
-        packed = packed.view(np.uint8)
-        # the sup only sees member sets, so collapse duplicate balls;
-        # ball_ids maps each surviving row back to the lowest canonical
-        # id sharing its member set, keeping witness ids canonical; twins
-        # summed in other centers' orders can differ in the last bit, and
-        # the sup over all balls sees the least measure
-        first, twin = _distinct_rows(packed)
-        del packed
+        # the sup only sees member sets: one row per member class, at its
+        # lowest ball id so witnesses stay canonical, with the least measure
+        # of its twins (summed in other centers' orders, it can differ)
+        first, twin = _member_classes(space)
         mu = np.full(len(first), np.inf)
         np.minimum.at(mu, twin, t.measure)
         keep = np.argsort(first)
@@ -594,6 +602,30 @@ def _sub_balls(space: QuasiMetricSpace, region: np.ndarray) -> np.ndarray:
     return np.flatnonzero(t.count <= exit_at[t.center])
 
 
+def _sub_ball_classes(space: QuasiMetricSpace, sub_ids: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """(rep, twin, cut): each class of sub-balls sharing member set and
+    4 A0 enlargement E at its lowest sub-ball, each sub-ball's class, and
+    each sub-ball's E as a member class.  E = B(c, 4 A0 r) is the ball at
+    c of the points nearer than 4 A0 r (counted in chunks of
+    ``KERNEL_BLOCK`` bytes of distances), whose id is the smallest ball
+    at c holding the last of them.  The pairs (member class, E's class)
+    are deduplicated as one big-endian word each, so classes come in the
+    byte order of [members | E] as bits."""
+    t = space.ball_table()
+    first, member = _member_classes(space)
+    c = t.center[sub_ids]
+    count = np.empty(len(sub_ids), dtype=np.int64)
+    chunk = _floats(space.n) // space.n
+    for s0 in range(0, len(sub_ids), chunk):
+        s = slice(s0, s0 + chunk)
+        near = space.dist[c[s]] < (4.0 * space.a0 * t.radius[sub_ids[s]])[:, None]
+        count[s] = np.count_nonzero(near, axis=1)
+    cut = member[t.ptr[t.order[c, count - 1], c]]
+    pair = member[sub_ids].astype(np.uint64) * np.uint64(len(first)) + cut.astype(np.uint64)
+    rep, twin = _distinct_rows(pair.astype(">u8").view(np.uint8).reshape(-1, 8))
+    return rep, twin, cut
+
+
 # bytes per suffix max table of an enlargement block of ``region_grand_maximal``
 GRAND_BLOCK = 1 << 26
 
@@ -654,20 +686,7 @@ def region_grand_maximal(
     w_t = np.stack([space.mass * np.abs(np.asarray(f, float)) * trunc_ind for f in fs], axis=1)
     s_full = space.ball_sums(w_t)
 
-    # each sub-ball's members and 4 A0 enlargement as bits, built in
-    # chunks of KERNEL_BLOCK bytes of distances
-    nbytes = -(-n // 8)
-    packed = np.empty((len(sub_ids), 2 * nbytes), dtype=np.uint8)
-    chunk = _floats(n) // n
-    for s0 in range(0, len(sub_ids), chunk):
-        s = sub_ids[s0 : s0 + chunk]
-        c = t.center[s]
-        packed[s0 : s0 + chunk, :nbytes] = np.packbits(t.rank[c] < t.count[s, None], axis=1)
-        near = space.dist[c] < (4.0 * space.a0 * t.radius[s])[:, None]
-        packed[s0 : s0 + chunk, nbytes:] = np.packbits(near, axis=1)
-    enlarged = packed[:, nbytes:]
-    # one class per distinct row; rep holds its lowest sub-ball
-    rep, twin = _distinct_rows(packed)
+    rep, twin, cut = _sub_ball_classes(space, sub_ids)
 
     # the balls at c meeting B are those from slot meet[c, j] on, the
     # slot of the smallest ball at c holding a member of class j: the
@@ -692,23 +711,26 @@ def region_grand_maximal(
     evaluated = np.concatenate(evaluated)
     meet = np.concatenate(meets, axis=1)
     del meets
-    cut_rep, cut_of = _distinct_rows(enlarged[rep[evaluated]])
-    by_cut = np.argsort(cut_of, kind="stable")
-    sorted_cut = cut_of[by_cut]
+    # the distinct enlargements in member class order, each read from
+    # the table at the lowest ball of its class
+    cut = cut[rep[evaluated]]
+    cuts = _distinct(cut)
+    cut_of = np.searchsorted(cuts, cut)
+    cuts = _member_classes(space)[0][cuts]
     # the (slots x centers x columns) table stays within (balls x n)
     # floats and GRAND_BLOCK bytes
     step = max(1, min(nb, GRAND_BLOCK // (8 * n)) // width // k)
     m_b = np.full((len(ids), k), -np.inf)  # best over B' per class
-    for e0 in range(0, len(cut_rep), step):
-        e1 = min(len(cut_rep), e0 + step)
-        cut = np.unpackbits(enlarged[rep[evaluated[cut_rep[e0:e1]]]], axis=1, count=n).T
+    for e0 in range(0, len(cuts), step):
+        e1 = min(len(cuts), e0 + step)
+        e = cuts[e0:e1]
+        inside = (t.rank[t.center[e]] < t.count[e, None]).T
         # per (space ball, function, enlargement): mass of |f| inside
         # trunc minus the enlargement, over the ball's measure
-        w_cut = (w_t[:, :, None] * cut[:, None, :]).reshape(n, -1)
+        w_cut = (w_t[:, :, None] * inside[:, None, :]).reshape(n, -1)
         suf, _ = _suffix_max(space, _ball_averages(space, w_cut, s_full), w_cut.shape[1])
         del w_cut
-        lo, hi = np.searchsorted(sorted_cut, [e0, e1])
-        cls = by_cut[lo:hi]
+        cls = np.flatnonzero((cut_of >= e0) & (cut_of < e1))
         col = cut_of[cls] - e0
         for i in range(k):
             m_b[evaluated[cls], i] = suf[meet[:, cls], every, i * (e1 - e0) + col].max(axis=0)

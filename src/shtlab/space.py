@@ -40,17 +40,12 @@ limit, so a caller that reduces the sums at once (the ball sups of
 ``operators``) never holds them for every ball; ``ball_sums`` gathers
 the blocks into one (balls,) or (balls, k) array.  In the same way a
 ball's members as bits are one cumulative OR of one-hot uint64 words
-along its center's order (``_prefix_words``), which the maximal
-commutator kernel and the geometric doubling greedy read per block of
-centers.
-
-Notes
------
-The doubling scan probes radii at both the stored midpoint radii and
-the exact distance thresholds.  Probing midpoints alone underestimates
-the supremum over all radii: the worst ratio mu(B(x, 2r))/mu(B(x, r))
-is attained with r equal to a distance value (the inner ball stays
-closed under the strict inequality while the doubled ball jumps).
+along its center's order (``_prefix_words``), which the class map of
+``operators`` and the geometric doubling greedy read per block of
+centers.  The doubling scan probes only the distances t_1 < ... < t_m
+at which a center's balls end, after t_0 = 0: balls are open, so any r
+in (t_j, t_{j+1}] has the inner ball of t_{j+1} and, for l = 2, 4, 8
+(l r is exact), an outer ball inside its one; r > t_m gives ratio 1.
 """
 
 from __future__ import annotations
@@ -60,7 +55,7 @@ import math
 import operator
 from collections import abc
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -134,10 +129,7 @@ class QuasiMetricSpace:
     dist : (n, n) array
         Symmetric, zero diagonal, strictly positive off the diagonal.
     mass : (n,) array
-        Strictly positive atom masses.
-    coords : optional (n, d) array
-        Point coordinates when the generator has them; used by the
-        coordinate-based weight generators.
+        Finite, strictly positive atom masses with a finite total.
     meta : optional dict
         Generator provenance, stored verbatim in serialized files.
     """
@@ -146,7 +138,6 @@ class QuasiMetricSpace:
         self,
         dist: np.ndarray,
         mass: np.ndarray,
-        coords: Optional[np.ndarray] = None,
         meta: Optional[dict] = None,
     ) -> None:
         dist = np.asarray(dist, dtype=np.float64)
@@ -160,22 +151,24 @@ class QuasiMetricSpace:
             raise ValueError(f"n={n} exceeds the supported cap {MAX_POINTS}")
         if mass.shape != (n,):
             raise ValueError("mass must have one entry per point")
-        if not np.allclose(dist, dist.T, rtol=0, atol=0):
+        if not np.all(np.isfinite(dist)):
+            raise ValueError("distances must be finite")
+        if not np.array_equal(dist, dist.T):
             raise ValueError("dist must be exactly symmetric")
         if np.any(np.diag(dist) != 0.0):
             raise ValueError("dist must vanish on the diagonal")
         off = dist[~np.eye(n, dtype=bool)]
         if not np.all(off > 0):
             raise ValueError("distinct points must have positive distance")
-        if not np.all(np.isfinite(dist)):
-            raise ValueError("distances must be finite")
+        with np.errstate(all="ignore"):
+            if not np.isfinite(mass.sum()):
+                raise ValueError("masses and their total must be finite")
         if not np.all(mass > 0):
             raise ValueError("masses must be strictly positive")
 
         self.n = n
         self.dist = dist
         self.mass = mass
-        self.coords = None if coords is None else np.asarray(coords, dtype=np.float64)
         self.meta = dict(meta or {})
         self._cache: Dict[str, object] = {}
 
@@ -425,31 +418,31 @@ class QuasiMetricSpace:
             best = max(best, float(rows.max()))
         return best
 
-    def _doubling_probe_radii(self, center: int) -> np.ndarray:
-        """Distance thresholds plus canonical midpoints for one center."""
-        distinct = _distinct(self.dist[center])
-        pos = distinct[distinct > 0]
-        mids = (distinct[:-1] + distinct[1:]) / 2.0
-        top = np.array([1.5 * distinct[-1]]) if distinct[-1] > 0 else np.array([1.0])
-        return _distinct(np.concatenate([pos, mids[mids > 0], top]))
-
-    def _mu_ball(self, center: int, radii: np.ndarray) -> np.ndarray:
-        """mu(B(center, r)) for each r (any shape), by one
-        ``searchsorted`` along the center's distance order."""
+    def _doubling_peaks(self, radii: Callable, lams: Sequence[float]) -> np.ndarray:
+        """(n, len(lams)): per center c and l in lams, the peak of
+        mu(B(c, l r)) / mu(B(c, r)) over the radii r = radii(c), all
+        scales read by one ``searchsorted`` along c's order."""
         t = self.ball_table()
-        idx = np.searchsorted(self.dist[center, t.order[center]], radii, side="left")
-        return np.where(idx > 0, t.cum_mass[center, np.maximum(idx - 1, 0)], 0.0)
-
-    def _measure_doubling(self) -> Tuple[float, float]:
-        """(c_mu, updim): per center, the peak of mu(B(c, l r)) / mu(B(c, r))
-        over its probe radii r for l = 2, 4, 8, all four scales read by
-        one ``_mu_ball`` call."""
-        lams = (2.0, 4.0, 8.0)
-        scales = np.array((1.0,) + lams)[:, None]
+        scales = np.array((1.0,) + tuple(lams))[:, None]
         peaks = np.empty((self.n, len(lams)))
         for c in range(self.n):
-            mu = self._mu_ball(c, scales * self._doubling_probe_radii(c))
+            idx = np.searchsorted(self.dist[c, t.order[c]], scales * radii(c))
+            mu = np.where(idx > 0, t.cum_mass[c, idx - 1], 0.0)
             peaks[c] = (mu[1:] / mu[0]).max(axis=1)
+        return peaks
+
+    def _measure_doubling(self) -> Tuple[float, float]:
+        """(c_mu, updim) from the per-center peaks of mu(B(c, l r)) /
+        mu(B(c, r)), l = 2, 4, 8, over the positive distances r that c's
+        balls end at, which attain the sup over all radii r > 0."""
+        t = self.ball_table()
+
+        def ends(c: int) -> np.ndarray:
+            # each ball's last member, from the second ball ({c} ends at 0)
+            return self.dist[c, t.order[c, t.count[t.start[c] + 1 : t.start[c + 1]] - 1]]
+
+        lams = (2.0, 4.0, 8.0)
+        peaks = self._doubling_peaks(ends, lams)
         c_mu = max(1.0, float(peaks[:, 0].max()))
         n_req = 0.0
         for lam, peak in zip(lams * self.n, peaks.ravel().tolist()):
@@ -464,15 +457,11 @@ class QuasiMetricSpace:
         key = ("strong_n", tuple(lams))
         if key not in self._cache:
             t = self.ball_table()
+            peaks = self._doubling_peaks(lambda c: t.radius[t.start[c] : t.start[c + 1]], lams)
             n_req = 0.0
-            for c in range(self.n):
-                radii = t.radius[t.start[c] : t.start[c + 1]]
-                base = self._mu_ball(c, radii)
-                for lam in lams:
-                    ratio = self._mu_ball(c, lam * radii) / base
-                    peak = float(ratio.max())
-                    if peak > 1.0:
-                        n_req = max(n_req, math.log(peak) / math.log(lam))
+            for lam, peak in zip(tuple(lams) * self.n, peaks.ravel().tolist()):
+                if peak > 1.0:
+                    n_req = max(n_req, math.log(peak) / math.log(lam))
             self._cache[key] = n_req
         return self._cache[key]  # type: ignore[return-value]
 
@@ -507,12 +496,7 @@ def _prefix_words(bits: np.ndarray, order: np.ndarray) -> np.ndarray:
     return np.bitwise_or.accumulate(out, axis=1, out=out)
 
 
-def build_space(
-    kind: str,
-    n: Optional[int] = None,
-    params: Optional[dict] = None,
-    seed: int = 0,
-) -> QuasiMetricSpace:
+def build_space(kind: str, n: Optional[int] = None, seed: int = 0) -> QuasiMetricSpace:
     """Build one of the reference spaces.
 
     kind:
@@ -527,13 +511,9 @@ def build_space(
     """
     if kind not in SPACE_KINDS:
         raise ValueError(f"unknown space kind {kind!r}")
-    params = dict(params or {})
-    meta = {"kind": kind, "n": n, "params": params, "seed": seed}
+    meta = {"kind": kind, "n": n, "seed": seed}
     if kind == "pair":
-        dist = np.array([[0.0, 1.0], [1.0, 0.0]])
-        mass = np.array([0.5, 0.5])
-        coords = np.array([[0.0], [1.0]])
-        return QuasiMetricSpace(dist, mass, coords, meta)
+        return QuasiMetricSpace(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([0.5, 0.5]), meta)
     if n is None or n < 2:
         raise ValueError(f"kind {kind!r} needs n >= 2")
     points = n * n if kind == "grid2d" else n
@@ -544,7 +524,7 @@ def build_space(
         diff = np.abs(x[:, None] - x[None, :])
         dist = diff if kind == "line" else diff**2
         mass = np.full(n, 1.0 / n)
-        return QuasiMetricSpace(dist, mass, x[:, None], meta)
+        return QuasiMetricSpace(dist, mass, meta)
     if kind == "grid2d":
         side = n
         ii, jj = np.meshgrid(np.arange(side), np.arange(side), indexing="ij")
@@ -552,7 +532,7 @@ def build_space(
         diff = pts[:, None, :] - pts[None, :, :]
         dist = np.sqrt((diff**2).sum(axis=2))
         mass = np.full(side * side, 1.0 / (side * side))
-        return QuasiMetricSpace(dist, mass, pts, meta)
+        return QuasiMetricSpace(dist, mass, meta)
     # tree: a complete binary tree in heap order, the parent of i at (i-1)//2
     depth = np.zeros(n, dtype=np.int64)
     for i in range(1, n):
@@ -566,32 +546,28 @@ def build_space(
         common += at[:, None] & at[None, :] & (cur[:, None] == cur[None, :])
         cur = np.where(at, (cur - 1) // 2, cur)
     dist = (depth[:, None] + depth[None, :] - 2 * (common - 1)).astype(np.float64)
-    mass = np.full(n, 1.0 / n)
-    coords = (depth / max(1, depth.max())).astype(np.float64)[:, None]
-    return QuasiMetricSpace(dist, mass, coords, meta)
+    return QuasiMetricSpace(dist, np.full(n, 1.0 / n), meta)
 
 
 # -- serialization -----------------------------------------------------------
 
 
 def space_to_dict(space: QuasiMetricSpace) -> dict:
-    out = {
+    return {
         "n": space.n,
         "dist": [float(v) for v in space.dist.ravel()],
         "mass": [float(v) for v in space.mass],
         "meta": space.meta,
     }
-    if space.coords is not None:
-        out["coords"] = [[float(v) for v in row] for row in space.coords]
-    return out
 
 
 def space_from_dict(doc: dict) -> QuasiMetricSpace:
+    """The space of a ``space_to_dict`` document; any other key, such as
+    the ``coords`` that older files carry, is ignored."""
     n = int(doc["n"])
     dist = np.array(doc["dist"], dtype=np.float64).reshape(n, n)
     mass = np.array(doc["mass"], dtype=np.float64)
-    coords = np.array(doc["coords"], dtype=np.float64) if "coords" in doc else None
-    return QuasiMetricSpace(dist, mass, coords, doc.get("meta"))
+    return QuasiMetricSpace(dist, mass, doc.get("meta"))
 
 
 def save_space(space: QuasiMetricSpace, path: str) -> None:

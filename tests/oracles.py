@@ -171,17 +171,37 @@ def doubling_constant(space) -> float:
     return best
 
 
+def mu_ball(space, center: int, radii: np.ndarray) -> np.ndarray:
+    """mu(B(center, r)) for each r, from the cumulative mass along the
+    center's stable distance order, as the library sums it."""
+    order = np.argsort(space.dist[center], kind="stable")
+    cum = np.concatenate([[0.0], np.cumsum(space.mass[order])])
+    return cum[np.searchsorted(space.dist[center, order], radii, side="left")]
+
+
+def doubling_probe_radii(space, center: int) -> np.ndarray:
+    """The sorted distinct doubling probe radii of one center from a
+    sort of its distance row: every positive distance, the midpoints
+    between consecutive distinct distances and 1.5 times the largest."""
+    distinct = np.unique(space.dist[center])
+    pos = distinct[distinct > 0]
+    mids = (distinct[:-1] + distinct[1:]) / 2.0
+    top = np.array([1.5 * distinct[-1]]) if distinct[-1] > 0 else np.array([1.0])
+    return np.unique(np.concatenate([pos, mids[mids > 0], top]))
+
+
 def measured_doubling(space) -> Tuple[float, float]:
     """(c_mu, updim) as ``QuasiMetricSpace._measure_doubling`` gives
-    them, by a per-center loop with one ``_mu_ball`` search per scale."""
+    them, by a per-center loop over ``doubling_probe_radii`` with one
+    ``mu_ball`` search per scale."""
     lams = (2.0, 4.0, 8.0)
     c_mu = 1.0
     worst: List[Tuple[float, float]] = []  # (lambda, ratio) pairs
     for c in range(space.n):
-        radii = space._doubling_probe_radii(c)
-        base = space._mu_ball(c, radii)
+        radii = doubling_probe_radii(space, c)
+        base = mu_ball(space, c, radii)
         for lam in lams:
-            ratio = space._mu_ball(c, lam * radii) / base
+            ratio = mu_ball(space, c, lam * radii) / base
             peak = float(ratio.max())
             worst.append((lam, peak))
             if lam == 2.0:
@@ -191,6 +211,21 @@ def measured_doubling(space) -> Tuple[float, float]:
         if peak > c_mu:
             n_req = max(n_req, math.log(peak / c_mu) / math.log(lam))
     return c_mu, max(n_req, 1e-9)
+
+
+def strong_doubling_exponent(space, lams: Sequence[float] = (2.0, 4.0, 8.0)) -> float:
+    """``QuasiMetricSpace.strong_doubling_exponent`` by a per-center loop
+    over the canonical radii with one ``mu_ball`` search per scale."""
+    t = space.ball_table()
+    n_req = 0.0
+    for c in range(space.n):
+        radii = t.radius[t.start[c] : t.start[c + 1]]
+        base = mu_ball(space, c, radii)
+        for lam in lams:
+            peak = float((mu_ball(space, c, lam * radii) / base).max())
+            if peak > 1.0:
+                n_req = max(n_req, math.log(peak) / math.log(lam))
+    return n_req
 
 
 def maximal_function(space, f: np.ndarray) -> np.ndarray:
@@ -259,6 +294,30 @@ def kernel_rows(space, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarra
     ball_ids = first[keep].astype(np.int64)
     members = rank_s[t.center[ball_ids]] < t.count[ball_ids, None]
     return ball_ids, mu[keep], np.packbits(members.T, axis=1)
+
+
+def member_classes(space) -> Tuple[np.ndarray, np.ndarray]:
+    """(first, inverse) of the canonical balls' distinct member sets from
+    ``np.unique`` over each ball's members packed in point order."""
+    t = space.ball_table()
+    rows = np.packbits(t.rank[t.center] < t.count[:, None], axis=1)
+    _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    return first, inverse.reshape(-1)
+
+
+def sub_ball_classes(space, sub_ids) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rep, twin, enlarged) of the grand maximal's sub-ball classes by
+    the packed construction: each sub-ball's members and its 4 A0
+    enlargement packed into one row [members | enlargement], the
+    distinct rows from ``np.unique``, each class at its lowest sub-ball;
+    enlarged[j] is class j's enlargement as an (n,) bool."""
+    t = space.ball_table()
+    c = t.center[sub_ids]
+    inside = t.rank[c] < t.count[sub_ids, None]
+    near = space.dist[c] < (4.0 * space.a0 * t.radius[sub_ids])[:, None]
+    rows = np.concatenate([np.packbits(inside, axis=1), np.packbits(near, axis=1)], axis=1)
+    _, rep, twin = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    return rep, twin.reshape(-1), near[rep]
 
 
 def region_grand_maximal(space, region, trunc, fs: Sequence[np.ndarray]):

@@ -212,6 +212,21 @@ class TestCommutatorKernel:
                     assert (got.dtype, got.shape) == (want.dtype, want.shape)
                     assert got.tobytes() == want.tobytes()
 
+    def test_second_kernel_reads_the_memoized_class_map(self, monkeypatch):
+        # probe images, then the domination's C_b: the second kernel on a
+        # space finds its rows without another dedup
+        sp = build_space("line", 48)
+        rng = np.random.default_rng(39)
+        CommutatorKernel(sp, rng.lognormal(0.0, 1.0, sp.n))
+        calls = []
+        dedup = operators._distinct_rows
+        monkeypatch.setattr(operators, "_distinct_rows", lambda rows: calls.append(rows.shape) or dedup(rows))
+        b = np.round(3.0 * rng.random(sp.n))
+        kern = CommutatorKernel(sp, b)
+        assert calls == []
+        for got, want in zip((kern.ball_ids, kern.mu, kern.bits), oracles.kernel_rows(sp, b)):
+            assert got.tobytes() == want.tobytes()
+
     def test_witness_is_canonical_and_attains(self):
         # the kernel collapses duplicate member sets internally; its
         # witnesses must still be valid canonical ball ids that attain
@@ -673,6 +688,16 @@ class TestCubeFamilyIndex:
                         atol=1e-15,
                     )
 
+    def test_member_classes_match_numpy_unique(self):
+        spaces = [build_space(kind, n) for kind, n in SPACES]
+        spaces += [oracles.tied_quasi_grid(), oracles.lognormal_plane()]
+        spaces += [build_space("line", 65), build_space("line", 129)]
+        for sp in spaces:
+            got = operators._member_classes(sp)
+            for a, b in zip(got, oracles.member_classes(sp)):
+                assert np.array_equal(a, b)
+            assert operators._member_classes(sp) is got
+
     def test_distinct_rows_match_numpy_unique(self):
         rng = np.random.default_rng(5)
         for rows, width in [(1, 1), (7, 1), (60, 3), (300, 8), (500, 13)]:
@@ -850,6 +875,28 @@ class TestGrandMaximalOracle:
         for region, trunc in ((full, full), (b0.members, enlarged), (scattered, full)):
             self._check(sp, region, trunc, [f, g])
 
+    def _check_classes(self, sp, region):
+        sub_ids = operators._sub_balls(sp, region)
+        rep, twin, cut = operators._sub_ball_classes(sp, sub_ids)
+        want_rep, want_twin, want_enlarged = oracles.sub_ball_classes(sp, sub_ids)
+        assert np.array_equal(rep, want_rep)
+        assert np.array_equal(twin, want_twin)
+        t = sp.ball_table()
+        e = operators._member_classes(sp)[0][cut[rep]]
+        assert np.array_equal(t.rank[t.center[e]] < t.count[e, None], want_enlarged)
+        return rep, cut
+
+    @pytest.mark.parametrize(
+        "kind,n", [("line", 48), ("sqline", 32), ("tree", 31), ("grid2d", 6), ("ties", 5)]
+    )
+    def test_sub_ball_classes_match_the_packed_rows(self, kind, n):
+        sp = oracles.tied_quasi_grid(n) if kind == "ties" else build_space(kind, n)
+        rng = np.random.default_rng(29)
+        b0 = sp.smallest_covering_ball(np.arange(sp.n // 3))
+        scattered = np.sort(rng.choice(sp.n, sp.n // 2, replace=False))
+        for region in (np.arange(sp.n), b0.members, scattered):
+            self._check_classes(sp, region)
+
     def test_classes_sharing_an_enlargement_match_brute_force(self, monkeypatch):
         sp = build_space("line", 48)
         t = sp.ball_table()
@@ -858,6 +905,8 @@ class TestGrandMaximalOracle:
         classes = np.unique(np.concatenate([inside, enlarged], axis=1), axis=0)
         # every ball lies in the full region; far fewer enlargements than classes
         assert (len(classes), len(np.unique(classes[:, sp.n :], axis=0))) == (1017, 280)
+        rep, cut = self._check_classes(sp, np.arange(sp.n))
+        assert (len(rep), len(np.unique(cut[rep]))) == (1017, 280)
         calls = []
         blocks = sp.ball_sum_blocks
         monkeypatch.setattr(

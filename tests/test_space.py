@@ -1,6 +1,7 @@
 """Space construction, canonical balls, and measured constants."""
 
 import dataclasses
+import json
 import os
 import tracemalloc
 
@@ -89,6 +90,30 @@ class TestConstruction:
         assert sp.n == 2
         assert sp.dist[0, 1] == 1.0
         assert np.all(sp.mass == 0.5)
+
+    @pytest.mark.parametrize("mass", [[np.inf, 1.0], [np.nan, 1.0], [1e308, 1e308]])
+    def test_rejects_non_finite_masses(self, tmp_path, mass):
+        # 1e308 + 1e308 overflows to inf
+        dist = np.array([[0.0, 1.0], [1.0, 0.0]])
+        message = "masses and their total must be finite"
+        with pytest.raises(ValueError, match=message):
+            QuasiMetricSpace(dist, np.array(mass))
+        path = tmp_path / "space.json"
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"n": 2, "dist": dist.ravel().tolist(), "mass": mass}, fh)
+        with pytest.raises(ValueError, match=message):
+            load_space(str(path))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_distances_are_named_before_symmetry(self, tmp_path, bad):
+        dist = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, bad], [2.0, bad, 0.0]])
+        with pytest.raises(ValueError, match="distances must be finite"):
+            QuasiMetricSpace(dist, np.full(3, 1.0 / 3))
+        path = tmp_path / "space.json"
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"n": 3, "dist": dist.ravel().tolist(), "mass": [1.0] * 3}, fh)
+        with pytest.raises(ValueError, match="distances must be finite"):
+            load_space(str(path))
 
     def test_tree_path_metric(self):
         sp = build_space("tree", 7)
@@ -312,6 +337,8 @@ class TestMeasuredConstants:
             kind, lambda: build_space(kind, dict(KINDS)[kind])
         )()
         assert sp._measure_doubling() == oracles.measured_doubling(sp)
+        for lams in ((2.0, 4.0, 8.0), (1.5, 3.0)):
+            assert sp.strong_doubling_exponent(lams) == oracles.strong_doubling_exponent(sp, lams)
 
     def test_doubling_inequality_valid(self):
         for kind, n, sp in spaces():
@@ -372,9 +399,26 @@ class TestSerialization:
 
     def test_dict_round_trip(self):
         sp = build_space("sqline", 6)
-        back = space_from_dict(space_to_dict(sp))
+        doc = space_to_dict(sp)
+        assert set(doc) == {"n", "dist", "mass", "meta"}
+        assert doc["meta"] == {"kind": "sqline", "n": 6, "seed": 0}
+        back = space_from_dict(doc)
         assert np.array_equal(back.dist, sp.dist)
         assert np.array_equal(back.mass, sp.mass)
+        assert back.meta == sp.meta
+
+    def test_loads_a_file_with_coords(self, tmp_path):
+        # older space files carry a coords row per point, which is not read
+        sp = build_space("grid2d", 3)
+        doc = space_to_dict(sp)
+        doc["coords"] = [[i / 3, j / 3] for i in range(3) for j in range(3)]
+        path = tmp_path / "space.json"
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, sort_keys=True, indent=1)
+        back = load_space(str(path))
+        assert np.array_equal(back.dist, sp.dist)
+        assert np.array_equal(back.mass, sp.mass)
+        assert back.meta == sp.meta
 
 
 def _cached_arrays(obj):
