@@ -370,8 +370,8 @@ def _check_lower(ctx: _ScenarioContext) -> List[ReportRow]:
 def _check_jn(ctx: _ScenarioContext) -> List[ReportRow]:
     sc = ctx.sc
     rows = []
-    for r in sc.r_values:
-        rep = verify_bloom_jn(ctx.space, ctx.b, ctx.lam1, ctx.lam2, sc.p, r)
+    reports = verify_bloom_jn(ctx.space, ctx.b, ctx.lam1, ctx.lam2, sc.p, sc.r_values)
+    for r, rep in zip(sc.r_values, reports):
         witness = f"r={r:g} branch={rep['branch']} worst_ball={rep['worst_ball']}"
         rows.extend(row_from_entry(sc.scenario, e, witness=witness) for e in rep["entries"])
     return rows

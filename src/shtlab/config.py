@@ -217,6 +217,10 @@ def _parse_scenario(doc: object, path: str) -> ScenarioConfig:
         ("function", _FUNCTION_PARAMS),
     ):
         _check_generator(merged[role], params, f"{path}.{role}")
+    if not merged["checks"]:
+        raise ConfigError(f"{path}.checks", "must name at least one check")
+    if "jn" in merged["checks"] and not merged["r_values"]:
+        raise ConfigError(f"{path}.r_values", "must hold at least one r when the jn check runs")
     p_conj = float(merged["p"]) / (float(merged["p"]) - 1.0)
     for i, r in enumerate(merged["r_values"]):
         if not _finite_number(r) or r < 1:

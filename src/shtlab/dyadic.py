@@ -186,19 +186,17 @@ class DyadicSystem:
         level-k cube, or n when none does.  A ball B(c, r) is a prefix
         of that order, so the cube holds it exactly when the entry
         reaches the ball's count; entries only grow toward coarser
-        levels.  Entries and labels are at most n <= MAX_POINTS, so int16
-        holds them: the table takes a quarter of the memory an adjacent
-        pool's tables would take as int64, and each level's (n x n) label
-        gather a quarter of the traffic."""
+        levels.  Each entry is the least ``rank[c, y]`` over the points
+        y of another label, so a level takes one (n x n) label compare
+        and no gather; entries are at most n <= MAX_POINTS, so the table
+        is int16 like the ball table's ranks."""
         t = self.space.ball_table()
         n = self.space.n
         out = np.empty((len(self.levels), n), dtype=np.int16)
         for i, k in enumerate(self.levels):
-            lab = self.labels[k].astype(np.int16)[t.order]  # type: ignore[index]
-            # end of the leading run of the center's own label (order[c, 0]
-            # is c itself): the first False, or n when there is none
-            eq = lab == lab[:, :1]
-            out[i] = np.where(eq.all(axis=1), n, np.argmin(eq, axis=1))
+            lab = self.labels[k]  # type: ignore[index]
+            outside = lab[None, :] != lab[:, None]
+            np.minimum.reduce(np.where(outside, t.rank, n), axis=1, out=out[i])
         return out
 
     def all_cubes(self) -> List[DyadicCube]:
@@ -538,7 +536,7 @@ def geometric_doubling(space: QuasiMetricSpace, delta: float) -> int:
     for b0 in range(0, len(t.center), step):
         b1 = min(len(t.center), b0 + step)
         open_ = np.empty((width, b1 - b0), dtype=np.uint64)
-        for c in range(t.center[b0] // chunk * chunk, t.center[b1 - 1] + 1, chunk):
+        for c in range(int(t.center[b0]) // chunk * chunk, int(t.center[b1 - 1]) + 1, chunk):
             if c != c0:
                 c0, outside, near = c, None, None
                 outside, near = _outside_words(space, one, c0, c0 + chunk)

@@ -61,14 +61,21 @@ order).  Two exact reorganizations keep desk-scale evaluation fast:
   so it takes one suffix max per block of distinct E (each table
   within ``GRAND_BLOCK`` bytes, E's members read from the ball table),
   filled from one ``ball_sum_blocks`` pass, and per class of B the max
-  of n table entries, one per center (``region_grand_maximal``).
+  of n table entries, one per center, gathered for chunks of classes
+  (``region_grand_maximal``).
   Given a floor per function, it first reads the same entries of the
   uncut averages, an upper bound of each class's value, and evaluates
   only the classes and enlargements whose bound exceeds a floor.
 * The class map (``_member_classes``), which the kernel and the grand
-  maximal read, is the one dedup of ball member sets: every ball's
-  bits, one cumulative OR along its center's order, sorted once per
-  space and memoized.
+  maximal read, is the one dedup of ball member sets, memoized per
+  space.  Equal sets have equal counts, so it runs on chunks of whole
+  count groups (each at most n balls, one per center), a chunk at most
+  max(n, ``KERNEL_BLOCK // n``) balls.  A chunk's bits are its
+  centers' prefix words at its counts, one running OR of one-hot words
+  along each center's order carried from chunk to chunk, so its
+  scratch stays within that many balls' n/8 bytes and no (balls x n/8)
+  matrix is built.  Classes are numbered by their lowest ball id, so
+  the kernel's rows come in id order with no sort.
 * The sparse forms A_S, T_{S,b} and T*_{S,b} run on one flat index of
   the cube family (concatenated member ids, each id's cube, each
   cube's measure): per-cube sums are one ``np.add.reduceat`` and
@@ -97,7 +104,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .space import QuasiMetricSpace, _distinct, _point_words, _prefix_words
+from .space import QuasiMetricSpace, _distinct, _point_words
 
 
 @dataclass
@@ -115,11 +122,12 @@ class OperatorResult:
 
 def _ball_slots(space: QuasiMetricSpace) -> Tuple[np.ndarray, int, np.ndarray]:
     """(slot, width, pslot): each ball's place in its center's
-    radius-sorted list, the longest list, and pslot[x, c], the slot of
-    the smallest ball at c holding x."""
+    radius-sorted list (int64), the longest list, and pslot[x, c], the
+    slot of the smallest ball at c holding x (int32, as the table's
+    ball ids are)."""
     t = space.ball_table()
     slot = np.arange(len(t.center)) - t.start[t.center]
-    return slot, int(slot.max()) + 1, t.ptr - t.start[None, :-1]
+    return slot, int(slot.max()) + 1, np.subtract(t.ptr, t.start[:-1], dtype=np.int32)
 
 
 # float entries per (rows x columns) plane of ``CommutatorKernel.apply``;
@@ -152,7 +160,8 @@ def _suffix_max(
     n = space.n
     slot, width, _ = _ball_slots(space)
     table = np.full((width, n, k), -np.inf)
-    # one flat row index scatters faster than the (slot, center) pair
+    # one flat row index scatters faster than the (slot, center) pair;
+    # slot is int64, so slot * n (up to n^2) cannot wrap
     flat = table.reshape(width * n, k)
     row = slot * n + t.center
     for ids, per_ball in blocks:
@@ -306,22 +315,58 @@ def _distinct_rows(packed: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _member_classes(space: QuasiMetricSpace) -> Tuple[np.ndarray, np.ndarray]:
-    """The class map: ``_distinct_rows`` of every canonical ball's
-    members as bits in point order, memoized on the space.  A ball's
-    bits are one cumulative OR of one-hot words along its center's
-    order, taken for blocks of centers within ``KERNEL_BLOCK`` bytes."""
+    """The class map (first, inverse), memoized on the space read-only:
+    the canonical balls with equal member sets form a class, numbered
+    by its lowest ball id, which first lists in ascending order, and
+    inverse gives each ball's class.
+
+    Equal sets have equal counts, and a count group has at most n balls
+    (one per center), so the balls go in count order, in chunks of
+    whole count groups of at most limit = max(n, ``KERNEL_BLOCK // n``)
+    balls and limit // n counts, and ``_distinct_rows`` finds each
+    chunk's classes.  A ball's members as bits are its center's prefix
+    words at its count: for the chunk's counts, one-hot words of the
+    next points along every center's order, ORed in running order onto
+    each center's words at the count before, so the chunk's scratch
+    stays within limit balls' words.  Ids ascend within a group, so a
+    class's lowest row in its chunk is its lowest ball."""
     if "member_classes" not in space._cache:
         t = space.ball_table()
         n = space.n
+        nb = len(t.center)
+        by_count = np.argsort(t.count, kind="stable")
+        edges = np.cumsum(np.bincount(t.count, minlength=n + 1)).tolist()
+        limit = max(n, KERNEL_BLOCK // n)
         one = _point_words(n)
-        packed = np.empty((len(t.center), one.shape[1]), dtype=np.uint64)
-        step = max(1, KERNEL_BLOCK // one.nbytes)
-        for c0 in range(0, n, step):
-            ids = slice(t.start[c0], t.start[min(n, c0 + step)])
-            words = _prefix_words(one, t.order[c0 : c0 + step])
-            packed[ids] = words[t.center[ids] - c0, t.count[ids] - 1]
-            del words
-        space._cache["member_classes"] = _distinct_rows(packed.view(np.uint8))
+        prefix = np.zeros_like(one)  # each center's first k0 points
+        lowest = np.empty(nb, dtype=np.int64)  # each ball's class at its lowest id
+        k0 = 0
+        while k0 < n:
+            # counts k0 + 1 .. k1, whole groups within limit balls
+            k1 = k0 + 1
+            while k1 < n and k1 - k0 < limit // n and edges[k1 + 1] - edges[k0] <= limit:
+                k1 += 1
+            # words[j, c]: c's first k0 + j + 1 points (count-major, so the
+            # running OR steps over whole planes)
+            words = np.take(one, t.order[:, k0:k1].T, axis=0)
+            words[0] |= prefix
+            if k1 - k0 > 1:
+                np.bitwise_or.accumulate(words, axis=0, out=words)
+            ids = by_count[edges[k0] : edges[k1]]
+            if len(ids):
+                rows = words[t.count[ids] - 1 - k0, t.center[ids]]
+                first, inverse = _distinct_rows(rows.view(np.uint8))
+                lowest[ids] = ids[first][inverse]
+            prefix = words[-1]
+            k0 = k1
+        del by_count, words, prefix
+        head = lowest == np.arange(nb)
+        number = np.cumsum(head)
+        number -= 1
+        first, inverse = np.flatnonzero(head), number[lowest]
+        for a in (first, inverse):
+            a.flags.writeable = False
+        space._cache["member_classes"] = (first, inverse)
     return space._cache["member_classes"]  # type: ignore[return-value]
 
 
@@ -351,12 +396,9 @@ class CommutatorKernel:
         # the sup only sees member sets: one row per member class, at its
         # lowest ball id so witnesses stay canonical, with the least measure
         # of its twins (summed in other centers' orders, it can differ)
-        first, twin = _member_classes(space)
-        mu = np.full(len(first), np.inf)
-        np.minimum.at(mu, twin, t.measure)
-        keep = np.argsort(first)
-        self.ball_ids = first[keep].astype(np.int64)
-        self.mu = mu[keep]
+        self.ball_ids, twin = _member_classes(space)
+        self.mu = np.full(len(self.ball_ids), np.inf)
+        np.minimum.at(self.mu, twin, t.measure)
         # (row, position) memberships: the entries one column's gathers read
         self.held = int(t.count[self.ball_ids].sum())
         # rank_s[c, j]: the place of the j-th point in symbol order along
@@ -609,8 +651,8 @@ def _sub_ball_classes(space: QuasiMetricSpace, sub_ids: np.ndarray) -> Tuple[np.
     c of the points nearer than 4 A0 r (counted in chunks of
     ``KERNEL_BLOCK`` bytes of distances), whose id is the smallest ball
     at c holding the last of them.  The pairs (member class, E's class)
-    are deduplicated as one big-endian word each, so classes come in the
-    byte order of [members | E] as bits."""
+    are deduplicated as one big-endian word each, and the classes
+    numbered by their lowest sub-ball, so rep ascends."""
     t = space.ball_table()
     first, member = _member_classes(space)
     c = t.center[sub_ids]
@@ -623,7 +665,10 @@ def _sub_ball_classes(space: QuasiMetricSpace, sub_ids: np.ndarray) -> Tuple[np.
     cut = member[t.ptr[t.order[c, count - 1], c]]
     pair = member[sub_ids].astype(np.uint64) * np.uint64(len(first)) + cut.astype(np.uint64)
     rep, twin = _distinct_rows(pair.astype(">u8").view(np.uint8).reshape(-1, 8))
-    return rep, twin, cut
+    keep = np.argsort(rep)
+    number = np.empty_like(keep)
+    number[keep] = np.arange(len(keep))
+    return rep[keep], number[twin], cut
 
 
 # bytes per suffix max table of an enlargement block of ``region_grand_maximal``
@@ -730,10 +775,15 @@ def region_grand_maximal(
         w_cut = (w_t[:, :, None] * inside[:, None, :]).reshape(n, -1)
         suf, _ = _suffix_max(space, _ball_averages(space, w_cut, s_full), w_cut.shape[1])
         del w_cut
+        # each class reads n entries per function, gathered for chunks
+        # of classes within KERNEL_BLOCK // 8 entries
         cls = np.flatnonzero((cut_of >= e0) & (cut_of < e1))
-        col = cut_of[cls] - e0
-        for i in range(k):
-            m_b[evaluated[cls], i] = suf[meet[:, cls], every, i * (e1 - e0) + col].max(axis=0)
+        chunk = _floats(n) // n
+        for c0 in range(0, len(cls), chunk):
+            part = cls[c0 : c0 + chunk]
+            col = cut_of[part] - e0
+            for i in range(k):
+                m_b[evaluated[part], i] = suf[meet[:, part], every, i * (e1 - e0) + col].max(axis=0)
         del suf
     # outer sup over sub-balls containing x, ties to the lowest ball id
     per_ball = np.full((nb, k), -np.inf)
@@ -926,7 +976,9 @@ def _pair_min_ball_measure(space: QuasiMetricSpace) -> np.ndarray:
     mu = space.ball_measures()
     out = np.full((space.n, space.n), np.inf)
     for c in range(space.n):
-        np.minimum(out, mu[np.maximum(ptr[:, c, None], ptr[None, :, c])], out=out)
+        # widened first, so the (n x n) index is built as intp, not converted
+        at = ptr[:, c].astype(np.intp)
+        np.minimum(out, mu[np.maximum(at[:, None], at[None, :])], out=out)
     return out
 
 

@@ -40,12 +40,15 @@ limit, so a caller that reduces the sums at once (the ball sups of
 ``operators``) never holds them for every ball; ``ball_sums`` gathers
 the blocks into one (balls,) or (balls, k) array.  In the same way a
 ball's members as bits are one cumulative OR of one-hot uint64 words
-along its center's order (``_prefix_words``), which the class map of
-``operators`` and the geometric doubling greedy read per block of
-centers.  The doubling scan probes only the distances t_1 < ... < t_m
-at which a center's balls end, after t_0 = 0: balls are open, so any r
-in (t_j, t_{j+1}] has the inner ball of t_{j+1} and, for l = 2, 4, 8
-(l r is exact), an outer ball inside its one; r > t_m gives ratio 1.
+along its center's order (``_prefix_words``), which the geometric
+doubling greedy reads per block of centers.  The table stores point
+ids, positions and counts as int16 and ball ids as int32, and is built
+per block of centers (``TABLE_BLOCK``): at line2048 it holds 130 MB,
+where int64 fields would take 235 MB.  The doubling scan probes only
+the distances t_1 < ... < t_m at which a center's balls end, after
+t_0 = 0: balls are open, so any r in (t_j, t_{j+1}] has the inner ball
+of t_{j+1} and, for l = 2, 4, 8 (l r is exact), an outer ball inside
+its one; r > t_m gives ratio 1.
 """
 
 from __future__ import annotations
@@ -64,6 +67,8 @@ SPACE_KINDS = ("line", "sqline", "grid2d", "tree", "pair")
 
 # rows per block of the min-plus loop in ``_measure_a0``
 A0_BLOCK = 64
+# (centers x n) entries per block of the ball table build
+TABLE_BLOCK = 1 << 16
 
 
 @dataclass
@@ -86,17 +91,25 @@ class BallTable:
     Ball ``i`` has the first ``count[i]`` entries of ``order[center[i]]``
     as members.  Ids run center-major and radius-ascending, so center
     c owns the ids ``start[c]:start[c + 1]``.
+
+    Point ids, positions and counts are at most n <= ``MAX_POINTS``, so
+    they are stored as int16, and ball ids (fewer than n^2) as int32.
+    numpy keeps arithmetic between such an array and a Python int in
+    the array's type, where it can wrap: widen before arithmetic that
+    can leave the type's range (``count.astype(np.int64) * n``).
+    Subtracting 1 from a count, or a center from another center, stays
+    in range, as do comparisons.
     """
 
-    center: np.ndarray  # (balls,)
-    count: np.ndarray  # (balls,)
-    radius: np.ndarray  # (balls,)
-    measure: np.ndarray  # (balls,)
-    start: np.ndarray  # (n + 1,)
-    order: np.ndarray  # (n, n): order[c] = argsort(dist[c], stable)
-    rank: np.ndarray  # (n, n): rank[c, order[c, j]] = j
-    cum_mass: np.ndarray  # (n, n): cumulative mass along order[c]
-    ptr: np.ndarray  # (n, n): ptr[x, c] = smallest ball at c holding x
+    center: np.ndarray  # (balls,) int16
+    count: np.ndarray  # (balls,) int16, from 1 to n
+    radius: np.ndarray  # (balls,) float64
+    measure: np.ndarray  # (balls,) float64
+    start: np.ndarray  # (n + 1,) int64
+    order: np.ndarray  # (n, n) int16: order[c] = argsort(dist[c], stable)
+    rank: np.ndarray  # (n, n) int16: rank[c, order[c, j]] = j
+    cum_mass: np.ndarray  # (n, n) float64: cumulative mass along order[c]
+    ptr: np.ndarray  # (n, n) int32: ptr[x, c] = smallest ball at c holding x
 
 
 class CanonicalBalls(abc.Sequence):
@@ -206,36 +219,55 @@ class QuasiMetricSpace:
         give strictly growing member sets {y : d(c, y) <= t_j}, each a
         prefix of the center's stable distance order; the stored radius
         is t_j + (t_{j+1} - t_j)/2, and 1.5 * t_max for the full ball.
+        Centers go in blocks of ``TABLE_BLOCK // n``, so the build's
+        int64 and float temporaries never span all (n x n) entries.
         """
         if "table" not in self._cache:
             n = self.n
-            order = np.argsort(self.dist, axis=1, kind="stable")
-            sorted_dist = np.take_along_axis(self.dist, order, axis=1)
-            # a ball ends at every position whose next distance is larger
-            ends = np.ones((n, n), dtype=bool)
-            ends[:, :-1] = sorted_dist[:, 1:] != sorted_dist[:, :-1]
-            center, last = np.nonzero(ends)
-            t = sorted_dist[center, last]
-            nxt = sorted_dist[center, np.minimum(last + 1, n - 1)]
-            radius = np.where(last + 1 < n, t + (nxt - t) / 2.0, np.where(t > 0, 1.5 * t, 1.0))
+            order = np.empty((n, n), dtype=np.int16)
+            rank = np.empty((n, n), dtype=np.int16)
+            cum_mass = np.empty((n, n))
+            ptr = np.empty((n, n), dtype=np.int32)
             start = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(ends.sum(axis=1), out=start[1:])
-            rank = np.empty_like(order)
-            np.put_along_axis(rank, order, np.broadcast_to(np.arange(n), (n, n)), axis=1)
-            cum_mass = np.cumsum(self.mass[order], axis=1)
-            # position j of c's order lies in c's ball number (ends before j)
-            slot = np.cumsum(ends, axis=1) - ends
-            ptr = start[:-1, None] + np.take_along_axis(slot, rank, axis=1)
+            positions = np.broadcast_to(np.arange(n, dtype=np.int16), (n, n))
+            parts = []
+            step = max(1, TABLE_BLOCK // n)
+            for c0 in range(0, n, step):
+                c1 = min(n, c0 + step)
+                o = np.argsort(self.dist[c0:c1], axis=1, kind="stable")
+                sorted_dist = np.take_along_axis(self.dist[c0:c1], o, axis=1)
+                # a ball ends at every position whose next distance is larger
+                ends = np.ones(o.shape, dtype=bool)
+                ends[:, :-1] = sorted_dist[:, 1:] != sorted_dist[:, :-1]
+                center, last = np.nonzero(ends)
+                t = sorted_dist[center, last]
+                nxt = sorted_dist[center, np.minimum(last + 1, n - 1)]
+                radius = np.where(last + 1 < n, t + (nxt - t) / 2.0, np.where(t > 0, 1.5 * t, 1.0))
+                np.cumsum(ends.sum(axis=1), out=start[c0 + 1 : c1 + 1])
+                start[c0 + 1 : c1 + 1] += start[c0]
+                order[c0:c1] = o
+                np.put_along_axis(rank[c0:c1], o, positions[c0:c1], axis=1)
+                np.cumsum(self.mass[o], axis=1, out=cum_mass[c0:c1])
+                # position j of c's order lies in c's ball number (ends before j)
+                slot = np.cumsum(ends, axis=1) - ends
+                slot += start[c0:c1, None]
+                ptr[:, c0:c1] = np.take_along_axis(slot, rank[c0:c1], axis=1).T
+                measure = cum_mass[c0 + center, last]
+                center += c0
+                last += 1
+                parts.append((center.astype(np.int16), last.astype(np.int16), radius, measure))
+            center, count, radius, measure = (np.concatenate(p) for p in zip(*parts))
+            del parts
             self._cache["table"] = BallTable(
                 center=center,
-                count=last + 1,
+                count=count,
                 radius=radius,
-                measure=cum_mass[center, last],
+                measure=measure,
                 start=start,
                 order=order,
                 rank=rank,
                 cum_mass=cum_mass,
-                ptr=np.ascontiguousarray(ptr.T),
+                ptr=ptr,
             )
         return self._cache["table"]  # type: ignore[return-value]
 
@@ -420,15 +452,21 @@ class QuasiMetricSpace:
 
     def _doubling_peaks(self, radii: Callable, lams: Sequence[float]) -> np.ndarray:
         """(n, len(lams)): per center c and l in lams, the peak of
-        mu(B(c, l r)) / mu(B(c, r)) over the radii r = radii(c), all
-        scales read by one ``searchsorted`` along c's order."""
+        mu(B(c, l r)) / mu(B(c, r)) over the radii r = radii(c, near),
+        near being c's distances in its order, all scales read by one
+        ``searchsorted`` on near.  The orders are gathered per block of
+        ``TABLE_BLOCK // n`` centers."""
         t = self.ball_table()
+        n = self.n
         scales = np.array((1.0,) + tuple(lams))[:, None]
-        peaks = np.empty((self.n, len(lams)))
-        for c in range(self.n):
-            idx = np.searchsorted(self.dist[c, t.order[c]], scales * radii(c))
-            mu = np.where(idx > 0, t.cum_mass[c, idx - 1], 0.0)
-            peaks[c] = (mu[1:] / mu[0]).max(axis=1)
+        peaks = np.empty((n, len(lams)))
+        step = max(1, TABLE_BLOCK // n)
+        for c0 in range(0, n, step):
+            sorted_dist = np.take_along_axis(self.dist[c0 : c0 + step], t.order[c0 : c0 + step], axis=1)
+            for c, near in enumerate(sorted_dist, c0):
+                idx = np.searchsorted(near, scales * radii(c, near))
+                mu = np.where(idx > 0, t.cum_mass[c, idx - 1], 0.0)
+                peaks[c] = (mu[1:] / mu[0]).max(axis=1)
         return peaks
 
     def _measure_doubling(self) -> Tuple[float, float]:
@@ -437,9 +475,9 @@ class QuasiMetricSpace:
         balls end at, which attain the sup over all radii r > 0."""
         t = self.ball_table()
 
-        def ends(c: int) -> np.ndarray:
+        def ends(c: int, near: np.ndarray) -> np.ndarray:
             # each ball's last member, from the second ball ({c} ends at 0)
-            return self.dist[c, t.order[c, t.count[t.start[c] + 1 : t.start[c + 1]] - 1]]
+            return near[t.count[t.start[c] + 1 : t.start[c + 1]] - 1]
 
         lams = (2.0, 4.0, 8.0)
         peaks = self._doubling_peaks(ends, lams)
@@ -457,7 +495,7 @@ class QuasiMetricSpace:
         key = ("strong_n", tuple(lams))
         if key not in self._cache:
             t = self.ball_table()
-            peaks = self._doubling_peaks(lambda c: t.radius[t.start[c] : t.start[c + 1]], lams)
+            peaks = self._doubling_peaks(lambda c, _: t.radius[t.start[c] : t.start[c + 1]], lams)
             n_req = 0.0
             for lam, peak in zip(tuple(lams) * self.n, peaks.ravel().tolist()):
                 if peak > 1.0:

@@ -13,7 +13,7 @@ as such.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -563,8 +563,8 @@ def verify_bloom_jn(
     lam1,
     lam2,
     p: float,
-    r: float,
-) -> Dict[str, object]:
+    r: Union[float, Sequence[float]],
+) -> Union[Dict[str, object], List[Dict[str, object]]]:
     """Per canonical ball B compare
 
       (1/mu(B)) int_B |b - b_B|^r lam1^{-r/p} dmu
@@ -572,49 +572,62 @@ def verify_bloom_jn(
     against ||b||^r_{BMO_nu} [lam2]_{A_p}^{r/p} ((1/mu(B)) int_B
     lam2^{-1/p})^r and report the least multiplicative constant.  The
     range 1 <= r <= p' is asserted-finite; p' < r <= p' + JN_EPS is
-    measurement-only."""
+    measurement-only.
+
+    r is one exponent, giving one report, or a sequence of them, giving
+    one report per exponent in order.  [lam2]_{A_p}, nu, the ball
+    averages of b and lam2^{-1/p} and the BMO_nu maximum do not depend
+    on r, so a sequence takes them once."""
     _validate_weights(space, lam1, lam2, p)
     b = np.asarray(b, dtype=np.float64)
     lam1 = np.asarray(lam1, dtype=np.float64)
     lam2 = np.asarray(lam2, dtype=np.float64)
     pprime = p / (p - 1.0)
-    if r < 1.0 - 1e-12 or r > pprime + JN_EPS + 1e-12:
-        raise ValueError(f"r={r} outside [1, p'={pprime} + {JN_EPS}]")
-    branch = 1 if r <= pprime + 1e-12 else 2
+    exponents = list(r) if np.ndim(r) else [r]
+    for x in exponents:
+        if x < 1.0 - 1e-12 or x > pprime + JN_EPS + 1e-12:
+            raise ValueError(f"r={x} outside [1, p'={pprime} + {JN_EPS}]")
     nu = bloom_weight(lam1, lam2, p)
     ap2 = ap_characteristic(space, lam2, p).value
     m = space.mass
     avg = space.ball_averages(b)
     (bmo, _), bmo_exact = _bmo_max(space, b, avg, nu)
     mu = space.ball_measures()
-    rhs = bmo**r * ap2 ** (r / p) * space.ball_averages(lam2 ** (-1.0 / p)) ** r
+    lam2_avg = space.ball_averages(lam2 ** (-1.0 / p))
+    reports = []
+    for x in exponents:
+        branch = 1 if x <= pprime + 1e-12 else 2
+        rhs = bmo**x * ap2 ** (x / p) * lam2_avg**x
 
-    def ratio(ids, sums):
-        lhs = sums / mu[ids]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = lhs / rhs[ids]
-        out[~(lhs > 0)] = 0.0
-        return out
+        def ratio(ids, sums):
+            lhs = sums / mu[ids]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out = lhs / rhs[ids]
+            out[~(lhs > 0)] = 0.0
+            return out
 
-    worst, jn_exact = deviation_max(space, b, avg, lam1 ** (-r / p) * m, r, ratio)
-    c_jn = worst.value
-    entry = _ratio_entry(f"jn.branch{branch}_constant", c_jn)
-    return {
-        "name": "bloom_jn",
-        "branch": branch,
-        "asserted": branch == 1,
-        "r": float(r),
-        "p_conjugate": pprime,
-        "c_jn": c_jn,
-        "bmo_nu": bmo,
-        "ap_lambda2": ap2,
-        "vacuous": bmo == 0.0,
-        "worst_ball": worst.ball,
-        # balls whose deviation sums were evaluated, BMO_nu and JN maxima together
-        "exact_balls": bmo_exact + jn_exact,
-        "entries": [entry],
-        "passed": bool(entry["passed"]),
-    }
+        worst, jn_exact = deviation_max(space, b, avg, lam1 ** (-x / p) * m, x, ratio)
+        c_jn = worst.value
+        entry = _ratio_entry(f"jn.branch{branch}_constant", c_jn)
+        reports.append(
+            {
+                "name": "bloom_jn",
+                "branch": branch,
+                "asserted": branch == 1,
+                "r": float(x),
+                "p_conjugate": pprime,
+                "c_jn": c_jn,
+                "bmo_nu": bmo,
+                "ap_lambda2": ap2,
+                "vacuous": bmo == 0.0,
+                "worst_ball": worst.ball,
+                # balls whose deviation sums were evaluated, BMO_nu and JN maxima together
+                "exact_balls": bmo_exact + jn_exact,
+                "entries": [entry],
+                "passed": bool(entry["passed"]),
+            }
+        )
+    return reports if np.ndim(r) else reports[0]
 
 
 # -- A_p exponent sweep ---------------------------------------------------------

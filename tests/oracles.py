@@ -6,6 +6,7 @@ so tests can compare the two implementations on small spaces.
 """
 
 import math
+from types import SimpleNamespace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -228,6 +229,132 @@ def strong_doubling_exponent(space, lams: Sequence[float] = (2.0, 4.0, 8.0)) -> 
     return n_req
 
 
+def ball_table_int64(space) -> SimpleNamespace:
+    """The fields of ``QuasiMetricSpace.ball_table`` built over all
+    (n x n) entries at once with every integer field int64, so no entry
+    or product of entries can wrap: the reference for the stored table's
+    16- and 32-bit fields."""
+    n = space.n
+    order = np.argsort(space.dist, axis=1, kind="stable")
+    sorted_dist = np.take_along_axis(space.dist, order, axis=1)
+    ends = np.ones((n, n), dtype=bool)
+    ends[:, :-1] = sorted_dist[:, 1:] != sorted_dist[:, :-1]
+    center, last = np.nonzero(ends)
+    t = sorted_dist[center, last]
+    nxt = sorted_dist[center, np.minimum(last + 1, n - 1)]
+    radius = np.where(last + 1 < n, t + (nxt - t) / 2.0, np.where(t > 0, 1.5 * t, 1.0))
+    start = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(ends.sum(axis=1), out=start[1:])
+    rank = np.empty_like(order)
+    np.put_along_axis(rank, order, np.broadcast_to(np.arange(n), (n, n)), axis=1)
+    cum_mass = np.cumsum(space.mass[order], axis=1)
+    # ptr[x, c]: the first ball at c whose count exceeds x's position
+    ptr = np.empty((n, n), dtype=np.int64)
+    for c in range(n):
+        counts = last[start[c] : start[c + 1]] + 1
+        ptr[:, c] = start[c] + np.searchsorted(counts, rank[c], side="right")
+    return SimpleNamespace(
+        center=center,
+        count=last + 1,
+        radius=radius,
+        measure=cum_mass[center, last],
+        start=start,
+        order=order,
+        rank=rank,
+        cum_mass=cum_mass,
+        ptr=ptr,
+    )
+
+
+def maximal_function_by_centers(space, f: np.ndarray, table) -> Tuple[np.ndarray, np.ndarray]:
+    """(Mf, witnesses) from table (``ball_table_int64``) one center at a
+    time: the averages of |f| over the center's balls (one cumulative
+    sum along its order, read at each count), their suffix maxima along
+    the radius-sorted list and the lowest ball attaining each, read at
+    each point's first ball there holding it; then the max over centers,
+    ties to the lowest ball id."""
+    t = table
+    n = space.n
+    w = np.abs(f) * space.mass
+    values = np.full(n, -np.inf)
+    witnesses = np.full(n, -1, dtype=np.int64)
+    for c in range(n):
+        ids = np.arange(t.start[c], t.start[c + 1])
+        avg = np.cumsum(w[t.order[c]])[t.count[ids] - 1] / t.measure[ids]
+        suf = np.maximum.accumulate(avg[::-1])[::-1]
+        # the lowest slot at or after j attaining suf[j] is the first slot
+        # from j on whose average is its own suffix max
+        records = np.flatnonzero(avg == suf)
+        arg = records[np.searchsorted(records, np.arange(len(avg)))]
+        first = np.searchsorted(t.count[ids], t.rank[c], side="right")
+        here = suf[first]
+        # centers ascend, and so do their ids: a tie keeps the earlier one
+        better = here > values
+        values[better] = here[better]
+        witnesses[better] = ids[arg[first[better]]]
+    return values, witnesses
+
+
+def commutator_kernel_by_centers(space, b: np.ndarray, f: np.ndarray, table) -> np.ndarray:
+    """C_b f from table (``ball_table_int64``) one center at a time: for
+    every point x, the sums of |b(x) - b(y)| |f(y)| m(y) over each of the
+    center's balls (cumulative sums along its order), over the ball's
+    measure, maxed over the balls holding x; then the max over centers."""
+    t = table
+    n = space.n
+    kernel = np.abs(b[:, None] - b[None, :]) * (np.abs(f) * space.mass)[None, :]
+    out = np.zeros(n)
+    for c in range(n):
+        ids = np.arange(t.start[c], t.start[c + 1])
+        sums = np.cumsum(kernel[:, t.order[c]], axis=1)[:, t.count[ids] - 1] / t.measure[ids]
+        held = t.rank[c][:, None] < t.count[ids][None, :]
+        np.maximum(out, np.where(held, sums, 0.0).max(axis=1), out=out)
+    return out
+
+
+def region_grand_maximal_by_centers(space, region, trunc, fs: Sequence[np.ndarray], table):
+    """``region_grand_maximal`` (the oracle above) from table
+    (``ball_table_int64``) for large spaces and small regions.  A ball
+    lies in the region when its center's order leaves the region only
+    after its count; the balls at c meeting B are those whose count
+    exceeds the least position of B's members along c's order; the cut
+    sums of every ball are one cumulative sum along each order.  The
+    witnesses are picked within rtol 1e-12 of the max, as there."""
+    t = table
+    n = space.n
+    inside = np.zeros(n, dtype=bool)
+    inside[np.asarray(region, dtype=np.int64)] = True
+    trunc_ind = np.zeros(n)
+    trunc_ind[np.asarray(trunc, dtype=np.int64)] = 1.0
+    sub = []
+    for c in range(n):
+        leaves = ~inside[t.order[c]]
+        exit_at = int(np.argmax(leaves)) if leaves.any() else n
+        ids = np.arange(t.start[c], t.start[c + 1])
+        sub.extend(ids[t.count[ids] <= exit_at].tolist())
+    values, witnesses = [], []
+    for f in fs:
+        w = np.abs(f) * space.mass * trunc_ind
+        m = {}
+        for i in sub:
+            c = t.center[i]
+            members = t.order[c, : t.count[i]]
+            kept = w * (space.dist[c] >= 4.0 * space.a0 * t.radius[i])
+            sums = np.cumsum(kept[t.order], axis=1)[t.center, t.count - 1] / t.measure
+            meets = t.count > t.rank[:, members].min(axis=1)[t.center]
+            m[i] = max(0.0, float(sums[meets].max()))
+        vals = np.zeros(n)
+        wits = np.full(n, -1, dtype=np.int64)
+        for x in range(n):
+            owners = [i for i in sub if t.rank[t.center[i], x] < t.count[i]]
+            if owners:
+                vals[x] = max(m[i] for i in owners)
+                wits[x] = min(i for i in owners if np.isclose(m[i], vals[x], rtol=1e-12, atol=0))
+        values.append(vals)
+        witnesses.append(wits)
+    return values, witnesses, np.array(sub, dtype=np.int64)
+
+
 def maximal_function(space, f: np.ndarray) -> np.ndarray:
     """Mf(x) = sup over canonical balls containing x of avg |f|."""
     out = np.zeros(space.n)
@@ -272,15 +399,16 @@ def commutator_kernel(space, b: np.ndarray, f: np.ndarray) -> np.ndarray:
     return out
 
 
-def kernel_rows(space, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def kernel_rows(space, b: np.ndarray, table=None) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(ball_ids, mu, bits) of ``CommutatorKernel(space, b)`` by the
     per-center construction: each center's balls as (balls x n) member
     masks in symbol order, packed by ``np.packbits``; the distinct rows
     from ``np.unique``, each kept at its lowest ball id with the least
     measure among its twins; bits[j] packs which kept rows hold the
-    j-th point in symbol order."""
+    j-th point in symbol order.  The balls come from table (such as
+    ``ball_table_int64``), or from the space's own ball table."""
     order = np.argsort(np.asarray(b, dtype=np.float64), kind="stable")
-    t = space.ball_table()
+    t = space.ball_table() if table is None else table
     n = space.n
     rank_s = t.rank[:, order]
     packed = np.zeros((len(t.center), (n + 7) // 8), dtype=np.uint8)
@@ -296,28 +424,39 @@ def kernel_rows(space, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarra
     return ball_ids, mu[keep], np.packbits(members.T, axis=1)
 
 
+def by_lowest_id(first: np.ndarray, inverse: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``np.unique``'s (first, inverse) with the classes renumbered in
+    the order of their lowest row: class j becomes the number of
+    classes whose lowest row is below first[j]."""
+    number = np.searchsorted(np.sort(first), first)
+    return np.sort(first), number[inverse.reshape(-1)]
+
+
 def member_classes(space) -> Tuple[np.ndarray, np.ndarray]:
     """(first, inverse) of the canonical balls' distinct member sets from
-    ``np.unique`` over each ball's members packed in point order."""
+    ``np.unique`` over each ball's members packed in point order, the
+    classes numbered by their lowest ball id."""
     t = space.ball_table()
     rows = np.packbits(t.rank[t.center] < t.count[:, None], axis=1)
     _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
-    return first, inverse.reshape(-1)
+    return by_lowest_id(first, inverse)
 
 
 def sub_ball_classes(space, sub_ids) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(rep, twin, enlarged) of the grand maximal's sub-ball classes by
     the packed construction: each sub-ball's members and its 4 A0
     enlargement packed into one row [members | enlargement], the
-    distinct rows from ``np.unique``, each class at its lowest sub-ball;
-    enlarged[j] is class j's enlargement as an (n,) bool."""
+    distinct rows from ``np.unique``, each class at its lowest sub-ball
+    and numbered by it; enlarged[j] is class j's enlargement as an (n,)
+    bool."""
     t = space.ball_table()
     c = t.center[sub_ids]
     inside = t.rank[c] < t.count[sub_ids, None]
     near = space.dist[c] < (4.0 * space.a0 * t.radius[sub_ids])[:, None]
     rows = np.concatenate([np.packbits(inside, axis=1), np.packbits(near, axis=1)], axis=1)
     _, rep, twin = np.unique(rows, axis=0, return_index=True, return_inverse=True)
-    return rep, twin.reshape(-1), near[rep]
+    rep, twin = by_lowest_id(rep, twin)
+    return rep, twin, near[rep]
 
 
 def region_grand_maximal(space, region, trunc, fs: Sequence[np.ndarray]):

@@ -193,6 +193,16 @@ class TestVerifyCommand:
         assert capsys.readouterr().err.startswith("error: --config: cannot read ")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "over, field", [({"checks": []}, "checks"), ({"r_values": []}, "r_values")]
+    )
+    def test_config_requesting_nothing_exits_two(self, tmp_path, capsys, over, field):
+        cfg = _small_config(tmp_path, **over)
+        out = tmp_path / "reports"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: scenarios[1].{field}: ")
+        assert not out.exists()
+
     def test_unknown_space_key_exits_two(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"
         doc = {"scenario": "x", "space": {"kind": "line", "n": 8, "file": "x.json"}, "seed": 1}

@@ -100,6 +100,17 @@ class TestParsing:
         assert ok[0].r_values == [1.0, 2.5]
         assert _err(_minimal(r_values=[0.5])).field == "scenario.r_values[0]"
 
+    def test_a_scenario_must_request_something(self):
+        # an empty check list, or the jn check with no exponent, would
+        # report "0 checks, 0 failed" and pass having verified nothing
+        assert _err(_minimal(checks=[])).field == "scenario.checks"
+        assert _err(_minimal(r_values=[], checks=["system", "jn"])).field == "scenario.r_values"
+        assert parse_config(_minimal(r_values=[], checks=["system"]))[0].r_values == []
+        wrapped = {"scenarios": [_minimal(), _minimal(scenario="u", checks=[])]}
+        assert _err(wrapped).field == "scenarios[1].checks"
+        wrapped = {"scenarios": [_minimal(), _minimal(scenario="u", r_values=[], checks=["jn"])]}
+        assert _err(wrapped).field == "scenarios[1].r_values"
+
     def test_checks_and_tolerances(self):
         assert _err(_minimal(checks=["system", "vibes"])).field == "scenario.checks[1]"
         assert (

@@ -425,7 +425,8 @@ class TestCommutatorKernel:
 
     def test_line384_membership_stays_packed(self):
         # one bit per (position, distinct ball): 384 x 55901 entries keep
-        # 2.7 MB, where one byte each would take 21.5 MB
+        # 2.7 MB, where one byte each would take 21.5 MB; the class map
+        # dedups one chunk of count groups at a time (5.6 MB traced peak)
         sp = build_space("line", 384)
         sp.ball_table()  # cached set-up stays out of the traced peak
         b = np.exp(0.5 * np.random.default_rng(38).standard_normal(sp.n))
@@ -437,7 +438,7 @@ class TestCommutatorKernel:
             tracemalloc.stop()
         assert kern.bits.nbytes == sp.n * -(-len(kern.mu) // 8)
         assert kept < 6e6
-        assert peak < 20e6
+        assert peak < 7e6
 
     def test_no_columns(self):
         sp = build_space("line", 12)
@@ -697,6 +698,22 @@ class TestCubeFamilyIndex:
             for a, b in zip(got, oracles.member_classes(sp)):
                 assert np.array_equal(a, b)
             assert operators._member_classes(sp) is got
+
+    def test_member_classes_in_chunks_of_whole_count_groups(self, monkeypatch):
+        # a block of 1 byte caps each dedup chunk at n balls, so chunks end
+        # between count groups; a chunk that split a group would part twins
+        monkeypatch.setattr(operators, "KERNEL_BLOCK", 1)
+        calls = []
+        dedup = operators._distinct_rows
+        monkeypatch.setattr(operators, "_distinct_rows", lambda rows: calls.append(len(rows)) or dedup(rows))
+        spaces = [build_space("line", 48), build_space("grid2d", 6), oracles.tied_quasi_grid()]
+        for sp in spaces + [oracles.lognormal_plane()]:
+            calls.clear()
+            got = operators._member_classes(sp)
+            assert len(calls) > 1 and max(calls) <= sp.n
+            assert sum(calls) == len(sp.ball_table().center)
+            for a, b in zip(got, oracles.member_classes(sp)):
+                assert np.array_equal(a, b)
 
     def test_distinct_rows_match_numpy_unique(self):
         rng = np.random.default_rng(5)

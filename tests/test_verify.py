@@ -346,6 +346,22 @@ class TestBloomJn:
             assert rep["bmo_nu"] == bmo_norm(space, b, bloom_weight(lam1, lam2, p)).value
             assert 0 < rep["exact_balls"] <= 2 * len(space.ball_table().center)
 
+    def test_exponent_sequence_matches_one_call_per_exponent(self):
+        # the r-free quantities are taken once for the whole sequence;
+        # each report equals the one a single-exponent call returns
+        space = build_space("line", 48)
+        rng = np.random.default_rng(24)
+        b = rng.lognormal(0.0, 0.5, space.n)
+        lam1 = np.exp(0.4 * rng.standard_normal(space.n))
+        lam2 = np.exp(0.4 * rng.standard_normal(space.n))
+        rs = [1.0, 2, 1.5, 2.2]
+        reports = verify_bloom_jn(space, b, lam1, lam2, 2.0, rs)
+        assert [rep["branch"] for rep in reports] == [1, 1, 1, 2]
+        assert reports == [verify_bloom_jn(space, b, lam1, lam2, 2.0, r) for r in rs]
+        assert verify_bloom_jn(space, b, lam1, lam2, 2.0, []) == []
+        with pytest.raises(ValueError):
+            verify_bloom_jn(space, b, lam1, lam2, 2.0, [1.0, 2.3])
+
 
 class TestExponentFit:
     def _setup64(self):
