@@ -38,6 +38,7 @@ _FUNCTION_PARAMS = {
 }
 _INTEGER_PARAMS = ("index", "center")
 _NONNEGATIVE_PARAMS = ("sigma", "value")
+_POSITIVE_PARAMS = ("radius",)
 WEIGHT_KINDS = tuple(_WEIGHT_PARAMS)
 SYMBOL_KINDS = tuple(_SYMBOL_PARAMS)
 FUNCTION_KINDS = tuple(_FUNCTION_PARAMS)
@@ -145,7 +146,8 @@ def _finite_number(val: object) -> bool:
 
 def _check_generator(spec: Dict[str, object], params: Dict[str, tuple], path: str) -> None:
     """A generator spec names a known kind and only that kind's
-    parameters, each a finite number (an integer for point ids)."""
+    parameters, each a finite number (an integer for point ids, and
+    positive for a ball radius)."""
     kind = spec.get("kind")
     if kind not in params:
         raise ConfigError(f"{path}.kind", f"must be one of {tuple(params)}")
@@ -160,6 +162,8 @@ def _check_generator(spec: Dict[str, object], params: Dict[str, tuple], path: st
             raise ConfigError(f"{path}.{key}", "must be a finite number")
         if key in _NONNEGATIVE_PARAMS and val < 0:
             raise ConfigError(f"{path}.{key}", "must be nonnegative")
+        if key in _POSITIVE_PARAMS and val <= 0:
+            raise ConfigError(f"{path}.{key}", "must be positive")
 
 
 def _parse_scenario(doc: object, path: str) -> ScenarioConfig:
@@ -340,7 +344,7 @@ def make_function(space: QuasiMetricSpace, sc: ScenarioConfig) -> np.ndarray:
         center = int(spec.get("center", 0)) % space.n
         radius = float(spec.get("radius", 0.25))
         out = np.zeros(space.n)
-        out[space.ball_at(center, radius).members] = 1.0
+        out[space.canonical_ball(int(space.ball_ids(center, radius))).members] = 1.0
         return out
     raise ConfigError("function.kind", f"unknown function kind {kind!r}")
 

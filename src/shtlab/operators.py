@@ -56,12 +56,13 @@ order).  Two exact reorganizations keep desk-scale evaluation fast:
   small space takes one of each.  M takes its columns in even blocks
   whose table stays within (balls x n) floats.  The local grand
   maximal collapses sub-balls sharing member set and 4 A0 enlargement
-  E (twins have the same inner value); E is a canonical ball too, so a
-  class is a pair of member classes.  Its cut sums depend only on E,
-  so it takes one suffix max per block of distinct E (each table
-  within ``GRAND_BLOCK`` bytes, E's members read from the ball table),
-  filled from one ``ball_sum_blocks`` pass, and per class of B the max
-  of n table entries, one per center, gathered for chunks of classes
+  E (twins have the same inner value); E is a canonical ball too, its
+  id read by ``space.ball_ids``, so a class is a pair of member
+  classes.  Its cut sums depend only on E, so it takes one suffix max
+  per block of distinct E (each table within ``GRAND_BLOCK`` bytes, E's
+  members read from the ball table), filled from one
+  ``ball_sum_blocks`` pass, and per class of B the max of n table
+  entries, one per center, gathered for chunks of classes
   (``region_grand_maximal``).
   Given a floor per function, it first reads the same entries of the
   uncut averages, an upper bound of each class's value, and evaluates
@@ -647,22 +648,13 @@ def _sub_balls(space: QuasiMetricSpace, region: np.ndarray) -> np.ndarray:
 def _sub_ball_classes(space: QuasiMetricSpace, sub_ids: np.ndarray) -> Tuple[np.ndarray, ...]:
     """(rep, twin, cut): each class of sub-balls sharing member set and
     4 A0 enlargement E at its lowest sub-ball, each sub-ball's class, and
-    each sub-ball's E as a member class.  E = B(c, 4 A0 r) is the ball at
-    c of the points nearer than 4 A0 r (counted in chunks of
-    ``KERNEL_BLOCK`` bytes of distances), whose id is the smallest ball
-    at c holding the last of them.  The pairs (member class, E's class)
+    each sub-ball's E as a member class.  E = B(c, 4 A0 r) is read as a
+    table id by ``space.ball_ids``.  The pairs (member class, E's class)
     are deduplicated as one big-endian word each, and the classes
     numbered by their lowest sub-ball, so rep ascends."""
     t = space.ball_table()
     first, member = _member_classes(space)
-    c = t.center[sub_ids]
-    count = np.empty(len(sub_ids), dtype=np.int64)
-    chunk = _floats(space.n) // space.n
-    for s0 in range(0, len(sub_ids), chunk):
-        s = slice(s0, s0 + chunk)
-        near = space.dist[c[s]] < (4.0 * space.a0 * t.radius[sub_ids[s]])[:, None]
-        count[s] = np.count_nonzero(near, axis=1)
-    cut = member[t.ptr[t.order[c, count - 1], c]]
+    cut = member[space.ball_ids(t.center[sub_ids], 4.0 * space.a0 * t.radius[sub_ids])]
     pair = member[sub_ids].astype(np.uint64) * np.uint64(len(first)) + cut.astype(np.uint64)
     rep, twin = _distinct_rows(pair.astype(">u8").view(np.uint8).reshape(-1, 8))
     keep = np.argsort(rep)

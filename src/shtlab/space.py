@@ -8,8 +8,9 @@ Provides:
 
 * ``QuasiMetricSpace`` -- validated (dist, mass) container with cached
   geometry (the ball table and measured constants).
-* ``Ball`` -- a (center, radius, member set) triple.  Balls are open:
-  ``B(x, r) = {y : d(x, y) < r}``.
+* ``Ball`` -- ``canonical_ball(i)``'s view of table id i.  Balls are
+  open, ``B(x, r) = {y : d(x, y) < r}``; every ball is a table id, and
+  ``ball_ids`` is the one lookup from (center, radius) to an id.
 * ``BallTable`` -- the canonical balls, one per (center, member set)
   pair.  Each is a prefix of its center's distance order; the stored
   radius is the midpoint between the realizing distance threshold and
@@ -73,15 +74,12 @@ TABLE_BLOCK = 1 << 16
 
 @dataclass
 class Ball:
-    """An open ball: center point id, radius, sorted member ids."""
+    """Canonical ball ``index`` as ``canonical_ball`` returns it."""
 
     center: int
     radius: float
-    members: np.ndarray
-    index: int = -1  # position in the canonical list; -1 for ad hoc balls
-
-    def __post_init__(self) -> None:
-        self.members = np.asarray(self.members, dtype=np.int64)
+    members: np.ndarray  # sorted int64 point ids
+    index: int  # the ball's id in the ball table
 
 
 @dataclass(frozen=True)
@@ -205,11 +203,6 @@ class QuasiMetricSpace:
         m = self.mass[members]
         return float((np.asarray(f)[members] * m).sum() / m.sum())
 
-    def ball_at(self, center: int, radius: float) -> Ball:
-        """The open ball {y : d(center, y) < radius} as an ad hoc Ball."""
-        members = np.flatnonzero(self.dist[center] < radius)
-        return Ball(int(center), float(radius), members)
-
     # -- canonical balls ---------------------------------------------------
 
     def ball_table(self) -> BallTable:
@@ -271,6 +264,23 @@ class QuasiMetricSpace:
             )
         return self._cache["table"]  # type: ignore[return-value]
 
+    def ball_ids(self, centers, radii) -> np.ndarray:
+        """int64 id of each open ball {y : d(c, y) < r}, centers c and
+        radii r broadcast together: ptr[order[c, count - 1], c], count
+        being the points nearer than r (counted per ``TABLE_BLOCK // n``
+        balls).  ValueError unless every r > 0, so that c is inside."""
+        t = self.ball_table()
+        c, r = np.broadcast_arrays(np.asarray(centers, dtype=np.int64), np.asarray(radii, dtype=np.float64))
+        if not np.all(r > 0):
+            raise ValueError("ball radii must be positive")
+        shape, c, r = c.shape, c.ravel(), r.ravel()
+        count = np.empty(c.size, dtype=np.int64)
+        step = max(1, TABLE_BLOCK // self.n)
+        for s0 in range(0, c.size, step):
+            s = slice(s0, s0 + step)
+            count[s] = np.count_nonzero(self.dist[c[s]] < r[s, None], axis=1)
+        return t.ptr[t.order[c, count - 1], c].astype(np.int64).reshape(shape)
+
     def canonical_ball(self, i: int) -> Ball:
         """Canonical ball i as a Ball: its center, radius and sorted
         members (the first count[i] entries of its center's order).
@@ -280,7 +290,7 @@ class QuasiMetricSpace:
         if not 0 <= i < len(t.center):
             raise IndexError(f"canonical ball {i} out of range [0, {len(t.center)})")
         c = int(t.center[i])
-        return Ball(c, float(t.radius[i]), np.sort(t.order[c, : t.count[i]]), index=i)
+        return Ball(c, float(t.radius[i]), np.sort(t.order[c, : t.count[i]]).astype(np.int64), i)
 
     def canonical_balls(self) -> CanonicalBalls:
         """Every canonical ball in id order, as a view over the ball

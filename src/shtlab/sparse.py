@@ -144,24 +144,21 @@ class CertificateError(RuntimeError):
     """A domination recursion invariant failed; no certificate is built."""
 
 
-def _smallest_ball_at(space: QuasiMetricSpace, center: int, members: np.ndarray) -> Ball:
-    """Smallest canonical ball at the center containing the given ids."""
-    return space.canonical_ball(int(space.ball_pointers()[members, center].max()))
-
-
 def _capture_cube(
-    space: QuasiMetricSpace, systems: Sequence[DyadicSystem], ball: Ball
+    space: QuasiMetricSpace, systems: Sequence[DyadicSystem], ball: int, radius: float
 ) -> Tuple[int, DyadicCube, bool]:
-    """A cube containing the ball: level-matched capture when some
-    system provides it (lowest t wins), otherwise the smallest of each
-    system's finest cube containing it (a root always contains
-    everything); the flag reports which case occurred.  The ball is a
-    prefix of its center's distance order, so a cube at the center
-    holds it exactly when ``first_change`` reaches its count."""
-    c, count = ball.center, len(ball.members)
+    """A cube containing table ball ``ball`` of the given radius:
+    level-matched capture when some system provides it (lowest t
+    wins), otherwise the smallest of each system's finest cube
+    containing it (a root always contains everything); the flag
+    reports which case occurred.  The ball is a prefix of its center's
+    distance order, so a cube at the center holds it exactly when
+    ``first_change`` reaches its count."""
+    table = space.ball_table()
+    c, count = int(table.center[ball]), int(table.count[ball])
     for t, sysm in enumerate(systems):
         lo, hi = sysm.levels[0], sysm.levels[-1]
-        k = _ball_level(ball.radius, sysm.delta, lo, hi)
+        k = _ball_level(radius, sysm.delta, lo, hi)
         if sysm.first_change[k - lo, c] >= count:
             return t, sysm.cubes[k][int(sysm.labels[k][c])], True  # type: ignore[index]
     found = []
@@ -174,36 +171,27 @@ def _capture_cube(
     return t, cube, False
 
 
-def _truncation_ball(space: QuasiMetricSpace, ball: Ball) -> Ball:
-    """B(c, 4 A0 r), the truncation ball around B(c, r)."""
-    return space.ball_at(ball.center, 4.0 * space.a0 * ball.radius)
-
-
-def _cover_balls(space: QuasiMetricSpace, b0: Ball) -> List[Ball]:
-    """The root ball plus greedy covers of the dyadic annuli around it
-    by balls of radius 2^(j-2) r0 centered in the annulus; their union
-    covers the space, and each is the region of one recursion tree."""
-    covers = [b0]
-    j = 1
-    while True:
-        inner = space.ball_at(b0.center, 2.0 ** (j - 1) * b0.radius)
-        if len(inner.members) == space.n:
-            break
-        outer = space.ball_at(b0.center, 2.0**j * b0.radius)
-        radius = 2.0 ** (j - 2) * b0.radius
-        # the annulus: outer members that are not inner members
+def _cover_balls(space: QuasiMetricSpace, b0: int, r0: float) -> List[Tuple[int, float]]:
+    """(id, radius) of the root ball and of greedy covers of the dyadic
+    annuli around it by balls of radius 2^(j-2) r0 centered there; their
+    union covers the space, and each is the region of one tree."""
+    t = space.ball_table()
+    c0 = int(t.center[b0])
+    covers = [(b0, r0)]
+    outer = int(t.count[space.ball_ids(c0, r0)])
+    for j in range(1, 201):  # 2^200 r0 exceeds any finite diameter
+        inner, outer = outer, int(t.count[space.ball_ids(c0, 2.0**j * r0)])
+        if inner == space.n:
+            return covers
+        radius = 2.0 ** (j - 2) * r0
         need = np.zeros(space.n, dtype=bool)
-        need[outer.members] = True
-        need[inner.members] = False
+        need[t.order[c0, inner:outer]] = True  # the annulus
         while need.any():
             center = int(np.flatnonzero(need)[0])
-            cover = space.ball_at(center, radius)
-            covers.append(cover)
-            need[cover.members] = False
-        j += 1
-        if j > 200:  # 2^j r0 exceeds any finite diameter long before this
-            raise RuntimeError("annulus cover failed to exhaust the space")
-    return covers
+            cover = int(space.ball_ids(center, radius))
+            covers.append((cover, radius))
+            need[t.order[center, : t.count[cover]]] = False
+    raise RuntimeError("annulus cover failed to exhaust the space")
 
 
 class _TreeContext:
@@ -226,7 +214,7 @@ def _dominate_node(
     b: np.ndarray,
     absf: np.ndarray,
     region: np.ndarray,
-    trunc_ball: Ball,
+    trunc_ball: Tuple[int, float],
     cz_system: DyadicSystem,
     cz_root: Optional[DyadicCube],
     kind: str,
@@ -240,13 +228,14 @@ def _dominate_node(
     if depth > max_depth:
         raise RuntimeError("domination recursion exceeded the tree height")
 
-    t_ref, q_ref, matched = _capture_cube(space, systems, trunc_ball)
+    trunc_id, trunc_radius = trunc_ball
+    t_ref, q_ref, matched = _capture_cube(space, systems, trunc_id, trunc_radius)
     if not matched:
         misses.append(
             {
                 "kind": kind,
-                "center": int(trunc_ball.center),
-                "radius": float(trunc_ball.radius),
+                "center": int(space.ball_table().center[trunc_id]),
+                "radius": float(trunc_radius),
                 "depth": depth,
             }
         )
@@ -255,7 +244,7 @@ def _dominate_node(
         cz_system = systems[t_ref]
         cz_root = q_ref
 
-    trunc = trunc_ball.members
+    trunc = space.canonical_ball(trunc_id).members
     b_ref = space.average(b, q_ref.members)
     g2 = np.abs(b - b_ref) * absf
     avg_f = space.average(absf, trunc)
@@ -361,14 +350,14 @@ def _node_checks_pass(
     cprime: float,
     avg_f: float,
     avg_g: float,
-) -> Optional[List[Ball]]:
+) -> Optional[List[Tuple[int, float]]]:
     """The post-selection identities the recursion step needs: each
     selected cube keeps an atom outside the exceptional set, the
     selected measures stay below half the region, and the truncated
     maximal function of f and (b - b_ref) f away from each selected
     cube's truncation ball stays below the alpha threshold on the cube.
-    Returns those truncation balls, in selection order, when every
-    identity holds, and None otherwise."""
+    Returns those truncation balls as (id, radius) pairs, in selection
+    order, when every identity holds, and None otherwise."""
     mu_sel = 0.0
     for cube in selection:
         inter = float(space.mass[cube.members[e_mask[cube.members]]].sum())
@@ -377,24 +366,25 @@ def _node_checks_pass(
         mu_sel += space.measure(cube.members)
     if mu_sel > 0.5 * mu_region * (1.0 + 1e-12):
         return None
-    truncs = [
-        _truncation_ball(space, _smallest_ball_at(space, cube.center, cube.members))
-        for cube in selection
-    ]
-    if selection:
-        cols = []
-        for trunc in truncs:
-            keep = trunc_ind.copy()
-            keep[trunc.members] = 0.0
-            cols.append(absf * keep)
-            cols.append(g2 * keep)
-        mvals = maximal_function(space, np.stack(cols, axis=1)).values
-        for j, cube in enumerate(selection):
-            if mvals[cube.members, 2 * j].max() > alpha * cprime * avg_f:
-                return None
-            if mvals[cube.members, 2 * j + 1].max() > alpha * cprime * avg_g:
-                return None
-    return truncs
+    if not selection:
+        return []
+    t = space.ball_table()
+    smallest = [t.ptr[cube.members, cube.center].max() for cube in selection]
+    radii = 4.0 * space.a0 * t.radius[smallest]
+    ids = space.ball_ids(t.center[smallest], radii)
+    cols = []
+    for trunc in ids:
+        keep = trunc_ind.copy()
+        keep[space.canonical_ball(trunc).members] = 0.0
+        cols.append(absf * keep)
+        cols.append(g2 * keep)
+    mvals = maximal_function(space, np.stack(cols, axis=1)).values
+    for j, cube in enumerate(selection):
+        if mvals[cube.members, 2 * j].max() > alpha * cprime * avg_f:
+            return None
+        if mvals[cube.members, 2 * j + 1].max() > alpha * cprime * avg_g:
+            return None
+    return list(zip(ids.tolist(), radii.tolist()))
 
 
 def build_domination(
@@ -404,50 +394,57 @@ def build_domination(
     f: np.ndarray,
     root_ball: Ball,
 ) -> DominationCertificate:
-    """Pointwise sparse domination of C_b f from the root ball of f.
+    """Pointwise sparse domination of C_b f from the root ball of f, a
+    ``space.canonical_ball`` (ValueError otherwise).
 
     One recursion tree per cover ball (the root ball plus annulus
-    covers).  Each tree's truncation ball is widened to the smallest
-    canonical ball at the cover center containing both the 4 A0
-    enlargement of the cover and the root ball, so the truncated
+    covers); every ball is a table id carried with the radius that
+    sets its dyadic level.  Each tree's truncation ball is widened to
+    the smallest canonical ball at the cover center containing both the
+    4 A0 enlargement of the cover and the root ball, so the truncated
     commutator agrees with the full one on the tree and the emitted top
     cube contains the support of f.  That last containment is what
     makes the exceptional set provably empty: every point lies in its
     tree's top cube R, and if both commutator forms of R vanish at x,
     then b is constant on {x} union supp f and C_b f(x) = 0 exactly.
     """
+    table = space.ball_table()
+    root = root_ball.index
+    if not 0 <= root < len(table.center):
+        raise ValueError(f"root_ball.index {root} is not a ball table id")
+    want = space.canonical_ball(root)
+    if root_ball.center != want.center or not np.array_equal(root_ball.members, want.members):
+        raise ValueError(f"root_ball differs from canonical ball {root}")
     b = np.asarray(b, dtype=np.float64)
     f = np.asarray(f, dtype=np.float64)
     absf = np.abs(f)
     systems = adjacent.systems
     updim = space.updim
     cprime = weak_type_11_constant(space)
-    covers = _cover_balls(space, root_ball)
-    overlap = np.zeros(space.n, dtype=np.int64)
-    for ball in covers:
-        overlap[ball.members] += 1
+    covers = _cover_balls(space, root, root_ball.radius)
+    regions = [space.canonical_ball(ball).members for ball, _ in covers]
+    overlap = np.bincount(np.concatenate(regions), minlength=space.n)
 
     misses: List[Dict[str, object]] = []
     trees: List[Dict[str, object]] = []
     nodes: List[Dict[str, object]] = []
     emitted: Dict[int, List[DyadicCube]] = {t: [] for t in range(len(systems))}
-    for ball in covers:
-        needed = np.zeros(space.n, dtype=bool)
-        needed[_truncation_ball(space, ball).members] = True
-        needed[root_ball.members] = True
-        wide = _smallest_ball_at(space, ball.center, np.flatnonzero(needed))
+    for (ball, radius), region in zip(covers, regions):
+        c = int(table.center[ball])
+        # balls at one center nest in id order
+        wide = max(int(space.ball_ids(c, 4.0 * space.a0 * radius)), table.ptr[root_ball.members, c].max())
         ctx = _TreeContext()
         ctx.used = np.zeros(space.n, dtype=bool)
         _dominate_node(
-            space, systems, b, absf, ball.members, wide,
+            space, systems, b, absf, region, (int(wide), float(table.radius[wide])),
             systems[0], None, "top", 0, updim, cprime, ctx, misses,
         )
         trees.append(
             {
-                "cover_center": int(ball.center),
-                "cover_radius": float(ball.radius),
-                "trunc_center": int(wide.center),
-                "trunc_radius": float(wide.radius),
+                "cover_center": c,
+                "cover_radius": float(radius),
+                "trunc_center": c,
+                "trunc_radius": float(table.radius[wide]),
                 "node_count": len(ctx.nodes),
             }
         )

@@ -126,11 +126,10 @@ def nesting_violations(system, space) -> List[Tuple]:
                     violations.append(("ancestor", l, beta, k))
     return violations
 
-def ball_members(space, center: int, radius: float) -> np.ndarray:
-    """Open ball by definition: strict inequality."""
-    return np.array(
-        [x for x in range(space.n) if space.dist[center, x] < radius], dtype=np.int64
-    )
+def ball_at(space, center: int, radius: float) -> np.ndarray:
+    """Members of the open ball {y : d(center, y) < radius}, by
+    definition: a strict comparison along the center's distance row."""
+    return np.flatnonzero(space.dist[center] < radius)
 
 
 def quasi_triangle_constant(space) -> float:
@@ -165,8 +164,8 @@ def doubling_constant(space) -> float:
         for r in radii:
             if r <= 0:
                 continue
-            small = ball_members(space, c, r)
-            big = ball_members(space, c, 2.0 * r)
+            small = ball_at(space, c, r)
+            big = ball_at(space, c, 2.0 * r)
             if len(small):
                 best = max(best, space.measure(big) / space.measure(small))
     return best
@@ -526,7 +525,7 @@ def weight_doubling_check(space, w: np.ndarray, p: float, lams: Sequence[float] 
     for ball in space.canonical_balls():
         base = float(np.sum(w[ball.members] * space.mass[ball.members]))
         for lam in lams:
-            big = ball_members(space, ball.center, lam * ball.radius)
+            big = ball_at(space, ball.center, lam * ball.radius)
             enlarged = float(np.sum(w[big] * space.mass[big]))
             worst = max(worst, enlarged / (lam ** (n * p) * ap * base))
     return worst
@@ -821,3 +820,29 @@ def capture_cube(space, systems: Sequence[DyadicSystem], ball):
                     best = (mu, t, cube)
                 break
     return best[1], best[2], False
+
+
+def cover_balls(space, center: int, r0: float) -> List[Tuple[int, float, np.ndarray]]:
+    """(center, radius, members) of the root ball B(center, r0) and of
+    the greedy covers of each annulus {2^(j-1) r0 <= d(center, .) < 2^j r0}
+    by balls of radius 2^(j-2) r0, each centred at the lowest point of
+    the annulus not yet covered, every ball read by ``ball_at``."""
+    covers = [(center, r0, ball_at(space, center, r0))]
+    j = 1
+    while len(ball_at(space, center, 2.0 ** (j - 1) * r0)) < space.n:
+        outer = set(ball_at(space, center, 2.0**j * r0).tolist())
+        annulus = outer - set(ball_at(space, center, 2.0 ** (j - 1) * r0).tolist())
+        radius = 2.0 ** (j - 2) * r0
+        while annulus:
+            c = min(annulus)
+            members = ball_at(space, c, radius)
+            covers.append((c, radius, members))
+            annulus -= set(members.tolist())
+        j += 1
+    return covers
+
+
+def smallest_ball_holding(space, center: int, points) -> np.ndarray:
+    """Members of the smallest ball at center holding the given points:
+    every point no farther from center than the farthest of them."""
+    return np.flatnonzero(space.dist[center] <= space.dist[center, points].max())

@@ -4,6 +4,7 @@ round trips, seeded generators, and the stock suite."""
 import numpy as np
 import pytest
 
+import oracles
 from shtlab.config import (
     CHECK_NAMES,
     ConfigError,
@@ -153,6 +154,9 @@ class TestParsing:
         # a JSON int beyond float range
         ({"p": 10**400}, "scenario.p"),
         ({"delta": -(10**400)}, "scenario.delta"),
+        # an open ball of radius <= 0 is empty
+        ({"function": {"kind": "ball", "radius": 0}}, "scenario.function.radius"),
+        ({"function": {"kind": "ball", "radius": -0.25}}, "scenario.function.radius"),
     ]
 
     @pytest.mark.parametrize("over, field", REJECTED)
@@ -271,8 +275,7 @@ class TestGenerators:
         ball = make_function(
             space, self._sc(function={"kind": "ball", "center": 0, "radius": 0.3})
         )
-        members = space.ball_at(0, 0.3).members
-        assert set(np.flatnonzero(ball).tolist()) == set(members.tolist())
+        assert np.array_equal(np.flatnonzero(ball), oracles.ball_at(space, 0, 0.3))
         signed = make_function(
             space,
             parse_config(_minimal(space={"kind": "line", "n": 64},

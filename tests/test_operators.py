@@ -495,7 +495,7 @@ class TestCommutatorBM:
 def _grand_on_ball(sp, b0, f):
     """The grand maximal operator localized to b0, truncated to its
     4 A0 enlargement."""
-    trunc = sp.ball_at(b0.center, 4.0 * sp.a0 * b0.radius).members
+    trunc = oracles.ball_at(sp, b0.center, 4.0 * sp.a0 * b0.radius)
     vals, _, _ = region_grand_maximal(sp, b0.members, trunc, [f])
     return vals[0]
 

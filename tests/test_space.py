@@ -213,7 +213,7 @@ class TestCanonicalBalls:
     def test_members_match_strict_radius(self):
         for kind, n, sp in spaces():
             for ball in sp.canonical_balls():
-                expect = oracles.ball_members(sp, ball.center, ball.radius)
+                expect = oracles.ball_at(sp, ball.center, ball.radius)
                 assert np.array_equal(ball.members, expect)
 
     def test_exhaustive_against_random_radii(self):
@@ -226,7 +226,7 @@ class TestCanonicalBalls:
             for _ in range(1000):
                 c = int(rng.integers(sp.n))
                 r = float(rng.uniform(1e-9, rmax))
-                mem = tuple(oracles.ball_members(sp, c, r).tolist())
+                mem = tuple(oracles.ball_at(sp, c, r).tolist())
                 if mem:
                     assert (c, mem) in canon
 
@@ -242,8 +242,9 @@ class TestCanonicalBalls:
 
     def test_ball_at_strict_semantics(self):
         sp = build_space("line", 8)
-        got = sp.ball_at(0, 0.25).members
-        assert np.array_equal(got, [0, 1])  # 2/8 = 0.25 excluded
+        assert np.array_equal(oracles.ball_at(sp, 0, 0.25), [0, 1])  # 2/8 = 0.25 excluded
+        got = sp.canonical_ball(int(sp.ball_ids(0, 0.25)))
+        assert got.center == 0 and np.array_equal(got.members, [0, 1])
 
     def test_smallest_covering_ball(self):
         sp = build_space("line", 8)
@@ -263,6 +264,62 @@ class TestCanonicalBalls:
                 for x in range(sp.n):
                     holding = [i for i in ids if x in set(balls[i].members.tolist())]
                     assert ptr[x, c] == min(holding)
+
+
+BALL_ID_SPACES = {
+    "line": lambda: build_space("line", 16),
+    "sqline": lambda: build_space("sqline", 12),
+    "tree": lambda: build_space("tree", 15),
+    "grid2d": lambda: build_space("grid2d", 4),
+    "tied_quasi_grid": oracles.tied_quasi_grid,
+    "lognormal_plane": oracles.lognormal_plane,
+}
+
+
+class TestBallIds:
+    """``ball_ids`` against the open ball read straight off a distance
+    row, at every center and at radii on, between, below and above the
+    space's distances."""
+
+    @staticmethod
+    def _radii(sp):
+        d = np.unique(sp.dist[sp.dist > 0])
+        # each distance exactly (it leaves its own points out), the
+        # midpoints, below the smallest and above the diameter
+        return np.concatenate([d, (d[:-1] + d[1:]) / 2.0, [d[0] / 2.0, 2.0 * d[-1]]])
+
+    @pytest.mark.parametrize("name", sorted(BALL_ID_SPACES))
+    @pytest.mark.parametrize("block", [None, 1])
+    def test_every_center_and_radius_matches_the_open_ball(self, monkeypatch, name, block):
+        sp = BALL_ID_SPACES[name]()
+        t = sp.ball_table()
+        if block is not None:
+            # one ball per block of the count
+            monkeypatch.setattr(space_module, "TABLE_BLOCK", block)
+        radii = self._radii(sp)
+        centers = np.repeat(np.arange(sp.n), len(radii))
+        radii = np.tile(radii, sp.n)
+        ids = sp.ball_ids(centers, radii)
+        assert ids.dtype == np.int64 and ids.shape == centers.shape
+        assert np.array_equal(t.center[ids], centers)
+        for i, c, r in zip(ids.tolist(), centers.tolist(), radii.tolist()):
+            assert np.array_equal(sp.canonical_ball(i).members, oracles.ball_at(sp, c, r))
+
+    def test_inputs_broadcast(self):
+        sp = build_space("line", 8)
+        radii = np.array([[0.1], [0.3]])
+        ids = sp.ball_ids(np.arange(3), radii)
+        assert ids.shape == (2, 3)
+        assert int(sp.ball_ids(2, 0.3)) == ids[1, 2]
+        assert sp.ball_ids(2, 0.3).shape == ()
+
+    @pytest.mark.parametrize("radius", [0.0, -0.25, float("nan")])
+    def test_nonpositive_radius_raises(self, radius):
+        sp = build_space("line", 8)
+        with pytest.raises(ValueError, match="positive"):
+            sp.ball_ids(0, radius)
+        with pytest.raises(ValueError, match="positive"):
+            sp.ball_ids([0, 1], [0.5, radius])
 
 
 class TestCanonicalBallsView:
@@ -343,16 +400,16 @@ class TestMeasuredConstants:
     def test_doubling_inequality_valid(self):
         for kind, n, sp in spaces():
             for ball in sp.canonical_balls():
-                small = oracles.ball_members(sp, ball.center, ball.radius)
-                big = oracles.ball_members(sp, ball.center, 2 * ball.radius)
+                small = oracles.ball_at(sp, ball.center, ball.radius)
+                big = oracles.ball_at(sp, ball.center, 2 * ball.radius)
                 assert sp.measure(big) <= sp.c_mu * sp.measure(small) + 1e-12
 
     def test_updim_inequality_valid(self):
         for kind, n, sp in spaces():
             for lam in (2.0, 4.0, 8.0):
                 for ball in sp.canonical_balls():
-                    small = oracles.ball_members(sp, ball.center, ball.radius)
-                    big = oracles.ball_members(sp, ball.center, lam * ball.radius)
+                    small = oracles.ball_at(sp, ball.center, ball.radius)
+                    big = oracles.ball_at(sp, ball.center, lam * ball.radius)
                     bound = sp.c_mu * lam**sp.updim * sp.measure(small)
                     assert sp.measure(big) <= bound * (1 + 1e-12)
 
@@ -515,4 +572,4 @@ class TestBallTable:
             for i in range(len(t.center)):
                 ball = sp.canonical_ball(i)
                 assert (ball.center, ball.radius, ball.index) == (t.center[i], t.radius[i], i)
-                assert np.array_equal(ball.members, oracles.ball_members(sp, ball.center, ball.radius))
+                assert np.array_equal(ball.members, oracles.ball_at(sp, ball.center, ball.radius))

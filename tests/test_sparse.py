@@ -1,11 +1,13 @@
 """Sparse families: packing constants, stopping-time selection,
 oscillation augmentation, and pointwise domination certificates."""
 
+import dataclasses
 import functools
 import json
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -267,6 +269,100 @@ class TestDominationFloors:
         assert certificate_to_dict(build_domination(space, adjacent, b, f, root)) == floored
 
 
+COVER_SPACES = {
+    "line96": lambda: build_space("line", 96),
+    "tree31": lambda: build_space("tree", 31),
+    "grid2d6": lambda: build_space("grid2d", 6),
+    "tied": oracles.tied_quasi_grid,
+}
+
+
+class TestCoverBalls:
+    """The cover balls and each tree's widened truncation ball, as
+    table ids, against a cover built from brute-force open balls."""
+
+    @pytest.mark.parametrize("name", sorted(COVER_SPACES))
+    def test_covers_and_tree_truncations_match_brute_force(self, monkeypatch, name):
+        space = COVER_SPACES[name]()
+        t = space.ball_table()
+        adjacent = build_adjacent_systems(space, 0.5, 2, seed=0)
+        rng = np.random.default_rng(3)
+        b = np.exp(0.5 * rng.standard_normal(space.n))
+        f = rng.lognormal(0.0, 1.0, space.n)
+        tops = []
+
+        def top_only(space, systems, b, absf, region, trunc_ball, *rest):
+            tops.append((region, trunc_ball))
+
+        monkeypatch.setattr(sparse, "_dominate_node", top_only)
+        roots = [0, space.n // 3, *rng.choice(len(t.center), 4, replace=False).tolist()]
+        for root in map(space.canonical_ball, roots):
+            want = oracles.cover_balls(space, root.center, root.radius)
+            covers = sparse._cover_balls(space, root.index, root.radius)
+            assert [(int(t.center[i]), r) for i, r in covers] == [(c, r) for c, r, _ in want]
+            for (i, _), (_, _, members) in zip(covers, want):
+                assert np.array_equal(space.canonical_ball(i).members, members)
+
+            del tops[:]
+            cert = build_domination(space, adjacent, b, f, root)
+            assert len(tops) == len(cert.trees) == len(want)
+            for (region, (trunc, radius)), (c, r, members), tree in zip(tops, want, cert.trees):
+                assert np.array_equal(region, members)
+                needed = np.union1d(oracles.ball_at(space, c, 4.0 * space.a0 * r), root.members)
+                wide = space.canonical_ball(trunc)
+                assert wide.center == c and radius == wide.radius
+                assert np.array_equal(wide.members, oracles.smallest_ball_holding(space, c, needed))
+                assert (tree["cover_center"], tree["cover_radius"]) == (c, r)
+                assert (tree["trunc_center"], tree["trunc_radius"]) == (c, radius)
+
+    @pytest.mark.parametrize("name", sorted(COVER_SPACES))
+    def test_child_truncations_match_brute_force(self, monkeypatch, name):
+        # each selected cube's truncation ball is B(c, 4 A0 r), B(c, r)
+        # the smallest canonical ball at the cube's center holding it
+        space = COVER_SPACES[name]()
+        radius_of = {(b.center, tuple(b.members.tolist())): b.radius for b in space.canonical_balls()}
+        checks = sparse._node_checks_pass
+        seen = []
+
+        def checked(space, selection, *rest):
+            truncs = checks(space, selection, *rest)
+            for cube, (trunc, radius) in zip(selection, truncs or []):
+                c = int(cube.center)
+                r = radius_of[(c, tuple(oracles.smallest_ball_holding(space, c, cube.members).tolist()))]
+                ball = space.canonical_ball(trunc)
+                assert (ball.center, radius) == (c, 4.0 * space.a0 * r)
+                assert np.array_equal(ball.members, oracles.ball_at(space, c, radius))
+                seen.append(trunc)
+            return truncs
+
+        monkeypatch.setattr(sparse, "_node_checks_pass", checked)
+        adjacent = build_adjacent_systems(space, 0.5, 2, seed=1)
+        rng = np.random.default_rng(8)
+        for _ in range(4):
+            b = np.exp(rng.standard_normal(space.n))
+            f = rng.lognormal(0.0, 2.0, space.n)
+            build_domination(space, adjacent, b, f, space.smallest_covering_ball(np.arange(space.n)))
+        assert seen
+
+    def test_root_ball_must_be_a_table_ball(self):
+        space = build_space("line", 8)
+        adjacent = build_adjacent_systems(space, 0.5, 2, seed=0)
+        b, f = np.linspace(0.0, 1.0, 8), np.ones(8)
+        root = space.canonical_ball(5)
+        balls = len(space.canonical_balls())
+        for index in (-1, balls, balls + 3):
+            with pytest.raises(ValueError, match="not a ball table id"):
+                build_domination(space, adjacent, b, f, dataclasses.replace(root, index=index))
+        for other in (
+            dataclasses.replace(root, index=6),
+            dataclasses.replace(root, members=root.members[:-1]),
+            dataclasses.replace(space.canonical_ball(5 + 8), index=5),
+        ):
+            with pytest.raises(ValueError, match="differs from canonical ball"):
+                build_domination(space, adjacent, b, f, other)
+        build_domination(space, adjacent, b, f, dataclasses.replace(root))
+
+
 def _same_capture(got, want):
     return got[0] == want[0] and got[1] is want[1] and got[2] == want[2]
 
@@ -280,7 +376,7 @@ class TestCaptureCube:
         systems = build_adjacent_systems(space, 0.5, t_count, seed=0).systems
         matched = []
         for ball in space.canonical_balls():
-            got = sparse._capture_cube(space, systems, ball)
+            got = sparse._capture_cube(space, systems, ball.index, ball.radius)
             assert _same_capture(got, oracles.capture_cube(space, systems, ball))
             matched.append(got[2])
         assert matched.count(False) == fallbacks
@@ -289,11 +385,15 @@ class TestCaptureCube:
         calls, mismatches = [], []
         lookup = sparse._capture_cube
 
-        def checked(space, systems, ball):
-            got = lookup(space, systems, ball)
+        def checked(space, systems, ball, radius):
+            got = lookup(space, systems, ball, radius)
             calls.append(got)
-            if not _same_capture(got, oracles.capture_cube(space, systems, ball)):
-                mismatches.append((ball.center, ball.radius))
+            # the id must be the open ball of its center and radius
+            c = int(space.ball_table().center[ball])
+            brute = SimpleNamespace(center=c, radius=radius, members=oracles.ball_at(space, c, radius))
+            same = np.array_equal(space.canonical_ball(ball).members, brute.members)
+            if not same or not _same_capture(got, oracles.capture_cube(space, systems, brute)):
+                mismatches.append((ball, radius))
             return got
 
         monkeypatch.setattr(sparse, "_capture_cube", checked)

@@ -145,7 +145,7 @@ class TestStrongDoublingExponent:
         for ball in sp.canonical_balls():
             mu = sp.measure(ball.members)
             for lam in lams:
-                big = sp.measure(oracles.ball_members(sp, ball.center, lam * ball.radius))
+                big = sp.measure(oracles.ball_at(sp, ball.center, lam * ball.radius))
                 assert big <= lam**expo * mu * (1.0 + 1e-12)
                 worst = max(worst, math.log(big / mu) / math.log(lam))
         assert expo == pytest.approx(worst, rel=1e-12, abs=1e-15)
