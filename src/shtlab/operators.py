@@ -64,9 +64,15 @@ order).  Two exact reorganizations keep desk-scale evaluation fast:
   ``ball_sum_blocks`` pass, and per class of B the max of n table
   entries, one per center, gathered for chunks of classes
   (``region_grand_maximal``).
-  Given a floor per function, it first reads the same entries of the
-  uncut averages, an upper bound of each class's value, and evaluates
-  only the classes and enlargements whose bound exceeds a floor.
+  Given a floor per function, it first bounds each class by the uncut
+  averages of the balls that meet B and leave E, read from one suffix
+  max table of the uncut averages, and evaluates only the classes and
+  enlargements whose bound exceeds a floor.  The rule is exact: a ball
+  inside E has the same cut and uncut sums (one cumsum over the same
+  values), so its cut average is exactly 0, never above a floor (floors
+  are >= 0); for every other ball fl(a - b) <= a when b >= 0, and the
+  division by its measure is monotone, so the bound is >= the exact
+  inner value bit for bit.
 * The class map (``_member_classes``), which the kernel and the grand
   maximal read, is the one dedup of ball member sets, memoized per
   space.  Equal sets have equal counts, so it runs on chunks of whole
@@ -646,21 +652,21 @@ def _sub_balls(space: QuasiMetricSpace, region: np.ndarray) -> np.ndarray:
 
 
 def _sub_ball_classes(space: QuasiMetricSpace, sub_ids: np.ndarray) -> Tuple[np.ndarray, ...]:
-    """(rep, twin, cut): each class of sub-balls sharing member set and
+    """(rep, twin, enl): each class of sub-balls sharing member set and
     4 A0 enlargement E at its lowest sub-ball, each sub-ball's class, and
-    each sub-ball's E as a member class.  E = B(c, 4 A0 r) is read as a
-    table id by ``space.ball_ids``.  The pairs (member class, E's class)
-    are deduplicated as one big-endian word each, and the classes
-    numbered by their lowest sub-ball, so rep ascends."""
+    each class's E as the table id at that sub-ball's center, read by
+    ``space.ball_ids``.  The pairs (member class, E's member class) are
+    deduplicated as one big-endian word each, and the classes numbered
+    by their lowest sub-ball, so rep ascends."""
     t = space.ball_table()
     first, member = _member_classes(space)
-    cut = member[space.ball_ids(t.center[sub_ids], 4.0 * space.a0 * t.radius[sub_ids])]
-    pair = member[sub_ids].astype(np.uint64) * np.uint64(len(first)) + cut.astype(np.uint64)
+    enl = space.ball_ids(t.center[sub_ids], 4.0 * space.a0 * t.radius[sub_ids])
+    pair = member[sub_ids].astype(np.uint64) * np.uint64(len(first)) + member[enl].astype(np.uint64)
     rep, twin = _distinct_rows(pair.astype(">u8").view(np.uint8).reshape(-1, 8))
     keep = np.argsort(rep)
     number = np.empty_like(keep)
     number[keep] = np.arange(len(keep))
-    return rep[keep], number[twin], cut
+    return rep[keep], number[twin], enl[rep[keep]]
 
 
 # bytes per suffix max table of an enlargement block of ``region_grand_maximal``
@@ -696,10 +702,20 @@ def region_grand_maximal(
     averages depend on a class only through its enlargement E, and the
     balls at c' meeting B are the suffix of c''s list from the smallest
     one meeting B, so each class reads n entries of the suffix max
-    table of its E.  The same read of the uncut averages bounds a
-    class's inner value from above (w >= 0, so cutting lowers each
-    sum), and classes whose bound stays at or below every floor are
-    not evaluated.  Enlargements go in blocks whose suffix max table
+    table of its E.
+
+    Given floors, a class is evaluated only if its bound exceeds a
+    floor.  The bound is the max of the uncut averages over the balls
+    B' that meet B and are not inside E: at each center c' a suffix of
+    its list, from the later of the smallest ball meeting B and the
+    smallest ball holding a point outside E, so one read of the uncut
+    suffix max table per center.  A B' inside E has cut average
+    exactly 0 (its cut and uncut sums are one cumsum over the same
+    values), never above a floor; any other B' has cut average at most
+    its uncut one bit for bit (fl(a - b) <= a for b >= 0, and dividing
+    by the measure is monotone).  If E is the whole space, no ball
+    leaves it and the class is skipped.  So skipping changes no value
+    or witness.  Enlargements go in blocks whose suffix max table
     stays within (balls x n) floats and ``GRAND_BLOCK`` bytes; the cut
     averages go into it one ``ball_sum_blocks`` block at a time.
     """
@@ -723,7 +739,7 @@ def region_grand_maximal(
     w_t = np.stack([space.mass * np.abs(np.asarray(f, float)) * trunc_ind for f in fs], axis=1)
     s_full = space.ball_sums(w_t)
 
-    rep, twin, cut = _sub_ball_classes(space, sub_ids)
+    rep, twin, enl = _sub_ball_classes(space, sub_ids)
 
     # the balls at c meeting B are those from slot meet[c, j] on, the
     # slot of the smallest ball at c holding a member of class j: the
@@ -738,10 +754,20 @@ def region_grand_maximal(
     evaluated, meets = [np.empty(0, dtype=np.int64)], [np.empty((n, 0), dtype=slot_type)]
     for c in _distinct(t.center[ids]):
         cols = np.flatnonzero(t.center[ids] == c)
-        reach = np.minimum.accumulate(pslot.T[:, t.order[c]], axis=1)
-        meet = reach[:, t.count[ids[cols]] - 1]
-        bound = uncut[meet, every].max(axis=0)  # (classes, functions)
-        keep = (bound > lows).any(axis=1)
+        along = pslot.T[:, t.order[c]]  # (centers, positions of c's order)
+        meet = np.minimum.accumulate(along, axis=1)[:, t.count[ids[cols]] - 1]
+        keep = (uncut[meet, every].max(axis=0) > lows).any(axis=1)
+        if floors is not None and keep.any():
+            # the balls at c' inside E (cut average exactly 0, never
+            # above a floor) end before slot leave[c', q], that of the
+            # smallest ball at c' holding a point of c's order at or
+            # past E's count q: a suffix min along that order.  If E
+            # is the whole space (q = n), no ball leaves it.
+            q = t.count[enl[cols[keep]]]
+            leave = np.minimum.accumulate(along[:, ::-1], axis=1)[:, ::-1]
+            tight = uncut[np.maximum(meet[:, keep], leave[:, np.minimum(q, n - 1)]), every].max(axis=0)
+            tight[q == n] = -np.inf
+            keep[keep] = (tight > lows).any(axis=1)
         evaluated.append(cols[keep])
         meets.append(meet[:, keep].astype(slot_type))
     del uncut
@@ -750,10 +776,11 @@ def region_grand_maximal(
     del meets
     # the distinct enlargements in member class order, each read from
     # the table at the lowest ball of its class
-    cut = cut[rep[evaluated]]
+    first, member = _member_classes(space)
+    cut = member[enl[evaluated]]
     cuts = _distinct(cut)
     cut_of = np.searchsorted(cuts, cut)
-    cuts = _member_classes(space)[0][cuts]
+    cuts = first[cuts]
     # the (slots x centers x columns) table stays within (balls x n)
     # floats and GRAND_BLOCK bytes
     step = max(1, min(nb, GRAND_BLOCK // (8 * n)) // width // k)

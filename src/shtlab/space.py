@@ -267,18 +267,22 @@ class QuasiMetricSpace:
     def ball_ids(self, centers, radii) -> np.ndarray:
         """int64 id of each open ball {y : d(c, y) < r}, centers c and
         radii r broadcast together: ptr[order[c, count - 1], c], count
-        being the points nearer than r (counted per ``TABLE_BLOCK // n``
-        balls).  ValueError unless every r > 0, so that c is inside."""
+        being the points nearer than r, one ``searchsorted`` of a
+        center's radii on its sorted distances.  ValueError unless every
+        r > 0, so that c is inside, and IndexError unless 0 <= c < n."""
         t = self.ball_table()
         c, r = np.broadcast_arrays(np.asarray(centers, dtype=np.int64), np.asarray(radii, dtype=np.float64))
         if not np.all(r > 0):
             raise ValueError("ball radii must be positive")
+        if c.size and not 0 <= c.min() <= c.max() < self.n:
+            raise IndexError(f"ball centers out of range [0, {self.n})")
         shape, c, r = c.shape, c.ravel(), r.ravel()
         count = np.empty(c.size, dtype=np.int64)
-        step = max(1, TABLE_BLOCK // self.n)
-        for s0 in range(0, c.size, step):
-            s = slice(s0, s0 + step)
-            count[s] = np.count_nonzero(self.dist[c[s]] < r[s, None], axis=1)
+        by_center = np.argsort(c, kind="stable")
+        bounds = np.searchsorted(c[by_center], np.arange(self.n + 1))
+        for x in np.flatnonzero(bounds[1:] > bounds[:-1]).tolist():
+            s = by_center[bounds[x] : bounds[x + 1]]
+            count[s] = np.searchsorted(self.dist[x, t.order[x]], r[s])
         return t.ptr[t.order[c, count - 1], c].astype(np.int64).reshape(shape)
 
     def canonical_ball(self, i: int) -> Ball:

@@ -894,14 +894,14 @@ class TestGrandMaximalOracle:
 
     def _check_classes(self, sp, region):
         sub_ids = operators._sub_balls(sp, region)
-        rep, twin, cut = operators._sub_ball_classes(sp, sub_ids)
+        rep, twin, enl = operators._sub_ball_classes(sp, sub_ids)
         want_rep, want_twin, want_enlarged = oracles.sub_ball_classes(sp, sub_ids)
         assert np.array_equal(rep, want_rep)
         assert np.array_equal(twin, want_twin)
         t = sp.ball_table()
-        e = operators._member_classes(sp)[0][cut[rep]]
-        assert np.array_equal(t.rank[t.center[e]] < t.count[e, None], want_enlarged)
-        return rep, cut
+        assert np.array_equal(t.center[enl], t.center[sub_ids[rep]])
+        assert np.array_equal(t.rank[t.center[enl]] < t.count[enl, None], want_enlarged)
+        return rep, enl
 
     @pytest.mark.parametrize(
         "kind,n", [("line", 48), ("sqline", 32), ("tree", 31), ("grid2d", 6), ("ties", 5)]
@@ -922,8 +922,8 @@ class TestGrandMaximalOracle:
         classes = np.unique(np.concatenate([inside, enlarged], axis=1), axis=0)
         # every ball lies in the full region; far fewer enlargements than classes
         assert (len(classes), len(np.unique(classes[:, sp.n :], axis=0))) == (1017, 280)
-        rep, cut = self._check_classes(sp, np.arange(sp.n))
-        assert (len(rep), len(np.unique(cut[rep]))) == (1017, 280)
+        rep, enl = self._check_classes(sp, np.arange(sp.n))
+        assert (len(rep), len(np.unique(operators._member_classes(sp)[1][enl]))) == (1017, 280)
         calls = []
         blocks = sp.ball_sum_blocks
         monkeypatch.setattr(
@@ -946,7 +946,17 @@ class TestGrandMaximalOracle:
         assert _twin_sub_balls(sp, sub_ids) > 0
 
     @pytest.mark.parametrize(
-        "kind,n", [("line", 48), ("sqline", 32), ("tree", 31), ("grid2d", 6), ("ties", 5)]
+        "kind,n",
+        [
+            ("line", 48),
+            ("sqline", 32),
+            ("tree", 31),
+            ("grid2d", 6),
+            ("ties", 5),
+            # some or all enlargements are the whole space
+            ("pair", 2),
+            ("line", 4),
+        ],
     )
     def test_floors_report_exact_values_above_them(self, kind, n):
         sp = oracles.tied_quasi_grid(n) if kind == "ties" else build_space(kind, n)
@@ -955,18 +965,20 @@ class TestGrandMaximalOracle:
         g = rng.standard_normal(sp.n)
         g[rng.random(sp.n) < 0.4] = 0.0
         full = np.arange(sp.n)
-        b0 = sp.smallest_covering_ball(np.arange(sp.n // 3))
+        b0 = sp.smallest_covering_ball(np.arange(max(1, sp.n // 3)))
         enlarged = np.flatnonzero(sp.dist[b0.center] < 4.0 * sp.a0 * b0.radius)
         scattered = np.sort(rng.choice(sp.n, sp.n // 2, replace=False))
         for region, trunc in ((full, full), (b0.members, enlarged), (scattered, full)):
             want_vals, want_wits, _ = oracles.region_grand_maximal(sp, region, trunc, [f, g])
             on = np.zeros(sp.n, dtype=bool)
             on[region] = True
-            for level in (
+            # floors between the region's values decide which classes
+            # the bounds may skip
+            for level in [
                 lambda v: 0.0,
                 lambda v: float(np.median(v[region])),
                 lambda v: 1.5 * float(v.max()) + 1.0,
-            ):
+            ] + [lambda v, q=q: float(np.quantile(v[region], q)) for q in (0.1, 0.3, 0.7, 0.9, 0.97)]:
                 floors = [level(v) for v in want_vals]
                 vals, wits, _ = region_grand_maximal(
                     sp, region, trunc, [f, g], floors=floors, want_witness=True

@@ -292,13 +292,15 @@ class TestBallIds:
     @pytest.mark.parametrize("block", [None, 1])
     def test_every_center_and_radius_matches_the_open_ball(self, monkeypatch, name, block):
         sp = BALL_ID_SPACES[name]()
-        t = sp.ball_table()
         if block is not None:
-            # one ball per block of the count
+            # the table built one center per block
             monkeypatch.setattr(space_module, "TABLE_BLOCK", block)
+        t = sp.ball_table()
         radii = self._radii(sp)
-        centers = np.repeat(np.arange(sp.n), len(radii))
-        radii = np.tile(radii, sp.n)
+        # in shuffled order, so that each center's radii are scattered
+        perm = np.random.default_rng(0).permutation(sp.n * len(radii))
+        centers = np.repeat(np.arange(sp.n), len(radii))[perm]
+        radii = np.tile(radii, sp.n)[perm]
         ids = sp.ball_ids(centers, radii)
         assert ids.dtype == np.int64 and ids.shape == centers.shape
         assert np.array_equal(t.center[ids], centers)
@@ -312,6 +314,14 @@ class TestBallIds:
         assert ids.shape == (2, 3)
         assert int(sp.ball_ids(2, 0.3)) == ids[1, 2]
         assert sp.ball_ids(2, 0.3).shape == ()
+
+    @pytest.mark.parametrize("center", [-1, 8])
+    def test_center_out_of_range_raises(self, center):
+        sp = build_space("line", 8)
+        with pytest.raises(IndexError, match="range"):
+            sp.ball_ids(center, 0.5)
+        with pytest.raises(IndexError, match="range"):
+            sp.ball_ids([0, center], 0.5)
 
     @pytest.mark.parametrize("radius", [0.0, -0.25, float("nan")])
     def test_nonpositive_radius_raises(self, radius):
