@@ -45,13 +45,15 @@ order).  Two exact reorganizations keep desk-scale evaluation fast:
   Each distinct probe column is evaluated once; a point mass at i has
   the closed forms C_b 1_i(x) = |b(x) - b(i)| m_i / mu and
   M 1_i(x) = m_i / mu with mu the smallest ball measure holding x and
-  i; C_b of the remaining columns takes one kernel call, and M and
-  [b, M] share one maximal function call.
+  i; the remaining columns go in blocks (``_spans``) through one
+  kernel, one apply per block, and one maximal function call per
+  block for both M and [b, M].
 * Scratch stays O(balls x n) whatever the column or sub-ball count,
   and a ball sup holds one (balls x columns)-sized array: its suffix
-  max table.  No array of every ball's sums or averages is built, the
-  blocks of ball sums stay within one (centers x columns) plane of the
-  table, and the read-out gathers within one such plane per point.
+  max table, whose rows it places and reads per block of balls and
+  chunk of points.  No array of every ball's sums or averages is built,
+  the blocks of ball sums stay within one (centers x columns) plane of
+  the table, and the read-out gathers within one such plane per point.
   Blocks and chunks take at least ``KERNEL_BLOCK // 8`` floats, so a
   small space takes one of each.  M takes its columns in even blocks
   whose table stays within (balls x n) floats.  The local grand
@@ -73,6 +75,12 @@ order).  Two exact reorganizations keep desk-scale evaluation fast:
   are >= 0); for every other ball fl(a - b) <= a when b >= 0, and the
   division by its measure is monotone, so the bound is >= the exact
   inner value bit for bit.
+  The probe images' consumers (the norm estimates here, the pointwise
+  [b, M] reduction and the lower bound's testing chain in ``verify``)
+  and their build take blocks of columns or probed balls of n entries
+  each (``_spans``: within ``KERNEL_BLOCK // 64`` entries per array,
+  or two columns or balls if more), so no consumer adds an (n x
+  probes) array to the memoized images.
 * The class map (``_member_classes``), which the kernel and the grand
   maximal read, is the one dedup of ball member sets, memoized per
   space.  Equal sets have equal counts, so it runs on chunks of whole
@@ -127,20 +135,19 @@ class OperatorResult:
 # -- maximal function --------------------------------------------------------
 
 
-def _ball_slots(space: QuasiMetricSpace) -> Tuple[np.ndarray, int, np.ndarray]:
-    """(slot, width, pslot): each ball's place in its center's
-    radius-sorted list (int64), the longest list, and pslot[x, c], the
-    slot of the smallest ball at c holding x (int32, as the table's
-    ball ids are)."""
+def _ball_slots(space: QuasiMetricSpace) -> Tuple[int, np.ndarray]:
+    """(width, pslot): the longest radius-sorted ball list, and
+    pslot[x, c], the slot of the smallest ball at c holding x (int32,
+    as the table's ball ids are)."""
     t = space.ball_table()
-    slot = np.arange(len(t.center)) - t.start[t.center]
-    return slot, int(slot.max()) + 1, np.subtract(t.ptr, t.start[:-1], dtype=np.int32)
+    return int(np.diff(t.start).max()), np.subtract(t.ptr, t.start[:-1], dtype=np.int32)
 
 
 # float entries per (rows x columns) plane of ``CommutatorKernel.apply``;
 # the kernel's and ``_distinct_rows``' set-up scratch goes in chunks of
-# as many bytes, and the ball sups' blocks and chunks take at least an
-# eighth as many floats
+# as many bytes, the ball sups' blocks and chunks take at least an
+# eighth as many floats, and the probe images' blocks (``_spans``) a
+# sixty-fourth
 KERNEL_BLOCK = 1 << 19
 
 
@@ -148,6 +155,23 @@ def _floats(size: int) -> int:
     """A block or chunk size of size floats, raised to at least
     ``KERNEL_BLOCK // 8`` so that a small space takes one block."""
     return max(KERNEL_BLOCK // 8, size)
+
+
+def _spans(count: int, n: int, unit: int = 1) -> List[slice]:
+    """Slices covering range(count) in order, max(2, ``KERNEL_BLOCK //
+    64 // n``) indices each, or the whole units that fit when unit is
+    smaller: the blocks of probe columns and probed balls, n entries
+    each, that the probe images are built and read in.  A lone last
+    index joins the slice before it, since numpy sums and multiplies a
+    one-row block as a contiguous vector (pairwise sums, gemv), which
+    can round otherwise than the same row of a wider block."""
+    step = max(2, KERNEL_BLOCK // 64 // max(1, n))
+    if unit < step:
+        step -= step % unit
+    edges = list(range(0, count, step))
+    if len(edges) > 1 and count - edges[-1] == 1:
+        edges.pop()
+    return [slice(a, b) for a, b in zip(edges, edges[1:] + [count])]
 
 
 def _suffix_max(
@@ -165,14 +189,18 @@ def _suffix_max(
     suffix from pslot[x, c] on, so table[pslot[x, c], c] is their sup."""
     t = space.ball_table()
     n = space.n
-    slot, width, _ = _ball_slots(space)
+    width = int(np.diff(t.start).max())  # the longest ball list
     table = np.full((width, n, k), -np.inf)
     # one flat row index scatters faster than the (slot, center) pair;
-    # slot is int64, so slot * n (up to n^2) cannot wrap
+    # each block's rows come from its own ids, in int64 so that
+    # slot * n (up to n^2) cannot wrap
     flat = table.reshape(width * n, k)
-    row = slot * n + t.center
     for ids, per_ball in blocks:
-        flat[row[ids]] = per_ball
+        center = t.center[ids].astype(np.int64)
+        row = np.arange(ids.start, ids.stop) - t.start[center]
+        row *= n
+        row += center
+        flat[row] = per_ball
         del per_ball  # freed before the next block is built
     arg = None
     if want_slot:
@@ -201,20 +229,22 @@ def _sup_over_balls(
     more."""
     t = space.ball_table()
     n = space.n
-    _, _, pslot = _ball_slots(space)
     suf, arg = _suffix_max(space, blocks, k, want_slot=want_witness)
+    starts = t.start[:-1]
     centers = np.arange(n)[None, :]
     values = np.empty((n, k))
     witnesses = np.empty((n, k), dtype=np.int64) if want_witness else None
     chunk = _floats(n * k) // (n * k)
     for x0 in range(0, n, chunk):
         x = slice(x0, min(n, x0 + chunk))
-        cand = suf[pslot[x], centers]  # (x, c, columns)
+        # the chunk's rows of pslot (see ``_ball_slots``)
+        pslot = np.subtract(t.ptr[x], starts, dtype=np.int32)
+        cand = suf[pslot, centers]  # (x, c, columns)
         best = cand.max(axis=1)
         values[x] = best
         if want_witness:
-            ids = arg[pslot[x], centers]
-            ids += t.start[:-1][None, :, None]
+            ids = arg[pslot, centers]
+            ids += starts[None, :, None]
             ids[cand != best[:, None, :]] = np.iinfo(np.int64).max
             witnesses[x] = ids.min(axis=1)
     return values, witnesses
@@ -466,9 +496,7 @@ class CommutatorKernel:
         rows = len(self.mu)
         values = np.empty((n, k))
         witnesses = np.empty((n, k), dtype=np.int64) if want_witness else None
-        # at most n columns, so a small space's planes stay within the
-        # (rows x n) of one column's cumulative sums
-        step = max(1, min(KERNEL_BLOCK // rows, n))
+        step, chunk = self._widths()
         others = np.flatnonzero(~indicator)
         indicator = np.flatnonzero(indicator)
         if len(indicator):
@@ -476,9 +504,6 @@ class CommutatorKernel:
             words = np.zeros((rows, -(-n // 64) * 8), dtype=np.uint8)
             words[:, : (n + 7) // 8] = _transposed_bits(self.bits, rows)
             words = words.view(np.uint64)
-            # a chunk's (row, column) intersections take at most one
-            # plane of words, or KERNEL_BLOCK // 8 if more
-            chunk = max(1, _floats(rows * step) // words.size)
             for j0 in range(0, len(indicator), chunk):
                 cols = indicator[j0 : j0 + chunk]
                 if not self._by_classes(words, u, cols, values, witnesses):
@@ -489,6 +514,17 @@ class CommutatorKernel:
         if want_witness:
             witnesses = witnesses.reshape(f.shape)
         return OperatorResult(values.reshape(f.shape), witnesses)
+
+    def _widths(self) -> Tuple[int, int]:
+        """(step, chunk) of ``apply``: the columns per (rows x columns)
+        plane of the per-row sums, at most n so that a small space's
+        planes stay within the (rows x n) of one column's cumulative
+        sums, and the indicator columns per chunk of the class path,
+        whose (row, column) intersections take at most one plane of
+        words, or ``KERNEL_BLOCK // 8`` if more."""
+        rows, n = len(self.mu), self.space.n
+        step = max(1, min(KERNEL_BLOCK // rows, n))
+        return step, max(1, _floats(rows * step) // (rows * -(-n // 64)))
 
     def _holders(self) -> Iterator[np.ndarray]:
         """Per position in symbol order, the (rows,) bool of which rows
@@ -746,7 +782,7 @@ def region_grand_maximal(
     # least such slot over B's members, a running min along the class's
     # own order.  Only the classes evaluated keep their meet column.
     ids = sub_ids[rep]
-    _, width, pslot = _ball_slots(space)
+    width, pslot = _ball_slots(space)
     uncut, _ = _suffix_max(space, [(slice(0, nb), s_full / t.measure[:, None])], k)
     every = np.arange(n)[:, None]
     # kept in the narrowest integer type holding a slot
@@ -1013,8 +1049,9 @@ def probe_images(
     the space.  Duplicate columns copy the image of the lowest column
     holding the same values, so argmax witnesses keep their labels.
     Point masses use the closed forms through the smallest ball holding
-    both points; other columns go through one ``CommutatorKernel.apply``
-    and one maximal function call for both M and [b, M]."""
+    both points.  The other distinct columns go in blocks (``_spans``)
+    through one ``CommutatorKernel``, one ``apply`` per block, and one
+    maximal function call per block for both M and [b, M]."""
     if probes < 1:
         raise ValueError("probes must be >= 1")
     b = np.asarray(b, dtype=np.float64)
@@ -1035,12 +1072,19 @@ def probe_images(
     cb[:, point] = np.abs(b[:, None] * m[i] - b[i] * m[i]) / minmu
     bm[:, point] = b[:, None] * mf[:, point] - (np.abs(b[i]) * m[i]) / minmu
     rest = np.flatnonzero(~point)
-    cb[:, rest] = CommutatorKernel(space, b).apply(F[:, first[rest]]).values
-    mf[:, rest], mbf = _maximal_pair(space, b[:, None], F[:, first[rest]])
-    bm[:, rest] = b[:, None] * mf[:, rest] - mbf
+    kernel = CommutatorKernel(space, b)
+    # whole class-path chunks per block, so blocks add no kernel pass
+    for j in (rest[s] for s in _spans(len(rest), space.n, kernel._widths()[1])):
+        cols = F[:, first[j]]
+        cb[:, j] = kernel.apply(cols).values
+        mf[:, j], mbf = _maximal_pair(space, b[:, None], cols)
+        bm[:, j] = b[:, None] * mf[:, j] - mbf
     # take keeps the images C-ordered, so column sums over them add
-    # row by row exactly as over the probe matrix
-    mf, cb, bm = (np.take(a, inverse, axis=1) for a in (mf, cb, bm))
+    # row by row exactly as over the probe matrix; one image at a time,
+    # so each distinct-column array is freed before the next expands
+    mf = np.take(mf, inverse, axis=1)
+    cb = np.take(cb, inverse, axis=1)
+    bm = np.take(bm, inverse, axis=1)
     for arr in (F, mf, cb, bm):
         arr.flags.writeable = False
     space._cache[key] = (F, tuple(labels), mf, cb, bm)
@@ -1055,11 +1099,16 @@ def estimate_from_values(
     lam2: np.ndarray,
     p: float,
 ) -> Tuple[float, int]:
-    """max over probe columns of ||op f||_{lambda2,p} / ||f||_{lambda1,p}."""
-    lam1 = np.asarray(lam1, dtype=np.float64)
-    lam2 = np.asarray(lam2, dtype=np.float64)
-    num = ((np.abs(op_values) ** p * (lam2 * space.mass)[:, None]).sum(axis=0)) ** (1.0 / p)
-    den = ((np.abs(probe_matrix) ** p * (lam1 * space.mass)[:, None]).sum(axis=0)) ** (1.0 / p)
-    ratios = num / den
+    """max over probe columns of ||op f||_{lambda2,p} / ||f||_{lambda1,p},
+    and the lowest column attaining it.  The norms go per block of
+    columns (``_spans``); each block's column sums add row by row, as
+    over the whole matrix."""
+    w2 = (np.asarray(lam2, dtype=np.float64) * space.mass)[:, None]
+    w1 = (np.asarray(lam1, dtype=np.float64) * space.mass)[:, None]
+    ratios = np.empty(probe_matrix.shape[1])
+    for j in _spans(len(ratios), space.n):
+        num = ((np.abs(op_values[:, j]) ** p * w2).sum(axis=0)) ** (1.0 / p)
+        den = ((np.abs(probe_matrix[:, j]) ** p * w1).sum(axis=0)) ** (1.0 / p)
+        ratios[j] = num / den
     best = int(np.argmax(ratios))
     return float(ratios[best]), best

@@ -249,8 +249,11 @@ class QuasiMetricSpace:
                 center += c0
                 last += 1
                 parts.append((center.astype(np.int16), last.astype(np.int16), radius, measure))
-            center, count, radius, measure = (np.concatenate(p) for p in zip(*parts))
+            # one field at a time, each field's parts dropped before the
+            # next is joined, so at most one field exists twice
+            fields = [list(p) for p in zip(*parts)]
             del parts
+            center, count, radius, measure = (np.concatenate(fields.pop(0)) for _ in range(4))
             self._cache["table"] = BallTable(
                 center=center,
                 count=count,

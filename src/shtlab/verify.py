@@ -13,12 +13,13 @@ as such.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .dyadic import DyadicCube, DyadicSystem
 from .operators import (
+    _spans,
     estimate_from_values,
     probe_images,
     sparse_commutator,
@@ -54,26 +55,65 @@ def _leq_entry(
     lhs == rhs when eq.  The entries split into runs at the given
     offsets; each run is normalized by its own scale max(1, |lhs|,
     |rhs|), and over several runs the worst is kept, so a per-cube or
-    per-probe check reads as one entry."""
-    lhs = np.atleast_1d(np.asarray(lhs, dtype=np.float64))
-    rhs = np.atleast_1d(np.asarray(rhs, dtype=np.float64))
-    values = np.zeros(1)
-    if lhs.size:
-        lhs, rhs = np.broadcast_arrays(lhs, rhs)
-        gap = np.maximum.reduceat((np.abs(lhs - rhs) if eq else lhs - rhs).ravel(), runs)
+    per-probe check reads as one entry.  One block of ``_leq_blocks``."""
+    return _leq_blocks(name, [(lhs, rhs, runs)], tol, eq)
+
+
+def _leq_blocks(
+    name: str, blocks: Iterable[Tuple[object, object, Sequence[int]]], tol: float, eq: bool = False
+) -> Dict[str, object]:
+    """``_leq_entry`` over blocks (lhs, rhs, runs) of entries, each
+    reduced as it comes, so no block outlives its turn.  A block's runs
+    are offsets into its own entries; the entries before its first
+    offset (all of them if it has none) continue the last run of the
+    blocks before, so a run may span blocks.  The entry is the one the
+    concatenated blocks give: a lone run reports its own value, several
+    their fmax (NaN runs drop out, and fail)."""
+    count, first, worst, passed = 0, 0.0, 0.0, True
+
+    def close(gap: np.ndarray, big_l: np.ndarray, big_r: np.ndarray) -> None:
+        # values of finished runs from their maxima of gap, |lhs| and |rhs|
+        nonlocal count, first, worst, passed
         if not eq:
             gap = np.where(gap > 0.0, gap, 0.0)
-        scale = np.ones(len(gap))
-        for side in (lhs, rhs):
-            scale = np.fmax(scale, np.maximum.reduceat(np.abs(side).ravel(), runs))
-        values = gap / scale
-    value = float(values[0]) if len(values) == 1 else float(np.fmax.reduce(values, initial=0.0))
+        values = gap / np.fmax(np.fmax(1.0, big_l), big_r)
+        if not count:
+            first = float(values[0])
+        count += values.size
+        worst = float(np.fmax.reduce(values, initial=worst))
+        passed = passed and bool(np.all(values <= tol))
+
+    last = None  # the maxima of the block before, whose last run may go on
+    for lhs, rhs, runs in blocks:
+        lhs = np.atleast_1d(np.asarray(lhs, dtype=np.float64))
+        rhs = np.atleast_1d(np.asarray(rhs, dtype=np.float64))
+        if not lhs.size:
+            continue
+        lhs, rhs = np.broadcast_arrays(lhs, rhs)
+        at = np.asarray(runs, dtype=np.intp)
+        head = not at.size or at[0] > 0
+        if head:
+            at = np.concatenate([[0], at])
+        gap = np.abs(lhs - rhs) if eq else lhs - rhs
+        maxima = [np.maximum.reduceat(x.ravel(), at) for x in (gap, np.abs(lhs), np.abs(rhs))]
+        if last is not None:
+            if head:
+                for now, before in zip(maxima, last):
+                    now[0] = np.maximum(now[0], before[-1])
+                last = [before[:-1] for before in last]
+            if last[0].size:
+                close(*last)
+        last = maxima
+    if last is not None:
+        close(*last)
+    elif not count:
+        close(np.zeros(1), np.zeros(1), np.zeros(1))  # no entries: one run of value 0
     return {
         "check": name,
         "kind": "exact",
-        "value": value,
+        "value": first if count == 1 else worst,
         "threshold": tol,
-        "passed": bool(np.all(values <= tol)),
+        "passed": passed,
     }
 
 
@@ -178,7 +218,12 @@ def verify_upper_bound_bm(
         raise ValueError("symbol b must be nonnegative for the [b, M] reduction")
     nu, bmo, ap1, ap2, scale = _upper_scale(space, b, lam1, lam2, p)
     F, _, _, cb, bm = probe_images(space, b, probes, seed, ball_cap)
-    reduction = _leq_entry("upper_bm.pointwise_reduction", np.abs(bm), cb, tol)
+    # one run over every probe, reduced per block of columns
+    reduction = _leq_blocks(
+        "upper_bm.pointwise_reduction",
+        ((np.abs(bm[:, j]), cb[:, j], ()) for j in _spans(F.shape[1], space.n)),
+        tol,
+    )
     est_bm, _ = estimate_from_values(space, bm, F, lam1, lam2, p)
     est_cb, _ = estimate_from_values(space, cb, F, lam1, lam2, p)
     mono = _leq_entry("upper_bm.rho_le_rho_cb", est_bm, est_cb, tol)
@@ -418,9 +463,12 @@ def verify_lower_bound(
 
     The median and point-pick steps take one pass over the centers.
     Each testing step (definition minorant, Hölder, restriction, testing
-    probe) is one entry over all probed balls at once, one run per ball
-    (per member of each ball for the minorant), each run normalized by
-    its own scale; the worst ball is reported.
+    probe) is one entry over all probed balls, one run per ball (over
+    its members for the minorant), each run normalized by its own
+    scale; the worst ball is reported.  The testing chain runs per
+    block of probed balls (``operators._spans``), so its (balls x n)
+    scratch stays within one block; the minorant is reduced block by
+    block and the other three steps read (balls,) vectors.
     """
     _validate_weights(space, lam1, lam2, p)
     b = np.asarray(b, dtype=np.float64)
@@ -486,28 +534,35 @@ def verify_lower_bound(
     F, labels, _, cb, _ = probe_images(space, b, probes, seed, ball_cap)
     est, est_idx = estimate_from_values(space, cb, F, lam1, lam2, p)
 
-    # testing chain on every probed ball at once, using honest kernel
-    # values: row r is probed ball ids[r], whose testing column is cols[r]
+    # testing chain per block of probed balls (``_spans``), using honest
+    # kernel values: row r is probed ball ids[r], whose testing column is cols[r]
     ids, cols = np.array(
         [(int(lab[5:]), j) for j, lab in enumerate(labels) if lab.startswith("ball:")],
         dtype=np.int64,
     ).reshape(-1, 2).T
-    inside = t.rank[t.center[ids]] < t.count[ids, None]
-    C = cb[:, cols].T  # C = C_b(chi_B), one row per probed ball
-    # tb[r, y] = int_{B_r} |b(x) - b(y)| dmu(x)
-    tb = inside.astype(np.float64) @ Km
-    ball_int = np.where(inside, C * lam2 * m, 0.0).sum(axis=1)
-    Cp = C**p * lam2 * m
-    ball_p = np.where(inside, Cp, 0.0).sum(axis=1) ** (1.0 / p)
-    full_p = Cp.sum(axis=1) ** (1.0 / p)
-    # l3 runs over each ball's members, the others over the balls
-    members = np.cumsum(t.count[ids]) - t.count[ids]
+    ball_int, ball_p, full_p = (np.empty(len(ids)) for _ in range(3))
+
+    def minorant_blocks():
+        # per block: the minorant's entries, one run per ball over its
+        # members; ball_int, ball_p and full_p are filled on the way
+        for r in _spans(len(ids), space.n):
+            inside = t.rank[t.center[ids[r]]] < t.count[ids[r], None]
+            C = cb[:, cols[r]].T  # C = C_b(chi_B), one row per probed ball
+            # tb[r, y] = int_{B_r} |b(x) - b(y)| dmu(x)
+            tb = inside.astype(np.float64) @ Km
+            ball_int[r] = np.where(inside, C * lam2 * m, 0.0).sum(axis=1)
+            Cp = C**p * lam2 * m
+            ball_p[r] = np.where(inside, Cp, 0.0).sum(axis=1) ** (1.0 / p)
+            full_p[r] = Cp.sum(axis=1) ** (1.0 / p)
+            count = t.count[ids[r]]
+            yield tb[inside], (mu[ids[r], None] * C)[inside], np.cumsum(count) - count
+
+    minorant = _leq_blocks("lower.defn_minorant", minorant_blocks(), tol_exact)
     each = np.arange(len(ids))
-    minorant = (mu[ids, None] * C)[inside]
     holder = ball_p * lam2B[ids] ** (1.0 / pprime)
     probe = est * lam1B[ids] ** (1.0 / p)
     entries += [
-        _leq_entry("lower.defn_minorant", tb[inside], minorant, tol_exact, members),
+        minorant,
         _leq_entry("lower.holder_on_ball", ball_int, holder, tol_holder, each),
         _leq_entry("lower.restriction", ball_p, full_p, tol_exact, each),
         _leq_entry("lower.testing_probe", full_p, probe, tol_exact, each),

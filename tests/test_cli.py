@@ -9,9 +9,11 @@ import sys
 import pytest
 
 from shtlab.cli import main
+from shtlab.config import make_function, make_space, make_symbol, parse_config
 from shtlab.dyadic import load_system
 from shtlab.report import json_bytes_without_runtime, rows_from_json
 from shtlab.space import load_space
+from shtlab.sparse import evaluate_bound_from_dict
 
 
 def _small_config(tmp_path, **over):
@@ -361,6 +363,45 @@ class TestOtherCommands:
             assert {"families", "bound", "c_emp", "exceptional"} <= set(doc)
             assert doc["exceptional"] == []
 
+    @pytest.mark.parametrize(
+        "function", [{"kind": "ball", "center": 5, "radius": 0.2}, {"kind": "point", "index": 7}]
+    )
+    def test_dominate_covers_a_localized_function_with_several_trees(self, tmp_path, function):
+        # f lives on one ball or one point, so the root ball is not the
+        # whole space and the annulus cover adds trees around it
+        doc = {
+            "scenarios": [
+                {
+                    "scenario": "line32-local",
+                    "space": {"kind": "line", "n": 32},
+                    "seed": 5,
+                    "p": 2.0,
+                    "symbol": {"kind": "log_coord"},
+                    "function": function,
+                    "checks": ["domination"],
+                }
+            ]
+        }
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(doc), encoding="utf-8")
+        texts = []
+        for run in ("first", "second"):
+            out = tmp_path / run
+            assert main(["dominate", "--config", str(cfg), "--out", str(out)]) == 0
+            texts.append((out / "line32-local-certificate.json").read_text(encoding="utf-8"))
+            rows = rows_from_json(_read(os.path.join(out, "dominate.json")).decode())
+            assert all(r.passed for r in rows)
+            assert any(r.check == "domination.roundtrip" for r in rows)
+        assert texts[0] == texts[1]
+        cert = json.loads(texts[0])
+        assert len(cert["trees"]) > 1
+        assert len({(t["trunc_center"], t["trunc_radius"]) for t in cert["trees"]}) > 1
+        # the stored bound is recomputed bit for bit from the stored cubes
+        (sc,) = parse_config(doc)
+        space = make_space(sc)
+        bound = evaluate_bound_from_dict(space, cert, make_symbol(space, sc), make_function(space, sc))
+        assert [float(v) for v in bound] == cert["bound"]
+
     def test_report_merge(self, tmp_path):
         cfg = _small_config(tmp_path)
         out = str(tmp_path / "reports")
@@ -407,6 +448,7 @@ def test_stock_suite_passes_at_seed(tmp_path, seed):
 _NUMPY_MA_SCRIPT = """
 import sys
 from shtlab.cli import main
+from shtlab.config import make_function, make_space, make_symbol, parse_config
 code = main(["verify", "--seed", "42", "--out", sys.argv[1]])
 print(code, "numpy.ma" in sys.modules)
 """

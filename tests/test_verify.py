@@ -21,7 +21,7 @@ from shtlab import (
     verify_upper_bound_bm,
     verify_upper_bound_cb,
 )
-from shtlab import verify
+from shtlab import operators, verify
 from shtlab.operators import _pair_min_ball_measure, estimate_from_values, probe_images
 
 
@@ -276,6 +276,148 @@ class TestLowerBound:
         entry = next(e for e in rep["entries"] if e["check"] == "lower.defn_minorant")
         assert not entry["passed"] and entry["value"] > 1e-3
         assert entry["value"] == pytest.approx(want["lower.defn_minorant"], rel=1e-12)
+
+
+def _leq_oracle(lhs, rhs, tol, starts, eq):
+    """(value, passed) of ``_leq_entry`` from its definition, run by run."""
+    values = []
+    for lo, hi in zip(starts, list(starts[1:]) + [len(lhs)]):
+        d = np.abs(lhs[lo:hi] - rhs[lo:hi]) if eq else lhs[lo:hi] - rhs[lo:hi]
+        gap = np.maximum.reduce(d)
+        if not eq:
+            gap = gap if gap > 0.0 else 0.0
+        big = np.fmax(np.maximum.reduce(np.abs(lhs[lo:hi])), np.maximum.reduce(np.abs(rhs[lo:hi])))
+        values.append(gap / np.fmax(1.0, big))
+    value = values[0] if len(values) == 1 else np.fmax.reduce(values, initial=0.0)
+    return float(value), all(v <= tol for v in values)
+
+
+class TestLeqBlocks:
+    @pytest.mark.parametrize("eq", [False, True])
+    def test_blocks_cut_anywhere_match_the_runs(self, eq):
+        # random runs cut into random blocks, cuts inside runs included;
+        # every run's value is distinct, so a lost run moves the max
+        rng = np.random.default_rng(11)
+        for trial in range(60):
+            size = int(rng.integers(1, 30))
+            lhs = 3.0 * rng.standard_normal(size)
+            rhs = 3.0 * rng.standard_normal(size)
+            if trial % 7 == 3:
+                lhs[rng.integers(size)] = np.nan
+            starts = np.union1d([0], np.flatnonzero(rng.random(size) < 0.3))
+            cuts = sorted(set(rng.integers(1, size, int(rng.integers(0, 4))).tolist())) if size > 1 else []
+            blocks = []
+            for lo, hi in zip([0] + cuts, cuts + [size]):
+                inner = starts[(starts >= lo) & (starts < hi)] - lo
+                blocks.append((lhs[lo:hi], rhs[lo:hi], inner))
+            tol = 0.25
+            value, passed = _leq_oracle(lhs, rhs, tol, starts, eq)
+            for entry in (verify._leq_blocks("x", blocks, tol, eq), verify._leq_entry("x", lhs, rhs, tol, starts, eq)):
+                assert repr(entry["value"]) == repr(value)
+                assert entry["passed"] == passed
+
+    def test_a_run_may_span_every_block(self):
+        rng = np.random.default_rng(12)
+        lhs, rhs = rng.standard_normal((2, 40))
+        blocks = [(lhs[i : i + 3], rhs[i : i + 3], ()) for i in range(0, 40, 3)]
+        assert verify._leq_blocks("x", blocks, 0.1) == verify._leq_entry("x", lhs, rhs, 0.1)
+
+    def test_no_entries_read_as_one_zero_run(self):
+        empty = np.empty(0)
+        for entry in (verify._leq_blocks("x", [], 0.0), verify._leq_blocks("x", [(empty, empty, ())], 0.0)):
+            assert entry == verify._leq_entry("x", empty, empty, 0.0)
+            assert entry["value"] == 0.0 and entry["passed"]
+
+
+class TestProbeBlocks:
+    """The probe images are built and read per block of columns and of
+    probed balls (``operators._spans``).  These spaces fit one default
+    block, and the smallest blocks (two columns or balls, a tail of
+    three) must give the same bits."""
+
+    CASES = [("line", 16, None), ("tree", 15, None), ("ties", 5, 9), ("line", 24, 1)]
+
+    @staticmethod
+    def _reports(kind, n, cap):
+        space, b, lam1, lam2 = _testing_setup(kind, n)
+        F, labels, mf, cb, bm = probe_images(space, b, 4, 5, cap)
+        lower = verify_lower_bound(space, b, lam1, lam2, 1.5, probes=4, seed=5, ball_cap=cap)
+        upper = verify_upper_bound_bm(space, b, lam1, lam2, 1.5, probes=4, seed=5, ball_cap=cap)
+        return {
+            "blocks": len(operators._spans(F.shape[1], space.n)),
+            "images": [a.tobytes() for a in (F, mf, cb, bm)],
+            "estimates": [estimate_from_values(space, v, F, lam1, lam2, 1.5) for v in (F, mf, cb, bm)],
+            "lower": repr(lower),
+            "upper_bm": repr(upper),
+            "probed_balls": lower["probed_balls"],
+        }
+
+    def test_spans_cover_in_order_with_no_lone_tail(self, monkeypatch):
+        monkeypatch.setattr(operators, "KERNEL_BLOCK", 64 * 7 * 10)  # 7 per span at n = 10
+        assert operators._spans(15, 10) == [slice(0, 7), slice(7, 15)]
+        assert operators._spans(14, 10) == [slice(0, 7), slice(7, 14)]
+        # whole units of 3 fit six to a span; a unit of 9 fits none
+        assert operators._spans(13, 10, 3) == [slice(0, 6), slice(6, 13)]
+        assert operators._spans(5, 10, 9) == [slice(0, 5)]
+        assert operators._spans(1, 10) == [slice(0, 1)]
+        assert operators._spans(0, 10) == []
+
+    @pytest.mark.parametrize("kind,n,cap", CASES)
+    def test_smallest_blocks_match_one_block(self, kind, n, cap, monkeypatch):
+        want = self._reports(kind, n, cap)
+        assert want["blocks"] == 1
+        # a ball cap of 1 probes a single ball: each entry is one run
+        assert (want["probed_balls"] == 1) == (cap == 1)
+        monkeypatch.setattr(operators, "KERNEL_BLOCK", 1)
+        assert operators._spans(5, n) == [slice(0, 2), slice(2, 5)]
+        got = self._reports(kind, n, cap)
+        assert got["blocks"] > 1
+        assert got == dict(want, blocks=got["blocks"])
+
+    def test_a_failing_ball_survives_the_smallest_blocks(self, monkeypatch):
+        space, b, lam1, lam2 = _testing_setup("line", 24)
+        t = space.ball_table()
+        # every ball is probed, row i being ball i: a ball of id 5 mod 6
+        # ends a block of two balls and a block of three
+        target = next(i for i in range(int(t.start[12]), int(t.start[13])) if i % 6 == 5 and t.count[i] >= 6)
+
+        def halved(*args):
+            F, labels, mf, cb, bm = probe_images(*args)
+            cb = cb.copy()
+            cb[:, labels.index(f"ball:{target}")] *= 0.5
+            return F, labels, mf, cb, bm
+
+        monkeypatch.setattr(verify, "probe_images", halved)
+        want = verify_lower_bound(space, b, lam1, lam2, 2.0, probes=4, seed=5)
+        entry = next(e for e in want["entries"] if e["check"] == "lower.defn_minorant")
+        assert not entry["passed"] and entry["value"] > 1e-3
+        for rows in (2, 3):
+            monkeypatch.setattr(operators, "KERNEL_BLOCK", 64 * rows * space.n)
+            assert operators._spans(t.center.size, space.n)[0] == slice(0, rows)
+            got = verify_lower_bound(build_space("line", 24), b, lam1, lam2, 2.0, probes=4, seed=5)
+            assert repr(got) == repr(want)
+
+    def test_estimate_ties_keep_the_lowest_column_across_blocks(self, monkeypatch):
+        space = build_space("line", 12)
+        rng = np.random.default_rng(4)
+        F = rng.lognormal(0.0, 1.0, (12, 9))
+        F[:, 7] = F[:, 2]
+        values = F.copy()
+        values[:, [2, 7]] *= 3.0
+        w1, w2 = rng.lognormal(0.0, 0.4, (2, 12))
+
+        def whole(v):
+            # the one-shot form: one set of column sums over every column
+            num = ((np.abs(v) ** 1.5 * (w2 * space.mass)[:, None]).sum(axis=0)) ** (1.0 / 1.5)
+            den = ((np.abs(F) ** 1.5 * (w1 * space.mass)[:, None]).sum(axis=0)) ** (1.0 / 1.5)
+            ratios = num / den
+            return float(ratios[np.argmax(ratios)]), int(np.argmax(ratios))
+
+        for block in (operators.KERNEL_BLOCK, 1):
+            monkeypatch.setattr(operators, "KERNEL_BLOCK", block)
+            for v in (values, F, np.abs(values - 1.0)):
+                assert estimate_from_values(space, v, F, w1, w2, 1.5) == whole(v)
+            assert estimate_from_values(space, values, F, w1, w2, 1.5)[1] == 2
 
 
 class TestBloomJn:
