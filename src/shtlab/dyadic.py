@@ -8,13 +8,18 @@ covers the space within a comparable radius, and nets only grow as k
 increases.  Assembly yields one label array per level, top-down:
 every point joins the nearest level-k net center whose own cube at
 level k-1 is the point's current cube, ties going to the lower center
-id.  That is one masked argmin per level over the (n x net) distance
-columns, with every center outside the point's parent cube masked to
-inf.  The nonempty centers number the level's cubes in (parent alpha,
-center id) order.  That makes the partition, nestedness and
-unique-ancestor properties true by construction; ``verify_system``
-still certifies them exhaustively, because hand-built or deserialized
-systems carry no such guarantee.  The ``DyadicCube`` tree (members,
+id.  A net point is its own nearest center, so that is one masked
+argmin per level over the net's distance columns for the points
+outside the net only, with every center outside the point's parent
+cube masked to inf; ordered once by the level at which they join the
+net, those points are one suffix per level.  The centers, all
+nonempty, number the level's cubes in (parent alpha, center id)
+order.  That makes the partition, nestedness and unique-ancestor
+properties true by construction; ``verify_system`` still certifies
+them exhaustively, because hand-built or deserialized systems carry
+no such guarantee.  It runs each check per level over (cubes x n) or
+(cubes x cubes) arrays, and so do the sandwich constants and the
+monotone enlargement.  The ``DyadicCube`` tree (members,
 parent and child links) is built from the labels on first read of
 ``cubes``: capture only reads ``first_change``, a table built from the
 labels, so the unchosen systems of an adjacent pool never build one.
@@ -29,7 +34,9 @@ systems is out of reach (it needs delta below 1/(96 A0^6)), so
 systems with varied net seeds and net pitches and keeps the t_count of
 them that jointly capture the most canonical balls.  Capture is then
 certified ball-by-ball and failures are reported as data.  The
-geometric doubling count a1 behind the family-size bound runs every
+family's capture constant, and the family-size bound in its report,
+are computed on first read, as only the CLI ``system`` check reads
+them.  The geometric doubling count a1 behind that bound runs every
 canonical ball's separated-point greedy in one sweep of the points,
 on a table of uint64 words, one bit per (ball, point), taken in
 bounded blocks: the points a kept point closes are a prefix of its
@@ -49,9 +56,10 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -132,22 +140,42 @@ class DyadicSystem:
         return self._monotone_C1(self.containment_C1)
 
     @cached_property
+    def _cube_masks(self) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
+        """Per level: the cube centers in alpha order and the (cubes x n)
+        membership mask, one row per cube.  Certification reads the
+        cubes through these, one level at a time."""
+        n = self.space.n
+        out: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        for k in self.levels:
+            level = self.cubes[k]
+            centers = np.array([c.center for c in level], dtype=np.int64)
+            mask = np.zeros((len(level), n), dtype=bool)
+            if level:
+                rows = np.repeat(np.arange(len(level)), [len(c.members) for c in level])
+                mask[rows, np.concatenate([c.members for c in level])] = True
+            out[k] = (centers, mask)
+        return out
+
+    @cached_property
     def _sandwich(self) -> Tuple[float, float]:
         """(c1, C1), measured on first read: of an adjacent pool, only
-        the systems that get verified need them."""
+        the systems that get verified need them.  Per level, C1 takes the
+        farthest member of any cube and c1 the nearest nonmember of any
+        cube listing fewer than n members, each over delta^k; dividing
+        by delta^k is monotone, so the level extremes give the same
+        floats as the per-cube ones."""
         dist = self.space.dist
+        n = self.space.n
         c1 = math.inf
         C1 = 0.0
-        n = self.space.n
         for k in self.levels:
+            centers, mask = self._cube_masks[k]
             scale = self.delta**k
-            for cube in self.cubes[k]:
-                inside = dist[cube.center, cube.members]
-                C1 = max(C1, float(inside.max()) / scale)
-                if len(cube.members) < n:
-                    out = np.ones(n, dtype=bool)
-                    out[cube.members] = False
-                    c1 = min(c1, float(dist[cube.center, out].min()) / scale)
+            d = dist[centers]
+            C1 = max(C1, float(np.where(mask, d, 0.0).max(initial=0.0)) / scale)
+            full = np.array([len(c.members) >= n for c in self.cubes[k]], dtype=bool)
+            outside = np.where(mask | full[:, None], np.inf, d)
+            c1 = min(c1, float(outside.min(initial=np.inf)) / scale)
         return c1, C1
 
     def _monotone_C1(self, base: float) -> float:
@@ -157,27 +185,33 @@ class DyadicSystem:
         distance to the child center, C fails on the half-open interval
         [d_j / delta^child, H_j / delta^parent) where H_j is the prefix
         max of distances to the parent center; the answer is the first
-        point at or above base not covered by any failing interval."""
+        point at or above base not covered by any failing interval.
+        Each level's edges go as one (edges x n) array, and the sweep
+        over the intervals, sorted by (lo, hi), is a running max of hi."""
         dist = self.space.dist
         orders = self.space.ball_table().order
-        intervals: List[Tuple[float, float]] = []
-        for k in self.levels:
-            for cube in self.cubes[k]:
-                for child in cube.children:
-                    order = orders[child.center]
-                    d_child = dist[child.center][order]
-                    h_parent = np.maximum.accumulate(dist[cube.center][order])
-                    lo = d_child / self.delta**child.k
-                    hi = h_parent / self.delta**cube.k
-                    bad = hi > lo
-                    intervals.extend(zip(lo[bad].tolist(), hi[bad].tolist()))
-        intervals.sort()
-        c = base
-        for lo, hi in intervals:
-            if lo > c:
-                break
-            c = max(c, hi)
-        return c
+        lows, highs = [], []
+        for k, nxt in zip(self.levels, self.levels[1:]):
+            kids = [c for c in self.cubes[nxt] if c.parent is not None]
+            child = np.array([c.center for c in kids], dtype=np.int64)
+            parent = np.array([c.parent.center for c in kids], dtype=np.int64)  # type: ignore[union-attr]
+            # a center's distances along its stable order are its sorted distances
+            lo = np.sort(dist[child], axis=1)
+            lo /= self.delta**nxt
+            hi = np.take_along_axis(dist[parent], orders[child], axis=1)
+            np.maximum.accumulate(hi, axis=1, out=hi)
+            hi /= self.delta**k
+            bad = hi > lo
+            lows.append(lo[bad])
+            highs.append(hi[bad])
+        lo = np.concatenate([np.empty(0), *lows])
+        hi = np.concatenate([np.empty(0), *highs])
+        by = np.lexsort((hi, lo))
+        # reach[i]: C after the first i intervals; the sweep stops at the
+        # first interval that starts above it
+        reach = np.maximum.accumulate(np.concatenate(([base], hi[by])))
+        stop = np.flatnonzero(lo[by] > reach[:-1])
+        return float(reach[stop[0] if len(stop) else -1])
 
     @cached_property
     def first_change(self) -> np.ndarray:
@@ -249,8 +283,10 @@ def _greedy_nets(
     perm = rng.permutation(n)
     start = int(perm[0])
     dmax = float(space.dist[start].max())
-    d_all = space.dist + np.diag(np.full(n, np.inf))
-    k_top, _ = _level_range(dmax, float(d_all.min()), delta, sep_scale)
+    # the smallest positive distance: each point's nearest other point
+    # is second in its distance order
+    d_min = float(space.dist[np.arange(n), space.ball_table().order[:, 1]].min())
+    k_top, _ = _level_range(dmax, d_min, delta, sep_scale)
 
     in_net = np.zeros(n, dtype=bool)
     in_net[start] = True
@@ -292,16 +328,27 @@ def _level_range(
 def _assemble_system(
     space: QuasiMetricSpace, delta: float, seed: int, nets: Dict[int, np.ndarray]
 ) -> DyadicSystem:
-    """Labels per level by one masked argmin over the net's distance
-    columns: each point picks the nearest center inside its parent
-    cube, the first minimum being the lowest center id.  The nonempty
-    centers take alphas in (parent alpha, center id) order."""
+    """Labels per level, top-down.  A net point is its own nearest
+    center: its distance is 0 and its parent cube is its own.  So every
+    center is nonempty, and only the points outside the net take the
+    masked argmin over the net's distance columns: each picks the
+    nearest center inside its parent cube, the first minimum being the
+    lowest center id.  The nets only grow with k, so once the points are
+    ordered by the level at which they join, each level's points outside
+    the net are one suffix.  The centers take alphas in (parent alpha,
+    center id) order."""
     levels = sorted(nets)
     n = space.n
     k_top = levels[0]
+    joins = np.full(n, len(levels))
+    for i in range(len(levels) - 1, -1, -1):
+        joins[nets[levels[i]]] = i
+    by_join = np.argsort(joins, kind="stable")
+    # joined[i]: the points in the nets of levels[:i + 1]
+    joined = np.searchsorted(joins[by_join], np.arange(len(levels)), side="right").tolist()
     labels: Dict[int, np.ndarray] = {k_top: np.zeros(n, dtype=np.int64)}
     centers: Dict[int, np.ndarray] = {k_top: np.asarray(nets[k_top][:1], dtype=np.int64)}
-    for k in levels[1:]:
+    for i, k in enumerate(levels[1:], start=1):
         prev = labels[k - 1]
         net = np.sort(nets[k])
         cp = prev[net]
@@ -310,15 +357,18 @@ def _assemble_system(
                 "net does not refine the parent partition; "
                 "parent-consistent assignment infeasible"
             )
-        sub = space.dist[:, net]
-        sub[prev[:, None] != cp[None, :]] = np.inf
-        pick = np.argmin(sub, axis=1)
-        del sub
+        if joined[i] != len(net):
+            raise AssertionError("nets must grow with the level")
+        rest = by_join[joined[i] :, None]
+        sub = space.dist[rest, net]
+        sub[prev[rest] != cp] = np.inf
         order = np.argsort(cp, kind="stable")
-        order = order[np.bincount(pick, minlength=len(net))[order] > 0]
-        alpha = np.full(len(net), -1, dtype=np.int64)
-        alpha[order] = np.arange(len(order))
-        labels[k] = alpha[pick]
+        alpha = np.empty(len(net), dtype=np.int64)
+        alpha[order] = np.arange(len(net))
+        lab = np.empty(n, dtype=np.int64)
+        lab[net] = alpha
+        lab[rest[:, 0]] = alpha[np.argmin(sub, axis=1)]
+        labels[k] = lab
         centers[k] = net[order]
     return DyadicSystem(space, delta, seed, levels, None, labels, centers)
 
@@ -386,19 +436,18 @@ def verify_system(system: DyadicSystem, space: QuasiMetricSpace) -> Dict[str, ob
       ("separation", k, alpha)            children centers closer than delta^k
     The sandwich uses the measured constants; monotone_ok reports
     whether each child's containing ball sits inside its parent's at
-    measured_C1 (closed balls, 1e-12 radius slack)."""
+    measured_C1 (closed balls, 1e-12 radius slack).  Every check runs
+    per level over (cubes x n) or (cubes x cubes) arrays, and each
+    list keeps the order of a scan over alpha, then beta."""
     levels = system.levels
     delta = system.delta
-    n = space.n
+    dist = space.dist
     violations: List[Tuple] = []
 
-    masks: Dict[int, np.ndarray] = {}
+    per_level = system._cube_masks
+    masks = {k: per_level[k][1] for k in levels}
     for k in levels:
-        mk = np.zeros((len(system.cubes[k]), n), dtype=bool)
-        for cube in system.cubes[k]:
-            mk[cube.alpha, cube.members] = True
-        masks[k] = mk
-        if not np.all(mk.sum(axis=0) == 1):
+        if not np.all(masks[k].sum(axis=0) == 1):
             violations.append(("partition", k))
 
     # containment between every level pair: inter[alpha, beta] counts the
@@ -423,42 +472,45 @@ def verify_system(system: DyadicSystem, space: QuasiMetricSpace) -> Dict[str, ob
                 if lost[beta]:
                     violations.append(("ancestor", l, beta, k))
 
+    # per level: the sandwich, and each cube's closed containing ball at
+    # C1 as a child (no slack) and as a parent (1e-12 slack)
+    c1, C1 = system.measured_c1, system.measured_C1
+    sandwich_ok = True
+    as_child: Dict[int, np.ndarray] = {}
+    as_parent: Dict[int, np.ndarray] = {}
+    for k in levels:
+        scale = delta**k
+        d = dist[per_level[k][0]]
+        if np.any((d < c1 * scale * (1.0 - 1e-12)) > masks[k]):
+            sandwich_ok = False
+        if np.any(np.where(masks[k], d, 0.0) > C1 * scale * (1.0 + 1e-12)):
+            sandwich_ok = False
+        as_child[k] = d <= C1 * scale
+        as_parent[k] = d <= C1 * scale + 1e-12
+
     # children derived from adjacent-level containment, independent of
     # links: their centers' separation and the monotone ball check
-    c1, C1 = system.measured_c1, system.measured_C1
     max_children = 0
     mono_violations: List[Tuple] = []
-    for i, k in enumerate(levels[:-1]):
-        nxt = levels[i + 1]
+    for k, nxt in zip(levels, levels[1:]):
         contained = children[k]
         if contained.size:
             max_children = max(max_children, int(contained.sum(axis=1).max()))
-        sep = delta**nxt * (1.0 - 1e-12)
-        for cube in system.cubes[k]:
-            kids = np.flatnonzero(contained[cube.alpha])
-            centers = np.array(
-                [system.cubes[nxt][b].center for b in kids], dtype=np.int64
-            )
-            if len(centers) > 1:
-                dd = space.dist[np.ix_(centers, centers)]
-                off = dd + np.diag(np.full(len(centers), np.inf))
-                if off.min() < sep:
-                    violations.append(("separation", k, cube.alpha))
-            ball_parent = space.dist[cube.center] <= C1 * delta**k + 1e-12
-            for beta, center in zip(kids, centers):
-                ball_child = space.dist[center] <= C1 * delta**nxt
-                if np.any(ball_child & ~ball_parent):
-                    mono_violations.append((nxt, int(beta), k, cube.alpha))
-
-    sandwich_ok = True
-    for k in levels:
-        scale = delta**k
-        for cube in system.cubes[k]:
-            inner = np.flatnonzero(space.dist[cube.center] < c1 * scale * (1.0 - 1e-12))
-            if not np.all(masks[k][cube.alpha, inner]):
-                sandwich_ok = False
-            if space.dist[cube.center, cube.members].max() > C1 * scale * (1.0 + 1e-12):
-                sandwich_ok = False
+        # a parent fails separation when two of its children have close
+        # centers; only children with a close center can take part
+        centers = per_level[nxt][0]
+        close = dist[np.ix_(centers, centers)] < delta**nxt * (1.0 - 1e-12)
+        np.fill_diagonal(close, False)
+        near = np.flatnonzero(close.any(axis=1))
+        kids = contained[:, near]
+        pairs = kids.astype(np.float64) @ close[np.ix_(near, near)].astype(np.float64)
+        for alpha in np.flatnonzero((kids & (pairs > 0)).any(axis=1)).tolist():
+            violations.append(("separation", k, alpha))
+        alpha, beta = np.nonzero(contained)
+        escapes = (as_child[nxt][beta] > as_parent[k][alpha]).any(axis=1)
+        mono_violations.extend(
+            (nxt, b, k, a) for a, b in zip(alpha[escapes].tolist(), beta[escapes].tolist())
+        )
 
     return {
         "c1": c1,
@@ -475,13 +527,93 @@ def verify_system(system: DyadicSystem, space: QuasiMetricSpace) -> Dict[str, ob
 # -- adjacent systems ---------------------------------------------------------
 
 
-@dataclass
 class AdjacentSystems:
-    systems: List[DyadicSystem]
-    capture_constant: float
-    capture_failures: List[Dict[str, object]]
-    capture_fraction: float
-    report: Dict[str, object]
+    """The t_count systems chosen from a candidate pool, and their
+    capture of the canonical balls.
+
+    ``systems``, ``capture_failures`` and ``capture_fraction`` are set
+    when the family is built, and so are the report's t_count, delta,
+    pool_size and chosen.  ``capture_constant`` (a reach table per
+    chosen system) is measured on first read.  So are the report's a0,
+    a1, bound and within_bound, all four together, by one
+    ``geometric_doubling`` call: no ladder rung and no domination run
+    reads them, and the CLI ``system`` check reads them all."""
+
+    def __init__(
+        self,
+        space: QuasiMetricSpace,
+        systems: List[DyadicSystem],
+        captured: np.ndarray,
+        levels: np.ndarray,
+        capture_failures: List[Dict[str, object]],
+        capture_fraction: float,
+        report: "_AdjacentReport",
+    ) -> None:
+        self.systems = systems
+        self.capture_failures = capture_failures
+        self.capture_fraction = capture_fraction
+        self.report = report
+        self._space = space
+        self._captured = captured  # (systems, balls): does system i capture the ball
+        self._ball_levels = levels  # per ball, its unclamped level
+
+    @cached_property
+    def capture_constant(self) -> float:
+        """Per ball, the least reach / radius over the chosen systems
+        capturing it, where reach is the farthest member of the cube
+        holding the center at the ball's level; the max over the
+        captured balls, 0 when none is."""
+        space = self._space
+        t = space.ball_table()
+        best_ratio = np.full(len(t.center), np.inf)
+        for sysm, captured in zip(self.systems, self._captured):
+            lo, hi = sysm.levels[0], sysm.levels[-1]
+            reach = np.zeros((hi - lo + 1, space.n))
+            for k in sysm.levels:
+                lab = sysm.labels[k]  # type: ignore[index]
+                reach[k - lo] = np.where(lab[:, None] == lab[None, :], space.dist, 0.0).max(axis=1)
+            ratio = reach[np.clip(self._ball_levels, lo, hi) - lo, t.center] / t.radius
+            best_ratio = np.where(captured, np.minimum(best_ratio, ratio), best_ratio)
+        covered = self._captured.any(axis=0)
+        return float(best_ratio[covered].max()) if covered.any() else 0.0
+
+
+class _AdjacentReport(Mapping):
+    """An adjacent family's report: t_count, a0, a1, delta, bound,
+    within_bound, pool_size and chosen, in that order.  a0, a1, bound
+    and within_bound are the family-size bound, computed on the first
+    read of any of them; the others are stored."""
+
+    _keys = ("t_count", "a0", "a1", "delta", "bound", "within_bound", "pool_size", "chosen")
+
+    def __init__(self, space: QuasiMetricSpace, stored: Dict[str, object]) -> None:
+        self._space = space
+        self._stored = stored
+
+    @cached_property
+    def _bound(self) -> Dict[str, object]:
+        delta = self._stored["delta"]
+        a0 = self._space.a0
+        a1 = geometric_doubling(self._space, delta)  # type: ignore[arg-type]
+        bound = float(a1**6 * (a0**4 / delta) ** math.log2(max(a1, 1)))  # type: ignore[operator]
+        within = bool(self._stored["t_count"] <= bound)  # type: ignore[operator]
+        return {"a0": float(a0), "a1": int(a1), "bound": bound, "within_bound": within}
+
+    def __getitem__(self, key: str) -> object:
+        if key in self._stored:
+            return self._stored[key]
+        if key in self._keys:
+            return self._bound[key]
+        raise KeyError(key)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._keys)
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
 
 
 # bytes per block of ``geometric_doubling``'s open word table, and per
@@ -633,44 +765,18 @@ def build_adjacent_systems(
         best = int(np.argmax(gains))
         chosen.append(best)
         covered |= masks[best]
-    systems = [pool[i] for i in chosen]
-
-    # capture constant: per ball, the least reach / radius over the
-    # chosen systems capturing it, where reach is the farthest member of
-    # the cube holding the center at the ball's level
     t = space.ball_table()
-    best_ratio = np.full(len(t.center), np.inf)
-    for i in chosen:
-        sysm = pool[i]
-        lo, hi = sysm.levels[0], sysm.levels[-1]
-        reach = np.zeros((hi - lo + 1, space.n))
-        for k in sysm.levels:
-            lab = sysm.labels[k]  # type: ignore[index]
-            reach[k - lo] = np.where(lab[:, None] == lab[None, :], space.dist, 0.0).max(axis=1)
-        ratio = reach[np.clip(levels, lo, hi) - lo, t.center] / t.radius
-        best_ratio = np.where(masks[i], np.minimum(best_ratio, ratio), best_ratio)
-    constant = float(best_ratio[covered].max()) if covered.any() else 0.0
-    lo0, hi0 = systems[0].levels[0], systems[0].levels[-1]
+    lo0, hi0 = pool[chosen[0]].levels[0], pool[chosen[0]].levels[-1]
     failures: List[Dict[str, object]] = []
     for idx in np.flatnonzero(~covered).tolist():
         k = int(np.clip(levels[idx], lo0, hi0))
         failures.append({"ball": idx, "x": int(t.center[idx]), "r": float(t.radius[idx]), "k": k})
-
-    a0 = space.a0
-    a1 = geometric_doubling(space, delta)
-    bound = float(a1**6 * (a0**4 / delta) ** math.log2(max(a1, 1)))
-    report = {
-        "t_count": t_count,
-        "a0": float(a0),
-        "a1": int(a1),
-        "delta": float(delta),
-        "bound": bound,
-        "within_bound": bool(t_count <= bound),
-        "pool_size": len(pool),
-        "chosen": chosen,
-    }
     frac = 1.0 - len(failures) / len(t.center)
-    return AdjacentSystems(systems, constant, failures, frac, report)
+    report = _AdjacentReport(
+        space, {"t_count": t_count, "delta": float(delta), "pool_size": len(pool), "chosen": chosen}
+    )
+    systems = [pool[i] for i in chosen]
+    return AdjacentSystems(space, systems, masks[chosen], levels, failures, frac, report)
 
 
 # -- serialization ------------------------------------------------------------

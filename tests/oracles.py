@@ -126,6 +126,114 @@ def nesting_violations(system, space) -> List[Tuple]:
                     violations.append(("ancestor", l, beta, k))
     return violations
 
+def sandwich(system) -> Tuple[float, float]:
+    """(c1, containment C1) cube by cube: c1 the least nearest
+    nonmember distance / delta^k over the cubes listing fewer than n
+    members, C1 the largest farthest member distance / delta^k."""
+    dist = system.space.dist
+    n = system.space.n
+    c1 = math.inf
+    C1 = 0.0
+    for k in system.levels:
+        scale = system.delta**k
+        for cube in system.cubes[k]:
+            C1 = max(C1, float(dist[cube.center, cube.members].max()) / scale)
+            if len(cube.members) < n:
+                out = np.ones(n, dtype=bool)
+                out[cube.members] = False
+                c1 = min(c1, float(dist[cube.center, out].min()) / scale)
+    return c1, C1
+
+
+def monotone_C1(system, base: float) -> float:
+    """The least C >= base with closed containing balls monotone along
+    every tree edge, one edge at a time: each prefix of the child
+    center's distance order makes a failing interval, and the sorted
+    intervals are swept from base."""
+    dist = system.space.dist
+    orders = system.space.ball_table().order
+    intervals: List[Tuple[float, float]] = []
+    for k in system.levels:
+        for cube in system.cubes[k]:
+            for child in cube.children:
+                order = orders[child.center]
+                d_child = dist[child.center][order]
+                h_parent = np.maximum.accumulate(dist[cube.center][order])
+                lo = d_child / system.delta**child.k
+                hi = h_parent / system.delta**cube.k
+                bad = hi > lo
+                intervals.extend(zip(lo[bad].tolist(), hi[bad].tolist()))
+    intervals.sort()
+    c = base
+    for lo, hi in intervals:
+        if lo > c:
+            break
+        c = max(c, hi)
+    return c
+
+
+def verify_system(system, space) -> Dict[str, object]:
+    """verify_system's whole report cube by cube: the nesting scan of
+    ``nesting_violations``, then per parent cube its children's
+    separation and containing balls, then per cube its sandwich, with
+    c1 and C1 from ``sandwich`` and ``monotone_C1``."""
+    levels = system.levels
+    delta = system.delta
+    n = space.n
+    violations = nesting_violations(system, space)
+    masks: Dict[int, np.ndarray] = {}
+    for k in levels:
+        mk = np.zeros((len(system.cubes[k]), n), dtype=bool)
+        for cube in system.cubes[k]:
+            mk[cube.alpha, cube.members] = True
+        masks[k] = mk
+    c1, containment = sandwich(system)
+    C1 = monotone_C1(system, containment)
+    max_children = 0
+    mono_violations: List[Tuple] = []
+    for i, k in enumerate(levels[:-1]):
+        nxt = levels[i + 1]
+        sizes = masks[nxt].sum(axis=1)
+        contained = masks[k].astype(np.int64) @ masks[nxt].astype(np.int64).T == sizes[None, :]
+        if contained.size:
+            max_children = max(max_children, int(contained.sum(axis=1).max()))
+        sep = delta**nxt * (1.0 - 1e-12)
+        for cube in system.cubes[k]:
+            kids = np.flatnonzero(contained[cube.alpha])
+            centers = [system.cubes[nxt][b].center for b in kids]
+            if any(
+                space.dist[a, b] < sep
+                for i, a in enumerate(centers)
+                for j, b in enumerate(centers)
+                if i != j
+            ):
+                violations.append(("separation", k, cube.alpha))
+            ball_parent = space.dist[cube.center] <= C1 * delta**k + 1e-12
+            for beta, center in zip(kids, centers):
+                ball_child = space.dist[center] <= C1 * delta**nxt
+                if np.any(ball_child & ~ball_parent):
+                    mono_violations.append((nxt, int(beta), k, cube.alpha))
+    sandwich_ok = True
+    for k in levels:
+        scale = delta**k
+        for cube in system.cubes[k]:
+            inner = np.flatnonzero(space.dist[cube.center] < c1 * scale * (1.0 - 1e-12))
+            if not np.all(masks[k][cube.alpha, inner]):
+                sandwich_ok = False
+            if space.dist[cube.center, cube.members].max() > C1 * scale * (1.0 + 1e-12):
+                sandwich_ok = False
+    return {
+        "c1": c1,
+        "C1": C1,
+        "containment_C1": containment,
+        "M": max_children,
+        "violations": violations,
+        "sandwich_ok": sandwich_ok,
+        "monotone_ok": not mono_violations,
+        "monotone_violations": mono_violations,
+    }
+
+
 def ball_at(space, center: int, radius: float) -> np.ndarray:
     """Members of the open ball {y : d(center, y) < radius}, by
     definition: a strict comparison along the center's distance row."""

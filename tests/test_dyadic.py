@@ -143,6 +143,13 @@ class TestAssembly:
             with pytest.raises(AssertionError, match="parent-consistent assignment infeasible"):
                 assemble(sp, 0.5, 0, nets)
 
+    def test_nets_that_shrink_are_refused(self):
+        sp = build_space("line", 8)
+        # every level refines the last, but point 4 leaves the level-2 net
+        nets = {0: np.array([0]), 1: np.array([0, 4]), 2: np.array([0, 2, 5, 6])}
+        with pytest.raises(AssertionError, match="nets must grow"):
+            _assemble_system(sp, 0.5, 0, nets)
+
     def test_cubes_are_built_on_first_read(self):
         sp = build_space("line", 16)
         system = build_dyadic_system(sp, 0.5)
@@ -245,8 +252,10 @@ class TestVerifySystem:
                         if x not in dst:
                             dst.append(x)
                 broken = system_from_level_sets(sp, 0.5, sets)
-                got = [v for v in verify_system(broken, sp)["violations"] if v[0] != "separation"]
+                rep = verify_system(broken, sp)
+                got = [v for v in rep["violations"] if v[0] != "separation"]
                 assert got == oracles.nesting_violations(broken, sp)
+                assert rep == oracles.verify_system(broken, sp)
 
     def test_nesting_violations_order_on_a_straddling_cube(self):
         sp = build_space("line", 6)
@@ -261,6 +270,70 @@ class TestVerifySystem:
         want = [("nested", 1, 1, 0, 0), ("nested", 1, 1, 0, 1), ("ancestor", 1, 1, 0)]
         assert oracles.nesting_violations(system, sp) == want
         assert verify_system(system, sp)["violations"][:3] == want
+
+    @pytest.mark.parametrize("space", _assembly_spaces(), ids=lambda sp: f"n{sp.n}")
+    def test_report_matches_the_per_cube_scan(self, space):
+        systems = [build_dyadic_system(space, 0.5, seed=42)]
+        systems += _candidate_pool(space, 0.5, 3, 42)[1::6]
+        systems.append(build_dyadic_system(space, 0.3))
+        for system in systems:
+            want = oracles.verify_system(system, space)
+            assert verify_system(system, space) == want
+
+    @staticmethod
+    def _failing(n, level_sets):
+        sp = build_space("line", n)
+        system = system_from_level_sets(sp, 0.5, level_sets)
+        return sp, system, oracles.verify_system(system, sp)
+
+    def test_separation_failure_matches_the_per_cube_scan(self):
+        # the level-1 centers 3 and 4 lie 1/8 apart, under delta
+        sp, system, want = self._failing(
+            8, {0: [(0, list(range(8)))], 1: [(3, [0, 1, 2, 3]), (4, [4, 5, 6, 7])]}
+        )
+        assert want["violations"] == [("separation", 0, 0)]
+        assert verify_system(system, sp) == want
+
+    def test_monotone_failures_match_the_per_cube_scan(self):
+        # cubes (1, 2) and (1, 3) are centred in the other level-0 cube,
+        # so their balls leave their containing cube's ball; the list goes
+        # by containing cube first
+        sp, system, want = self._failing(
+            16,
+            {
+                0: [(0, list(range(8))), (15, list(range(8, 16)))],
+                1: [
+                    (0, [0, 1, 2, 3]), (5, [4, 5, 6]), (3, [8]),
+                    (12, [7]), (10, [9, 10, 11]), (14, [12, 13, 14, 15]),
+                ],
+            },
+        )
+        assert want["monotone_violations"] == [(1, 3, 0, 0), (1, 2, 0, 1)]
+        assert want["violations"] == [("separation", 0, 0), ("separation", 0, 1)]
+        assert verify_system(system, sp) == want
+
+    def test_moved_centers_match_the_per_cube_scan(self):
+        rng = np.random.default_rng(5)
+        for kind, n in (("line", 16), ("sqline", 12), ("tree", 15), ("grid2d", 4)):
+            sp = build_space(kind, n)
+            system = build_dyadic_system(sp, 0.5)
+            for _ in range(3):
+                sets = {
+                    k: [(int(rng.integers(sp.n)), c.members.tolist()) for c in system.cubes[k]]
+                    for k in system.levels
+                }
+                broken = system_from_level_sets(sp, 0.5, sets)
+                want = oracles.verify_system(broken, sp)
+                assert any(v[0] == "separation" for v in want["violations"])
+                assert verify_system(broken, sp) == want
+
+    def test_sandwich_failure_matches_the_per_cube_scan(self):
+        # cube 0 lists 8 members, so its missing points 4..6 set no c1
+        sp, system, want = self._failing(
+            8, {0: [(0, list(range(8)))], 1: [(3, [0, 1, 2, 3] * 2), (7, [4, 5, 6, 7])]}
+        )
+        assert not want["sandwich_ok"]
+        assert verify_system(system, sp) == want
 
     def test_sandwich_constants_hold_by_recheck(self):
         for kind, n in (("line", 32), ("tree", 15)):
@@ -381,6 +454,68 @@ class TestAdjacentSystems:
         for system in adj.systems:
             rep = verify_system(system, sp)
             assert rep["violations"] == []
+
+    FROZEN_REPORTS = {
+        ("line", 16): [
+            ("t_count", 3), ("a0", 1.0), ("a1", 4), ("delta", 0.5), ("bound", 16384.0),
+            ("within_bound", True), ("pool_size", 25), ("chosen", [20, 0, 1]),
+        ],
+        ("sqline", 64): [
+            ("t_count", 3), ("a0", 2.0), ("a1", 3), ("delta", 0.5), ("bound", 177146.99999999994),
+            ("within_bound", True), ("pool_size", 25), ("chosen", [20, 14, 15]),
+        ],
+        ("grid2d", 6): [
+            ("t_count", 3), ("a0", 1.0000000000000002), ("a1", 12), ("delta", 0.5),
+            ("bound", 35831808.00000011), ("within_bound", True), ("pool_size", 25),
+            ("chosen", [1, 0, 2]),
+        ],
+        ("tree", 31): [
+            ("t_count", 3), ("a0", 1.0), ("a1", 13), ("delta", 0.5), ("bound", 62748517.0),
+            ("within_bound", True), ("pool_size", 25), ("chosen", [0, 1, 2]),
+        ],
+    }
+
+    @staticmethod
+    def _count_doubling(monkeypatch):
+        calls = []
+        real = dyadic.geometric_doubling
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(dyadic, "geometric_doubling", counted)
+        return calls
+
+    def test_built_family_leaves_the_bound_and_capture_constant_unread(self, monkeypatch):
+        calls = self._count_doubling(monkeypatch)
+        sp = build_space("line", 16)
+        adj = build_adjacent_systems(sp, 0.5, 3, seed=42)
+        assert len(adj.systems) == 3 and adj.capture_fraction == 1.0 and adj.capture_failures == []
+        assert [adj.report[key] for key in ("t_count", "delta", "pool_size", "chosen")] == [
+            3, 0.5, 25, [20, 0, 1]
+        ]
+        assert "t_count" in adj.report and "ball" not in adj.report
+        assert calls == []
+        assert "constants" not in sp._cache
+        assert "capture_constant" not in vars(adj)
+        assert adj.capture_constant == 6.0
+        assert calls == []
+
+    @pytest.mark.parametrize("key", ["a0", "a1", "bound", "within_bound"])
+    def test_any_bound_field_counts_doubling_once(self, monkeypatch, key):
+        calls = self._count_doubling(monkeypatch)
+        adj = build_adjacent_systems(build_space("line", 16), 0.5, 3, seed=42)
+        assert adj.report[key] == dict(self.FROZEN_REPORTS[("line", 16)])[key]
+        assert len(calls) == 1
+        assert list(adj.report.items()) == self.FROZEN_REPORTS[("line", 16)]
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("kind,n", list(FROZEN_REPORTS))
+    def test_report_items_are_frozen(self, kind, n):
+        adj = build_adjacent_systems(build_space(kind, n), 0.5, 3, seed=42)
+        assert list(adj.report.items()) == self.FROZEN_REPORTS[(kind, n)]
+        assert len(adj.report) == 8 and dict(adj.report) == dict(self.FROZEN_REPORTS[(kind, n)])
 
     def test_report_fields(self):
         sp = build_space("line", 16)
