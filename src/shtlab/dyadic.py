@@ -450,27 +450,41 @@ def verify_system(system: DyadicSystem, space: QuasiMetricSpace) -> Dict[str, ob
         if not np.all(masks[k].sum(axis=0) == 1):
             violations.append(("partition", k))
 
-    # containment between every level pair: inter[alpha, beta] counts the
+    # containment between level pairs: inter[alpha, beta] counts the
     # points cube beta of the finer level l shares with cube alpha of k
     # (float64 products, exact for counts below 2^53)
     sizes = {k: masks[k].sum(axis=1) for k in levels}
-    children: Dict[int, np.ndarray] = {}  # per k, containment of the next level
+
+    def pair(k: int, l: int) -> Tuple[List[Tuple], np.ndarray]:
+        """The entries of levels k and l, and which cubes of l lie in
+        each cube of k."""
+        inter = masks[k].astype(np.float64) @ masks[l].astype(np.float64).T
+        contained = inter == sizes[l][None, :]
+        # per finer cube beta: its partial overlaps in alpha order, then
+        # its ancestor entry
+        nested = (0 < inter) & (inter < sizes[l][None, :])
+        lost = contained.sum(axis=0) != 1
+        found: List[Tuple] = []
+        for beta in np.flatnonzero(nested.any(axis=0) | lost).tolist():
+            found.extend(("nested", l, beta, k, alpha) for alpha in np.flatnonzero(nested[:, beta]).tolist())
+            if lost[beta]:
+                found.append(("ancestor", l, beta, k))
+        return found, contained
+
+    adjacent = {k: pair(k, l) for k, l in zip(levels, levels[1:])}
+    children = {k: contained for k, (_, contained) in adjacent.items()}
+    # when every level partitions the points into nonempty cubes and
+    # adjacent levels nest, each finer cube lies in one cube of the next
+    # coarser level, hence in one chain of ancestors, and a partition's
+    # cubes are disjoint: no other level pair can add an entry
+    whole = not violations and all(sizes[k].all() for k in levels)
+    whole = whole and not any(found for found, _ in adjacent.values())
     for i, k in enumerate(levels):
-        coarse = masks[k].astype(np.float64)
         for l in levels[i + 1 :]:
-            inter = coarse @ masks[l].astype(np.float64).T
-            contained = inter == sizes[l][None, :]
             if l == levels[i + 1]:
-                children[k] = contained
-            # per finer cube beta: its partial overlaps in alpha order,
-            # then its ancestor entry
-            nested = (0 < inter) & (inter < sizes[l][None, :])
-            lost = contained.sum(axis=0) != 1
-            for beta in np.flatnonzero(nested.any(axis=0) | lost).tolist():
-                for alpha in np.flatnonzero(nested[:, beta]).tolist():
-                    violations.append(("nested", l, beta, k, alpha))
-                if lost[beta]:
-                    violations.append(("ancestor", l, beta, k))
+                violations.extend(adjacent[k][0])
+            elif not whole:
+                violations.extend(pair(k, l)[0])
 
     # per level: the sandwich, and each cube's closed containing ball at
     # C1 as a child (no slack) and as a parent (1e-12 slack)

@@ -24,22 +24,47 @@ order).  Two exact reorganizations keep desk-scale evaluation fast:
   find them only with ``want_witness=True``, as ``CommutatorKernel``
   does; the values are the same either way.
 * For the maximal commutator the integrand splits around the rank of
-  b(x) in the sorted symbol values, so per-ball sums over
-  |b(x) - b(y)| |f(y)| are two cumulative sums over the sorted order
-  (``CommutatorKernel``).  The kernel keeps one row per member class
-  of the space's class map, as (positions x rows) bits packed along
-  the rows, one bit per entry.  It walks the positions in symbol
-  order over (rows x columns) planes of at most ``KERNEL_BLOCK``
-  entries, unpacking each position's rows, adding its mass only to the
-  rows holding it (``where=``, so the sums match a cumsum bit for
-  bit), and maxing over those rows there.  (n,) and (n, k) input take
-  the same path.  A column with |f| in {0, 1} is u = m 1_{B'}: every
-  sum starts at +0.0 and adds only +-0.0 off B', which leaves its bits
-  unchanged, so a row's sums depend only on r & B'.  Such columns keep
-  one running sum per distinct intersection, found by
-  ``_distinct_rows`` a chunk of columns at a time, whenever those sums
-  over n positions plus the gathers through each (row, column) pair's
-  class touch no more entries than the per-row sums (``_classes_pay``).
+  b(x) in the sorted symbol values, so a ball's sum of
+  |b(x) - b(y)| |f(y)| m(y) is b(x)(2 cA - TA) + (TB - 2 cB), with cA,
+  cB the running sums of u = |f| m and b u in symbol order up to x and
+  TA, TB the ball's totals (``CommutatorKernel``).  Twins (balls with
+  equal member sets) have the same sums, so the sup is taken over
+  member classes, each over its least measure.  A column goes through
+  two stages:
+  - Bounds.  Phi_B(t) = sum_B |t - b| u / mu(B) is convex and piecewise
+    linear in t, and C_b f(x) = max over B owning x of Phi_B(b(x)).
+    With breakpoints q_0 = min b < ... < q_Q = max b at the quantiles
+    of b (``QUANTILES``), one ``ball_sum_blocks`` pass over the columns
+    |q_i - b| u gives every Phi_B(q_i); on [q_i, q_{i+1}] Phi_B lies
+    below its chord, and the max of the chords of the balls at c
+    holding x below the chord of their suffix maxima, read at x's
+    pointer as M reads it.  So each (point, center) pair is bounded in
+    O(Q) work per ball, per block of centers.  The balls at x's own
+    center, and then the best-bounded center of x, are summed directly
+    (|b(x) - b| u along the center's order), which gives a lower bound
+    L(x) of the sup; the pairs whose bound reaches L(x) are summed
+    directly too, and each ball whose direct sum reaches L(x) is kept.
+  - Exact balls.  Each kept ball is summed as above, in symbol order
+    with one masked cumsum of u and one of b u, so its values carry the
+    bits of the full sums, and each point takes the max over the kept
+    balls holding it.  Every ball that can attain the sup is kept, so
+    the values are those of all balls, and a witness is the lowest ball
+    id of the lowest member class attaining the sup.  The class map is
+    read for witnesses, and when the space already holds it the bounds
+    run over one ball per class (its lowest) at the class's least
+    measure, so twins are bounded once.
+  Every stage works per block of centers, (point, center) pairs or
+  (ball, column) pairs within ``KERNEL_BLOCK // 8`` floats, and (n, k)
+  input goes in groups of columns whose chord columns fit one such
+  block.  Indicator columns (|f| in {0, 1}, so u = m 1_{B'}) have sums
+  that start at +0.0 and add only +-0.0 off B', which leaves their bits
+  unchanged, so a class's sums depend only on r & B'.  Two or more of
+  them go through one running sum per distinct intersection, found by
+  ``_distinct_rows`` a chunk of columns at a time, when those sums over
+  n positions plus the gathers through each (class, column) pair touch
+  no more entries than per-class running sums would
+  (``_classes_pay``).  That path alone reads the kernel's (positions x
+  classes) bits, built on its first use.
 * Probe images of M, C_b and [b, M] are built once per (space,
   symbol, probe set) and memoized on the space (``probe_images``).
   Each distinct probe column is evaluated once; a point mass at i has
@@ -56,15 +81,15 @@ order).  Two exact reorganizations keep desk-scale evaluation fast:
   the table, and the read-out gathers within one such plane per point.
   Blocks and chunks take at least ``KERNEL_BLOCK // 8`` floats, so a
   small space takes one of each.  M takes its columns in even blocks
-  whose table stays within (balls x n) floats.  The local grand
-  maximal collapses sub-balls sharing member set and 4 A0 enlargement
-  E (twins have the same inner value); E is a canonical ball too, its
-  id read by ``space.ball_ids``, so a class is a pair of member
-  classes.  Its cut sums depend only on E, so it takes one suffix max
-  per block of distinct E (each table within ``GRAND_BLOCK`` bytes, E's
-  members read from the ball table), filled from one
-  ``ball_sum_blocks`` pass, and per class of B the max of n table
-  entries, one per center, gathered for chunks of classes
+  whose table stays within min(balls x n, 8 ``KERNEL_BLOCK``) floats.
+  The local grand maximal collapses sub-balls sharing member set and
+  4 A0 enlargement E (twins have the same inner value); E is a
+  canonical ball too, its id read by ``space.ball_ids``, so a class is
+  a pair of member classes.  Its cut sums depend only on E, so it
+  takes one suffix max per block of distinct E (each table within
+  ``GRAND_BLOCK`` bytes, E's members read from the ball table), filled
+  from one ``ball_sum_blocks`` pass, and per class of B the max of n
+  table entries, one per center, gathered for chunks of classes
   (``region_grand_maximal``).
   Given a floor per function, it first bounds each class by the uncut
   averages of the balls that meet B and leave E, read from one suffix
@@ -81,9 +106,9 @@ order).  Two exact reorganizations keep desk-scale evaluation fast:
   each (``_spans``: within ``KERNEL_BLOCK // 64`` entries per array,
   or two columns or balls if more), so no consumer adds an (n x
   probes) array to the memoized images.
-* The class map (``_member_classes``), which the kernel and the grand
-  maximal read, is the one dedup of ball member sets, memoized per
-  space.  Equal sets have equal counts, so it runs on chunks of whole
+* The class map (``_member_classes``), which the kernel's class path
+  and witnesses and the grand maximal read, is the one dedup of ball
+  member sets, memoized per space.  Equal sets have equal counts, so it runs on chunks of whole
   count groups (each at most n balls, one per center), a chunk at most
   max(n, ``KERNEL_BLOCK // n``) balls.  A chunk's bits are its
   centers' prefix words at its counts, one running OR of one-hot words
@@ -103,6 +128,32 @@ All paths are exact reorganizations of the defining finite sums, not
 approximations.  The one exception is a grand maximal value at or below
 a floor given to ``region_grand_maximal``: it is reported as the floor.
 
+Rounding margin of the C_b bounds
+---------------------------------
+A bound must dominate the *computed* kernel value, whose split form
+cancels, so its error scales with A_B(x) = (|b(x)| G + H) / mu(B), G =
+sum_B u and H = sum_B |b| u, not with the value.  With u = 2^-53 and
+gamma_k = k u / (1 - k u): the computed running sums and totals miss
+the exact ones by at most gamma_{n+1} G or gamma_{n+1} H, so the
+computed value lies within 3 gamma_{n+3} A_B(x) + u Phi_B(b(x)) of
+Phi_B(b(x)), taken over the same float measure (the final division
+adds the relative u).  A direct sum of nonnegative terms along a
+center's order lies within gamma_{n+3} Phi_B(b(x)) <= gamma_{n+3}
+A_B(x) of it, so the kernel's value lies within 4 gamma_{n+3} A_B(x)
+of the direct sum.
+The computed Phi_B(q_i) of the chords are at least (1 - gamma_{n+3})
+times the exact ones, and the computed chord of two suffix maxima S_lo,
+S_hi misses the exact chord by at most gamma_6 max(S_lo, S_hi); with
+beta = max(|q_i|, |q_{i+1}|) >= |b(x)|, both are at most gamma_{n+3}
+(beta sG + sH), where sG and sH are the suffix maxima of G / mu(B) and
+H / mu(B) from the same pass.  So bounds are raised, and lower values
+lowered, by ``CB_MARGIN`` = 2^-36 times beta sG + sH or A_B(x): that is
+more than 5 gamma_{n+9} (1 + gamma_{n+3}) for n <= MAX_POINTS
+(gamma_{4105} is 4.6e-13, 2^-36 is 1.5e-11), which also covers the
+rounding of the margin itself.  The analysis assumes that no step
+underflows or overflows; a column whose input is not finite takes the
+exact stage over every ball.
+
 Sign conventions
 ----------------
 The commutator is [b, M]f = b * Mf - M(bf).  The pointwise domination
@@ -115,6 +166,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -143,12 +195,21 @@ def _ball_slots(space: QuasiMetricSpace) -> Tuple[int, np.ndarray]:
     return int(np.diff(t.start).max()), np.subtract(t.ptr, t.start[:-1], dtype=np.int32)
 
 
-# float entries per (rows x columns) plane of ``CommutatorKernel.apply``;
-# the kernel's and ``_distinct_rows``' set-up scratch goes in chunks of
-# as many bytes, the ball sups' blocks and chunks take at least an
-# eighth as many floats, and the probe images' blocks (``_spans``) a
-# sixty-fourth
+# float entries per (rows x columns) plane of the kernel's class path;
+# its and ``_distinct_rows``' set-up scratch goes in chunks of as many
+# bytes, the ball sups' and the C_b bounds' blocks and chunks take at
+# least an eighth as many floats, and the probe images' blocks
+# (``_spans``) a sixty-fourth
 KERNEL_BLOCK = 1 << 19
+
+
+# breakpoints of the C_b chord bounds: q_0 = min b, the quantiles of b
+# at i / QUANTILES, and q_QUANTILES = max b
+QUANTILES = 32
+# slots per group of the C_b chord tables' suffix maxima
+GROUP = 8
+# relative rounding margin of the C_b bounds (module docstring)
+CB_MARGIN = 2.0**-36
 
 
 def _floats(size: int) -> int:
@@ -277,9 +338,10 @@ def maximal_function(
     f is (n,) or (n, k) with one function per column; values take the
     same shape, and so do the witnesses (the lowest canonical ball
     attaining each value) when asked for, else they are None.  Columns
-    go in even blocks whose suffix max table stays within (balls x n)
-    floats; each block's averages come from ``ball_sum_blocks`` straight
-    into the table, one block of centers at a time.
+    go in even blocks whose suffix max table stays within min(balls x
+    n, 8 ``KERNEL_BLOCK``) floats, or one column if more; each block's
+    averages come from ``ball_sum_blocks`` straight into the table, one
+    block of centers at a time.
     """
     t = space.ball_table()
     n = space.n
@@ -290,7 +352,7 @@ def maximal_function(
     values = np.empty(w.shape)
     witnesses = np.empty(w.shape, dtype=np.int64) if want_witness else None
     width = int(np.diff(t.start).max())  # the longest ball list
-    blocks = -(-k // max(1, _floats(len(t.center) * n) // (width * n)))
+    blocks = -(-k // max(1, _floats(min(len(t.center) * n, 8 * KERNEL_BLOCK)) // (width * n)))
     step = -(-k // blocks) if blocks else 1
     for j0 in range(0, k, step):
         j = slice(j0, min(k, j0 + step))
@@ -410,13 +472,18 @@ def _member_classes(space: QuasiMetricSpace) -> Tuple[np.ndarray, np.ndarray]:
 class CommutatorKernel:
     """Reusable evaluator for C_b f(x) = sup_{B owns x} avg_B |b(x)-b(.)| |f|.
 
-    Holds the distinct member sets of the canonical balls as packed
-    bits: ``bits[j]`` is the ``np.packbits`` of which rows hold the
-    j-th point in symbol order, one bit per row.  ``apply`` walks the
-    positions over (rows x columns) planes of at most ``KERNEL_BLOCK``
-    entries, unpacking their rows a few positions at a time, for (n,)
-    or (n, k) input alike; indicator columns may instead take one
-    running sum per distinct intersection of a row with their set.
+    ``apply`` takes (n,) or (n, k) input.  A column goes through the
+    chord bounds and then exact balls (``_bounded``), unless it is one
+    of at least two indicator columns whose chunk the class path takes
+    (``_by_classes``).  Only that path reads the member classes of the
+    canonical balls as packed bits: ``bits[j]`` is the ``np.packbits``
+    of which rows hold the j-th point in symbol order, one row per
+    member class at its lowest ball id (``ball_ids``) with the least
+    measure of its twins (``mu``).  They are built on their first read,
+    so an apply of general or single columns builds none of them.  The
+    bounds carry the rounding margin stated in the module docstring.
+    ``exact_balls`` counts the (ball, column) pairs the last ``apply``
+    evaluated exactly after the bounds.
     """
 
     def __init__(self, space: QuasiMetricSpace, b: np.ndarray) -> None:
@@ -428,78 +495,95 @@ class CommutatorKernel:
         self.constant = bool(np.ptp(self.b) == 0.0)
         self.order = np.argsort(self.b, kind="stable")
         self.b_s = self.b[self.order]
-        t = space.ball_table()
-        n = space.n
-        # the sup only sees member sets: one row per member class, at its
-        # lowest ball id so witnesses stay canonical, with the least measure
-        # of its twins (summed in other centers' orders, it can differ)
-        self.ball_ids, twin = _member_classes(space)
-        self.mu = np.full(len(self.ball_ids), np.inf)
-        np.minimum.at(self.mu, twin, t.measure)
-        # (row, position) memberships: the entries one column's gathers read
-        self.held = int(t.count[self.ball_ids].sum())
+        self.exact_balls = 0
+
+    @cached_property
+    def ball_ids(self) -> np.ndarray:
+        """The lowest ball id of each member class, ascending."""
+        return _member_classes(self.space)[0]
+
+    @cached_property
+    def mu(self) -> np.ndarray:
+        """Each class's least measure over its twins (summed in other
+        centers' orders, the measures can differ)."""
+        mu = np.full(len(self.ball_ids), np.inf)
+        np.minimum.at(mu, _member_classes(self.space)[1], self.space.ball_table().measure)
+        return mu
+
+    @cached_property
+    def held(self) -> int:
+        """(row, position) memberships: the entries one column's gathers
+        read."""
+        return int(self.space.ball_table().count[self.ball_ids].sum())
+
+    @cached_property
+    def bits(self) -> np.ndarray:
+        """(positions x rows) membership bits, packed along the rows."""
+        t = self.space.ball_table()
+        n = self.space.n
         # rank_s[c, j]: the place of the j-th point in symbol order along
         # c's distance order, so ball i holds it when below count[i]
         # (C-ordered: the fancy index alone leaves each row strided)
         rank_s = np.ascontiguousarray(t.rank[:, self.order])
-        # bits[j] packs the rows holding the j-th point in symbol order,
         # built through a (positions x rows) mask of at most KERNEL_BLOCK
         # bytes whose row count is a multiple of 8, so each chunk packs
         # into whole bytes; a center's rows are contiguous
-        rows = len(self.ball_ids)
-        self.bits = np.empty((n, -(-rows // 8)), dtype=np.uint8)
-        bounds = np.searchsorted(t.center[self.ball_ids], np.arange(n + 1))
+        ids = self.ball_ids
+        rows = len(ids)
+        bits = np.empty((n, -(-rows // 8)), dtype=np.uint8)
+        bounds = np.searchsorted(t.center[ids], np.arange(n + 1))
         step = max(8, KERNEL_BLOCK // n // 8 * 8)
         mask = np.empty((n, step), dtype=bool)
         for r0 in range(0, rows, step):
             r1 = min(rows, r0 + step)
-            for c in range(t.center[self.ball_ids[r0]], t.center[self.ball_ids[r1 - 1]] + 1):
+            for c in range(t.center[ids[r0]], t.center[ids[r1 - 1]] + 1):
                 lo, hi = max(bounds[c], r0), min(bounds[c + 1], r1)
-                counts = t.count[self.ball_ids[lo:hi]]
-                np.less(rank_s[c, :, None], counts, out=mask[:, lo - r0 : hi - r0])
-            self.bits[:, r0 // 8 : -(-r1 // 8)] = np.packbits(mask[:, : r1 - r0], axis=1)
+                np.less(rank_s[c, :, None], t.count[ids[lo:hi]], out=mask[:, lo - r0 : hi - r0])
+            bits[:, r0 // 8 : -(-r1 // 8)] = np.packbits(mask[:, : r1 - r0], axis=1)
+        return bits
 
     def apply(self, f: np.ndarray, want_witness: bool = False) -> OperatorResult:
         """C_b |f| with f (n,) or (n, k), one function per column; the
         witness is the lowest canonical ball attaining the sup.
 
-        Per row, sum_{y in B} |b(x) - b(y)| u(y) splits at x's position
-        into b(x)(2 cA - TA) + (TB - 2 cB), with cA, cB the running sums
-        of u and b u up to x and TA, TB the row totals.  One pass over
-        the positions adds up the totals and a second the running sums,
-        each in symbol order as a cumsum would, and at each position
-        takes the max over the rows holding it, ties to the lowest row.
+        Per ball, sum_{y in B} |b(x) - b(y)| u(y) splits at x's position
+        in symbol order into b(x)(2 cA - TA) + (TB - 2 cB), with cA, cB
+        the running sums of u and b u up to x and TA, TB the ball's
+        totals, each added in symbol order as a cumsum would.  Twins
+        (balls with the same members) have the same sums, so the sup
+        over balls is the sup over member classes, each over its least
+        measure, and ties go to the lowest ball id of the lowest class.
 
         A column with |f| in {0, 1} has u = m 1_{B'}.  Its sums start at
         +0.0 and only ever add +-0.0 off B', which leaves their bits
-        alone, so a row's four sums depend only on r & B'.  Such columns
-        go in chunks whose running sums are kept once per distinct
-        intersection (``_by_classes``) when that is the cheaper pass:
-        when n positions over the distinct intersections plus the
-        holders' gathers touch no more entries than n positions over
-        every (row, column) pair.  Every other column, and a chunk that
-        fails that test, takes the per-row running sums
-        (``_by_rows``).  The values are the same bits either way.
+        alone, so a class's four sums depend only on r & B'.  Two or
+        more such columns go in chunks whose running sums are kept once
+        per distinct intersection (``_by_classes``) when that is the
+        cheaper pass (``_classes_pay``).  Every other column, a lone
+        indicator column (the class path's set-up would cost more than
+        it saves) and a chunk that fails the test go through the chord
+        bounds and then exact balls (``_bounded``).  The values and
+        witnesses are the same bits either way.
         """
         n = self.space.n
         f = np.asarray(f, dtype=np.float64)
         u = f.reshape(n, -1)[self.order]
         np.abs(u, out=u)
         if self.constant:
-            # every row then sums to exactly 0, so each point's witness
+            # every ball then sums to exactly 0, so each point's witness
             # is the lowest ball owning it
             u[:] = 0.0
         indicator = ((u == 0.0) | (u == 1.0)).all(axis=0)
         u *= self.space.mass[self.order, None]
-        bu = self.b_s[:, None] * u
         k = u.shape[1]
-        rows = len(self.mu)
         values = np.empty((n, k))
         witnesses = np.empty((n, k), dtype=np.int64) if want_witness else None
-        step, chunk = self._widths()
-        others = np.flatnonzero(~indicator)
+        self.exact_balls = 0
+        others = [np.flatnonzero(~indicator)]
         indicator = np.flatnonzero(indicator)
-        if len(indicator):
+        if len(indicator) > 1:
+            rows = len(self.mu)
+            chunk = self._chunk()
             # each row's members in symbol order as whole words
             words = np.zeros((rows, -(-n // 64) * 8), dtype=np.uint8)
             words[:, : (n + 7) // 8] = _transposed_bits(self.bits, rows)
@@ -507,59 +591,297 @@ class CommutatorKernel:
             for j0 in range(0, len(indicator), chunk):
                 cols = indicator[j0 : j0 + chunk]
                 if not self._by_classes(words, u, cols, values, witnesses):
-                    self._by_rows(u, bu, cols, values, witnesses)
-        for j0 in range(0, len(others), step):
-            self._by_rows(u, bu, others[j0 : j0 + step], values, witnesses)
+                    others.append(cols)
+        else:
+            others.append(indicator)
+        others = np.concatenate(others)
+        if len(others):
+            at = np.ix_(self.order, others)
+            values[at], arg = self._bounded(u[:, others], want_witness)
+            if want_witness:
+                witnesses[at] = arg
         np.maximum(values, 0.0, out=values)
         if want_witness:
             witnesses = witnesses.reshape(f.shape)
         return OperatorResult(values.reshape(f.shape), witnesses)
 
-    def _widths(self) -> Tuple[int, int]:
-        """(step, chunk) of ``apply``: the columns per (rows x columns)
-        plane of the per-row sums, at most n so that a small space's
-        planes stay within the (rows x n) of one column's cumulative
-        sums, and the indicator columns per chunk of the class path,
-        whose (row, column) intersections take at most one plane of
-        words, or ``KERNEL_BLOCK // 8`` if more."""
+    def _chunk(self) -> int:
+        """The indicator columns per chunk of the class path: their (row,
+        column) intersections take at most one (rows x step) plane of
+        words, step = min(``KERNEL_BLOCK`` // rows, n) columns, or
+        ``KERNEL_BLOCK // 8`` floats if more."""
         rows, n = len(self.mu), self.space.n
         step = max(1, min(KERNEL_BLOCK // rows, n))
-        return step, max(1, _floats(rows * step) // (rows * -(-n // 64)))
+        return max(1, _floats(rows * step) // (rows * -(-n // 64)))
 
-    def _holders(self) -> Iterator[np.ndarray]:
-        """Per position in symbol order, the (rows,) bool of which rows
-        hold it."""
-        return _unpacked(self.bits, len(self.mu))
+    def _bounded(self, u: np.ndarray, want_witness: bool) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """C_b of the columns of u (n, k), in symbol order, per symbol
+        position, and with want_witness each one's witness: the chord
+        bounds, then exact balls.
 
-    def _by_rows(self, u, bu, cols, values, witnesses) -> None:
-        """C_b of columns cols of u (b u in bu) through per-row running
-        sums over (rows x columns) planes, into values (and witnesses)."""
-        shape = (len(self.mu), len(cols))
-        TA, TB = np.zeros(shape), np.zeros(shape)
-        for j, held in enumerate(self._holders()):
-            on = held[:, None]
-            np.add(TA, u[j, cols], out=TA, where=on)
-            np.add(TB, bu[j, cols], out=TB, where=on)
-        cA, cB = np.zeros(shape), np.zeros(shape)
-        for j, (x, held) in enumerate(zip(self.order, self._holders())):
-            on = held[:, None]
-            np.add(cA, u[j, cols], out=cA, where=on)
-            np.add(cB, bu[j, cols], out=cB, where=on)
-            # whole-row gathers, in the order (2 cA - TA) b + (TB - 2 cB)
-            idx = np.flatnonzero(held)
-            here = np.take(cA, idx, axis=0)
+        A zero column (also the constant symbol's) has every sum +0.0,
+        so each point's witness is the lowest ball owning it, its
+        pointer at center 0.  A column that is not finite takes the
+        exact stage over every ball.  The others go in groups whose
+        chord columns fit one center's block (``_chords``), or one
+        column if more.  Per group, low[x, j], a lower bound of column
+        j's sup at x, starts from the direct sums of the balls centered
+        at x (``_direct``).  The chord bounds keep the (point, center,
+        column) triples that can reach it; the best-bounded triple of
+        each point and column is summed directly first, which raises
+        low, and the rest that still reach it after.  Every ball whose
+        upper value reached low[x, j] at some x is then evaluated
+        exactly for column j at all its points (``_exact``)."""
+        t = self.space.ball_table()
+        n, k = u.shape
+        best = np.empty((n, k))
+        arg = np.empty((n, k), dtype=np.int64) if want_witness else None
+        g = np.empty_like(u)
+        g[self.order] = u
+        zero = ~u.any(axis=0)
+        best[:, zero] = 0.0
+        if want_witness:
+            arg[:, zero] = t.ptr[self.order, 0, None]
+        finite = np.isfinite(g).all(axis=0) & bool(np.isfinite(self.b).all()) & ~zero
+        # rows: each ball's divisor and the balls skipped.  With the class
+        # map at hand, one ball per class (its lowest) over the class's
+        # least measure; else every ball over its own
+        if want_witness or "member_classes" in self.space._cache:
+            dead = np.ones(len(t.center), dtype=bool)
+            dead[self.ball_ids] = False
+            rows = (self.mu[_member_classes(self.space)[1]], dead)
+        else:
+            rows = (t.measure, None)
+        for j in np.flatnonzero(~(finite | zero)).tolist():
+            needed = np.ones((len(t.center), 1), dtype=bool)
+            best[:, j : j + 1], part = self._exact(u[:, j : j + 1], needed, rows, want_witness)
+            if want_witness:
+                arg[:, j : j + 1] = part
+        live = np.flatnonzero(finite)
+        q = _distinct(self.b_s[np.arange(QUANTILES + 1) * (n - 1) // QUANTILES])
+        step = max(1, _floats(n * (len(q) + 2)) // (n * (len(q) + 2)))
+        for j0 in range(0, len(live), step):
+            cols = live[j0 : j0 + step]
+            low = np.full((n, len(cols)), -np.inf)
+            needed = np.zeros((len(t.center), len(cols)), dtype=bool)
+            x, j = np.divmod(np.arange(n * len(cols)), len(cols))
+            self._direct(g[:, cols], x, x, j, low, needed, rows)
+            x, c, j, bound = self._chords(q, g[:, cols], low, rows)
+            # the best-bounded center of each point and column first
+            by_bound = np.lexsort((-bound, x * len(cols) + j))
+            head = np.ones(len(x), dtype=bool)
+            head[1:] = (x[by_bound[1:]] != x[by_bound[:-1]]) | (j[by_bound[1:]] != j[by_bound[:-1]])
+            top = by_bound[head]
+            self._direct(g[:, cols], x[top], c[top], j[top], low, needed, rows)
+            head = bound >= low[x, j]
+            head[top] = False
+            self._direct(g[:, cols], x[head], c[head], j[head], low, needed, rows)
+            del x, c, j, bound, by_bound, head, top
+            best[:, cols], part = self._exact(u[:, cols], needed, rows, want_witness)
+            if want_witness:
+                arg[:, cols] = part
+        return best, arg
+
+    def _chords(self, q: np.ndarray, g: np.ndarray, low: np.ndarray, rows) -> Tuple[np.ndarray, ...]:
+        """(x, c, j, bound): the (point, center, column) triples, c != x,
+        whose chord bound for column j of g reaches low[x, j], and their
+        bounds.
+
+        With breakpoints q_0 = min b < ... < q_Q = max b, each ball's
+        Phi_B(q_i) = sum_B |q_i - b| g / mu(B) comes from one
+        ``ball_sum_blocks`` pass over the columns |q_i - b| g, plus g
+        and |b| g for the margin.  Phi_B is convex, so on [q_i, q_{i+1}]
+        around b(x) it lies below its chord, and a max of chords below
+        the chord of the maxima: per center, the suffix max of each
+        column over its radius-sorted balls, read at x's pointer as M
+        reads it, bounds every ball there holding x.  The suffix max is
+        taken within groups of ``GROUP`` slots and then over the groups,
+        so its one sequential scan runs over a GROUP-th of the slots.
+        Centers go in blocks whose cumulative sums stay within one
+        center's columns, or ``KERNEL_BLOCK // 8`` floats if more."""
+        space = self.space
+        t = space.ball_table()
+        n, k = g.shape
+        b = self.b
+        lo = np.searchsorted(q, b, side="right") - 1
+        np.minimum(lo, len(q) - 2, out=lo)
+        tau = ((b - q[lo]) / (q[lo + 1] - q[lo]))[:, None, None]
+        beta = np.maximum(np.abs(q[lo]), np.abs(q[lo + 1]))[:, None, None]
+        width = len(q) + 2
+        w = np.empty((n, k, width))
+        np.subtract(q, b[:, None, None], out=w[:, :, :-2])
+        np.abs(w, out=w)
+        w[:, :, -2] = 1.0
+        w[:, :, -1] = np.abs(b)[:, None]
+        w *= g[:, :, None]
+        # per point and column, the table columns it reads: q_i and
+        # q_{i+1} around b(x), then g and |b| g
+        cols = np.stack([lo, lo + 1, np.full(n, width - 2), np.full(n, width - 1)], axis=1)
+        cols = (cols[:, None, :] + (np.arange(k) * width)[:, None])[:, None]
+        found: List[Tuple[np.ndarray, ...]] = []
+        for ids, phi in space.ball_sum_blocks(w.reshape(n, -1), _floats(w.size)):
+            phi /= rows[0][ids, None]
+            if rows[1] is not None:
+                phi[rows[1][ids]] = -np.inf
+            c0, c1 = int(t.center[ids.start]), int(t.center[ids.stop - 1]) + 1
+            first = t.start[c0:c1]
+            # each center's balls in groups of GROUP slots, -inf past its
+            # last ball and in one whole group after it
+            groups = int((t.start[c0 + 1 : c1 + 1] - first).max()) // GROUP + 2
+            table = np.full(((c1 - c0) * groups * GROUP, phi.shape[1]), -np.inf)
+            row = np.arange(ids.start, ids.stop) - first[t.center[ids] - c0]
+            row += (t.center[ids] - c0) * (groups * GROUP)
+            table[row] = phi
+            del phi, row
+            # the suffix max within each group, then top[j]: the max over
+            # the center's groups from j on
+            within = table.reshape(-1, GROUP, table.shape[1])
+            for i in range(GROUP - 2, -1, -1):
+                np.maximum(within[:, i], within[:, i + 1], out=within[:, i])
+            top = within[:, 0].copy()
+            tail = top.reshape(c1 - c0, groups, -1)[:, ::-1]
+            np.maximum.accumulate(tail, axis=1, out=tail)
+            # the balls at c holding x are its slots from s on: the rest
+            # of s's group and every later group
+            s = t.ptr[:, c0:c1] - first
+            s += np.arange(c1 - c0) * (groups * GROUP)
+            here = np.take(table, (s * table.shape[1])[:, :, None, None] + cols)
+            s //= GROUP
+            s += 1
+            np.maximum(here, np.take(top, (s * top.shape[1])[:, :, None, None] + cols), out=here)
+            del table, top, s
+            # (x, c, column) bounds: the chord plus the margin; a pair whose
+            # balls are all skipped twins reads -inf, and its nan is no hit
+            with np.errstate(invalid="ignore"):
+                bound = here[..., 1] - here[..., 0]
+                bound *= tau
+                bound += here[..., 0]
+                margin = here[..., 2] * beta
+                margin += here[..., 3]
+                margin *= CB_MARGIN
+                bound += margin
+            del here, margin
+            keep = bound >= low[:, None, :]
+            keep[np.arange(c0, c1), np.arange(c1 - c0)] = False
+            x, c, j = np.nonzero(keep)
+            bound = bound[x, c, j]
+            # points and centers (below n) and columns kept narrow
+            found.append((x.astype(np.int32), (c + c0).astype(np.int32), j.astype(np.int32), bound))
+        return tuple(np.concatenate(a) for a in zip(*found))
+
+    def _direct(self, g, xs, cs, js, low: np.ndarray, needed: np.ndarray, rows) -> None:
+        """Sum |b(x) - b| g[:, j] over every ball at c holding x, for the
+        triples (x, c, j) of xs, cs and js, along c's distance order:
+        each sum within the rounding margin of the kernel's value, so
+        below and above it once the margin is taken off or added.
+        low[x, j] is raised to the best lower value, and each ball whose
+        upper value reaches low[x, j] is marked in needed[:, j].
+        Triples go in (center, column) order, in blocks whose cumulative
+        sums stay within ``KERNEL_BLOCK // 16`` floats, or one triple if
+        more, leaving as much again for the per-ball arrays; a block
+        sums g and |b| g once per (center, column) pair, and |b(x) - b|
+        g once per triple."""
+        t = self.space.ball_table()
+        n = self.space.n
+        b = self.b
+        k = low.shape[1]
+        key = cs * k + js
+        by_key = np.argsort(key, kind="stable")
+        step = max(1, _floats(3 * n) // (6 * n))
+        for p0 in range(0, len(xs), step):
+            p = by_key[p0 : p0 + step]
+            x, c, j = xs[p], cs[p], js[p]
+            # the block's (center, column) pairs, and each triple's
+            new = np.diff(key[p], prepend=-1) != 0
+            pairs = np.flatnonzero(new)
+            own = np.cumsum(new) - 1
+            order = t.order[c[pairs]]
+            mass = g[order, j[pairs, None]]
+            sym = np.abs(b[order])
+            sym *= mass
+            dev = np.subtract(b[x, None], b[t.order[c]])
+            np.abs(dev, out=dev)
+            dev *= mass[own]
+            for a in (dev, mass, sym):
+                np.cumsum(a, axis=1, out=a)
+            # the balls at c holding x: ids ptr[x, c] up to c's last
+            first = t.ptr[x, c].astype(np.int64)
+            size = t.start[c + 1] - first
+            ends = np.cumsum(size)
+            pair = np.repeat(np.arange(len(x)), size)
+            ids = np.arange(int(ends[-1])) + np.repeat(first - (ends - size), size)
+            at = t.count[ids] - 1
+            measure = rows[0][ids]
+            value = dev[pair, at] / measure
+            if rows[1] is not None:
+                value[rows[1][ids]] = -np.inf
+            margin = np.abs(b[x])[pair] * mass[own[pair], at]
+            margin += sym[own[pair], at]
+            margin /= measure
+            margin *= CB_MARGIN
+            flat = x * k + j
+            np.maximum.at(low.reshape(-1), flat, np.maximum.reduceat(value - margin, ends - size))
+            value += margin
+            hit = value >= low.reshape(-1)[flat][pair]
+            needed[ids[hit], j[pair[hit]]] = True
+
+    def _exact(
+        self, u: np.ndarray, needed: np.ndarray, rows, want_witness: bool
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """The kernel's values of the columns of u (in symbol order), per
+        symbol position, over the balls marked in needed (balls x
+        columns), and with want_witness the lowest ball id of the
+        lowest class attaining each.  Per marked (ball, column), the
+        sums are one masked cumsum of u and one of b u in symbol order,
+        with +0.0 added so that a sum is never -0.0 (the running sums
+        start at +0.0), and the values (2 cA - TA) b + (TB - 2 cB) over
+        the ball's divisor in rows: twins share the sums, so the least
+        measure among them gives the largest value.  Pairs go in blocks
+        whose (pairs x n) arrays stay within ``KERNEL_BLOCK // 8``
+        floats, or one pair if more."""
+        t = self.space.ball_table()
+        n, k = u.shape
+        j, ids = np.nonzero(needed.T)
+        self.exact_balls += len(ids)
+        u_t = np.ascontiguousarray(u.T)
+        bu_t = u_t * self.b_s
+        best = np.full((k, n), -np.inf)
+        arg = np.full((k, n), np.iinfo(np.int64).max) if want_witness else None
+        step = max(1, _floats(n) // n)
+        for r0 in range(0, len(ids), step):
+            r, col = ids[r0 : r0 + step], j[r0 : r0 + step]
+            inside = t.rank[t.center[r]][:, self.order] < t.count[r, None]
+            # off the ball, 0 * u is +0.0 and 0 * b u is +-0.0, and adding
+            # +-0.0 leaves a sum's bits alone but for the sign of a zero
+            here, cB = u_t[col], bu_t[col]
+            for a in (here, cB):
+                a *= inside
+                np.cumsum(a, axis=1, out=a)
+                a += 0.0
+            # in the order (2 cA - TA) b + (TB - 2 cB)
+            total = here[:, -1:].copy(), cB[:, -1:].copy()
             here *= 2.0
-            here -= np.take(TA, idx, axis=0)
-            here *= self.b_s[j]
-            tail = np.take(TB, idx, axis=0)
-            twice = np.take(cB, idx, axis=0)
-            twice *= 2.0
-            tail -= twice
-            here += tail
-            here /= np.take(self.mu, idx)[:, None]
-            values[x, cols] = here.max(axis=0)
-            if witnesses is not None:
-                witnesses[x, cols] = self.ball_ids[idx[here.argmax(axis=0)]]
+            here -= total[0]
+            here *= self.b_s
+            cB *= 2.0
+            np.subtract(total[1], cB, out=cB)
+            here += cB
+            del cB
+            here /= rows[0][r, None]
+            here[~inside] = -np.inf
+            # one segment of rows per column
+            start = np.flatnonzero(np.diff(col, prepend=-1))
+            seg = col[start]
+            top = np.maximum.reduceat(here, start, axis=0)
+            if want_witness:
+                rep = np.repeat(np.arange(len(start)), np.diff(start, append=len(col)))
+                mine = np.where(here == top[rep], r[:, None], np.iinfo(np.int64).max)
+                mine = np.minimum.reduceat(mine, start, axis=0)
+                was = best[seg]
+                tie = np.where(top == was, np.minimum(arg[seg], mine), arg[seg])
+                arg[seg] = np.where(top > was, mine, tie)
+            best[seg] = np.maximum(best[seg], top)
+        return best.T, (arg.T if want_witness else None)
 
     def _by_classes(self, words, u, cols, values, witnesses) -> bool:
         """C_b of the indicator columns cols of u through one set of
@@ -593,7 +915,8 @@ class CommutatorKernel:
         # one (rows x k) plane and becomes the block's values in place
         block = min(n, max(1, rows * k // classes - 1))
         cA, cB = np.zeros((block + 1, classes)), np.zeros((block + 1, classes))
-        holders = self._holders()
+        # per position in symbol order, the (rows,) bool of which rows hold it
+        holders = _unpacked(self.bits, rows)
         for j0 in range(0, n, block):
             j1 = min(n, j0 + block)
             A, B = cA[: j1 - j0 + 1], cB[: j1 - j0 + 1]
@@ -629,7 +952,7 @@ def _classes_pay(n: int, rows: int, held: int, k: int, classes: int) -> bool:
     columns whose (row, column) intersections fall into classes: their
     sums over n positions plus the gathers over the held (row,
     position) entries of each column touch no more entries than the
-    per-row running sums over n positions and every (row, column)
+    per-row running sums would: n positions over every (row, column)
     pair."""
     return n * classes + held * k <= n * rows * k
 
@@ -1074,7 +1397,7 @@ def probe_images(
     rest = np.flatnonzero(~point)
     kernel = CommutatorKernel(space, b)
     # whole class-path chunks per block, so blocks add no kernel pass
-    for j in (rest[s] for s in _spans(len(rest), space.n, kernel._widths()[1])):
+    for j in (rest[s] for s in _spans(len(rest), space.n, kernel._chunk())):
         cols = F[:, first[j]]
         cb[:, j] = kernel.apply(cols).values
         mf[:, j], mbf = _maximal_pair(space, b[:, None], cols)

@@ -652,14 +652,18 @@ def verify_bloom_jn(
     reports = []
     for x in exponents:
         branch = 1 if x <= pprime + 1e-12 else 2
-        rhs = bmo**x * ap2 ** (x / p) * lam2_avg**x
+        rhs = lam2_avg**x
+        rhs *= bmo**x * ap2 ** (x / p)
 
         def ratio(ids, sums):
-            lhs = sums / mu[ids]
+            # deviation_max hands over fresh sums, so they are divided in
+            # place: one (balls,) array less at this check's peak
+            sums /= mu[ids]
+            zero = ~(sums > 0)
             with np.errstate(divide="ignore", invalid="ignore"):
-                out = lhs / rhs[ids]
-            out[~(lhs > 0)] = 0.0
-            return out
+                sums /= rhs[ids]
+            sums[zero] = 0.0
+            return sums
 
         worst, jn_exact = deviation_max(space, b, avg, lam1 ** (-x / p) * m, x, ratio)
         c_jn = worst.value

@@ -203,7 +203,8 @@ def deviation_max(
     it.
 
     ratio(ids, sums) maps the sums of the balls ids (a slice or an id
-    array) elementwise to their values, non-decreasing in each sum.
+    array) elementwise to their values, non-decreasing in each sum; each
+    call gets sums of its own, which it may overwrite.
     The value and ball equal ``ball_max`` of ratio over every ball's
     sum, bit for bit (module docstring).
     """

@@ -32,6 +32,28 @@ def lognormal_plane(n: int = 20, seed: int = 5) -> QuasiMetricSpace:
     return QuasiMetricSpace(dist, rng.lognormal(0.0, 1.0, n))
 
 
+def random_space(seed: int) -> QuasiMetricSpace:
+    """A seeded random space: 6 to 24 points in R^1 to R^3, half the
+    time on a quarter grid (so distances tie), Euclidean distances
+    rounded to 1e-3 (at least 1e-3 apart) and raised to gamma in {1, 2}
+    (a quasi-metric for gamma 2), and lognormal masses with sigma in
+    {0.1, 1, 2}."""
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(1, 4))
+    pts = rng.random((int(rng.integers(6, 25)), dim))
+    if rng.random() < 0.5:
+        grid = np.unique(np.round(4.0 * pts) / 4.0, axis=0)
+        if len(grid) >= 4:
+            pts = grid
+    dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1))
+    dist = np.round(dist, 3)
+    dist[dist == 0.0] = 1e-3
+    np.fill_diagonal(dist, 0.0)
+    dist **= float(rng.choice([1.0, 2.0]))
+    sigma = float(rng.choice([0.1, 1.0, 2.0]))
+    return QuasiMetricSpace(dist, rng.lognormal(0.0, sigma, len(pts)), {"kind": "random", "seed": seed})
+
+
 
 def greedy_nets(space, delta: float, seed: int, sep_scale: float = 1.0) -> Dict[int, np.ndarray]:
     """Nested greedy nets by the per-point sweep: every level visits
@@ -529,6 +551,50 @@ def kernel_rows(space, b: np.ndarray, table=None) -> Tuple[np.ndarray, np.ndarra
     ball_ids = first[keep].astype(np.int64)
     members = rank_s[t.center[ball_ids]] < t.count[ball_ids, None]
     return ball_ids, mu[keep], np.packbits(members.T, axis=1)
+
+
+def kernel_by_rows(space, b: np.ndarray, f: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(values, witnesses) of ``CommutatorKernel(space, b).apply(f,
+    want_witness=True)`` for f (n,) or (n, k), by per-row running sums:
+    one row per member class (``kernel_rows``); per position in symbol
+    order, the rows holding it add u = m |f| and b u to their totals
+    in a first pass and to their running sums in a second, and the
+    position takes the max of (2 cA - TA) b + (TB - 2 cB) over mu among
+    them, ties to the lowest row.  A constant symbol runs on u = 0."""
+    b = np.asarray(b, dtype=np.float64)
+    f = np.asarray(f, dtype=np.float64)
+    n = space.n
+    order = np.argsort(b, kind="stable")
+    b_s = b[order]
+    ball_ids, mu, bits = kernel_rows(space, b)
+    holders = np.unpackbits(bits, axis=1, count=len(mu)).view(bool)
+    u = np.abs(f.reshape(n, -1)[order])
+    if np.ptp(b) == 0.0:
+        u[:] = 0.0
+    u *= space.mass[order, None]
+    bu = b_s[:, None] * u
+    shape = (len(mu), u.shape[1])
+    TA, TB = np.zeros(shape), np.zeros(shape)
+    for j, held in enumerate(holders):
+        np.add(TA, u[j], out=TA, where=held[:, None])
+        np.add(TB, bu[j], out=TB, where=held[:, None])
+    cA, cB = np.zeros(shape), np.zeros(shape)
+    values = np.empty(u.shape)
+    witnesses = np.empty(u.shape, dtype=np.int64)
+    for j, (x, held) in enumerate(zip(order, holders)):
+        np.add(cA, u[j], out=cA, where=held[:, None])
+        np.add(cB, bu[j], out=cB, where=held[:, None])
+        idx = np.flatnonzero(held)
+        here = cA[idx] * 2.0
+        here -= TA[idx]
+        here *= b_s[j]
+        tail = TB[idx] - cB[idx] * 2.0
+        here += tail
+        here /= mu[idx][:, None]
+        values[x] = here.max(axis=0)
+        witnesses[x] = ball_ids[idx[here.argmax(axis=0)]]
+    np.maximum(values, 0.0, out=values)
+    return values.reshape(f.shape), witnesses.reshape(f.shape)
 
 
 def by_lowest_id(first: np.ndarray, inverse: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

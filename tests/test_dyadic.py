@@ -257,6 +257,35 @@ class TestVerifySystem:
                 assert got == oracles.nesting_violations(broken, sp)
                 assert rep == oracles.verify_system(broken, sp)
 
+    def test_failing_systems_keep_the_whole_list(self):
+        # a valid system builds only the adjacent level pairs; a system
+        # with an empty cube, a point in two cubes or a point in none, or
+        # a straddling cube, still reports every level pair's entries
+        sp = build_space("line", 8)
+        halves = [(0, [0, 1, 2, 3]), (4, [4, 5, 6, 7])]
+        pairs = [(2 * i, [2 * i, 2 * i + 1]) for i in range(4)]
+        cases = [
+            # an empty cube under a level with one cube
+            {0: [(0, list(range(8)))], 1: [(0, list(range(8))), (3, [])], 2: halves, 3: pairs},
+            {0: [(0, list(range(8)))], 1: halves, 2: pairs + [(5, [])], 3: [(i, [i]) for i in range(8)]},
+            # point 3 in two cubes, then in none
+            {0: [(0, list(range(8)))], 1: halves, 2: pairs, 3: [(i, [i, 3]) for i in range(8)]},
+            {0: halves, 1: pairs, 2: [(i, [i]) for i in range(8) if i != 3]},
+            # a cube straddling two parents two levels up
+            {0: halves, 1: [(0, [0, 1, 2]), (3, [3, 4, 5]), (6, [6, 7])], 2: [(i, [i]) for i in range(8)]},
+        ]
+        for sets in cases:
+            system = system_from_level_sets(sp, 0.5, sets)
+            rep = verify_system(system, sp)
+            got = [v for v in rep["violations"] if v[0] != "separation"]
+            assert got == oracles.nesting_violations(system, sp)
+            if all(len(m) for level in sets.values() for _, m in level):
+                # the per-cube oracle's sandwich reads each cube's members
+                assert rep == oracles.verify_system(system, sp)
+        # the second case's empty cube lies in each of the two halves
+        system = system_from_level_sets(sp, 0.5, cases[1])
+        assert ("ancestor", 2, 4, 1) in verify_system(system, sp)["violations"]
+
     def test_nesting_violations_order_on_a_straddling_cube(self):
         sp = build_space("line", 6)
         system = system_from_level_sets(

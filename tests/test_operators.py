@@ -9,6 +9,7 @@ import pytest
 import oracles
 from shtlab import (
     CommutatorKernel,
+    QuasiMetricSpace,
     build_dyadic_system,
     build_probes,
     build_space,
@@ -301,9 +302,10 @@ class TestCommutatorKernel:
     def test_indicator_columns_match_the_running_sums(self, monkeypatch, block):
         # one input mixes indicator and lognormal columns; apply sends the
         # indicators through the sums per distinct r & B' and must agree
-        # bit for bit with the per-row running sums alone, also with the
-        # class sums forced on every indicator chunk.  A block of 1 or 3
-        # rows' columns ends the indicator chunks mid-way through them.
+        # bit for bit with the chord bounds and exact balls alone, also
+        # with the class sums forced on every indicator chunk.  A block
+        # of 1 or 3 rows' columns ends the indicator chunks mid-way
+        # through them.
         rng = np.random.default_rng(40)
         spaces = [build_space(kind, n) for kind, n in SPACES]
         spaces += [oracles.lognormal_plane(), oracles.tied_quasi_grid()]
@@ -424,15 +426,17 @@ class TestCommutatorKernel:
                 assert np.array_equal(want.witnesses[kern.order, j], kern.ball_ids[vals.argmax(axis=0)])
 
     def test_line384_membership_stays_packed(self):
-        # one bit per (position, distinct ball): 384 x 55901 entries keep
-        # 2.7 MB, where one byte each would take 21.5 MB; the class map
-        # dedups one chunk of count groups at a time (5.6 MB traced peak)
+        # the class path's set-up, built on its first read: one bit per
+        # (position, distinct ball), 384 x 55901 entries in 2.7 MB, where
+        # one byte each would take 21.5 MB; the class map dedups one
+        # chunk of count groups at a time (5.6 MB traced peak)
         sp = build_space("line", 384)
         sp.ball_table()  # cached set-up stays out of the traced peak
         b = np.exp(0.5 * np.random.default_rng(38).standard_normal(sp.n))
         tracemalloc.start()
         try:
             kern = CommutatorKernel(sp, b)
+            kern.bits
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -460,6 +464,118 @@ class TestCommutatorKernel:
         for _ in range(3):
             f = rng.standard_normal(12)
             assert np.allclose(kern.apply(f).values, oracles.commutator_kernel(sp, b, f))
+
+
+def _differential_spaces():
+    """Every generator kind, the tied quasi-grid, the lognormal plane
+    and 20 seeded random spaces."""
+    named = [(f"{kind}{n}", lambda kind=kind, n=n: build_space(kind, n)) for kind, n in SPACES]
+    named += [("ties", oracles.tied_quasi_grid), ("lognormal", oracles.lognormal_plane)]
+    return named + [(f"random{seed}", lambda seed=seed: oracles.random_space(seed)) for seed in range(20)]
+
+
+def _hard_inputs(sp, seed):
+    """Symbols and an (n, 7) input: a monotone symbol, a lognormal one,
+    a binary, a three-valued and a constant one; f lognormal, signed,
+    identically 1, a point mass, lognormal with zeros, a ball's
+    indicator and a rounded signed column (ties at every breakpoint)."""
+    rng = np.random.default_rng(seed)
+    n = sp.n
+    t = sp.ball_table()
+    point = np.zeros(n)
+    point[n // 3] = 1.0
+    ball = len(t.center) // 2
+    F = np.stack(
+        [
+            rng.lognormal(0.0, 1.0, n),
+            rng.standard_normal(n),
+            np.ones(n),
+            point,
+            np.where(rng.random(n) < 0.5, 0.0, rng.lognormal(0.0, 1.0, n)),
+            (t.rank[t.center[ball]] < t.count[ball]).astype(np.float64),
+            np.round(2.0 * rng.standard_normal(n)),
+        ],
+        axis=1,
+    )
+    bs = [
+        np.linspace(1.0, 2.0, n),
+        rng.lognormal(0.0, 1.0, n),
+        (rng.random(n) < 0.5).astype(np.float64),
+        np.round(2.0 * rng.random(n)),
+        np.full(n, 1.5),
+    ]
+    return bs, F
+
+
+class TestBoundedCommutator:
+    """The chord bounds and exact balls against the per-row running sums
+    of ``oracles.kernel_by_rows``: values and witnesses bit for bit."""
+
+    @pytest.mark.parametrize("name,make", _differential_spaces(), ids=[a for a, _ in _differential_spaces()])
+    def test_matches_the_row_oracle(self, name, make):
+        sp = make()
+        bs, F = _hard_inputs(sp, sp.n)
+        for b in bs:
+            want_v, want_w = oracles.kernel_by_rows(sp, b, F)
+            # one column at a time, values only, on a space with no class
+            # map: the bounds run over every ball
+            fresh = QuasiMetricSpace(sp.dist, sp.mass)
+            kern = CommutatorKernel(fresh, b)
+            for j in range(F.shape[1]):
+                assert kern.apply(F[:, j]).values.tobytes() == want_v[:, j].tobytes()
+            assert "member_classes" not in fresh._cache and "bits" not in kern.__dict__
+            # the whole input with witnesses, then values and single
+            # columns once the class map is at hand
+            kern = CommutatorKernel(sp, b)
+            got = kern.apply(F, want_witness=True)
+            assert got.values.tobytes() == want_v.tobytes()
+            assert got.witnesses.tobytes() == want_w.tobytes()
+            assert kern.apply(F).values.tobytes() == want_v.tobytes()
+            for j in range(F.shape[1]):
+                one = kern.apply(F[:, j], want_witness=True)
+                assert one.values.tobytes() == want_v[:, j].tobytes()
+                assert one.witnesses.tobytes() == want_w[:, j].tobytes()
+
+    @pytest.mark.parametrize("block", [1, 64 * 40])
+    def test_small_blocks_match_the_row_oracle(self, monkeypatch, block):
+        # a block of one float takes one center, triple and (ball,
+        # column) pair at a time; 64 * 40 floats splits the chord pass
+        # and the column groups of the larger spaces
+        monkeypatch.setattr(operators, "KERNEL_BLOCK", block)
+        spaces = [build_space("line", 24), build_space("tree", 31), oracles.tied_quasi_grid()]
+        spaces += [oracles.random_space(seed) for seed in (3, 7)]
+        for sp in spaces:
+            bs, F = _hard_inputs(sp, 2 * sp.n)
+            for b in bs[:4]:
+                want_v, want_w = oracles.kernel_by_rows(sp, b, F)
+                got = CommutatorKernel(sp, b).apply(F, want_witness=True)
+                assert got.values.tobytes() == want_v.tobytes()
+                assert got.witnesses.tobytes() == want_w.tobytes()
+
+    def test_breakpoint_ties_on_the_squared_line(self):
+        # a binary symbol puts every b(x) on a breakpoint and f = 1 ties
+        # many balls; without the rounding margin the bounds prune the
+        # winning balls at points 3 and 5
+        sp = build_space("sqline", 9)
+        b = np.array([1.0, 2.0, 1.0, 1.0, 1.0, 2.0, 2.0, 1.0, 2.0])
+        for f in (np.ones(sp.n), np.arange(1.0, 10.0)):
+            want_v, want_w = oracles.kernel_by_rows(sp, b, f)
+            got = CommutatorKernel(sp, b).apply(f, want_witness=True)
+            assert got.values.tobytes() == want_v.tobytes()
+            assert got.witnesses.tobytes() == want_w.tobytes()
+
+    def test_single_column_builds_no_class_map(self):
+        # the ladder's apply at line384: no class map and no bit table,
+        # within 3 MB traced (the class path's set-up alone takes 5.6 MB)
+        sp = build_space("line", 384)
+        sp.ball_table()  # cached set-up stays out of the traced peak
+        rng = np.random.default_rng(38)
+        b = np.exp(0.5 * rng.standard_normal(sp.n))
+        f = rng.lognormal(0.0, 1.0, sp.n)
+        kern = CommutatorKernel(sp, b)
+        assert _traced_peak(lambda: kern.apply(f)) <= 3e6
+        assert "member_classes" not in sp._cache
+        assert not {"ball_ids", "mu", "bits"} & set(kern.__dict__)
 
 
 class TestCommutatorBM:
@@ -1097,17 +1213,17 @@ class TestScratchBounds:
         rng = np.random.default_rng(35)
         F = rng.standard_normal((sp.n, sp.n + 100))
         kern = CommutatorKernel(sp, rng.lognormal(0.0, 1.0, sp.n))
-        # planes of 32 columns, so the 164 columns take six blocks; the
-        # scratch is the four running and total sums, at most four
-        # temporaries over the rows holding a point, and the (n x k)
-        # input copies and outputs
-        monkeypatch.setattr(operators, "KERNEL_BLOCK", 32 * len(kern.mu))
+        # blocks of 64 x 35 x 8 floats: the chord pass's 35 columns per
+        # input column (32 quantiles plus 3) take groups of 8 columns,
+        # so the 164 columns take 21 groups; the scratch is a few blocks
+        # of each stage and the (n x k) input copies and outputs
+        monkeypatch.setattr(operators, "KERNEL_BLOCK", 64 * 35 * 8 * 8)
         bound = (8 * operators.KERNEL_BLOCK + 7 * F.size) * 8
         assert _traced_peak(lambda: kern.apply(F, want_witness=True)) < bound
 
     def test_kernel_on_ball_indicator_probes(self, monkeypatch):
         # line48's distinct ball columns take the sums per distinct r & B'
-        # within the bound of the per-row running sums above
+        # within the same bound as the general columns above
         sp, _ = self._space(48)
         F, labels = build_probes(sp, 16, 0, 4096)
         F = np.unique(F[:, [lab.startswith("ball:") for lab in labels]], axis=1)
