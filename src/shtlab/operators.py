@@ -56,23 +56,23 @@ order).  Two exact reorganizations keep desk-scale evaluation fast:
   Every stage works per block of centers, (point, center) pairs or
   (ball, column) pairs within ``KERNEL_BLOCK // 8`` floats, and (n, k)
   input goes in groups of columns whose chord columns fit one such
-  block.  Indicator columns (|f| in {0, 1}, so u = m 1_{B'}) have sums
-  that start at +0.0 and add only +-0.0 off B', which leaves their bits
-  unchanged, so a class's sums depend only on r & B'.  Two or more of
-  them go through one running sum per distinct intersection, found by
-  ``_distinct_rows`` a chunk of columns at a time, when those sums over
-  n positions plus the gathers through each (class, column) pair touch
-  no more entries than per-class running sums would
-  (``_classes_pay``).  That path alone reads the kernel's (positions x
-  classes) bits, built on its first use.
+  block.  ``apply`` sends every column this way.
+  The probe images' ball indicators (|f| in {0, 1}, so u = m 1_{B'})
+  take a class path instead.  Their sums start at +0.0 and add only
+  +-0.0 off B', which leaves their bits unchanged, so a class's sums
+  depend only on r & B'.  They go through one running sum per distinct
+  intersection, found by ``_distinct_rows`` a chunk of columns at a
+  time (``CommutatorKernel._indicator_values``).  That path alone reads
+  the kernel's (positions x classes) bits, built on its first use.
 * Probe images of M, C_b and [b, M] are built once per (space,
   symbol, probe set) and memoized on the space (``probe_images``).
   Each distinct probe column is evaluated once; a point mass at i has
   the closed forms C_b 1_i(x) = |b(x) - b(i)| m_i / mu and
   M 1_i(x) = m_i / mu with mu the smallest ball measure holding x and
   i; the remaining columns go in blocks (``_spans``) through one
-  kernel, one apply per block, and one maximal function call per
-  block for both M and [b, M].
+  kernel, the ball indicators through its class path and the random
+  columns through ``apply``, and one maximal function call per block
+  for both M and [b, M].
 * Scratch stays O(balls x n) whatever the column or sub-ball count,
   and a ball sup holds one (balls x columns)-sized array: its suffix
   max table, whose rows it places and reads per block of balls and
@@ -107,15 +107,16 @@ order).  Two exact reorganizations keep desk-scale evaluation fast:
   or two columns or balls if more), so no consumer adds an (n x
   probes) array to the memoized images.
 * The class map (``_member_classes``), which the kernel's class path
-  and witnesses and the grand maximal read, is the one dedup of ball
-  member sets, memoized per space.  Equal sets have equal counts, so it runs on chunks of whole
-  count groups (each at most n balls, one per center), a chunk at most
-  max(n, ``KERNEL_BLOCK // n``) balls.  A chunk's bits are its
-  centers' prefix words at its counts, one running OR of one-hot words
-  along each center's order carried from chunk to chunk, so its
-  scratch stays within that many balls' n/8 bytes and no (balls x n/8)
-  matrix is built.  Classes are numbered by their lowest ball id, so
-  the kernel's rows come in id order with no sort.
+  (probe images only) and witnesses and the grand maximal read, is the
+  one dedup of ball member sets, memoized per space.  Equal sets have
+  equal counts, so it runs on chunks of whole count groups (each at
+  most n balls, one per center), a chunk at most max(n, ``KERNEL_BLOCK
+  // n``) balls.  A chunk's bits are its centers' prefix words at its
+  counts, one running OR of one-hot words along each center's order
+  carried from chunk to chunk, so its scratch stays within that many
+  balls' n/8 bytes and no (balls x n/8) matrix is built.  Classes are
+  numbered by their lowest ball id, so the kernel's rows come in id
+  order with no sort.
 * The sparse forms A_S, T_{S,b} and T*_{S,b} run on one flat index of
   the cube family (concatenated member ids, each id's cube, each
   cube's measure): per-cube sums are one ``np.add.reduceat`` and
@@ -195,11 +196,11 @@ def _ball_slots(space: QuasiMetricSpace) -> Tuple[int, np.ndarray]:
     return int(np.diff(t.start).max()), np.subtract(t.ptr, t.start[:-1], dtype=np.int32)
 
 
-# float entries per (rows x columns) plane of the kernel's class path;
-# its and ``_distinct_rows``' set-up scratch goes in chunks of as many
-# bytes, the ball sups' and the C_b bounds' blocks and chunks take at
-# least an eighth as many floats, and the probe images' blocks
-# (``_spans``) a sixty-fourth
+# float entries per (rows x columns) plane of the kernel's class path
+# (``_indicator_values``); its and ``_distinct_rows``' set-up scratch
+# goes in chunks of as many bytes, the ball sups' and the C_b bounds'
+# blocks and chunks take at least an eighth as many floats, and the
+# probe images' blocks (``_spans``) a sixty-fourth
 KERNEL_BLOCK = 1 << 19
 
 
@@ -472,18 +473,18 @@ def _member_classes(space: QuasiMetricSpace) -> Tuple[np.ndarray, np.ndarray]:
 class CommutatorKernel:
     """Reusable evaluator for C_b f(x) = sup_{B owns x} avg_B |b(x)-b(.)| |f|.
 
-    ``apply`` takes (n,) or (n, k) input.  A column goes through the
-    chord bounds and then exact balls (``_bounded``), unless it is one
-    of at least two indicator columns whose chunk the class path takes
-    (``_by_classes``).  Only that path reads the member classes of the
+    ``apply`` takes (n,) or (n, k) input and sends every column through
+    the chord bounds and then exact balls (``_bounded``).  The probe
+    images' ball indicators take the class path instead
+    (``_indicator_values``), which alone reads the member classes of the
     canonical balls as packed bits: ``bits[j]`` is the ``np.packbits``
     of which rows hold the j-th point in symbol order, one row per
     member class at its lowest ball id (``ball_ids``) with the least
     measure of its twins (``mu``).  They are built on their first read,
-    so an apply of general or single columns builds none of them.  The
-    bounds carry the rounding margin stated in the module docstring.
-    ``exact_balls`` counts the (ball, column) pairs the last ``apply``
-    evaluated exactly after the bounds.
+    so ``apply`` builds no bit table.  The bounds carry the rounding
+    margin stated in the module docstring.  ``exact_balls`` counts the
+    (ball, column) pairs the last ``apply`` evaluated exactly after the
+    bounds.
     """
 
     def __init__(self, space: QuasiMetricSpace, b: np.ndarray) -> None:
@@ -509,12 +510,6 @@ class CommutatorKernel:
         mu = np.full(len(self.ball_ids), np.inf)
         np.minimum.at(mu, _member_classes(self.space)[1], self.space.ball_table().measure)
         return mu
-
-    @cached_property
-    def held(self) -> int:
-        """(row, position) memberships: the entries one column's gathers
-        read."""
-        return int(self.space.ball_table().count[self.ball_ids].sum())
 
     @cached_property
     def bits(self) -> np.ndarray:
@@ -553,17 +548,8 @@ class CommutatorKernel:
         (balls with the same members) have the same sums, so the sup
         over balls is the sup over member classes, each over its least
         measure, and ties go to the lowest ball id of the lowest class.
-
-        A column with |f| in {0, 1} has u = m 1_{B'}.  Its sums start at
-        +0.0 and only ever add +-0.0 off B', which leaves their bits
-        alone, so a class's four sums depend only on r & B'.  Two or
-        more such columns go in chunks whose running sums are kept once
-        per distinct intersection (``_by_classes``) when that is the
-        cheaper pass (``_classes_pay``).  Every other column, a lone
-        indicator column (the class path's set-up would cost more than
-        it saves) and a chunk that fails the test go through the chord
-        bounds and then exact balls (``_bounded``).  The values and
-        witnesses are the same bits either way.
+        Every column goes through the chord bounds and then exact balls
+        (``_bounded``).
         """
         n = self.space.n
         f = np.asarray(f, dtype=np.float64)
@@ -573,40 +559,46 @@ class CommutatorKernel:
             # every ball then sums to exactly 0, so each point's witness
             # is the lowest ball owning it
             u[:] = 0.0
-        indicator = ((u == 0.0) | (u == 1.0)).all(axis=0)
         u *= self.space.mass[self.order, None]
-        k = u.shape[1]
-        values = np.empty((n, k))
-        witnesses = np.empty((n, k), dtype=np.int64) if want_witness else None
         self.exact_balls = 0
-        others = [np.flatnonzero(~indicator)]
-        indicator = np.flatnonzero(indicator)
-        if len(indicator) > 1:
-            rows = len(self.mu)
-            chunk = self._chunk()
-            # each row's members in symbol order as whole words
-            words = np.zeros((rows, -(-n // 64) * 8), dtype=np.uint8)
-            words[:, : (n + 7) // 8] = _transposed_bits(self.bits, rows)
-            words = words.view(np.uint64)
-            for j0 in range(0, len(indicator), chunk):
-                cols = indicator[j0 : j0 + chunk]
-                if not self._by_classes(words, u, cols, values, witnesses):
-                    others.append(cols)
-        else:
-            others.append(indicator)
-        others = np.concatenate(others)
-        if len(others):
-            at = np.ix_(self.order, others)
-            values[at], arg = self._bounded(u[:, others], want_witness)
-            if want_witness:
-                witnesses[at] = arg
-        np.maximum(values, 0.0, out=values)
+        best, arg = self._bounded(u, want_witness)
+        values = np.empty_like(best)
+        values[self.order] = np.maximum(best, 0.0)
+        witnesses = None
         if want_witness:
+            witnesses = np.empty_like(arg)
+            witnesses[self.order] = arg
             witnesses = witnesses.reshape(f.shape)
         return OperatorResult(values.reshape(f.shape), witnesses)
 
+    def _indicator_values(self, f: np.ndarray) -> np.ndarray:
+        """``apply``'s values of the columns of f (n, k), each with |f|
+        in {0, 1}, through one set of running sums per distinct
+        intersection (the probe images' ball indicators).
+
+        Such a column has u = m 1_{B'}.  Its sums start at +0.0 and only
+        ever add +-0.0 off B', which leaves their bits alone, so a
+        class's four sums depend only on r & B' and are the bits the
+        per-ball sums of ``apply`` give.  The columns go in chunks of
+        ``_chunk`` (``_by_classes``)."""
+        n = self.space.n
+        rows = len(self.mu)
+        # each row's members in symbol order as whole words
+        words = np.zeros((rows, -(-n // 64) * 8), dtype=np.uint8)
+        words[:, : (n + 7) // 8] = _transposed_bits(self.bits, rows)
+        words = words.view(np.uint64)
+        # masses are positive, so B' is where f is nonzero; a constant
+        # symbol annihilates the kernel, as in apply
+        inside = (f[self.order] != 0.0) & (not self.constant)
+        values = np.empty(inside.shape)
+        chunk = self._chunk()
+        for j0 in range(0, inside.shape[1], chunk):
+            values[:, j0 : j0 + chunk] = self._by_classes(words, inside[:, j0 : j0 + chunk])
+        np.maximum(values, 0.0, out=values)
+        return values
+
     def _chunk(self) -> int:
-        """The indicator columns per chunk of the class path: their (row,
+        """The columns per chunk of ``_indicator_values``: their (row,
         column) intersections take at most one (rows x step) plane of
         words, step = min(``KERNEL_BLOCK`` // rows, n) columns, or
         ``KERNEL_BLOCK // 8`` floats if more."""
@@ -883,23 +875,21 @@ class CommutatorKernel:
             best[seg] = np.maximum(best[seg], top)
         return best.T, (arg.T if want_witness else None)
 
-    def _by_classes(self, words, u, cols, values, witnesses) -> bool:
-        """C_b of the indicator columns cols of u through one set of
-        running sums per distinct intersection r & B', into values (and
-        witnesses); words holds each row's members as whole words.
-        Returns False, writing nothing, when the cost rule of ``apply``
-        (``_classes_pay``) prefers the per-row sums for these columns."""
+    def _by_classes(self, words: np.ndarray, inside: np.ndarray) -> np.ndarray:
+        """The values, per point and before the clamp at 0, of the
+        indicator columns whose sets B' in symbol order are the columns
+        of inside (n, k), through one set of running sums per distinct
+        intersection r & B'; words holds each row's members as whole
+        words."""
         n = self.space.n
         rows, width = words.shape
-        k = len(cols)
-        inside = np.zeros((k, width * 8), dtype=np.uint8)
-        inside[:, : (n + 7) // 8] = np.packbits(u[:, cols].T != 0.0, axis=1)
-        pairs = (words[:, None, :] & inside.view(np.uint64)[None, :, :]).reshape(rows * k, width)
-        del inside
+        k = inside.shape[1]
+        packed = np.zeros((k, width * 8), dtype=np.uint8)
+        packed[:, : (n + 7) // 8] = np.packbits(inside.T, axis=1)
+        pairs = (words[:, None, :] & packed.view(np.uint64)[None, :, :]).reshape(rows * k, width)
+        del packed
         first, cls = _distinct_rows(pairs.view(np.uint8))
         classes = len(first)
-        if not _classes_pay(n, rows, self.held, k, classes):
-            return False
         # per position, which classes hold it, packed along the classes
         on = _transposed_bits(pairs[first].view(np.uint8), n)
         del pairs, first
@@ -915,6 +905,7 @@ class CommutatorKernel:
         # one (rows x k) plane and becomes the block's values in place
         block = min(n, max(1, rows * k // classes - 1))
         cA, cB = np.zeros((block + 1, classes)), np.zeros((block + 1, classes))
+        values = np.empty((n, k))
         # per position in symbol order, the (rows,) bool of which rows hold it
         holders = _unpacked(self.bits, rows)
         for j0 in range(0, n, block):
@@ -936,25 +927,13 @@ class CommutatorKernel:
             tail *= 2.0
             np.subtract(TB, tail, out=tail)
             per += tail
-            for x, row, held in zip(self.order[j0:j1], per, holders):
-                idx = np.flatnonzero(held)
+            for x, row, holding in zip(self.order[j0:j1], per, holders):
+                idx = np.flatnonzero(holding)
                 here = np.take(row, np.take(cls, idx, axis=0))
                 here /= np.take(self.mu, idx)[:, None]
-                values[x, cols] = here.max(axis=0)
-                if witnesses is not None:
-                    witnesses[x, cols] = self.ball_ids[idx[here.argmax(axis=0)]]
+                values[x] = here.max(axis=0)
             cA[0], cB[0] = carry
-        return True
-
-
-def _classes_pay(n: int, rows: int, held: int, k: int, classes: int) -> bool:
-    """The cost rule of ``CommutatorKernel.apply`` for k indicator
-    columns whose (row, column) intersections fall into classes: their
-    sums over n positions plus the gathers over the held (row,
-    position) entries of each column touch no more entries than the
-    per-row running sums would: n positions over every (row, column)
-    pair."""
-    return n * classes + held * k <= n * rows * k
+        return values
 
 
 def _unpacked(bits: np.ndarray, count: int) -> Iterator[np.ndarray]:
@@ -1373,8 +1352,10 @@ def probe_images(
     holding the same values, so argmax witnesses keep their labels.
     Point masses use the closed forms through the smallest ball holding
     both points.  The other distinct columns go in blocks (``_spans``)
-    through one ``CommutatorKernel``, one ``apply`` per block, and one
-    maximal function call per block for both M and [b, M]."""
+    through one ``CommutatorKernel``, the ball indicators through its
+    class path (``_indicator_values``) and the random columns through
+    ``apply``, and one maximal function call per block for both M and
+    [b, M]."""
     if probes < 1:
         raise ValueError("probes must be >= 1")
     b = np.asarray(b, dtype=np.float64)
@@ -1395,13 +1376,20 @@ def probe_images(
     cb[:, point] = np.abs(b[:, None] * m[i] - b[i] * m[i]) / minmu
     bm[:, point] = b[:, None] * mf[:, point] - (np.abs(b[i]) * m[i]) / minmu
     rest = np.flatnonzero(~point)
+    # the ball indicators come before the `probes` random columns
+    ball = first[rest] < F.shape[1] - probes
     kernel = CommutatorKernel(space, b)
-    # whole class-path chunks per block, so blocks add no kernel pass
-    for j in (rest[s] for s in _spans(len(rest), space.n, kernel._chunk())):
-        cols = F[:, first[j]]
-        cb[:, j] = kernel.apply(cols).values
-        mf[:, j], mbf = _maximal_pair(space, b[:, None], cols)
-        bm[:, j] = b[:, None] * mf[:, j] - mbf
+    # whole class-path chunks per block of balls, so blocks add no
+    # kernel pass
+    for part, unit, image in (
+        (rest[ball], kernel._chunk(), kernel._indicator_values),
+        (rest[~ball], 1, lambda cols: kernel.apply(cols).values),
+    ):
+        for j in (part[s] for s in _spans(len(part), space.n, unit)):
+            cols = F[:, first[j]]
+            cb[:, j] = image(cols)
+            mf[:, j], mbf = _maximal_pair(space, b[:, None], cols)
+            bm[:, j] = b[:, None] * mf[:, j] - mbf
     # take keeps the images C-ordered, so column sums over them add
     # row by row exactly as over the probe matrix; one image at a time,
     # so each distinct-column array is freed before the next expands

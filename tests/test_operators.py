@@ -300,37 +300,32 @@ class TestCommutatorKernel:
 
     @pytest.mark.parametrize("block", [None, 1, 3])
     def test_indicator_columns_match_the_running_sums(self, monkeypatch, block):
-        # one input mixes indicator and lognormal columns; apply sends the
-        # indicators through the sums per distinct r & B' and must agree
-        # bit for bit with the chord bounds and exact balls alone, also
-        # with the class sums forced on every indicator chunk.  A block
-        # of 1 or 3 rows' columns ends the indicator chunks mid-way
-        # through them.
+        # one input mixes indicator and lognormal columns; the class
+        # path's sums per distinct r & B' (``_indicator_values``) must
+        # agree bit for bit with apply's chord bounds and exact balls, on
+        # the whole input and on each column alone.  A block of 1 or 3
+        # rows' columns ends the class path's chunks mid-way through the
+        # indicators.
         rng = np.random.default_rng(40)
         spaces = [build_space(kind, n) for kind, n in SPACES]
         spaces += [oracles.lognormal_plane(), oracles.tied_quasi_grid()]
         for sp in spaces:
-            F = np.concatenate([_indicator_columns(sp, rng, 12), rng.lognormal(0.0, 1.0, (sp.n, 3))], axis=1)
-            F = F[:, rng.permutation(F.shape[1])]
+            S = _indicator_columns(sp, rng, 12)
+            F = np.concatenate([S, rng.lognormal(0.0, 1.0, (sp.n, 3))], axis=1)
+            perm = rng.permutation(F.shape[1])
+            F = F[:, perm]
+            indicator = np.flatnonzero(perm < S.shape[1])
             for b in (np.full(sp.n, 2.5), rng.standard_normal(sp.n), rng.lognormal(0.0, 1.0, sp.n)):
                 kern = CommutatorKernel(sp, b)
                 if block:
                     monkeypatch.setattr(operators, "KERNEL_BLOCK", block * len(kern.mu))
-                runs = {}
-                for rule in (None, False, True):
-                    with monkeypatch.context() as m:
-                        if rule is not None:
-                            m.setattr(operators, "_classes_pay", lambda *_, rule=rule: rule)
-                        runs[rule] = kern.apply(F, want_witness=True)
-                        if rule is False:
-                            ones = [kern.apply(F[:, j], want_witness=True) for j in range(F.shape[1])]
-                want = runs[False]
-                for got in (runs[None], runs[True]):
-                    assert got.values.tobytes() == want.values.tobytes()
-                    assert got.witnesses.tobytes() == want.witnesses.tobytes()
-                for j, one in enumerate(ones):
-                    assert np.array_equal(runs[None].values[:, j], one.values)
-                    assert np.array_equal(runs[None].witnesses[:, j], one.witnesses)
+                whole = kern.apply(F, want_witness=True)
+                got = kern._indicator_values(F[:, indicator])
+                assert got.tobytes() == whole.values[:, indicator].tobytes()
+                for j in range(F.shape[1]):
+                    one = kern.apply(F[:, j], want_witness=True)
+                    assert one.values.tobytes() == whole.values[:, j].tobytes()
+                    assert one.witnesses.tobytes() == whole.witnesses[:, j].tobytes()
 
     def test_bit_identical_to_row_cumsums(self):
         # the reference form: per row, two cumulative sums along the
@@ -561,6 +556,22 @@ class TestBoundedCommutator:
         for f in (np.ones(sp.n), np.arange(1.0, 10.0)):
             want_v, want_w = oracles.kernel_by_rows(sp, b, f)
             got = CommutatorKernel(sp, b).apply(f, want_witness=True)
+            assert got.values.tobytes() == want_v.tobytes()
+            assert got.witnesses.tobytes() == want_w.tobytes()
+
+    def test_ball_indicators_take_the_bounds(self):
+        # apply has one path: twelve ball indicators with witnesses go
+        # through the chord bounds and exact balls, with no bit table
+        sp = build_space("line", 48)
+        t = sp.ball_table()
+        rng = np.random.default_rng(41)
+        ids = rng.choice(len(t.center), size=12, replace=False)
+        F = (t.rank[t.center[ids]] < t.count[ids, None]).T.astype(np.float64)
+        for b in (rng.lognormal(0.0, 1.0, sp.n), np.round(3.0 * rng.random(sp.n))):
+            kern = CommutatorKernel(sp, b)
+            got = kern.apply(F, want_witness=True)
+            assert "bits" not in kern.__dict__
+            want_v, want_w = oracles.kernel_by_rows(sp, b, F)
             assert got.values.tobytes() == want_v.tobytes()
             assert got.witnesses.tobytes() == want_w.tobytes()
 
@@ -1223,15 +1234,21 @@ class TestScratchBounds:
 
     def test_kernel_on_ball_indicator_probes(self, monkeypatch):
         # line48's distinct ball columns take the sums per distinct r & B'
-        # within the same bound as the general columns above
+        # in several chunks, within the same bound as the general columns
+        # above
         sp, _ = self._space(48)
         F, labels = build_probes(sp, 16, 0, 4096)
         F = np.unique(F[:, [lab.startswith("ball:") for lab in labels]], axis=1)
         kern = CommutatorKernel(sp, np.random.default_rng(35).lognormal(0.0, 1.0, sp.n))
         monkeypatch.setattr(operators, "KERNEL_BLOCK", 32 * len(kern.mu))
-        chosen = []
-        rule = operators._classes_pay
-        monkeypatch.setattr(operators, "_classes_pay", lambda *a: chosen.append(rule(*a)) or chosen[-1])
+        chunks = []
+        by_classes = kern._by_classes
+
+        def counted(words, inside):
+            chunks.append(inside.shape[1])
+            return by_classes(words, inside)
+
+        monkeypatch.setattr(kern, "_by_classes", counted)
         bound = (8 * operators.KERNEL_BLOCK + 7 * F.size) * 8
-        assert _traced_peak(lambda: kern.apply(F, want_witness=True)) < bound
-        assert len(chosen) > 1 and all(chosen)
+        assert _traced_peak(lambda: kern._indicator_values(F)) < bound
+        assert len(chunks) > 1 and sum(chunks) == F.shape[1]
