@@ -13,8 +13,15 @@ metadata, and the JSON metadata holds the wall-clock runtime under
 ``runtime_s`` only, so byte comparisons that drop that one field see
 identical runs.  A check that raises becomes one failed ``<check>.error``
 row (``context.error`` when the scenario's inputs cannot be built) and
-the other checks still run.  Exit codes: 0 all checks passed, 1 at least
-one check failed (reports are still written), 2 invalid configuration.
+the other checks still run.  Each row reports only a value and its
+threshold, and passes when the value is finite and at most the
+threshold: a flag is 0.0 or 1.0 against 0.0, a quantity that need only
+be finite is held against inf, and a floor is reported as the deficit
+floor - quantity against 0.0.  Exit codes: 0 all checks passed, 1 at
+least one check failed (reports are still written), 2 invalid
+configuration, or a ``report-merge`` input that cannot be read or is
+not a valid report (the message names the file and the field, e.g.
+``rows[3].passed``).
 """
 
 from __future__ import annotations
@@ -127,78 +134,31 @@ class _ScenarioContext:
         return self._cz
 
 
-def _flag_row(scenario: str, check: str, ok: bool, witness: str = "") -> ReportRow:
-    return ReportRow(scenario, check, "exact", 0.0 if ok else 1.0, 0.0, bool(ok), witness)
-
-
-def _finite_row(scenario: str, check: str, value: float, witness: str = "") -> ReportRow:
-    value = float(value)
-    return ReportRow(scenario, check, "ratio", value, math.inf, math.isfinite(value), witness)
-
-
-def _deficit_row(
-    scenario: str, check: str, quantity: float, floor: float, witness: str = ""
-) -> ReportRow:
-    """Pass when quantity >= floor, reported as deficit <= 0."""
-    deficit = float(floor) - float(quantity)
-    return ReportRow(scenario, check, "ratio", deficit, 0.0, deficit <= 0.0, witness)
-
-
 def _check_system(ctx: _ScenarioContext) -> List[ReportRow]:
-    sc = ctx.sc
+    sc, s = ctx.sc, ctx.sc.scenario
     rep = verify_system(ctx.system, ctx.space)
     nviol = len(rep["violations"])
-    rows = [
-        ReportRow(
-            sc.scenario,
-            "system.violations",
-            "exact",
-            float(nviol),
-            0.0,
-            nviol == 0,
-            witness="" if nviol == 0 else repr(rep["violations"][:3]),
-        ),
-        _flag_row(sc.scenario, "system.sandwich", rep["sandwich_ok"]),
-        _flag_row(sc.scenario, "system.monotone", rep["monotone_ok"]),
-        _finite_row(sc.scenario, "system.c1", rep["c1"]),
-        _finite_row(sc.scenario, "system.C1", rep["containment_C1"]),
-        _finite_row(sc.scenario, "system.max_children", rep["M"]),
-    ]
+    worst = repr(rep["violations"][:3]) if nviol else ""
     adj = ctx.adjacent
-    shortfall = 1.0 - adj.capture_fraction
-    cap = sc.tol("capture_shortfall", 0.01)
-    rows.append(
-        ReportRow(
-            sc.scenario,
-            "adjacent.capture_shortfall",
-            "ratio",
-            shortfall,
-            cap,
-            shortfall <= cap,
-            witness=f"failures={len(adj.capture_failures)}",
-        )
-    )
-    rows.append(
-        _finite_row(
-            sc.scenario,
-            "adjacent.capture_constant",
-            adj.capture_constant,
-            witness=f"t_count={adj.report['t_count']}",
-        )
-    )
-    rows.append(
-        _flag_row(
-            sc.scenario,
-            "adjacent.t_within_bound",
-            bool(adj.report["within_bound"]),
-            witness=f"bound={adj.report['bound']:.6g}",
-        )
-    )
-    return rows
+    shortfall, cap = 1.0 - adj.capture_fraction, sc.tol("capture_shortfall", 0.01)
+    failures = f"failures={len(adj.capture_failures)}"
+    t_count, bound = f"t_count={adj.report['t_count']}", f"bound={adj.report['bound']:.6g}"
+    beyond = float(not adj.report["within_bound"])
+    return [
+        ReportRow(s, "system.violations", "exact", nviol, 0.0, worst),
+        ReportRow(s, "system.sandwich", "exact", float(not rep["sandwich_ok"]), 0.0),
+        ReportRow(s, "system.monotone", "exact", float(not rep["monotone_ok"]), 0.0),
+        ReportRow(s, "system.c1", "ratio", rep["c1"], math.inf),
+        ReportRow(s, "system.C1", "ratio", rep["containment_C1"], math.inf),
+        ReportRow(s, "system.max_children", "ratio", rep["M"], math.inf),
+        ReportRow(s, "adjacent.capture_shortfall", "ratio", shortfall, cap, failures),
+        ReportRow(s, "adjacent.capture_constant", "ratio", adj.capture_constant, math.inf, t_count),
+        ReportRow(s, "adjacent.t_within_bound", "exact", beyond, 0.0, bound),
+    ]
 
 
 def _check_domination(ctx: _ScenarioContext) -> List[ReportRow]:
-    sc = ctx.sc
+    sc, s = ctx.sc, ctx.sc.scenario
     space = ctx.space
     support = np.flatnonzero(ctx.f != 0.0)
     if support.size == 0:
@@ -207,50 +167,23 @@ def _check_domination(ctx: _ScenarioContext) -> List[ReportRow]:
     cert = build_domination(space, ctx.adjacent, ctx.b, ctx.f, root)
     ctx.certificate = cert
 
-    rows = [
-        ReportRow(
-            sc.scenario,
-            "domination.exceptional",
-            "exact",
-            float(len(cert.exceptional)),
-            0.0,
-            len(cert.exceptional) == 0,
-        ),
-        _flag_row(sc.scenario, "domination.complete", not cert.partial),
-        _finite_row(
-            sc.scenario,
-            "domination.c_emp",
-            cert.c_emp,
-            witness=f"trees={len(cert.trees)}",
-        ),
-    ]
     etas = [fam.eta_certified for fam in cert.families]
     min_eta = min(etas) if etas else 1.0
-    rows.append(
-        _deficit_row(
-            sc.scenario,
-            "domination.eta_deficit",
-            min_eta,
-            sc.tol("eta_floor", 0.05),
-            witness=f"eta={min_eta:.6g} families={len(cert.families)}",
-        )
-    )
+    deficit = sc.tol("eta_floor", 0.05) - min_eta
+    families = f"eta={min_eta:.6g} families={len(cert.families)}"
+    rows = [
+        ReportRow(s, "domination.exceptional", "exact", len(cert.exceptional), 0.0),
+        ReportRow(s, "domination.complete", "exact", float(cert.partial), 0.0),
+        ReportRow(s, "domination.c_emp", "ratio", cert.c_emp, math.inf, f"trees={len(cert.trees)}"),
+        ReportRow(s, "domination.eta_deficit", "ratio", deficit, 0.0, families),
+    ]
 
     # re-evaluate the certificate from its serialized form and confirm
     # both the bit-exact round trip and the pointwise domination
     doc = certificate_to_dict(cert)
     bound2 = evaluate_bound_from_dict(space, doc, ctx.b, ctx.f)
     drift = float(np.abs(bound2 - cert.bound).max()) if space.n else 0.0
-    rows.append(
-        ReportRow(
-            sc.scenario,
-            "domination.roundtrip",
-            "exact",
-            drift,
-            0.0,
-            drift == 0.0,
-        )
-    )
+    rows.append(ReportRow(s, "domination.roundtrip", "exact", drift, 0.0))
     cb = cert.cb
     rhs = cert.c_emp * bound2 if math.isfinite(cert.c_emp) else bound2
     live = np.ones(space.n, dtype=bool)
@@ -258,42 +191,22 @@ def _check_domination(ctx: _ScenarioContext) -> List[ReportRow]:
     scale = max(1.0, float(np.abs(cb).max()), float(np.abs(rhs[live]).max()) if live.any() else 0.0)
     overshoot = float(np.maximum(cb[live] - rhs[live], 0.0).max() / scale) if live.any() else 0.0
     tol = sc.tol("exact", 1e-12)
-    rows.append(
-        ReportRow(
-            sc.scenario,
-            "domination.pointwise",
-            "exact",
-            overshoot,
-            tol,
-            overshoot <= tol,
-        )
-    )
+    rows.append(ReportRow(s, "domination.pointwise", "exact", overshoot, tol))
     return rows
 
 
 def _check_oscillation(ctx: _ScenarioContext) -> List[ReportRow]:
-    sc = ctx.sc
+    s = ctx.sc.scenario
     osc = oscillation_domination(ctx.system, ctx.cz_family, ctx.b)
     fam = osc["S_tilde"]
     keys = {(c.k, c.alpha) for c in fam.cubes}
     missing = sum(1 for c in ctx.cz_family if (c.k, c.alpha) not in keys)
+    sizes = f"input={len(ctx.cz_family)} family={len(fam.cubes)}"
+    packing = f"eta={fam.eta_certified:.6g} floor={osc['packing_floor']:.6g}"
     return [
-        ReportRow(
-            sc.scenario,
-            "oscillation.contains_input",
-            "exact",
-            float(missing),
-            0.0,
-            missing == 0,
-            witness=f"input={len(ctx.cz_family)} family={len(fam.cubes)}",
-        ),
-        _flag_row(
-            sc.scenario,
-            "oscillation.packing",
-            bool(osc["packing_ok"]),
-            witness=f"eta={fam.eta_certified:.6g} floor={osc['packing_floor']:.6g}",
-        ),
-        _finite_row(sc.scenario, "oscillation.c_emp", osc["c_emp"]),
+        ReportRow(s, "oscillation.contains_input", "exact", missing, 0.0, sizes),
+        ReportRow(s, "oscillation.packing", "exact", float(not osc["packing_ok"]), 0.0, packing),
+        ReportRow(s, "oscillation.c_emp", "ratio", osc["c_emp"], math.inf),
     ]
 
 
@@ -392,31 +305,16 @@ def _check_exponent(ctx: _ScenarioContext) -> List[ReportRow]:
     rows = []
     for op in ("sparse", "cb", "bm"):
         info = fit["ops"][op]
-        fitted = info["status"] == "ok"
+        if info["status"] == "ok":
+            slope, witness = info["slope"], f"stderr={info['stderr']:.3g} points={info['points']}"
+        else:  # no fit: a vacuous op passes, one with too few points fails
+            slope, witness = (0.0 if info["passed"] else math.inf), info["status"]
         rows.append(
-            ReportRow(
-                sc.scenario,
-                f"exponent.{op}_slope",
-                "fit",
-                info["slope"] if fitted else (0.0 if info["passed"] else math.inf),
-                fit["cap"],
-                info["passed"],
-                witness=(
-                    f"stderr={info['stderr']:.3g} points={info['points']}"
-                    if fitted
-                    else info["status"]
-                ),
-            )
+            ReportRow(sc.scenario, f"exponent.{op}_slope", "fit", slope, fit["cap"], witness)
         )
-    rows.append(
-        _deficit_row(
-            sc.scenario,
-            "exponent.host_eta_deficit",
-            fit["eta_host"],
-            sc.tol("eta_floor", 0.05),
-            witness=f"eta={fit['eta_host']:.6g} spread={fit['spread']:.3g}",
-        )
-    )
+    deficit = sc.tol("eta_floor", 0.05) - fit["eta_host"]
+    spread = f"eta={fit['eta_host']:.6g} spread={fit['spread']:.3g}"
+    rows.append(ReportRow(sc.scenario, "exponent.host_eta_deficit", "ratio", deficit, 0.0, spread))
     return rows
 
 
@@ -431,16 +329,9 @@ def _check_identities(ctx: _ScenarioContext) -> List[ReportRow]:
         dualv = ap_characteristic(space, dual_weight(w, sc.p), pprime).value
         expect = apv ** (pprime - 1.0)
         dev = abs(dualv - expect) / max(1.0, abs(expect))
+        witness = f"ap={apv:.6g}"
         rows.append(
-            ReportRow(
-                sc.scenario,
-                f"identities.ap_duality_{role}",
-                "exact",
-                dev,
-                tol_dual,
-                dev <= tol_dual,
-                witness=f"ap={apv:.6g}",
-            )
+            ReportRow(sc.scenario, f"identities.ap_duality_{role}", "exact", dev, tol_dual, witness)
         )
 
     cubes = ctx.system.all_cubes()
@@ -483,7 +374,7 @@ def _check_eval(ctx: _ScenarioContext) -> List[ReportRow]:
     for name, values in images.items():
         est, idx = estimate_from_values(space, values, F, ctx.lam1, ctx.lam2, sc.p)
         witness = f"{labels[idx]} probes={F.shape[1]}"
-        rows.append(_finite_row(sc.scenario, f"eval.{name}_norm", est, witness=witness))
+        rows.append(ReportRow(sc.scenario, f"eval.{name}_norm", "ratio", est, math.inf, witness))
     return rows
 
 
@@ -527,7 +418,7 @@ def _isolated(scenario: str, check: str, run: Callable[[], List[ReportRow]]) -> 
     except Exception as exc:
         traceback.print_exc()
         witness = f"{type(exc).__name__}: {exc}"
-        return [ReportRow(scenario, f"{check}.error", "exact", 1.0, 0.0, False, witness)]
+        return [ReportRow(scenario, f"{check}.error", "exact", 1.0, 0.0, witness)]
 
 
 def _run_scenarios(
@@ -642,8 +533,15 @@ def _cmd_report_merge(args) -> int:
     started = time.perf_counter()
     groups = []
     for path in args.inputs:
-        with open(path, "r", encoding="utf-8") as fh:
-            groups.append(rows_from_json(fh.read()))
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(path, f"cannot read: {exc}") from None
+        try:
+            groups.append(rows_from_json(text))
+        except ValueError as exc:
+            raise ConfigError(path, str(exc)) from None
     rows = merge_rows(groups)
     return _emit(rows, args, "merged", started)
 

@@ -1,6 +1,9 @@
 """Report rows, deterministic CSV/JSON serialization, and merging.
 
-Rows carry (scenario, check, kind, value, threshold, passed, witness).
+Rows carry six fields (scenario, check, kind, value, threshold,
+witness).  The verdict is derived, not stored: a row passes when its
+value is finite and at most its threshold (``ReportRow.passes``), so
+no row can disagree with its own numbers and a NaN never passes.
 Serialization is byte-deterministic for a fixed row list: floats are
 rendered with repr, non-finite numbers as quoted strings, and JSON uses
 sorted keys.  Runtime lives only in the JSON meta block so it can be
@@ -24,15 +27,24 @@ class ReportRow:
     kind: str
     value: float
     threshold: float
-    passed: bool
     witness: str = ""
 
     def __post_init__(self) -> None:
         if self.kind not in VALID_KINDS:
             raise ValueError(f"kind must be one of {VALID_KINDS}")
+        if not isinstance(self.witness, str):
+            raise TypeError("witness must be a str")
         self.value = float(self.value)
         self.threshold = float(self.threshold)
-        self.passed = bool(self.passed)
+
+    @staticmethod
+    def passes(value: float, threshold: float) -> bool:
+        """The one verdict rule of every row and check entry."""
+        return bool(math.isfinite(value) and value <= threshold)
+
+    @property
+    def passed(self) -> bool:
+        return self.passes(self.value, self.threshold)
 
 
 def row_from_entry(scenario: str, entry: Dict[str, object], witness: str = "") -> ReportRow:
@@ -43,7 +55,6 @@ def row_from_entry(scenario: str, entry: Dict[str, object], witness: str = "") -
         kind=str(entry["kind"]),
         value=float(entry["value"]),
         threshold=float(entry["threshold"]),
-        passed=bool(entry["passed"]),
         witness=witness,
     )
 
@@ -54,10 +65,6 @@ def _num_str(x: float) -> str:
 
 def _num_json(x: float) -> object:
     return float(x) if math.isfinite(x) else _num_str(x)
-
-
-def _num_load(x: object) -> float:
-    return float(x)
 
 
 def rows_to_csv(rows: Sequence[ReportRow]) -> str:
@@ -100,19 +107,50 @@ def rows_to_json(
 
 
 def rows_from_json(text: str) -> List[ReportRow]:
-    doc = json.loads(text)
-    return [
-        ReportRow(
-            scenario=row["scenario"],
-            check=row["check"],
-            kind=row["kind"],
-            value=_num_load(row["value"]),
-            threshold=_num_load(row["threshold"]),
-            passed=bool(row["passed"]),
-            witness=row.get("witness", ""),
+    """The rows of a report that ``rows_to_json`` wrote.  Anything else
+    raises ValueError naming the field, e.g. ``rows[3].kind: ...``: text
+    that is not JSON, a row that lacks a field or holds a bad one, and a
+    stored ``passed`` that the row's value and threshold contradict."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"not valid JSON: {exc}") from None
+    if not isinstance(doc, dict) or not isinstance(doc.get("rows"), list):
+        raise ValueError("rows: must be a list of row objects")
+    rows = []
+    for i, entry in enumerate(doc["rows"]):
+        at = f"rows[{i}]"
+        if not isinstance(entry, dict):
+            raise ValueError(f"{at}: must be an object")
+        for key in ("scenario", "check", "kind", "value", "threshold", "passed"):
+            if key not in entry:
+                raise ValueError(f"{at}.{key}: missing")
+        for key in ("scenario", "check", "witness"):
+            if not isinstance(entry.get(key, ""), str):
+                raise ValueError(f"{at}.{key}: must be a string")
+        if entry["kind"] not in VALID_KINDS:
+            raise ValueError(f"{at}.kind: must be one of {VALID_KINDS}, not {entry['kind']!r}")
+        for key in ("value", "threshold"):
+            try:
+                float(entry[key])
+            except (TypeError, ValueError):
+                raise ValueError(f"{at}.{key}: must be a number, not {entry[key]!r}") from None
+        row = ReportRow(
+            scenario=entry["scenario"],
+            check=entry["check"],
+            kind=entry["kind"],
+            value=entry["value"],
+            threshold=entry["threshold"],
+            witness=entry.get("witness", ""),
         )
-        for row in doc["rows"]
-    ]
+        if entry["passed"] is not row.passed:
+            raise ValueError(
+                f"{at}.passed: stored {json.dumps(entry['passed'])}, but value "
+                f"{_num_str(row.value)} against threshold {_num_str(row.threshold)} "
+                f"{'passes' if row.passed else 'fails'}"
+            )
+        rows.append(row)
+    return rows
 
 
 def merge_rows(groups: Iterable[Sequence[ReportRow]]) -> List[ReportRow]:

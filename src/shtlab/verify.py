@@ -2,7 +2,10 @@
 
 Each operation returns a JSON-ready report dict: a list of named check
 entries ({check, kind, value, threshold, passed}) plus measured
-constants.  Exact finite-sum facts (Fubini exchanges, Hölder on finite
+constants.  An entry's ``passed`` is ``ReportRow.passes(value,
+threshold)``: the value is finite and at most the threshold.  A NaN
+anywhere in a checked inequality or identity makes its value NaN, so
+it fails.  Exact finite-sum facts (Fubini exchanges, Hölder on finite
 sums, pointwise dominations, self-adjointness) are asserted at tight
 tolerances; every inequality whose sharp constant is unknown is
 reported as a measured ratio, never asserted against an invented
@@ -27,6 +30,7 @@ from .operators import (
     sparse_operator,
     weighted_lp_norm,
 )
+from .report import ReportRow
 from .space import QuasiMetricSpace
 from .sparse import SparseFamily, _oscillation_terms, oscillation_domination, packing_constant
 from .weights import (
@@ -55,7 +59,9 @@ def _leq_entry(
     lhs == rhs when eq.  The entries split into runs at the given
     offsets; each run is normalized by its own scale max(1, |lhs|,
     |rhs|), and over several runs the worst is kept, so a per-cube or
-    per-probe check reads as one entry.  One block of ``_leq_blocks``."""
+    per-probe check reads as one entry.  A NaN on either side makes its
+    run's value NaN, and a NaN run makes the entry's value NaN, so the
+    entry fails.  One block of ``_leq_blocks``."""
     return _leq_blocks(name, [(lhs, rhs, runs)], tol, eq)
 
 
@@ -68,20 +74,20 @@ def _leq_blocks(
     offset (all of them if it has none) continue the last run of the
     blocks before, so a run may span blocks.  The entry is the one the
     concatenated blocks give: a lone run reports its own value, several
-    their fmax (NaN runs drop out, and fail)."""
-    count, first, worst, passed = 0, 0.0, 0.0, True
+    their maximum, which is NaN if any run's is.  The verdict is
+    ``ReportRow.passes`` of that value."""
+    count, first, worst = 0, 0.0, 0.0
 
     def close(gap: np.ndarray, big_l: np.ndarray, big_r: np.ndarray) -> None:
         # values of finished runs from their maxima of gap, |lhs| and |rhs|
-        nonlocal count, first, worst, passed
+        nonlocal count, first, worst
         if not eq:
-            gap = np.where(gap > 0.0, gap, 0.0)
-        values = gap / np.fmax(np.fmax(1.0, big_l), big_r)
+            gap = np.maximum(gap, 0.0)
+        values = gap / np.maximum(np.maximum(1.0, big_l), big_r)
         if not count:
             first = float(values[0])
         count += values.size
-        worst = float(np.fmax.reduce(values, initial=worst))
-        passed = passed and bool(np.all(values <= tol))
+        worst = float(np.maximum.reduce(values, initial=worst))
 
     last = None  # the maxima of the block before, whose last run may go on
     for lhs, rhs, runs in blocks:
@@ -108,12 +114,13 @@ def _leq_blocks(
         close(*last)
     elif not count:
         close(np.zeros(1), np.zeros(1), np.zeros(1))  # no entries: one run of value 0
+    value = first if count == 1 else worst
     return {
         "check": name,
         "kind": "exact",
-        "value": first if count == 1 else worst,
+        "value": value,
         "threshold": tol,
-        "passed": passed,
+        "passed": ReportRow.passes(value, tol),
     }
 
 
@@ -131,7 +138,7 @@ def _ratio_entry(
         "kind": "ratio",
         "value": value,
         "threshold": float(threshold),
-        "passed": bool(math.isfinite(value) and value <= threshold),
+        "passed": ReportRow.passes(value, threshold),
     }
 
 

@@ -2,6 +2,7 @@
 byte determinism of the emitted reports."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import pytest
 from shtlab.cli import main
 from shtlab.config import make_function, make_space, make_symbol, parse_config
 from shtlab.dyadic import load_system
-from shtlab.report import json_bytes_without_runtime, rows_from_json
+from shtlab.report import ReportRow, json_bytes_without_runtime, rows_from_json, rows_to_json
 from shtlab.space import load_space
 from shtlab.sparse import evaluate_bound_from_dict
 
@@ -425,6 +426,59 @@ class TestOtherCommands:
         merged = rows_from_json(_read(os.path.join(merged_dir, "merged.json")).decode())
         assert len(merged) == len(verify_rows) + len(eval_rows)
         assert [r.scenario for r in merged] == sorted(r.scenario for r in merged)
+
+    @pytest.mark.parametrize(
+        "row, content, message",
+        [
+            (None, None, "cannot read: "),
+            (None, b"\xff\xfe", "cannot read: "),
+            (None, "{not json", "not valid JSON: "),
+            ({"check": None}, None, "rows[1].check: missing"),  # None drops the field
+            ({"kind": "vibes"}, None, "rows[1].kind: must be one of"),
+            ({"value": [0.5]}, None, "rows[1].value: must be a number"),
+            # value 0.5 <= threshold 1.0 stored as failed, and the reverse
+            ({"passed": False}, None, "rows[1].passed: stored false, but value 0.5 against threshold 1.0 passes"),
+            ({"value": 2.0}, None, "rows[1].passed: stored true, but value 2.0 against threshold 1.0 fails"),
+        ],
+    )
+    def test_report_merge_bad_input_exits_two(self, tmp_path, capsys, row, content, message):
+        good = tmp_path / "good.json"
+        good.write_text(rows_to_json([ReportRow("a", "c.one", "ratio", 0.5, 1.0)] * 2), encoding="utf-8")
+        bad = tmp_path / "bad.json"
+        if row is not None:
+            doc = json.loads(good.read_text(encoding="utf-8"))
+            doc["rows"][1].update(row)
+            doc["rows"][1] = {k: v for k, v in doc["rows"][1].items() if v is not None}
+            bad.write_text(json.dumps(doc), encoding="utf-8")
+        elif isinstance(content, str):
+            bad.write_text(content, encoding="utf-8")
+        elif content is not None:
+            bad.write_bytes(content)
+        out = tmp_path / "merged"
+        assert main(["report-merge", str(good), str(bad), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: {message}")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "eval", "dominate"])
+def test_every_seed42_row_obeys_the_verdict_rule(tmp_path, capsys, command):
+    """Each row passes exactly when its value is finite and at most its
+    threshold, in the CSV and in the JSON; and report-merge of the JSON
+    writes the same CSV byte for byte."""
+    out, merged = tmp_path / "out", tmp_path / "merged"
+    assert main([command, "--seed", "42", "--out", str(out)]) == 0
+    csv_text = _read(os.path.join(out, f"{command}.csv")).decode()
+    lines = csv_text.splitlines()[1:]
+    doc = json.loads(_read(os.path.join(out, f"{command}.json")))
+    assert lines and len(lines) == len(doc["rows"])
+    for line, row in zip(lines, doc["rows"]):
+        value, threshold, passed = line.split(",")[3:]
+        value, threshold = float(value), float(threshold)
+        assert passed == ("true" if math.isfinite(value) and value <= threshold else "false")
+        value, threshold = float(row["value"]), float(row["threshold"])
+        assert row["passed"] is (math.isfinite(value) and value <= threshold)
+    assert main(["report-merge", os.path.join(out, f"{command}.json"), "--out", str(merged)]) == 0
+    assert _read(os.path.join(merged, "merged.csv")).decode() == csv_text
 
 
 # ROADMAP item 1: on a ball where the symbol is constant, deviation_sums

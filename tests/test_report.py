@@ -24,7 +24,6 @@ def _row(**over):
         kind="ratio",
         value=1.25,
         threshold=2.0,
-        passed=True,
         witness="ball 3",
     )
     base.update(over)
@@ -33,14 +32,38 @@ def _row(**over):
 
 class TestRow:
     def test_coerces_types(self):
-        r = ReportRow("s", "c", "exact", value="0.5", threshold=1, passed=1)
+        r = ReportRow("s", "c", "exact", value="0.5", threshold=1)
         assert r.value == 0.5 and isinstance(r.value, float)
         assert r.threshold == 1.0 and isinstance(r.threshold, float)
         assert r.passed is True
 
+    @pytest.mark.parametrize(
+        "value, threshold, passed",
+        [
+            (0.5, 1.0, True),
+            (1.0, 1.0, True),
+            (1.5, 1.0, False),
+            (-math.inf, 0.0, False),
+            (math.inf, math.inf, False),
+            (math.nan, math.inf, False),
+            (0.0, math.nan, False),
+        ],
+    )
+    def test_verdict_is_derived_from_value_and_threshold(self, value, threshold, passed):
+        r = ReportRow("s", "c", "ratio", value, threshold)
+        assert r.passed is passed is ReportRow.passes(value, threshold)
+
+    def test_a_verdict_cannot_be_given(self):
+        with pytest.raises(TypeError):
+            ReportRow("s", "c", "exact", 0.0, 1.0, passed=False)
+        with pytest.raises(TypeError):
+            ReportRow("s", "c", "exact", 0.0, 1.0, False)  # once the sixth field
+        with pytest.raises(AttributeError):
+            _row().passed = False
+
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
-            ReportRow("s", "c", "vibes", 0.0, 1.0, True)
+            ReportRow("s", "c", "vibes", 0.0, 1.0)
 
     def test_row_from_entry(self):
         entry = {
@@ -52,16 +75,18 @@ class TestRow:
         }
         r = row_from_entry("line16", entry, witness="probe 2")
         assert r.scenario == "line16" and r.check == "duality.holder"
-        assert r.witness == "probe 2"
+        assert r.witness == "probe 2" and r.passed
+        # the entry's own verdict is not copied: the row derives it
+        assert not row_from_entry("line16", dict(entry, value=2.0)).passed
 
 
 class TestCsv:
     def test_exact_format(self):
-        text = rows_to_csv([_row(), _row(check="x", value=0.5, passed=False)])
+        text = rows_to_csv([_row(), _row(check="x", value=2.5)])
         assert text == (
             "scenario,check,kind,value,threshold,passed\n"
             "s1,demo.check,ratio,1.25,2.0,true\n"
-            "s1,x,ratio,0.5,2.0,false\n"
+            "s1,x,ratio,2.5,2.0,false\n"
         )
 
     def test_nonfinite_rendering(self):
@@ -69,13 +94,14 @@ class TestCsv:
             [
                 _row(value=math.inf),
                 _row(value=-math.inf),
-                _row(value=math.nan, passed=False),
+                _row(value=math.nan),
             ]
         )
         lines = text.splitlines()
         assert lines[1].split(",")[3] == "inf"
         assert lines[2].split(",")[3] == "-inf"
         assert lines[3].split(",")[3] == "nan"
+        assert [line.split(",")[5] for line in lines[1:]] == ["false"] * 3
 
     def test_float_repr_is_shortest_roundtrip(self):
         text = rows_to_csv([_row(value=1.0 / 3.0)])
@@ -92,9 +118,11 @@ class TestJson:
         assert back == rows
 
     def test_nonfinite_round_trip(self):
-        rows = [_row(value=math.inf, threshold=math.inf)]
+        rows = [_row(value=math.inf, threshold=math.inf), _row(value=math.nan)]
         back = rows_from_json(rows_to_json(rows))
         assert back[0].value == math.inf and back[0].threshold == math.inf
+        assert math.isnan(back[1].value)
+        assert not back[0].passed and not back[1].passed
 
     def test_sorted_keys_and_meta(self):
         text = rows_to_json([_row()], meta={"b": 2, "a": 1})
@@ -132,3 +160,48 @@ class TestMergeAndFiles:
             assert fh.read() == rows_to_csv(rows)
         with open(paths["json"], encoding="utf-8") as fh:
             assert rows_from_json(fh.read()) == rows
+
+
+def _doc(**over):
+    """A two-row report whose second row has the given fields replaced."""
+    good = json.loads(rows_to_json([_row()]))["rows"][0]
+    return json.dumps({"meta": {}, "rows": [good, dict(good, **over)]})
+
+
+class TestRowsFromJsonRejects:
+    """A report that ``rows_to_json`` could not have written raises
+    ValueError naming the field."""
+
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ("{not json", "not valid JSON"),
+            ("[]", "rows:"),
+            ('{"rows": [7]}', "rows[0]:"),
+            (_doc(kind="vibes"), "rows[1].kind:"),
+            (_doc(value="many"), "rows[1].value:"),
+            (_doc(threshold=None), "rows[1].threshold:"),
+            (_doc(check=3), "rows[1].check:"),
+            (_doc(witness=True), "rows[1].witness:"),
+            (_doc(passed=False), "rows[1].passed:"),
+            (_doc(value=2.5), "rows[1].passed:"),
+            (_doc(value="nan"), "rows[1].passed:"),
+            (_doc(passed=1), "rows[1].passed:"),
+        ],
+    )
+    def test_bad_field(self, text, field):
+        with pytest.raises(ValueError) as exc:
+            rows_from_json(text)
+        assert str(exc.value).startswith(field)
+
+    @pytest.mark.parametrize("key", ["scenario", "check", "kind", "value", "threshold", "passed"])
+    def test_missing_field(self, key):
+        doc = json.loads(_doc())
+        del doc["rows"][1][key]
+        with pytest.raises(ValueError, match=rf"^rows\[1\]\.{key}: missing$"):
+            rows_from_json(json.dumps(doc))
+
+    def test_a_missing_witness_reads_as_empty(self):
+        doc = json.loads(_doc())
+        del doc["rows"][1]["witness"]
+        assert rows_from_json(json.dumps(doc))[1].witness == ""

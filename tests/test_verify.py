@@ -279,16 +279,17 @@ class TestLowerBound:
 
 
 def _leq_oracle(lhs, rhs, tol, starts, eq):
-    """(value, passed) of ``_leq_entry`` from its definition, run by run."""
+    """(value, passed) of ``_leq_entry`` from its definition, run by run.
+    A NaN anywhere in a run makes its value NaN, and the entry's."""
     values = []
     for lo, hi in zip(starts, list(starts[1:]) + [len(lhs)]):
         d = np.abs(lhs[lo:hi] - rhs[lo:hi]) if eq else lhs[lo:hi] - rhs[lo:hi]
         gap = np.maximum.reduce(d)
         if not eq:
-            gap = gap if gap > 0.0 else 0.0
-        big = np.fmax(np.maximum.reduce(np.abs(lhs[lo:hi])), np.maximum.reduce(np.abs(rhs[lo:hi])))
-        values.append(gap / np.fmax(1.0, big))
-    value = values[0] if len(values) == 1 else np.fmax.reduce(values, initial=0.0)
+            gap = np.maximum(gap, 0.0)
+        big = np.maximum(np.maximum.reduce(np.abs(lhs[lo:hi])), np.maximum.reduce(np.abs(rhs[lo:hi])))
+        values.append(gap / np.maximum(1.0, big))
+    value = values[0] if len(values) == 1 else np.maximum.reduce(values, initial=0.0)
     return float(value), all(v <= tol for v in values)
 
 
@@ -321,6 +322,30 @@ class TestLeqBlocks:
         lhs, rhs = rng.standard_normal((2, 40))
         blocks = [(lhs[i : i + 3], rhs[i : i + 3], ()) for i in range(0, 40, 3)]
         assert verify._leq_blocks("x", blocks, 0.1) == verify._leq_entry("x", lhs, rhs, 0.1)
+
+    @pytest.mark.parametrize(
+        "lhs, rhs, eq",
+        [
+            ([1.0, np.nan], [2.0, 1.0], False),  # NaN on the left of a <=
+            ([1.0, 0.5], [2.0, np.nan], False),  # NaN on the right
+            ([1.0, np.nan], [1.0, 1.0], True),  # one NaN run among several of an ==
+            ([0.5, np.nan, 0.25, 0.5], [1.0, 1.0, 1.0, 1.0], False),
+            ([0.5, 0.5, 0.25, 0.5], [1.0, 1.0, 1.0, np.nan], False),
+            ([1.0, 1.0, np.nan, 2.0], [1.0, 1.0, 1.0, 2.0], True),
+        ],
+    )
+    def test_a_nan_run_makes_the_value_nan_and_fails(self, lhs, rhs, eq):
+        # every other run holds: the NaN used to read as a gap of 0 on a
+        # <= (and pass), or drop out of an =='s value (and fail)
+        lhs, rhs = np.array(lhs), np.array(rhs)
+        runs = np.arange(0, lhs.size, 2) if lhs.size > 2 else np.arange(lhs.size)
+        entries = [verify._leq_entry("x", lhs, rhs, 1e-12, runs, eq)]
+        for cut in range(1, lhs.size):  # one cut, inside a run where runs are two long
+            head, tail = runs[runs < cut], runs[runs >= cut] - cut
+            blocks = [(lhs[:cut], rhs[:cut], head), (lhs[cut:], rhs[cut:], tail)]
+            entries.append(verify._leq_blocks("x", blocks, 1e-12, eq))
+        for entry in entries:
+            assert np.isnan(entry["value"]) and entry["passed"] is False
 
     def test_no_entries_read_as_one_zero_run(self):
         empty = np.empty(0)
