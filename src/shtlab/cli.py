@@ -33,11 +33,13 @@ import os
 import sys
 import time
 import traceback
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from .config import (
+    CHECK_NAMES,
     ConfigError,
     ScenarioConfig,
     default_suite,
@@ -82,17 +84,7 @@ from .verify import (
 )
 from .weights import ap_characteristic, bloom_weight, dual_weight
 
-CHECK_ORDER = (
-    "system",
-    "domination",
-    "oscillation",
-    "upper",
-    "lower",
-    "jn",
-    "exponent",
-    "identities",
-)
-SUITE_CHOICES = ("all",) + CHECK_ORDER
+SUITE_CHOICES = ("all",) + CHECK_NAMES
 
 
 class _ScenarioContext:
@@ -106,32 +98,21 @@ class _ScenarioContext:
         self.nu = bloom_weight(self.lam1, self.lam2, sc.p)
         self.b = make_symbol(self.space, sc)
         self.f = make_function(self.space, sc)
-        self._system = None
-        self._adjacent = None
-        self._cz = None
 
-    @property
+    @cached_property
     def system(self):
-        if self._system is None:
-            self._system = build_dyadic_system(self.space, self.sc.delta, seed=self.sc.seed)
-        return self._system
+        return build_dyadic_system(self.space, self.sc.delta, seed=self.sc.seed)
 
-    @property
+    @cached_property
     def adjacent(self):
-        if self._adjacent is None:
-            self._adjacent = build_adjacent_systems(
-                self.space, self.sc.delta, self.sc.t_count, seed=self.sc.seed
-            )
-        return self._adjacent
+        return build_adjacent_systems(self.space, self.sc.delta, self.sc.t_count, seed=self.sc.seed)
 
-    @property
+    @cached_property
     def cz_family(self):
         """Stopping cubes of |f| at 0.8 times its global average."""
-        if self._cz is None:
-            absf = np.abs(self.f)
-            mean = float((absf * self.space.mass).sum() / self.space.total_mass)
-            self._cz = [] if mean <= 0 else cz_select(self.system, absf, 0.8 * mean)
-        return self._cz
+        absf = np.abs(self.f)
+        mean = float((absf * self.space.mass).sum() / self.space.total_mass)
+        return [] if mean <= 0 else cz_select(self.system, absf, 0.8 * mean)
 
 
 def _check_system(ctx: _ScenarioContext) -> List[ReportRow]:
@@ -160,10 +141,7 @@ def _check_system(ctx: _ScenarioContext) -> List[ReportRow]:
 def _check_domination(ctx: _ScenarioContext) -> List[ReportRow]:
     sc, s = ctx.sc, ctx.sc.scenario
     space = ctx.space
-    support = np.flatnonzero(ctx.f != 0.0)
-    if support.size == 0:
-        support = np.arange(space.n)
-    root = space.smallest_covering_ball(support)
+    root = space.smallest_covering_ball(np.flatnonzero(ctx.f != 0.0))
     cert = build_domination(space, ctx.adjacent, ctx.b, ctx.f, root)
     ctx.certificate = cert
 
@@ -517,11 +495,11 @@ def _cmd_dominate(args) -> int:
 def _cmd_verify(args) -> int:
     started = time.perf_counter()
     scenarios = _resolve_scenarios(args)
-    wanted = set(CHECK_ORDER if args.suite == "all" else (args.suite,))
+    wanted = set(CHECK_NAMES if args.suite == "all" else (args.suite,))
 
     def step(ctx: _ScenarioContext) -> List[ReportRow]:
         rows: List[ReportRow] = []
-        for name in CHECK_ORDER:
+        for name in CHECK_NAMES:
             if name in ctx.sc.checks and name in wanted:
                 rows.extend(_isolated(ctx.sc.scenario, name, lambda: _RUNNERS[name](ctx)))
         return rows

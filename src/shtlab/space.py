@@ -31,8 +31,9 @@ Provides:
 
 Evaluation strategy
 -------------------
-The ball table holds O(n^2) data: per-ball (center, count, radius),
-each center's stable distance order and the cumulative mass along it.
+The ball table holds O(n^2) data: per-ball (center, count, radius,
+measure), each center's stable distance order, its inverse and the
+(point, center) -> smallest ball pointers.
 A sum over every canonical ball is a cumulative sum along each
 center's order read at each ball's count, so no operator stores a
 (balls x n) membership matrix.  ``ball_sum_blocks`` yields those sums
@@ -44,8 +45,8 @@ ball's members as bits are one cumulative OR of one-hot uint64 words
 along its center's order (``_prefix_words``), which the geometric
 doubling greedy reads per block of centers.  The table stores point
 ids, positions and counts as int16 and ball ids as int32, and is built
-per block of centers (``TABLE_BLOCK``): at line2048 it holds 130 MB,
-where int64 fields would take 235 MB.  The doubling scan probes only
+per block of centers (``TABLE_BLOCK``): at line2048 it holds 96.5 MB,
+where int64 fields would take 201 MB.  The doubling scan probes only
 the distances t_1 < ... < t_m at which a center's balls end, after
 t_0 = 0: balls are open, so any r in (t_j, t_{j+1}] has the inner ball
 of t_{j+1} and, for l = 2, 4, 8 (l r is exact), an outer ball inside
@@ -96,7 +97,8 @@ class BallTable:
     the array's type, where it can wrap: widen before arithmetic that
     can leave the type's range (``count.astype(np.int64) * n``).
     Subtracting 1 from a count, or a center from another center, stays
-    in range, as do comparisons.
+    in range, as do comparisons.  No (n x n) float field is kept: the
+    doubling probes take each block's cumulative masses themselves.
     """
 
     center: np.ndarray  # (balls,) int16
@@ -106,7 +108,6 @@ class BallTable:
     start: np.ndarray  # (n + 1,) int64
     order: np.ndarray  # (n, n) int16: order[c] = argsort(dist[c], stable)
     rank: np.ndarray  # (n, n) int16: rank[c, order[c, j]] = j
-    cum_mass: np.ndarray  # (n, n) float64: cumulative mass along order[c]
     ptr: np.ndarray  # (n, n) int32: ptr[x, c] = smallest ball at c holding x
 
 
@@ -219,7 +220,6 @@ class QuasiMetricSpace:
             n = self.n
             order = np.empty((n, n), dtype=np.int16)
             rank = np.empty((n, n), dtype=np.int16)
-            cum_mass = np.empty((n, n))
             ptr = np.empty((n, n), dtype=np.int32)
             start = np.zeros(n + 1, dtype=np.int64)
             positions = np.broadcast_to(np.arange(n, dtype=np.int16), (n, n))
@@ -240,12 +240,12 @@ class QuasiMetricSpace:
                 start[c0 + 1 : c1 + 1] += start[c0]
                 order[c0:c1] = o
                 np.put_along_axis(rank[c0:c1], o, positions[c0:c1], axis=1)
-                np.cumsum(self.mass[o], axis=1, out=cum_mass[c0:c1])
+                cum_mass = np.cumsum(self.mass[o], axis=1)
                 # position j of c's order lies in c's ball number (ends before j)
                 slot = np.cumsum(ends, axis=1) - ends
                 slot += start[c0:c1, None]
                 ptr[:, c0:c1] = np.take_along_axis(slot, rank[c0:c1], axis=1).T
-                measure = cum_mass[c0 + center, last]
+                measure = cum_mass[center, last]
                 center += c0
                 last += 1
                 parts.append((center.astype(np.int16), last.astype(np.int16), radius, measure))
@@ -262,7 +262,6 @@ class QuasiMetricSpace:
                 start=start,
                 order=order,
                 rank=rank,
-                cum_mass=cum_mass,
                 ptr=ptr,
             )
         return self._cache["table"]  # type: ignore[return-value]
@@ -471,18 +470,22 @@ class QuasiMetricSpace:
         """(n, len(lams)): per center c and l in lams, the peak of
         mu(B(c, l r)) / mu(B(c, r)) over the radii r = radii(c, near),
         near being c's distances in its order, all scales read by one
-        ``searchsorted`` on near.  The orders are gathered per block of
-        ``TABLE_BLOCK // n`` centers."""
+        ``searchsorted`` on near.  Per block of ``TABLE_BLOCK // n``
+        centers it takes the sorted distances and the cumulative masses
+        (the cumsum that gives ``measure``), read at idx - 1 where a
+        ball of c ends, idx being the points nearer than the radius."""
         t = self.ball_table()
         n = self.n
         scales = np.array((1.0,) + tuple(lams))[:, None]
         peaks = np.empty((n, len(lams)))
         step = max(1, TABLE_BLOCK // n)
         for c0 in range(0, n, step):
-            sorted_dist = np.take_along_axis(self.dist[c0 : c0 + step], t.order[c0 : c0 + step], axis=1)
-            for c, near in enumerate(sorted_dist, c0):
+            o = t.order[c0 : c0 + step]
+            sorted_dist = np.take_along_axis(self.dist[c0 : c0 + step], o, axis=1)
+            cum_mass = np.cumsum(self.mass[o], axis=1)
+            for c, near, cum in zip(range(c0, n), sorted_dist, cum_mass):
                 idx = np.searchsorted(near, scales * radii(c, near))
-                mu = np.where(idx > 0, t.cum_mass[c, idx - 1], 0.0)
+                mu = np.where(idx > 0, cum[idx - 1], 0.0)
                 peaks[c] = (mu[1:] / mu[0]).max(axis=1)
         return peaks
 

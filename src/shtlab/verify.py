@@ -3,11 +3,12 @@
 Each operation returns a JSON-ready report dict: a list of named check
 entries ({check, kind, value, threshold, passed}) plus measured
 constants.  An entry's ``passed`` is ``ReportRow.passes(value,
-threshold)``: the value is finite and at most the threshold.  A NaN
-anywhere in a checked inequality or identity makes its value NaN, so
-it fails.  Exact finite-sum facts (Fubini exchanges, Hölder on finite
-sums, pointwise dominations, self-adjointness) are asserted at tight
-tolerances; every inequality whose sharp constant is unknown is
+threshold)``: the value is finite and at most the threshold; a
+report's ``passed`` is that all its entries pass (``_all_passed``).
+A NaN anywhere in a checked inequality or identity makes its value
+NaN, so it fails.  Exact finite-sum facts (Fubini exchanges, Hölder on
+finite sums, pointwise dominations, self-adjointness) are asserted at
+tight tolerances; every inequality whose sharp constant is unknown is
 reported as a measured ratio, never asserted against an invented
 number.  Operator norms are always probe lower bounds and are labelled
 as such.
@@ -142,6 +143,11 @@ def _ratio_entry(
     }
 
 
+def _all_passed(entries: Iterable[Dict[str, object]]) -> bool:
+    """A report's verdict: every one of its entries passes."""
+    return all(e["passed"] for e in entries)
+
+
 def _validate_weights(space: QuasiMetricSpace, lam1, lam2, p: float) -> None:
     if p <= 1:
         raise ValueError("p must exceed 1")
@@ -187,6 +193,7 @@ def verify_upper_bound_cb(
     est, idx = estimate_from_values(space, cb, F, lam1, lam2, p)
     vacuous = bmo == 0.0
     rho = 0.0 if vacuous else est / scale
+    entries = [_ratio_entry("upper_cb.rho", rho, rho_cap)]
     return {
         "name": "upper_cb",
         "vacuous": vacuous,
@@ -200,8 +207,8 @@ def verify_upper_bound_cb(
         "ap_lambda1": ap1,
         "ap_lambda2": ap2,
         "scale": scale,
-        "entries": [_ratio_entry("upper_cb.rho", rho, rho_cap)],
-        "passed": bool(vacuous or rho <= rho_cap),
+        "entries": entries,
+        "passed": _all_passed(entries),
     }
 
 
@@ -252,7 +259,7 @@ def verify_upper_bound_bm(
         "ap_lambda2": ap2,
         "scale": scale,
         "entries": entries,
-        "passed": bool(all(e["passed"] for e in entries) or (vacuous and reduction["passed"] and mono["passed"])),
+        "passed": _all_passed(entries),
     }
 
 
@@ -422,7 +429,6 @@ def verify_duality_chain(
             _leq_entry("duality.end_le_osc_cube", c_end, c_osc * c_cube, tol_holder)
         )
 
-    passed = bool(all(e["passed"] for e in entries))
     return {
         "name": "duality_chain",
         "vacuous": vacuous,
@@ -434,7 +440,7 @@ def verify_duality_chain(
         "eta_tilde": family.eta_certified,
         "g_probes": int(gabs.shape[1]),
         "entries": entries,
-        "passed": passed,
+        "passed": _all_passed(entries),
     }
 
 
@@ -594,7 +600,6 @@ def verify_lower_bound(
     aux_bound = c_rh ** (1.0 / p)
     entries.append(_leq_entry("lower.aux_reverse_holder", aux, aux_bound, tol_holder))
 
-    passed = bool(all(e["passed"] for e in entries))
     return {
         "name": "lower_bound",
         "vacuous": vacuous,
@@ -612,7 +617,7 @@ def verify_lower_bound(
         "probed_balls": len(ids),
         "ball_count": nb,
         "entries": entries,
-        "passed": passed,
+        "passed": _all_passed(entries),
     }
 
 
@@ -690,7 +695,7 @@ def verify_bloom_jn(
                 # balls whose deviation sums were evaluated, BMO_nu and JN maxima together
                 "exact_balls": bmo_exact + jn_exact,
                 "entries": [entry],
-                "passed": bool(entry["passed"]),
+                "passed": _all_passed([entry]),
             }
         )
     return reports if np.ndim(r) else reports[0]
@@ -739,7 +744,6 @@ def fit_weight_exponent(
     x = np.asarray(xs)
     spread = float(x.max() - x.min()) if x.size else 0.0
     ops: Dict[str, Dict[str, object]] = {}
-    all_pass = True
     # the kernel's own test: C_b is then exactly 0, and [b, M] is 0 up
     # to rounding, which a fit would read as a slope
     constant = bool(np.ptp(b) == 0.0)
@@ -752,7 +756,6 @@ def fit_weight_exponent(
         xk, yk = x[keep], np.log(y[keep])
         if xk.size < 3:
             ops[op] = {"status": "insufficient spread", "points": int(xk.size), "passed": False}
-            all_pass = False
             continue
         if float(xk.max() - xk.min()) < 1e-9:
             ops[op] = {"status": "vacuous", "points": int(xk.size), "passed": True}
@@ -764,7 +767,6 @@ def fit_weight_exponent(
         stderr = (
             math.sqrt(float((resid**2).sum()) / dof / denom) if dof > 0 and denom > 0 else math.inf
         )
-        ok = bool(slope <= cap)
         ops[op] = {
             "status": "ok",
             "slope": float(slope),
@@ -772,9 +774,8 @@ def fit_weight_exponent(
             "stderr": stderr,
             "band": [float(slope - 2 * stderr), float(slope + 2 * stderr)],
             "points": int(xk.size),
-            "passed": ok,
+            "passed": bool(slope <= cap),
         }
-        all_pass = all_pass and ok
     return {
         "name": "exponent_fit",
         "p": float(p),
@@ -784,5 +785,5 @@ def fit_weight_exponent(
         "eta_host": packing_constant(system, cubes),
         "estimate_kind": NORM_NOTE,
         "ops": ops,
-        "passed": all_pass,
+        "passed": _all_passed(ops.values()),
     }

@@ -376,7 +376,7 @@ def ball_table_int64(space) -> SimpleNamespace:
     np.cumsum(ends.sum(axis=1), out=start[1:])
     rank = np.empty_like(order)
     np.put_along_axis(rank, order, np.broadcast_to(np.arange(n), (n, n)), axis=1)
-    cum_mass = np.cumsum(space.mass[order], axis=1)
+    measure = np.cumsum(space.mass[order], axis=1)[center, last]
     # ptr[x, c]: the first ball at c whose count exceeds x's position
     ptr = np.empty((n, n), dtype=np.int64)
     for c in range(n):
@@ -386,11 +386,10 @@ def ball_table_int64(space) -> SimpleNamespace:
         center=center,
         count=last + 1,
         radius=radius,
-        measure=cum_mass[center, last],
+        measure=measure,
         start=start,
         order=order,
         rank=rank,
-        cum_mass=cum_mass,
         ptr=ptr,
     )
 

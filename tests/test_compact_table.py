@@ -3,6 +3,8 @@ ball ids) against int64 oracles, at sizes where a narrow type would
 wrap: ball ids above 32767 (line256) and 65535 (line384), n >= 182
 where n^2 exceeds 32767, and the tied grid and the lognormal plane."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -40,10 +42,21 @@ def test_table_equals_the_int64_oracle(case):
     assert t.ptr.dtype == np.int32
     assert np.array_equal(t.ptr, want.ptr)
     assert np.array_equal(t.start, want.start)
-    for name in ("radius", "measure", "cum_mass"):
+    for name in ("radius", "measure"):
         assert getattr(t, name).tobytes() == getattr(want, name).tobytes()
     last = len(t.center) - 1
     assert np.array_equal(sp.canonical_ball(last).members, np.sort(want.order[want.center[-1]]))
+
+
+def test_table_holds_no_square_float_field():
+    sp = build_space("line", 256)
+    t = sp.ball_table()
+    n, balls = sp.n, len(t.center)
+    fields = {f.name: getattr(t, f.name) for f in dataclasses.fields(t)}
+    assert not [name for name, a in fields.items() if a.ndim == 2 and a.dtype.kind == "f"]
+    # int16 center and count, float64 radius and measure per ball; int64
+    # start; int16 order and rank and int32 ptr per (n x n) entry
+    assert sum(a.nbytes for a in fields.values()) == (2 + 2 + 8 + 8) * balls + 8 * (n + 1) + (2 + 2 + 4) * n * n
 
 
 def test_covering_ball_and_constants_read_the_whole_table(case):

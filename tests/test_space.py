@@ -398,11 +398,17 @@ class TestMeasuredConstants:
         for kind, n, sp in spaces():
             assert sp.c_mu == pytest.approx(oracles.doubling_constant(sp))
 
-    @pytest.mark.parametrize("kind", ["line", "sqline", "grid2d", "tree", "pair", "ties", "lognormal"])
+    @pytest.mark.parametrize(
+        "kind",
+        ["line", "sqline", "grid2d", "tree", "pair", "ties", "lognormal"] + [f"random{seed}" for seed in range(20)],
+    )
     def test_doubling_equals_the_per_scale_loop(self, kind):
-        sp = {"ties": oracles.tied_quasi_grid, "lognormal": oracles.lognormal_plane}.get(
-            kind, lambda: build_space(kind, dict(KINDS)[kind])
-        )()
+        if kind.startswith("random"):
+            sp = oracles.random_space(int(kind[len("random") :]))
+        else:
+            sp = {"ties": oracles.tied_quasi_grid, "lognormal": oracles.lognormal_plane}.get(
+                kind, lambda: build_space(kind, dict(KINDS)[kind])
+            )()
         assert sp._measure_doubling() == oracles.measured_doubling(sp)
         for lams in ((2.0, 4.0, 8.0), (1.5, 3.0)):
             assert sp.strong_doubling_exponent(lams) == oracles.strong_doubling_exponent(sp, lams)

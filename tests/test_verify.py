@@ -625,3 +625,34 @@ class TestClosedFormPointProbes:
             direct_bm = commutator_bM(space, b, F[:, j])
             assert np.array_equal(cb[:, j], direct_cb)
             assert np.array_equal(bm[:, j], direct_bm)
+
+
+class TestReportVerdicts:
+    REPORTS = (
+        "verify_upper_bound_cb",
+        "verify_upper_bound_bm",
+        "verify_duality_chain",
+        "verify_lower_bound",
+        "verify_bloom_jn",
+        "fit_weight_exponent",
+    )
+
+    def test_every_stock_report_passes_when_all_its_entries_pass(self, tmp_path, monkeypatch):
+        from shtlab import cli
+
+        reports = []
+        for name in self.REPORTS:
+
+            def record(*args, _fn=getattr(cli, name), **kwargs):
+                out = _fn(*args, **kwargs)
+                reports.extend(out if isinstance(out, list) else [out])
+                return out
+
+            monkeypatch.setattr(cli, name, record)
+        cli.main(["verify", "--seed", "42", "--out", str(tmp_path)])
+        names = {"upper_cb", "upper_bm", "duality_chain", "lower_bound", "bloom_jn", "exponent_fit"}
+        assert {rep["name"] for rep in reports} == names
+        for rep in reports:
+            entries = list(rep["ops"].values() if rep["name"] == "exponent_fit" else rep["entries"])
+            assert entries
+            assert rep["passed"] is all(e["passed"] for e in entries)
